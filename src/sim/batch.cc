@@ -24,13 +24,6 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-std::unique_ptr<SchedulePolicy> makePolicy(PolicyKind kind) {
-  if (kind == PolicyKind::kRoundRobin) {
-    return std::make_unique<RoundRobinPolicy>();
-  }
-  return std::make_unique<RandomPolicy>();
-}
-
 void harvest(CellResult& out, RunVerdict verdict, std::string detail,
              Time steps, const RunResult& result) {
   out.verdict = verdict;
@@ -127,41 +120,30 @@ CellResult runCell(const BatchCell& cell, std::size_t index) {
       // runs (and chaos engines) from the config alone.
       return service::runServiceCell(*cell.service, index);
     }
-    if (cell.chaos.has_value() || cell.watchdog.has_value()) {
-      const WatchdogConfig wd = cell.watchdog.value_or(WatchdogConfig{});
-      RunReport rep;
-      if (cell.chaos.has_value()) {
-        // Chaos drives cfg.policy internally; an explicit policy_factory
-        // is a plain/watched feature and is ignored here.
-        rep = runChaosTask(cell.cfg, *cell.chaos, wd, cell.algo,
-                           cell.proposals);
-      } else {
-        // Watched but chaos-free: driveWatched draws from the run's own
-        // policy RNG, so this replays Scheduler::run's exact schedule.
-        Run run(cell.cfg, cell.algo, cell.proposals);
-        const auto policy = cell.policy_factory ? cell.policy_factory()
-                                                : makePolicy(cell.cfg.policy);
-        rep = driveWatched(run, *policy, wd, nullptr);
-      }
-      harvest(out, rep.verdict, rep.detail, rep.steps, rep.result);
-      if (cell.post) cell.post(rep, out);
+    RunReport rep;  // the plain path hands the post-hook one as well
+    if (cell.chaos.has_value()) {
+      // Chaos drives cfg.policy internally; an explicit policy_factory
+      // is a plain/watched feature and is ignored here.
+      rep = runChaosTask(cell.cfg, *cell.chaos,
+                         cell.watchdog.value_or(WatchdogConfig{}), cell.algo,
+                         cell.proposals);
     } else {
-      RunReport rep;  // plain path still hands the post-hook a RunReport
-      if (cell.policy_factory) {
-        // Mirrors runTask with the cell's own policy in place of
-        // cfg.policy — how a batch expresses eventually-synchronous or
-        // scripted schedules.
-        Run run(cell.cfg, cell.algo, cell.proposals);
-        const auto policy = cell.policy_factory();
-        const Time taken = run.scheduler().run(*policy, cell.cfg.max_steps);
-        rep.result = run.finish(taken);
+      // runTask, with the cell's own policy in place of cfg.policy if it
+      // has one — how a batch expresses eventually-synchronous or
+      // scripted schedules. A watched run takes the same schedule.
+      Run run(cell.cfg, cell.algo, cell.proposals);
+      const auto policy = cell.policy_factory ? cell.policy_factory()
+                                              : makePolicy(cell.cfg.policy);
+      if (cell.watchdog.has_value()) {
+        rep = driveWatched(run, *policy, *cell.watchdog, nullptr);
       } else {
-        rep.result = runTask(cell.cfg, cell.algo, cell.proposals);
+        rep.result =
+            run.finish(run.scheduler().run(*policy, cell.cfg.max_steps));
+        rep.steps = rep.result.steps;
       }
-      rep.steps = rep.result.steps;
-      harvest(out, RunVerdict::kOk, "", rep.steps, rep.result);
-      if (cell.post) cell.post(rep, out);
     }
+    harvest(out, rep.verdict, rep.detail, rep.steps, rep.result);
+    if (cell.post) cell.post(rep, out);
   } catch (const std::exception& e) {
     // One failing cell must not take down the batch: surface a structured
     // error in this slot and let the other workers finish.

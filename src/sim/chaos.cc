@@ -187,8 +187,22 @@ fd::FdPtr ChaosEngine::wrapFd(fd::FdPtr inner, const FailurePattern& fp,
                                    cfg_.seed);
 }
 
-void ChaosEngine::plan(const World& world) {
+RunConfig ChaosEngine::arm(RunConfig cfg) const {
+  if (cfg_.glitch.kind != GlitchKind::kNone) {
+    cfg.fd = wrapFd(std::move(cfg.fd),
+                    cfg.fp.value_or(FailurePattern::failureFree(cfg.n_plus_1)),
+                    cfg.n_plus_1);
+  }
+  if (!cfg.audit.has_value()) cfg.audit = AuditMode::kThrow;
+  return cfg;
+}
+
+void ChaosEngine::plan(World& world) {
   planned_ = true;
+  if (wantsScanOverride()) {
+    world.setScanOverride(
+        [this](Pid p, ObjId obj) { return overrideScan(p, obj); });
+  }
   const int n = world.nProcs();
   std::size_t idx = 0;
   for (const CrashInjection& c : cfg_.crashes) {
@@ -329,9 +343,8 @@ void ChaosEngine::beforeStep(World& world, const Scheduler& sched) {
   }
 }
 
-ProcSet ChaosEngine::filterRunnable(const ProcSet& runnable,
-                                    const World& world,
-                                    const Scheduler& sched) const {
+ProcSet ChaosEngine::filter(const ProcSet& runnable, const World& world,
+                            const Scheduler& sched) const {
   ProcSet out = runnable;
   const Time now = world.now();
   for (const StarvationWindow& w : cfg_.starvation) {
@@ -364,25 +377,8 @@ RunReport runChaosTask(const RunConfig& cfg, const ChaosConfig& chaos,
                        const WatchdogConfig& wd, const AlgoFn& algo,
                        const std::vector<Value>& proposals) {
   ChaosEngine engine(chaos);
-  RunConfig wrapped = cfg;
-  if (wrapped.fd != nullptr && chaos.glitch.kind != GlitchKind::kNone) {
-    const FailurePattern fp = wrapped.fp.has_value()
-                                  ? *wrapped.fp
-                                  : FailurePattern::failureFree(wrapped.n_plus_1);
-    wrapped.fd = engine.wrapFd(wrapped.fd, fp, wrapped.n_plus_1);
-  }
-  // Chaos runs are always audited: the online axiom checker is the
-  // detection instrument. kThrow turns a violation into a verdict at the
-  // offending step; an explicit cfg.audit (e.g. kCollect) is respected
-  // and checked after the run instead.
-  if (!wrapped.audit.has_value()) wrapped.audit = AuditMode::kThrow;
-  Run run(wrapped, algo, proposals);
-  std::unique_ptr<SchedulePolicy> policy;
-  if (wrapped.policy == PolicyKind::kRoundRobin) {
-    policy = std::make_unique<RoundRobinPolicy>();
-  } else {
-    policy = std::make_unique<RandomPolicy>();
-  }
+  Run run(engine.arm(cfg), algo, proposals);
+  const std::unique_ptr<SchedulePolicy> policy = makePolicy(cfg.policy);
   return driveWatched(run, *policy, wd, &engine);
 }
 

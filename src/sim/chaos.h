@@ -158,42 +158,32 @@ struct ChaosConfig {
   }
 };
 
-class ChaosEngine {
+// Perturbs the one run it observes (Scheduler::run, driveWatched). Not
+// copyable: that run's world may hold the engine's address.
+class ChaosEngine final : public StepObserver {
  public:
   explicit ChaosEngine(ChaosConfig cfg) : cfg_(std::move(cfg)) {}
+  ChaosEngine(const ChaosEngine&) = delete;
+  ChaosEngine& operator=(const ChaosEngine&) = delete;
 
-  // Wrap `inner` with the configured glitch (identity for kNone). The
-  // wrapper forwards the inner detector's AxiomSpec unchanged, so the
-  // online checker judges the glitched history against the inner
-  // detector's own claim — which is exactly what makes illegal glitches
-  // detectable.
-  [[nodiscard]] fd::FdPtr wrapFd(fd::FdPtr inner, const FailurePattern& fp,
-                                 int n_plus_1) const;
+  // `cfg` with its detector glitch-wrapped and auditing on: the online
+  // axiom checker is the detection instrument. An unset cfg.audit becomes
+  // kThrow (a verdict at the offending step); an explicit one (e.g.
+  // kCollect) is respected and checked after the run.
+  [[nodiscard]] RunConfig arm(RunConfig cfg) const;
 
-  // Crash triggers and pending-scan view captures; the watchdog calls
-  // this before each schedule pick. The scheduler is consulted (read
-  // only) for each process's pending operation, so a scan override can
-  // be decided — and its request-time view captured — before the scan's
-  // owning step runs.
-  void beforeStep(World& world, const Scheduler& sched);
-
-  // Stale-snapshot wiring (World::setScanOverride): true when the config
-  // asks for scan injection at all.
-  [[nodiscard]] bool wantsScanOverride() const {
-    return cfg_.stale_snapshot.has_value() &&
-           cfg_.stale_snapshot->permille > 0;
-  }
-  // The view to serve for p's executing scan of `obj`; nullopt = live
-  // memory. Consumes the decision made in beforeStep.
-  [[nodiscard]] std::optional<std::vector<RegVal>> overrideScan(Pid p,
-                                                                ObjId obj);
+  // Crash triggers and pending-scan view captures. The scheduler is
+  // consulted (read only) for each process's pending operation, so a scan
+  // override can be decided — and its request-time view captured — before
+  // the scan's owning step runs. The first call routes the world's scan
+  // results through the engine if stale snapshots are configured.
+  void beforeStep(World& world, const Scheduler& sched) override;
 
   // Schedule-bias injectors: filter the runnable set. Falls back to the
   // unfiltered set rather than returning empty (schedules must make
   // progress; starvation is bias, not deadlock).
-  [[nodiscard]] ProcSet filterRunnable(const ProcSet& runnable,
-                                       const World& world,
-                                       const Scheduler& sched) const;
+  [[nodiscard]] ProcSet filter(const ProcSet& runnable, const World& world,
+                               const Scheduler& sched) const override;
 
   [[nodiscard]] int crashesInjected() const { return crashes_injected_; }
   [[nodiscard]] const ChaosConfig& config() const { return cfg_; }
@@ -209,7 +199,21 @@ class ChaosEngine {
     bool fired = false;
   };
 
-  void plan(const World& world);  // lazy: needs n+1 from the world
+  // `inner` wrapped with the configured glitch (identity for kNone). The
+  // wrapper forwards the inner AxiomSpec, so the online checker judges
+  // the glitched history against the inner detector's own claim.
+  [[nodiscard]] fd::FdPtr wrapFd(fd::FdPtr inner, const FailurePattern& fp,
+                                 int n_plus_1) const;
+  [[nodiscard]] bool wantsScanOverride() const {
+    return cfg_.stale_snapshot.has_value() &&
+           cfg_.stale_snapshot->permille > 0;
+  }
+  // The view to serve for p's executing scan of `obj`; nullopt = live
+  // memory. Consumes the decision made in beforeStep.
+  [[nodiscard]] std::optional<std::vector<RegVal>> overrideScan(Pid p,
+                                                                ObjId obj);
+
+  void plan(World& world);  // lazy: needs n+1 from the world
   bool tryCrash(World& world, Pid victim);
   void captureScans(World& world, const Scheduler& sched);
 
@@ -233,9 +237,8 @@ class ChaosEngine {
 };
 
 // Run `algo` under cfg's policy with chaos perturbations and the watchdog:
-// wraps cfg.fd with the configured glitch, forces auditing on (default
-// kThrow — the online axiom checker is the detection instrument), drives
-// the schedule through the engine, and reports a structured verdict.
+// arms cfg (ChaosEngine::arm), drives the schedule through the engine,
+// and reports a structured verdict.
 RunReport runChaosTask(const RunConfig& cfg, const ChaosConfig& chaos,
                        const WatchdogConfig& wd, const AlgoFn& algo,
                        const std::vector<Value>& proposals);

@@ -96,6 +96,9 @@ class Run {
   std::vector<Value> proposals_;   // ditto
 };
 
+// A fresh policy of the given kind.
+[[nodiscard]] std::unique_ptr<SchedulePolicy> makePolicy(PolicyKind kind);
+
 // Run `algo` at every process with the given proposals under cfg.policy.
 RunResult runTask(const RunConfig& cfg, const AlgoFn& algo,
                   const std::vector<Value>& proposals);

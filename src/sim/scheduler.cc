@@ -316,18 +316,29 @@ void Scheduler::restore(const Checkpoint& ck,
   rebuildLiveness();
 }
 
-Time Scheduler::run(SchedulePolicy& policy, Time max_steps) {
+Time Scheduler::run(SchedulePolicy& policy, Time max_steps,
+                    StepObserver* observer) {
   Time taken = 0;
-  while (taken < max_steps) {
-    // One sync covers both checks and the policy call below; runnable()
-    // and allCorrectDone() are not re-entered per step.
+  for (;;) {
+    // Without an observer one sync covers both checks and the policy call
+    // below; runnable() and allCorrectDone() are not re-entered per step.
     syncLiveness();
     if (correct_undone_ == 0) break;
+    if (taken >= max_steps) break;
+    if (observer != nullptr) {
+      observer->beforeStep(*world_, *this);
+      syncLiveness();  // beforeStep may have crashed a process
+    }
     if (runnable_.empty()) break;  // every live process finished
-    const Pid p = policy.next(runnable_, *world_, rng_);
+    const Pid p =
+        observer == nullptr
+            ? policy.next(runnable_, *world_, rng_)
+            : policy.next(observer->filter(runnable_, *world_, *this),
+                          *world_, rng_);
     assert(runnable_.contains(p) && "policy chose a non-runnable process");
     step(p);
     ++taken;
+    if (observer != nullptr && observer->afterStep(*world_, *this)) break;
   }
   return taken;
 }

@@ -88,6 +88,29 @@ class FnPolicy : public SchedulePolicy {
   Fn fn_;
 };
 
+class Scheduler;
+
+// Hooks into Scheduler::run, whose iteration is: correct-done check,
+// budget check, beforeStep, liveness re-sync, empty-runnable check,
+// filter, policy pick, step, afterStep. The chaos engine (sim/chaos.h)
+// uses the first two; the watchdog (sim/watchdog.h) the third.
+class StepObserver {
+ public:
+  virtual ~StepObserver() = default;
+  // May inject crashes: run() re-syncs liveness afterwards.
+  virtual void beforeStep(World& /*world*/, const Scheduler& /*sched*/) {}
+  // The set the policy picks from: a nonempty subset of `runnable`.
+  [[nodiscard]] virtual ProcSet filter(const ProcSet& runnable,
+                                       const World& /*world*/,
+                                       const Scheduler& /*sched*/) const {
+    return runnable;
+  }
+  // After every completed step; true stops the run.
+  virtual bool afterStep(World& /*world*/, const Scheduler& /*sched*/) {
+    return false;
+  }
+};
+
 class Scheduler {
  public:
   Scheduler(World* world, std::uint64_t seed) : world_(world), rng_(seed) {}
@@ -116,9 +139,11 @@ class Scheduler {
   // One atomic step of p. p must be runnable.
   void step(Pid p);
 
-  // Run under `policy` until all correct processes finished or max_steps
-  // elapsed. Returns steps taken.
-  Time run(SchedulePolicy& policy, Time max_steps);
+  // Run under `policy` until all correct processes finished, max_steps
+  // elapsed, or `observer` stopped it. Returns steps taken; run(p, a) then
+  // run(p, b) is run(p, a + b). step()'s errors propagate.
+  Time run(SchedulePolicy& policy, Time max_steps,
+           StepObserver* observer = nullptr);
 
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   //
@@ -170,9 +195,8 @@ class Scheduler {
     return slots_.at(static_cast<std::size_t>(p))->ctx;  // model-lint-allow: cold inspection accessor
   }
 
-  // The run's policy RNG (seeded from RunConfig::seed). External drivers
-  // (sim/watchdog.h) draw from it so a watchdog-driven run replays the
-  // exact schedule Scheduler::run would produce.
+  // The run's policy RNG (seeded from RunConfig::seed), for drivers that
+  // pick steps by hand.
   [[nodiscard]] Rng& rng() { return rng_; }
 
  private:

@@ -90,7 +90,7 @@ AlgoFn makeServiceAlgo(
   };
 }
 
-// ---- Segment drive loop --------------------------------------------------
+// ---- Segment driver ------------------------------------------------------
 
 struct SegmentOutcome {
   RunVerdict verdict = RunVerdict::kOk;
@@ -104,19 +104,17 @@ struct SegmentOutcome {
   std::vector<std::vector<Time>> note_step;
 };
 
-// Drives one segment Run to a verdict, mirroring driveWatched's loop
-// (policy draws from the run's own RNG; chaos beforeStep/filterRunnable;
-// end-of-run audit close) but harvesting per-instance commit notes
-// incrementally — and, when `record_marks` is set, taking a Run
-// checkpoint at every instance-commit boundary so runCrashSweep can
-// restore the shared prefix instead of re-executing it.
+// Drives one segment Run to a verdict through driveToVerdict, harvesting
+// per-instance commit notes after every step — and, when `record_marks`
+// is set, taking a Run checkpoint at every instance-commit boundary so
+// runCrashSweep can restore the shared prefix instead of re-executing it.
 class SegmentDriver {
  public:
-  SegmentDriver(Run& run, SchedulePolicy& policy, Time budget,
+  SegmentDriver(Run& run, SchedulePolicy& policy, const WatchdogConfig& wd,
                 ChaosEngine* chaos, int group, int len, bool record_marks)
       : run_(run),
         policy_(policy),
-        budget_(budget),
+        wd_(wd),
         chaos_(chaos),
         group_(group),
         len_(len),
@@ -131,14 +129,22 @@ class SegmentDriver {
       run_.enableCheckpoints();
       marks_.push_back(takeMark());  // mark 0: before any step
     }
-    if (chaos_ != nullptr && chaos_->wantsScanOverride()) {
-      ChaosEngine* c = chaos_;
-      run_.world().setScanOverride(
-          [c](Pid p, ObjId obj) { return c->overrideScan(p, obj); });
-    }
   }
 
-  SegmentOutcome drive() { return loop(); }
+  // Drive to a verdict. The budget counts from segment start, so a
+  // variant resumed at a mark gets what the base pass had left there.
+  SegmentOutcome drive() {
+    WatchdogConfig wd = wd_;
+    wd.step_budget -= steps_;
+    const RunReport rep = driveToVerdict(run_, policy_, wd, chaos_, [this] {
+      ++steps_;
+      scanTrace();
+    });
+    const World& world = run_.world();
+    return SegmentOutcome{rep.verdict, rep.detail, steps_,
+                          world.trace().hash64(), world.pattern(), noted_,
+                          note_step_};
+  }
 
   // Sweep variant: rewind to the state where exactly `b` instances had
   // committed (instance b in flight), crash `victim`, drive to a fresh
@@ -157,7 +163,7 @@ class SegmentDriver {
     note_step_ = m.note_step;
     record_marks_ = false;  // the variant suffix must not extend the marks
     run_.world().injectCrash(victim);
-    SegmentOutcome out = loop();
+    SegmentOutcome out = drive();
     record_marks_ = true;
     return out;
   }
@@ -179,9 +185,8 @@ class SegmentDriver {
                 note_step_};
   }
 
-  bool scanTrace() {
+  void scanTrace() {
     const auto& evs = run_.world().trace().events();
-    const bool progressed = evs.size() > last_scanned_;
     for (; last_scanned_ < evs.size(); ++last_scanned_) {
       const Event& e = evs[last_scanned_];
       if (e.kind != EventKind::kNote || e.label.size() < 2 ||
@@ -218,69 +223,11 @@ class SegmentDriver {
         marks_.push_back(takeMark());
       }
     }
-    return progressed;
-  }
-
-  SegmentOutcome loop() {
-    SegmentOutcome out;
-    World& world = run_.world();
-    Scheduler& sched = run_.scheduler();
-    Time last_progress = steps_;
-    while (true) {
-      if (sched.allCorrectDone()) break;
-      if (steps_ >= budget_) {
-        out.verdict = RunVerdict::kBudgetExhausted;
-        out.detail = "segment step budget " + std::to_string(budget_) +
-                     " exhausted before all live replicas finished";
-        break;
-      }
-      if (chaos_ != nullptr) chaos_->beforeStep(world, sched);
-      const ProcSet runnable = sched.runnable();
-      if (runnable.empty()) break;
-      const ProcSet pick_from =
-          chaos_ != nullptr ? chaos_->filterRunnable(runnable, world, sched)
-                            : runnable;
-      const Pid p = policy_.next(pick_from, world, sched.rng());
-      try {
-        sched.step(p);
-      } catch (const StepAuditError& e) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = e.what();
-        break;
-      }
-      ++steps_;
-      if (scanTrace()) last_progress = steps_;
-      (void)last_progress;
-    }
-    // Close the audit window unconditionally (see sim/watchdog.cc): the
-    // end-of-run FD-axiom conditions may throw in kThrow mode and must
-    // demote the verdict, never escape.
-    try {
-      world.endAuditObservation();
-    } catch (const StepAuditError& e) {
-      if (out.verdict != RunVerdict::kSafetyViolation) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = e.what();
-      }
-    }
-    if (out.verdict == RunVerdict::kOk) {
-      if (const StepAuditor* a = world.auditor();
-          a != nullptr && !a->clean()) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = a->violations().front().toString();
-      }
-    }
-    out.steps = steps_;
-    out.trace_hash = world.trace().hash64();
-    out.fp = world.pattern();
-    out.noted = noted_;
-    out.note_step = note_step_;
-    return out;
   }
 
   Run& run_;
   SchedulePolicy& policy_;
-  Time budget_;
+  const WatchdogConfig wd_;
   ChaosEngine* chaos_;
   int group_;
   int len_;
@@ -356,8 +303,7 @@ class ServiceDriver {
   void runOneSegment(State& st) {
     refillInbox(st);
     Segment seg = prepareSegment(st);
-    RandomPolicy& policy = static_cast<RandomPolicy&>(*seg.policy);
-    SegmentDriver sd(*seg.run, policy, segmentBudget(seg.plan.len),
+    SegmentDriver sd(*seg.run, *seg.policy, segmentWatchdog(seg.plan.len),
                      seg.engine.get(), cfg_.group, seg.plan.len,
                      /*record_marks=*/false);
     SegmentOutcome out = sd.drive();
@@ -384,9 +330,14 @@ class ServiceDriver {
     }
   }
 
-  [[nodiscard]] Time segmentBudget(int len) const {
-    return cfg_.segment_budget_slack +
-           cfg_.instance_step_budget * static_cast<Time>(len);
+  // A segment gets slack + len * instance budget steps, and livelocks
+  // when a whole instance budget passes with no new trace event.
+  [[nodiscard]] WatchdogConfig segmentWatchdog(int len) const {
+    WatchdogConfig wd;
+    wd.step_budget = cfg_.segment_budget_slack +
+                     cfg_.instance_step_budget * static_cast<Time>(len);
+    wd.livelock_window = cfg_.instance_step_budget;
+    return wd;
   }
 
   // Pure function of (cfg, st): build the next segment attempt. Instance
@@ -418,7 +369,7 @@ class ServiceDriver {
         mixDigest(cfg_.seed, static_cast<std::uint64_t>(st.seg_counter) + 1);
     plan.run_cfg.n_plus_1 = cfg_.group;
     plan.run_cfg.seed = sseed;
-    plan.run_cfg.max_steps = segmentBudget(plan.len);
+    plan.run_cfg.max_steps = segmentWatchdog(plan.len).step_budget;
     plan.run_cfg.policy = PolicyKind::kRandom;
 
     // Injector cadence: one legal injector per `period` attempts,
@@ -520,16 +471,7 @@ class ServiceDriver {
       }
       assert(cc.legal());
       seg.engine = std::make_unique<ChaosEngine>(cc);
-      if (plan.run_cfg.fd != nullptr &&
-          cc.glitch.kind != GlitchKind::kNone) {
-        plan.run_cfg.fd =
-            seg.engine->wrapFd(plan.run_cfg.fd, fp, cfg_.group);
-      }
-      // Chaos segments are always audited (the online axiom checker is
-      // the detection instrument), mirroring runChaosTask.
-      if (!plan.run_cfg.audit.has_value()) {
-        plan.run_cfg.audit = AuditMode::kThrow;
-      }
+      plan.run_cfg = seg.engine->arm(plan.run_cfg);
       plan.chaos = cc;
     }
 
@@ -541,7 +483,7 @@ class ServiceDriver {
           (*plan.props)[static_cast<std::size_t>(slot)][0]);
     }
     seg.run = std::make_unique<Run>(plan.run_cfg, algo, inputs);
-    seg.policy = std::make_unique<RandomPolicy>();
+    seg.policy = makePolicy(plan.run_cfg.policy);
     return seg;
   }
 
@@ -716,7 +658,9 @@ class ServiceDriver {
         st.verdict = ServiceVerdict::kStalled;
         st.detail = "commit point stuck at instance " +
                     std::to_string(st.committed) + " after " +
-                    std::to_string(cfg_.max_retries) + " retries";
+                    std::to_string(cfg_.max_retries) +
+                    " retries (last segment: " + runVerdictName(out.verdict) +
+                    ")";
         return;
       }
       ++st.stats.retries;
@@ -862,7 +806,7 @@ SweepReport runCrashSweep(const ServiceConfig& cfg) {
     d.refillInbox(st);
     const ServiceDriver::State entry = st;  // fork point for the variants
     Segment seg = d.prepareSegment(st);
-    SegmentDriver sd(*seg.run, *seg.policy, d.segmentBudget(seg.plan.len),
+    SegmentDriver sd(*seg.run, *seg.policy, d.segmentWatchdog(seg.plan.len),
                      nullptr, cfg.group, seg.plan.len, /*record_marks=*/true);
     const SegmentOutcome base_out = sd.drive();
     if (base_out.verdict != RunVerdict::kOk) {

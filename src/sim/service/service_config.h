@@ -97,10 +97,11 @@ struct ServiceConfig {
 
   std::uint64_t seed = 1;
 
-  // Liveness budgets: a segment gets slack + len * instance budget steps;
-  // on kBudgetExhausted/kLivelock the all-live-committed prefix is kept
-  // and the rest retried with a bumped seed, at most max_retries times
-  // before the service verdict degrades to kStalled.
+  // Liveness budgets: a segment gets slack + len * instance budget steps,
+  // and livelocks after one instance budget of steps with no new trace
+  // event. On kBudgetExhausted/kLivelock the all-live-committed prefix is
+  // kept and the rest retried with a bumped seed, at most max_retries
+  // times before the service verdict degrades to kStalled.
   Time instance_step_budget = 30'000;
   Time segment_budget_slack = 200'000;
   int max_retries = 3;

@@ -1,7 +1,7 @@
 #include "sim/watchdog.h"
 
 #include <set>
-#include <vector>
+#include <string>
 
 #include "sim/chaos.h"
 
@@ -18,92 +18,104 @@ const char* runVerdictName(RunVerdict v) {
   return "?";
 }
 
-RunReport driveWatched(Run& run, SchedulePolicy& policy,
-                       const WatchdogConfig& wd, ChaosEngine* chaos) {
+namespace {
+
+// The watchdog's per-step checks: an incremental scan of the trace for
+// online safety (distinct decided values, per-process decision counts)
+// and for progress (any new event), around the chaos engine's hooks.
+class Watch final : public StepObserver {
+ public:
+  Watch(const WatchdogConfig& wd, ChaosEngine* chaos,
+        const std::function<void()>& after_step, RunReport& rep)
+      : wd_(wd), chaos_(chaos), after_step_(after_step), rep_(rep) {}
+
+  void beforeStep(World& world, const Scheduler& sched) override {
+    if (chaos_ != nullptr) chaos_->beforeStep(world, sched);
+  }
+
+  [[nodiscard]] ProcSet filter(const ProcSet& runnable, const World& world,
+                               const Scheduler& sched) const override {
+    return chaos_ != nullptr ? chaos_->filter(runnable, world, sched)
+                             : runnable;
+  }
+
+  bool afterStep(World& world, const Scheduler& /*sched*/) override {
+    ++rep_.steps;  // counted here, so an audit throw leaves the step out
+    if (after_step_) after_step_();
+    const auto& evs = world.trace().events();
+    const bool progressed = evs.size() > scanned_;
+    for (; scanned_ < evs.size(); ++scanned_) {
+      const Event& e = evs[scanned_];
+      if (e.kind != EventKind::kDecide || wd_.safety_k <= 0) continue;
+      if (decided_.contains(e.pid)) {
+        return flag(RunVerdict::kSafetyViolation,
+                    "process p" + std::to_string(e.pid) + " decided twice");
+      }
+      decided_.insert(e.pid);
+      distinct_.insert(e.value.asInt());
+      if (static_cast<int>(distinct_.size()) > wd_.safety_k) {
+        return flag(RunVerdict::kSafetyViolation,
+                    std::to_string(distinct_.size()) +
+                        " distinct decisions exceed the k=" +
+                        std::to_string(wd_.safety_k) + " agreement bound");
+      }
+    }
+    if (progressed) {
+      last_progress_ = rep_.steps;
+    } else if (wd_.livelock_window > 0 &&
+               rep_.steps - last_progress_ >= wd_.livelock_window) {
+      return flag(RunVerdict::kLivelock,
+                  "no new trace event in " +
+                      std::to_string(wd_.livelock_window) +
+                      " steps with live processes still running");
+    }
+    return false;
+  }
+
+ private:
+  bool flag(RunVerdict v, std::string detail) {
+    rep_.verdict = v;
+    rep_.detail = std::move(detail);
+    return true;
+  }
+
+  const WatchdogConfig& wd_;
+  ChaosEngine* chaos_;
+  const std::function<void()>& after_step_;
+  std::set<Value> distinct_;
+  ProcSet decided_;
+  std::size_t scanned_ = 0;
+  Time last_progress_ = 0;
+  RunReport& rep_;
+};
+
+}  // namespace
+
+RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
+                         const WatchdogConfig& wd, ChaosEngine* chaos,
+                         const std::function<void()>& after_step) {
   RunReport rep;
   World& world = run.world();
   Scheduler& sched = run.scheduler();
-
-  // Stale-snapshot injection (sim/chaos.h): route scan results through
-  // the engine. Installed only when configured, so every other run's
-  // scan path — and its trace — is untouched.
-  if (chaos != nullptr && chaos->wantsScanOverride()) {
-    world.setScanOverride([chaos](Pid p, ObjId obj) {
-      return chaos->overrideScan(p, obj);
-    });
-  }
-
-  // Online safety state: distinct decided values and per-process decision
-  // counts, maintained incrementally from the trace.
-  std::set<Value> distinct;
-  std::vector<int> decided(static_cast<std::size_t>(world.nProcs()), 0);
-  std::size_t scanned = 0;
-  Time last_progress = 0;
-  bool stop = false;
-
-  while (!stop) {
-    if (sched.allCorrectDone()) break;
-    if (rep.steps >= wd.step_budget) {
+  Watch watch(wd, chaos, after_step, rep);
+  try {
+    sched.run(policy, wd.step_budget, &watch);
+    if (rep.verdict == RunVerdict::kOk && rep.steps >= wd.step_budget &&
+        !sched.allCorrectDone()) {
       rep.verdict = RunVerdict::kBudgetExhausted;
       rep.detail = "step budget " + std::to_string(wd.step_budget) +
                    " exhausted before all correct processes finished";
-      break;
     }
-    if (chaos != nullptr) chaos->beforeStep(world, sched);
-    const ProcSet runnable = sched.runnable();
-    if (runnable.empty()) break;  // every live process finished
-    const ProcSet pick_from =
-        chaos != nullptr ? chaos->filterRunnable(runnable, world, sched)
-                         : runnable;
-    const Pid p = policy.next(pick_from, world, sched.rng());
-    try {
-      sched.step(p);
-    } catch (const StepAuditError& e) {
-      rep.verdict = RunVerdict::kAxiomViolation;
-      rep.detail = e.what();
-      break;
-    }
-    ++rep.steps;
-
-    const auto& evs = world.trace().events();
-    const bool progressed = evs.size() > scanned;
-    for (; scanned < evs.size(); ++scanned) {
-      const Event& e = evs[scanned];
-      if (e.kind != EventKind::kDecide || wd.safety_k <= 0) continue;
-      if (++decided[static_cast<std::size_t>(e.pid)] > 1) {
-        rep.verdict = RunVerdict::kSafetyViolation;
-        rep.detail = "process p" + std::to_string(e.pid) + " decided twice";
-        stop = true;
-        break;
-      }
-      distinct.insert(e.value.asInt());
-      if (static_cast<int>(distinct.size()) > wd.safety_k) {
-        rep.verdict = RunVerdict::kSafetyViolation;
-        rep.detail = std::to_string(distinct.size()) +
-                     " distinct decisions exceed the k=" +
-                     std::to_string(wd.safety_k) + " agreement bound";
-        stop = true;
-        break;
-      }
-    }
-    if (stop) break;
-    if (progressed) {
-      last_progress = rep.steps;
-    } else if (wd.livelock_window > 0 &&
-               rep.steps - last_progress >= wd.livelock_window) {
-      rep.verdict = RunVerdict::kLivelock;
-      rep.detail = "no new trace event in " +
-                   std::to_string(wd.livelock_window) +
-                   " steps with live processes still running";
-      break;
-    }
+  } catch (const StepAuditError& e) {
+    rep.verdict = RunVerdict::kAxiomViolation;
+    rep.detail = e.what();
   }
 
   // Close the audit window now, unconditionally: the end-of-run FD-axiom
   // conditions may raise StepAuditError in kThrow mode, and running them
-  // here (finalizeFdAxioms is idempotent) keeps run.finish() below from
-  // ever throwing. They demote an otherwise clean run; a run that already
-  // has a verdict keeps it.
+  // here (finalizeFdAxioms is idempotent) keeps run.finish() from ever
+  // throwing. They demote an otherwise clean run; a run that already has
+  // a verdict keeps it.
   try {
     world.endAuditObservation();
   } catch (const StepAuditError& e) {
@@ -124,7 +136,12 @@ RunReport driveWatched(Run& run, SchedulePolicy& policy,
       rep.detail = a->violations().front().toString();
     }
   }
+  return rep;
+}
 
+RunReport driveWatched(Run& run, SchedulePolicy& policy,
+                       const WatchdogConfig& wd, ChaosEngine* chaos) {
+  RunReport rep = driveToVerdict(run, policy, wd, chaos);
   rep.result = run.finish(rep.steps);
   return rep;
 }

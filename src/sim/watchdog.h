@@ -1,13 +1,14 @@
 // Run watchdog: drives a (possibly chaos-perturbed) run to a guaranteed,
 // diagnosable verdict.
 //
-// Scheduler::run is the right loop for well-behaved experiments, but a
-// fault-injected run can starve, livelock, or be steered into violating
-// the very properties an experiment certifies — and an assert/abort there
-// destroys the diagnosis along with the process. The watchdog replaces
-// those halt paths with a structured taxonomy: every driven run ends in
-// exactly one RunVerdict with a human-readable detail string and the full
-// harvested RunResult (trace, decisions, auditor) for post-mortems.
+// A fault-injected run can starve, livelock, or be steered into violating
+// the very properties an experiment certifies, and an assert/abort there
+// destroys the diagnosis along with the process. The watchdog is a
+// StepObserver on Scheduler::run (the one step loop): it scans the trace
+// after every step and turns those halt paths into a structured taxonomy.
+// Every driven run ends in exactly one RunVerdict with a human-readable
+// detail string and the full harvested RunResult (trace, decisions,
+// auditor) for post-mortems.
 //
 //   kOk               all correct processes finished; no violation seen.
 //   kSafetyViolation  the run decided more distinct values than its task
@@ -22,9 +23,8 @@
 //                     trace event (decision, publish, note) for a whole
 //                     livelock window.
 //
-// The watchdog draws schedule decisions from the run's own policy RNG, so
-// a watched run with no chaos engine replays the exact schedule
-// Scheduler::run would have produced.
+// Scheduler::run draws from the run's own policy RNG, so a watched run
+// with no chaos engine replays the exact schedule of a plain one.
 #pragma once
 
 #include <string>
@@ -75,5 +75,14 @@ struct RunReport {
 // bug, not a run outcome.)
 RunReport driveWatched(Run& run, SchedulePolicy& policy,
                        const WatchdogConfig& wd, ChaosEngine* chaos);
+
+// driveWatched without the harvest: drives `run` from its current state
+// and closes the audit window, leaving `result` empty and the run open.
+// The budget and livelock window count the steps of this call only.
+// `after_step`, if set, runs after every step, ahead of the watchdog's
+// own checks.
+RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
+                         const WatchdogConfig& wd, ChaosEngine* chaos,
+                         const std::function<void()>& after_step = {});
 
 }  // namespace wfd::sim

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -392,6 +393,51 @@ TEST(GoldenHashes, RestoreThenContinueIsBitIdenticalAcrossFamilies) {
     EXPECT_EQ(driveRotation(c, lc, mid, kHorizon), sa);
     EXPECT_EQ(c.world().trace().hash64(), ha)
         << "fresh-run restore diverged from straight line";
+  }
+}
+
+// ---- Resumption: Scheduler::run called in pieces --------------------------
+//
+// run(policy, a) then run(policy, b) must equal run(policy, a + b): the
+// loop keeps no state between calls, so a driver may cut a run into
+// pieces without moving a single step. The chaos family resumes with its
+// engine as the step observer.
+
+struct Driven {
+  Time steps = 0;
+  std::uint64_t trace_hash = 0;
+};
+
+Driven driveInPieces(const sim::BatchCell& cell,
+                     const std::vector<Time>& pieces) {
+  std::optional<sim::ChaosEngine> engine;
+  if (cell.chaos.has_value()) engine.emplace(*cell.chaos);
+  sim::Run run(engine.has_value() ? engine->arm(cell.cfg) : cell.cfg,
+               cell.algo, cell.proposals);
+  const auto policy = cell.policy_factory ? cell.policy_factory()
+                                          : sim::makePolicy(cell.cfg.policy);
+  Driven out;
+  for (const Time n : pieces) {
+    out.steps += run.scheduler().run(
+        *policy, n, engine.has_value() ? &*engine : nullptr);
+  }
+  out.trace_hash = run.world().trace().hash64();
+  return out;
+}
+
+TEST(GoldenHashes, RunResumesAcrossCallsInEveryFamily) {
+  constexpr Time kHorizon = 1500;
+  for (const char* family : kFamilies) {
+    for (const std::uint64_t seed : kSeeds) {
+      SCOPED_TRACE(std::string(family) + " seed=" + std::to_string(seed));
+      const sim::BatchCell cell = batchCell(family, seed);
+      const Driven whole = driveInPieces(cell, {kHorizon});
+      ASSERT_GT(whole.steps, 1);
+      const Time a = whole.steps / 2;
+      const Driven split = driveInPieces(cell, {a, kHorizon - a});
+      EXPECT_EQ(split.steps, whole.steps);
+      EXPECT_EQ(split.trace_hash, whole.trace_hash);
+    }
   }
 }
 

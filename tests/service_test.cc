@@ -271,6 +271,23 @@ TEST(ServiceTest, VerdictTaxonomy) {
   EXPECT_EQ(rep.stats.retries, 2);
 }
 
+TEST(ServiceTest, LivelockedSegmentsStallTheStream) {
+  // A segment livelocks after one instance budget of steps with no new
+  // trace event. The slack keeps the segment budget far out of reach, so
+  // only the 2-step livelock window can end an attempt this early; with
+  // no livelock verdict this stream completes.
+  ServiceConfig cfg;
+  cfg.instances = 32;
+  cfg.instance_step_budget = 2;
+  cfg.segment_budget_slack = 100'000;
+  cfg.max_retries = 2;
+  const ServiceReport rep = runService(cfg);
+  EXPECT_EQ(rep.verdict, ServiceVerdict::kStalled);
+  EXPECT_NE(rep.detail.find("livelock"), std::string::npos) << rep.detail;
+  EXPECT_EQ(rep.stats.segments, cfg.max_retries + 1);
+  EXPECT_LT(rep.stats.steps, 20 * rep.stats.segments);
+}
+
 TEST(ServiceTest, MisconfigurationThrows) {
   ServiceConfig cfg;
   cfg.group = 1;

@@ -46,6 +46,11 @@ guarantees:
                      fork threads mid-flight, duplicate file descriptors,
                      and break the single-address-space assumptions the
                      batch runner's determinism contract rests on
+  step-drive         Scheduler::step calls in src/ outside the scheduler
+                     and the explorer's DFS stepping: Scheduler::run is the
+                     one policy-driven step loop; drive a run through it
+                     with a StepObserver (sim/scheduler.h) instead of
+                     hand-writing another copy of the loop
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -80,6 +85,9 @@ ALL_SRC_DIRS = ["src"]
 # component designed to spawn processes: the campaign fabric.
 IPC_DIRS = ["src", "bench", "examples"]
 IPC_EXCLUDES = ["src/sim/fabric"]
+# The step-drive rule binds src/ minus the loop itself and the explorer,
+# whose DFS steps one chosen transition at a time.
+STEP_DRIVE_EXCLUDES = ["src/sim/scheduler.cc", "src/sim/explore.cc"]
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -239,6 +247,15 @@ RULES = [
         IPC_DIRS,
         IPC_EXCLUDES,
     ),
+    (
+        "step-drive",
+        re.compile(r"(?:\.|->)\s*step\s*\("),
+        "Scheduler::run is the one policy-driven step loop (its hooks: "
+        "StepObserver in sim/scheduler.h); drive runs through it instead "
+        "of calling Scheduler::step in another hand-written loop",
+        ALL_SRC_DIRS,
+        STEP_DRIVE_EXCLUDES,
+    ),
 ]
 
 
@@ -382,6 +399,11 @@ VIOLATING_SNIPPETS = {
     "ipc-primitive": (
         "int fds[2];\n"
         "int rogue() { if (::fork() == 0) _exit(0); return pipe(fds); }\n"
+    ),
+    "step-drive": (
+        "void rogue(Run& run, Pid p) {\n"
+        "  while (!run.scheduler().allCorrectDone()) run.scheduler().step(p);\n"
+        "}\n"
     ),
 }
 
