@@ -22,7 +22,9 @@
 //     >= 3x step-makespan reduction at jobs=4,
 //   * a bounded Fig. 1 (n+1 = 3) Upsilon set-agreement instance is
 //     certified by kDpor under the refined FD-independence relation and
-//     cross-checked for outcome-set equality against kDag,
+//     cross-checked for outcome-set equality against kDag, whose restores
+//     rebuild at most half of the steps they rewind (steps_rebuilt vs
+//     steps_replayed),
 //   * the persistent certificate store serves warm re-runs (hit), resumes
 //     interrupted frontiers (per-job hits), and cold-misses — never
 //     wrong-hits — on a version mismatch,
@@ -126,6 +128,7 @@ struct EngineRow {
   std::uint64_t memo_hits = 0;
   std::uint64_t steps_executed = 0;
   std::uint64_t steps_replayed = 0;
+  std::uint64_t steps_rebuilt = 0;
   std::uint64_t restores = 0;
   std::uint64_t frontier_jobs = 0;
   long long makespan = 0;
@@ -144,6 +147,7 @@ EngineRow rowOf(const ExploreResult& res, double seconds, int n) {
   row.memo_hits = res.memo_hits;
   row.steps_executed = res.steps_executed;
   row.steps_replayed = res.steps_replayed;
+  row.steps_rebuilt = res.steps_rebuilt;
   row.restores = res.restores;
   row.frontier_jobs = res.frontier_jobs;
   row.makespan = res.stepMakespan();
@@ -312,7 +316,8 @@ bool bitIdentical(const ExploreResult& a, const ExploreResult& b) {
          a.states_memoized == b.states_memoized &&
          a.memo_hits == b.memo_hits &&
          a.steps_executed == b.steps_executed &&
-         a.steps_replayed == b.steps_replayed && a.restores == b.restores &&
+         a.steps_replayed == b.steps_replayed &&
+         a.steps_rebuilt == b.steps_rebuilt && a.restores == b.restores &&
          a.max_depth_seen == b.max_depth_seen && a.complete == b.complete &&
          a.frontier_jobs == b.frontier_jobs &&
          a.frontier_depth == b.frontier_depth &&
@@ -330,7 +335,8 @@ int main(int argc, char** argv) {
 
   banner("schedule-space explorer (sim/explore.h)");
   Table table({"engine", "n+1", "schedules", "sleeps", "memo", "steps",
-               "replayed", "jobs", "makespan", "verdict", "seconds"});
+               "replayed", "rebuilt", "jobs", "makespan", "verdict",
+               "seconds"});
   JsonWriter json("bench_explore", args.jobs);
   json.note("mode", args.quick ? "quick" : "full");
 
@@ -350,6 +356,7 @@ int main(int argc, char** argv) {
                   fmt(static_cast<Time>(row.memoized)),
                   fmt(static_cast<Time>(row.steps_executed)),
                   fmt(static_cast<Time>(row.steps_replayed)),
+                  fmt(static_cast<Time>(row.steps_rebuilt)),
                   fmt(static_cast<Time>(row.frontier_jobs)),
                   fmt(static_cast<Time>(row.makespan)),
                   row.verified ? (row.complete ? "verified" : "cut")
@@ -363,6 +370,7 @@ int main(int argc, char** argv) {
               {"memo_hits", static_cast<double>(row.memo_hits)},
               {"steps_executed", static_cast<double>(row.steps_executed)},
               {"steps_replayed", static_cast<double>(row.steps_replayed)},
+              {"steps_rebuilt", static_cast<double>(row.steps_rebuilt)},
               {"restores", static_cast<double>(row.restores)},
               {"frontier_jobs", static_cast<double>(row.frontier_jobs)},
               {"step_makespan", static_cast<double>(row.makespan)},
@@ -470,10 +478,21 @@ int main(int argc, char** argv) {
     gate(fig1_dag.verified(), "fig1 n+1=3 certified by the dag oracle");
     gate(fig1_dpor.outcomeSigs() == fig1_dag.outcomeSigs(),
          "fig1 dpor outcome set equals the dag oracle's");
+    // Restore keeps the frames of processes that did not step since the
+    // branch point, so at most half the rewind distance is re-driven.
+    gate(fig1_dag.steps_rebuilt * 2 <= fig1_dag.steps_replayed,
+         "fig1 dag restores rebuild at most half the rewound steps");
     json.metric("fig1_dpor_schedules",
                 static_cast<double>(fig1_dpor.schedules_explored));
     json.metric("fig1_dag_schedules",
                 static_cast<double>(fig1_dag.schedules_explored));
+    // The restore-bound rate gate: the serial kDag search spends most of
+    // its time in checkpoint/restore.
+    const double dag_s = rows["fig1-dag"].seconds;
+    json.metric("fig1_dag_sched_per_sec",
+                dag_s > 0 ? static_cast<double>(fig1_dag.schedules_explored) /
+                                dag_s
+                          : 0.0);
   }
 
   // ---- Persistent exploration certificates --------------------------------

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "fd/failure_detector.h"
 #include "sim/explore_pool.h"
@@ -228,7 +229,9 @@ WalkOut walk(const WalkSpec& spec) {
   // kDag memo: state digest -> outcome signatures of its full subtree.
   // Frontier workers each hold a private memo so every counter is a pure
   // function of the job, never of worker scheduling.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> memo;
+  // Hashed: only find/emplace/size, never iterated, so its order cannot
+  // leak into any result.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> memo;
   int live_depth = 0;  // LOCAL depth the live Run currently corresponds to
   std::uint64_t live_digest = 0;
 
@@ -338,7 +341,7 @@ WalkOut walk(const WalkSpec& spec) {
     if (live_depth != d) {
       // Prefix sharing: rewind the single live Run to this branch point
       // instead of replaying the whole schedule from step 0.
-      run.restore(cur.ckpt);
+      res.steps_rebuilt += run.restore(cur.ckpt);
       ++res.restores;
       res.steps_replayed += static_cast<std::uint64_t>(base + d);
       live_depth = d;
@@ -540,9 +543,10 @@ WalkOut walk(const WalkSpec& spec) {
 // the store's version-in-filename rule — a schema bump below changes the
 // magic AND the key salt, so stale records cold-miss, never wrong-hit.
 
-constexpr char kCertMagicFull[] = "wfd-explore-v1";
-constexpr char kCertMagicJob[] = "wfd-explore-job-v1";
-constexpr std::uint64_t kCertSchemaSalt = 0xE7F1ECA5C3B2A191ULL;
+// v2: records carry steps_rebuilt; a v1 record would read it back as 0.
+constexpr char kCertMagicFull[] = "wfd-explore-v2";
+constexpr char kCertMagicJob[] = "wfd-explore-job-v2";
+constexpr std::uint64_t kCertSchemaSalt = 0xE7F1ECA5C3B2A192ULL;
 
 std::string oneLine(std::string s) {
   std::replace(s.begin(), s.end(), '\n', ' ');
@@ -675,6 +679,7 @@ CellResult encodeFullCert(const ExploreResult& r) {
   m["memo_hits"] = static_cast<double>(r.memo_hits);
   m["steps_executed"] = static_cast<double>(r.steps_executed);
   m["steps_replayed"] = static_cast<double>(r.steps_replayed);
+  m["steps_rebuilt"] = static_cast<double>(r.steps_rebuilt);
   m["restores"] = static_cast<double>(r.restores);
   m["max_depth_seen"] = r.max_depth_seen;
   m["frontier_jobs"] = static_cast<double>(r.frontier_jobs);
@@ -708,6 +713,8 @@ std::optional<ExploreResult> decodeFullCert(const CellResult& c) {
       static_cast<std::uint64_t>(metricOr(c, "steps_executed", 0));
   r.steps_replayed =
       static_cast<std::uint64_t>(metricOr(c, "steps_replayed", 0));
+  r.steps_rebuilt =
+      static_cast<std::uint64_t>(metricOr(c, "steps_rebuilt", 0));
   r.restores = static_cast<std::uint64_t>(metricOr(c, "restores", 0));
   r.max_depth_seen = static_cast<int>(metricOr(c, "max_depth_seen", 0));
   r.frontier_jobs = static_cast<std::uint64_t>(metricOr(c, "frontier_jobs", 0));
@@ -736,6 +743,7 @@ struct JobOut {
   std::uint64_t memo_hits = 0;
   std::uint64_t exec = 0;
   std::uint64_t replayed = 0;
+  std::uint64_t rebuilt = 0;
   std::uint64_t restores = 0;
   int max_depth = 0;
 };
@@ -758,6 +766,7 @@ CellResult encodeJobCert(const JobOut& j) {
   m["memo_hits"] = static_cast<double>(j.memo_hits);
   m["exec"] = static_cast<double>(j.exec);
   m["replayed"] = static_cast<double>(j.replayed);
+  m["rebuilt"] = static_cast<double>(j.rebuilt);
   m["restores"] = static_cast<double>(j.restores);
   m["max_depth"] = j.max_depth;
   return c;
@@ -779,6 +788,7 @@ std::optional<JobOut> decodeJobCert(const CellResult& c) {
   j.memo_hits = static_cast<std::uint64_t>(metricOr(c, "memo_hits", 0));
   j.exec = static_cast<std::uint64_t>(metricOr(c, "exec", 0));
   j.replayed = static_cast<std::uint64_t>(metricOr(c, "replayed", 0));
+  j.rebuilt = static_cast<std::uint64_t>(metricOr(c, "rebuilt", 0));
   j.restores = static_cast<std::uint64_t>(metricOr(c, "restores", 0));
   j.max_depth = static_cast<int>(metricOr(c, "max_depth", 0));
   return j;
@@ -797,6 +807,7 @@ JobOut jobOutFromWalk(WalkOut&& o) {
   j.memo_hits = o.res.memo_hits;
   j.exec = o.res.steps_executed;
   j.replayed = o.res.steps_replayed;
+  j.rebuilt = o.res.steps_rebuilt;
   j.restores = o.res.restores;
   j.max_depth = o.res.max_depth_seen;
   return j;
@@ -962,6 +973,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     res.memo_hits += jo.memo_hits;
     res.steps_executed += jo.exec;
     res.steps_replayed += jo.replayed;
+    res.steps_rebuilt += jo.rebuilt;
     res.restores += jo.restores;
     res.max_depth_seen = std::max(res.max_depth_seen, jo.max_depth);
     res.complete = res.complete && jo.complete;

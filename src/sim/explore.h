@@ -36,8 +36,10 @@
 //
 // Both modes share prefixes via Run checkpoint/restore instead of
 // replaying from step 0: a branch point stores a RunCheckpoint (COW-shared
-// RegVal payloads), and backtracking restores it in O(prefix) local replay
-// with zero shared-memory traffic.
+// RegVal payloads, per-process result logs shared by pointer, so O(n) per
+// checkpoint), and backtracking restores it with zero shared-memory
+// traffic, rebuilding by local replay only the processes that stepped
+// since the branch point — the others keep their live coroutine frames.
 //
 // ---- Parallel frontier (cfg.jobs >= 1) ------------------------------------
 //
@@ -156,7 +158,12 @@ struct ExploreResult {
   std::uint64_t states_memoized = 0;     // kDag: distinct interior states
   std::uint64_t memo_hits = 0;           // kDag: subtrees answered by memo
   std::uint64_t steps_executed = 0;      // real World::execute steps
-  std::uint64_t steps_replayed = 0;      // local-replay steps in restores
+  // Rewind distance: the depths of all restored checkpoints, summed — what
+  // a restore that rebuilt every frame would replay.
+  std::uint64_t steps_replayed = 0;
+  // Actual local replay: results fed into the frames restores rebuilt
+  // (kept frames cost nothing). Always <= steps_replayed.
+  std::uint64_t steps_rebuilt = 0;
   std::uint64_t restores = 0;            // checkpoint restores performed
   int max_depth_seen = 0;
   bool complete = true;  // false if a budget cut the search short

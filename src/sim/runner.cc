@@ -65,7 +65,7 @@ Run::Run(const RunConfig& cfg, const AlgoFn& algo,
   }
 }
 
-void Run::restore(const RunCheckpoint& ck) {
+std::uint64_t Run::restore(const RunCheckpoint& ck) {
   // Order matters. (1) World first: the replayed coroutines re-run their
   // zero-cost naming calls, which must resolve against the checkpointed
   // object table (ObjIds are assigned in first-reference order, which can
@@ -73,14 +73,15 @@ void Run::restore(const RunCheckpoint& ck) {
   // replayed free actions (propose/decide/note/publish) re-fire with the
   // restored clock, not their original timestamps. Re-published values are
   // harmless — a process's published variable is single-writer, so the
-  // replay's last write equals the checkpointed value.
+  // replay's last write equals the checkpointed value. Frames the
+  // scheduler keeps (Scheduler::restore) are not replayed at all.
   world_->restore(ck.world);
   world_->trace().setMuted(true);
   struct UnmuteGuard {
     Trace* t;
     ~UnmuteGuard() { t->setMuted(false); }
   } guard{&world_->trace()};
-  sched_->restore(ck.sched, [this](Pid p) {
+  return sched_->restore(ck.sched, [this](Pid p) {
     return algo_(envs_[static_cast<std::size_t>(p)],
                  proposals_[static_cast<std::size_t>(p)]);
   });

@@ -53,7 +53,8 @@ struct RunResult {
 };
 
 // A resumable point of one run: world snapshot + per-process result
-// streams. Self-contained — restoring onto any Run with the SAME
+// streams (shared with the run's live logs, so cheap to take and to keep).
+// Self-contained — restoring onto any Run with the SAME
 // configuration (algorithm, proposals, pattern, FD, seed) is valid, which
 // is what lets the explorer share prefixes across branches.
 struct RunCheckpoint {
@@ -79,12 +80,14 @@ class Run {
     return RunCheckpoint{world_->snapshot(), sched_->checkpoint()};
   }
   // Rewind (or fast-forward) this run to `ck`. Restores the world first,
-  // then rebuilds every process coroutine by local replay of its recorded
-  // result stream with trace recording muted (replayed free actions would
-  // otherwise re-record with wrong timestamps). After restore the run
+  // then rebuilds each process coroutine that moved since `ck` by local
+  // replay of its recorded result stream, with trace recording muted
+  // (replayed free actions would otherwise re-record with wrong
+  // timestamps); frames that did not move are kept (Scheduler::restore).
+  // Returns the number of results replayed. After restore the run
   // continues exactly as a straight-line execution would have
   // (tests/golden_hash_test.cc holds it to bit-identical trace hashes).
-  void restore(const RunCheckpoint& ck);
+  std::uint64_t restore(const RunCheckpoint& ck);
 
   RunResult finish(Time steps_taken);
 

@@ -196,9 +196,12 @@ void Scheduler::step(Pid p) {
     slot.ctx.result = world_->execute(p, *slot.ctx.pending);
     if (log_results_) {
       // Copy before the resume below moves the result into the awaiter.
-      result_log_[static_cast<std::size_t>(p)].push_back(slot.ctx.result);
-      auto& digest = result_digest_[static_cast<std::size_t>(p)];
-      digest = stateMix64(digest, resultSignature(slot.ctx.result));
+      ResultLog& head = result_log_[static_cast<std::size_t>(p)];
+      const std::size_t len = head ? head->len + 1 : 1;
+      const std::uint64_t digest = stateMix64(
+          head ? head->digest : 0, resultSignature(slot.ctx.result));
+      head = std::make_shared<ResultNode>(slot.ctx.result, std::move(head),
+                                          len, digest);
     }
     slot.ctx.pending.reset();
     runUntilBlockedOrDone();
@@ -221,6 +224,19 @@ void Scheduler::step(Pid p) {
 
 // ---- Checkpoint/restore ---------------------------------------------------
 
+Scheduler::ResultNode::~ResultNode() {
+  // The default destructor would release `prev`, whose destructor releases
+  // its `prev`, ... one stack frame per logged result. Walk the nodes this
+  // one solely owns instead; a node still shared ends the walk (its other
+  // owner frees it later, the same way). Nodes are created non-const by
+  // step(), so detaching `prev` of a node being freed is well-defined.
+  ResultLog p = std::move(prev);
+  while (p && p.use_count() == 1) {
+    ResultLog next = std::move(const_cast<ResultLog&>(p->prev));
+    p = std::move(next);
+  }
+}
+
 void Scheduler::enableResultLog() {
   if (log_results_) return;
   if (world_->now() != 0) {
@@ -229,8 +245,7 @@ void Scheduler::enableResultLog() {
         "a checkpoint needs the complete per-process result streams");
   }
   log_results_ = true;
-  result_log_.assign(slots_.size(), {});
-  result_digest_.assign(slots_.size(), 0);
+  result_log_.assign(slots_.size(), nullptr);
 }
 
 Scheduler::Checkpoint Scheduler::checkpoint() const {
@@ -250,7 +265,6 @@ Scheduler::Checkpoint Scheduler::checkpoint() const {
     pc.crashed = slot.ctx.crashed;
     pc.steps = slot.ctx.steps;
     pc.results = result_log_[i];
-    pc.result_digest = result_digest_[i];
   }
   return ck;
 }
@@ -261,6 +275,13 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
   slot->coro = std::move(coro);
   if (pc.started) {
     slot->started = true;
+    // The log links newest-first; replay needs program order.
+    std::vector<const OpResult*> results(pc.results ? pc.results->len : 0);
+    std::size_t i = results.size();
+    for (const ResultNode* n = pc.results.get(); n != nullptr;
+         n = n->prev.get()) {
+      results[--i] = &n->result;
+    }
     // Local replay: drive the fresh frame with the recorded result stream
     // until it has consumed every checkpointed result and parked at its
     // next operation request (or returned). Mirrors step()'s flat resume
@@ -277,11 +298,11 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
         h.resume();
       }
       if (!slot->ctx.pending.has_value()) break;  // automaton returned
-      if (fed == pc.results.size()) break;        // parked at the next op
-      slot->ctx.result = pc.results[fed++];
+      if (fed == results.size()) break;           // parked at the next op
+      slot->ctx.result = *results[fed++];
       slot->ctx.pending.reset();
     }
-    if (fed != pc.results.size() || slot->coro.done() != pc.done) {
+    if (fed != results.size() || slot->coro.done() != pc.done) {
       // A deterministic automaton replays exactly; divergence means local
       // nondeterminism (unseeded randomness, address-dependent branching).
       throw SimAbort("checkpoint restore: p" + std::to_string(p + 1) +
@@ -295,25 +316,45 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
   slots_[static_cast<std::size_t>(p)] = std::move(slot);
 }
 
-void Scheduler::restore(const Checkpoint& ck,
-                        const std::function<Coro<Unit>(Pid)>& make_coro) {
+std::uint64_t Scheduler::restore(
+    const Checkpoint& ck, const std::function<Coro<Unit>(Pid)>& make_coro) {
   if (!log_results_) {
     throw SimAbort("Scheduler::restore requires enableResultLog()");
   }
-  assert(ck.procs.size() == slots_.size() &&
-         "checkpoint from a differently-shaped run");
+  if (ck.procs.size() != slots_.size()) {
+    throw SimAbort("Scheduler::restore: checkpoint of a " +
+                   std::to_string(ck.procs.size()) + "-process run into a " +
+                   std::to_string(slots_.size()) + "-process run");
+  }
+  std::uint64_t rebuilt = 0;
   undone_ = ProcSet{};
   for (std::size_t i = 0; i < ck.procs.size(); ++i) {
     const Pid p = static_cast<Pid>(i);
-    restoreSlot(p, make_coro(p), ck.procs[i]);
-    if (!ck.procs[i].done) undone_.insert(p);
-    result_log_[i] = ck.procs[i].results;
-    result_digest_[i] = ck.procs[i].result_digest;
+    const ProcCheckpoint& pc = ck.procs[i];
+    Slot* const live = slots_[i].get();
+    // Pointer identity of the log heads is exact: a live node is never
+    // freed while a head refers to it, so equal heads are the same
+    // stream, and the frame is a function of the results it consumed
+    // (every ObjId it holds was resolved in that shared history).
+    if (live != nullptr && result_log_[i] == pc.results &&
+        live->started == pc.started && live->ctx.done == pc.done &&
+        live->ctx.steps == pc.steps) {
+      // The hook captured the auditor World::restore just replaced;
+      // step() installs one for the current auditor.
+      live->ctx.on_op_requested = nullptr;
+      live->ctx.crashed = pc.crashed;
+    } else {
+      restoreSlot(p, make_coro(p), pc);
+      result_log_[i] = pc.results;
+      if (pc.results) rebuilt += pc.results->len;
+    }
+    if (!pc.done) undone_.insert(p);
   }
   rng_ = ck.rng;
   // Contract: the caller restored the world first, so the rebuild sees
   // the checkpointed clock and failure pattern.
   rebuildLiveness();
+  return rebuilt;
 }
 
 Time Scheduler::run(SchedulePolicy& policy, Time max_steps,

@@ -149,12 +149,32 @@ class Scheduler {
   //
   // Coroutine frames cannot be copied, so a checkpoint stores, per
   // process, the stream of operation RESULTS it has consumed. restore()
-  // rebuilds each frame by re-running the (deterministic) automaton
-  // against that stream — a purely local replay that never touches the
-  // world: no World::execute, no clock advance, no trace traffic.
+  // rebuilds a frame by re-running the (deterministic) automaton against
+  // that stream — a purely local replay that never touches the world: no
+  // World::execute, no clock advance, no trace traffic.
+  //
+  // The streams are persistent append-only lists (ResultNode below): a
+  // checkpoint shares them by pointer, so taking one costs O(processes),
+  // and two logs with the same head pointer are the same stream.
+
+  // One consumed result. `prev` is the result before it, so a head pointer
+  // names the whole stream; nodes are immutable once linked.
+  struct ResultNode {
+    OpResult result;
+    std::shared_ptr<const ResultNode> prev;
+    std::size_t len = 0;         // results in the stream ending here
+    std::uint64_t digest = 0;    // resultDigest() after this result
+    ResultNode(OpResult r, std::shared_ptr<const ResultNode> p,
+               std::size_t l, std::uint64_t d)
+        : result(std::move(r)), prev(std::move(p)), len(l), digest(d) {}
+    ResultNode(const ResultNode&) = delete;
+    ResultNode& operator=(const ResultNode&) = delete;
+    ~ResultNode();  // unlinks iteratively: logs can be long
+  };
+  using ResultLog = std::shared_ptr<const ResultNode>;
 
   // Capture per-process result streams from here on. Must be called
-  // before the first step; costs one OpResult copy per step when on.
+  // before the first step; costs one node (an OpResult copy) per step.
   void enableResultLog();
   [[nodiscard]] bool resultLogEnabled() const { return log_results_; }
 
@@ -162,8 +182,9 @@ class Scheduler {
   // program order. A component of the explorer's state-memoization key:
   // together with ctx(p).steps it pins down p's local automaton state.
   [[nodiscard]] std::uint64_t resultDigest(Pid p) const {
-    assert(p >= 0 && static_cast<std::size_t>(p) < result_digest_.size());
-    return result_digest_[static_cast<std::size_t>(p)];
+    assert(p >= 0 && static_cast<std::size_t>(p) < result_log_.size());
+    const ResultLog& head = result_log_[static_cast<std::size_t>(p)];
+    return head ? head->digest : 0;
   }
 
   struct ProcCheckpoint {
@@ -171,24 +192,30 @@ class Scheduler {
     bool done = false;
     bool crashed = false;
     Time steps = 0;
-    std::vector<OpResult> results;  // consumed results, program order
-    std::uint64_t result_digest = 0;
+    ResultLog results;  // consumed results, shared with the live log
   };
   struct Checkpoint {
     Rng rng{0};
     std::vector<ProcCheckpoint> procs;
   };
 
-  // Requires enableResultLog() to have been active since step one.
+  // Requires enableResultLog() to have been active since step one. O(n):
+  // one pointer copy per process.
   [[nodiscard]] Checkpoint checkpoint() const;
 
-  // Rebuild every process slot from `ck`; `make_coro` supplies a fresh
-  // coroutine per pid (Run binds its algorithm + proposal). CONTRACT: the
-  // caller restores the World to the matching snapshot BEFORE calling
-  // this (replayed naming must resolve against the checkpointed object
-  // table) and mutes the trace around it (replayed free actions re-fire).
-  void restore(const Checkpoint& ck,
-               const std::function<Coro<Unit>(Pid)>& make_coro);
+  // Bring every process slot to its state in `ck`. A live slot whose log
+  // head is the checkpoint's pointer, with equal steps/started/done, is
+  // KEPT: a frame is a function of the results it consumed, so it already
+  // is the frame a rebuild would produce. Every other slot is rebuilt by
+  // local replay, with `make_coro` supplying its fresh coroutine (Run
+  // binds its algorithm + proposal). Returns the number of results fed
+  // into rebuilt frames. Throws SimAbort on a checkpoint of a differently
+  // shaped run. CONTRACT: the caller restores the World to the matching
+  // snapshot BEFORE calling this (replayed naming must resolve against
+  // the checkpointed object table) and mutes the trace around it
+  // (replayed free actions re-fire).
+  std::uint64_t restore(const Checkpoint& ck,
+                        const std::function<Coro<Unit>(Pid)>& make_coro);
 
   [[nodiscard]] const ProcCtx& ctx(Pid p) const {
     // Cold inspection path (checkers, tests); bounds-checked on purpose.
@@ -227,10 +254,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Slot>> slots_;
   ProcSet undone_;  // registered processes whose coroutine has not returned
 
-  // Checkpoint support: per-process consumed-result streams + digests.
+  // Checkpoint support: per-process consumed-result log heads.
   bool log_results_ = false;
-  std::vector<std::vector<OpResult>> result_log_;
-  std::vector<std::uint64_t> result_digest_;
+  std::vector<ResultLog> result_log_;
 
   // Cached liveness, maintained by add()/step() and the lazy syncs above.
   // Mutable because runnable()/allCorrectDone() are conceptually const:

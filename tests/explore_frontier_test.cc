@@ -112,6 +112,7 @@ void expectBitIdentical(const ExploreResult& a, const ExploreResult& b) {
   EXPECT_EQ(a.memo_hits, b.memo_hits);
   EXPECT_EQ(a.steps_executed, b.steps_executed);
   EXPECT_EQ(a.steps_replayed, b.steps_replayed);
+  EXPECT_EQ(a.steps_rebuilt, b.steps_rebuilt);
   EXPECT_EQ(a.restores, b.restores);
   EXPECT_EQ(a.max_depth_seen, b.max_depth_seen);
   EXPECT_EQ(a.complete, b.complete);
@@ -288,6 +289,9 @@ TEST(Certificates, WarmRunServedFromStoreByteEquivalently) {
   EXPECT_EQ(warm.verdict, cold.verdict);
   EXPECT_EQ(warm.schedules_explored, cold.schedules_explored);
   EXPECT_EQ(warm.steps_executed, cold.steps_executed);
+  EXPECT_EQ(warm.steps_replayed, cold.steps_replayed);
+  EXPECT_EQ(warm.steps_rebuilt, cold.steps_rebuilt);
+  EXPECT_GT(warm.steps_rebuilt, 0u);
   EXPECT_EQ(warm.outcomeSigs(), cold.outcomeSigs());
   EXPECT_EQ(warm.counterexample, cold.counterexample);
 }

@@ -396,6 +396,117 @@ TEST(GoldenHashes, RestoreThenContinueIsBitIdenticalAcrossFamilies) {
   }
 }
 
+// ---- Kept frames: restore rebuilds only the processes that moved ---------
+//
+// Scheduler::restore keeps a live frame whose result-log head is the
+// checkpoint's own pointer. These pin the rule from both sides: a restore
+// after steps of p1 alone replays p1's results and nothing else, and the
+// kept frames continue bit-identically to a run that never checkpointed.
+
+TEST(GoldenHashes, RestoreRebuildsOnlyTheProcessesThatStepped) {
+  constexpr Time kHorizon = 1500;
+  constexpr Pid kMover = 0;
+  int exercised = 0;
+  for (const char* family : kFamilies) {
+    SCOPED_TRACE(family);
+    const sim::BatchCell cell = batchCell(family, /*seed=*/7);
+    sim::Run a(cell.cfg, cell.algo, cell.proposals);
+    a.enableCheckpoints();
+    Pid la = -1;
+    const Time sa = driveRotation(a, la, 0, kHorizon);
+    const std::uint64_t ha = a.world().trace().hash64();
+
+    sim::Run b(cell.cfg, cell.algo, cell.proposals);
+    b.enableCheckpoints();
+    Pid lb = -1;
+    const Time mid = sa / 2;
+    ASSERT_EQ(driveRotation(b, lb, 0, mid), mid);
+    const sim::RunCheckpoint ck = b.checkpoint();
+    const Pid last_at_ck = lb;
+    int moved = 0;
+    while (moved < 5 && b.scheduler().runnable().contains(kMover)) {
+      b.scheduler().step(kMover);
+      ++moved;
+    }
+    if (moved == 0) continue;  // the mover finished or crashed by mid
+    ++exercised;
+    // Every step of a started process consumed one result, so the one
+    // rebuilt frame replays exactly the mover's steps up to the checkpoint.
+    EXPECT_EQ(b.restore(ck),
+              static_cast<std::uint64_t>(
+                  ck.sched.procs[static_cast<std::size_t>(kMover)].steps));
+    lb = last_at_ck;
+    EXPECT_EQ(driveRotation(b, lb, mid, kHorizon), sa);
+    EXPECT_EQ(b.world().trace().hash64(), ha)
+        << "kept frames diverged from straight line";
+    // Back to back, the second restore finds every frame in place.
+    b.restore(ck);
+    EXPECT_EQ(b.restore(ck), 0u);
+  }
+  EXPECT_GT(exercised, 0);
+}
+
+TEST(GoldenHashes, RestoreIntoAFreshRunRebuildsEveryProcess) {
+  const sim::BatchCell cell = batchCell("fig1", /*seed=*/7);
+  sim::Run b(cell.cfg, cell.algo, cell.proposals);
+  b.enableCheckpoints();
+  Pid lb = -1;
+  ASSERT_EQ(driveRotation(b, lb, 0, 40), 40);
+  const sim::RunCheckpoint ck = b.checkpoint();
+  sim::Run c(cell.cfg, cell.algo, cell.proposals);
+  c.enableCheckpoints();
+  EXPECT_EQ(c.restore(ck), 40u);  // no live frame shares a log head
+  for (Pid p = 0; p < cell.cfg.n_plus_1; ++p) {
+    EXPECT_EQ(c.scheduler().ctx(p).steps, b.scheduler().ctx(p).steps);
+  }
+}
+
+TEST(GoldenHashes, KeptFrameStepsUnderTheThrowingAuditor) {
+  // World::restore replaces the auditor; a kept frame that still called
+  // the old one's hook would touch freed memory (the asan-ubsan preset
+  // reports it) instead of reporting to the live auditor.
+  sim::BatchCell cell = batchCell("fig1", /*seed=*/7);
+  cell.cfg.audit = sim::AuditMode::kThrow;
+  constexpr Time kMid = 60;
+  // Reference: rotation to kMid, one step of p0, rotation to the end.
+  sim::Run a(cell.cfg, cell.algo, cell.proposals);
+  a.enableCheckpoints();
+  Pid la = -1;
+  ASSERT_EQ(driveRotation(a, la, 0, kMid), kMid);
+  a.scheduler().step(0);
+  la = 0;
+  const Time sa = driveRotation(a, la, kMid + 1, 1500);
+
+  // The same schedule, with a detour through p1 undone by a restore that
+  // keeps p0's frame.
+  sim::Run b(cell.cfg, cell.algo, cell.proposals);
+  b.enableCheckpoints();
+  Pid lb = -1;
+  ASSERT_EQ(driveRotation(b, lb, 0, kMid), kMid);
+  const sim::RunCheckpoint ck = b.checkpoint();
+  ASSERT_TRUE(b.scheduler().runnable().contains(1));
+  b.scheduler().step(1);
+  ASSERT_EQ(b.restore(ck),
+            static_cast<std::uint64_t>(ck.sched.procs[1].steps));
+  b.scheduler().step(0);
+  lb = 0;
+  EXPECT_EQ(driveRotation(b, lb, kMid + 1, 1500), sa);
+  EXPECT_EQ(b.world().trace().hash64(), a.world().trace().hash64());
+}
+
+TEST(GoldenHashes, RestoreRefusesACheckpointOfAnotherShape) {
+  const sim::BatchCell three = batchCell("fig1-afek", /*seed=*/7);
+  sim::Run small(three.cfg, three.algo, three.proposals);
+  small.enableCheckpoints();
+  Pid l = -1;
+  ASSERT_EQ(driveRotation(small, l, 0, 12), 12);
+  const sim::RunCheckpoint ck = small.checkpoint();
+  const sim::BatchCell four = batchCell("fig1", /*seed=*/7);
+  sim::Run big(four.cfg, four.algo, four.proposals);
+  big.enableCheckpoints();
+  EXPECT_THROW(big.restore(ck), sim::SimAbort);
+}
+
 // ---- Resumption: Scheduler::run called in pieces --------------------------
 //
 // run(policy, a) then run(policy, b) must equal run(policy, a + b): the

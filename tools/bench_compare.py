@@ -22,10 +22,11 @@ Candidate and baseline produced by different bench modes (--quick vs
 full) are compared only on the rows/metrics present in BOTH.
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch, the rate-ratio boundary, the differing---jobs step_makespan
-exclusion) and exits 0 only if the gate's own behavior is intact; CI
-runs it as tools.bench_compare_selftest so a refactor of this script
-cannot silently defang the perf gate.
+mismatch including steps_rebuilt, the rate-ratio boundary on both rate
+metrics, the differing---jobs step_makespan exclusion) and exits 0 only
+if the gate's own behavior is intact; CI runs it as
+tools.bench_compare_selftest so a refactor of this script cannot
+silently defang the perf gate.
 """
 
 import argparse
@@ -42,6 +43,7 @@ ROW_EXACT = [
     "memo_hits",
     "steps_executed",
     "steps_replayed",
+    "steps_rebuilt",
     "restores",
     "frontier_jobs",
     "step_makespan",
@@ -65,6 +67,7 @@ TOP_EXACT = [
 # Throughput metrics: candidate must be >= min_ratio * baseline.
 RATE_METRICS = [
     "dpor_n3_sched_per_sec",
+    "fig1_dag_sched_per_sec",
 ]
 
 
@@ -134,10 +137,12 @@ def self_test():
         "jobs": 4,
         "dpor_n3_schedules": 1000,
         "dpor_n3_sched_per_sec": 5000.0,
+        "fig1_dag_sched_per_sec": 2000.0,
         "rows": [
             {
                 "name": "dpor/n3",
                 "schedules_explored": 1000,
+                "steps_rebuilt": 3000,
                 "step_makespan": 420,
                 "verified": 1,
             }
@@ -163,6 +168,14 @@ def self_test():
     cand["rows"][0]["schedules_explored"] = 999
     f, _ = compare(base, cand, 0.8)
     expect("per-row counter mismatch fails", len(f) == 1)
+    cand = copy.deepcopy(base)
+    cand["rows"][0]["steps_rebuilt"] = 3001
+    f, _ = compare(base, cand, 0.8)
+    expect("steps_rebuilt drift fails", len(f) == 1)
+    cand = copy.deepcopy(base)
+    del cand["rows"][0]["steps_rebuilt"]
+    f, _ = compare(base, cand, 0.8)
+    expect("steps_rebuilt absent from one report is skipped", not f)
 
     # 3. The rate-ratio boundary: exactly min_ratio * baseline passes
     #    (the check is strict-less-than), epsilon below fails.
@@ -175,6 +188,10 @@ def self_test():
     expect("rate below 0.8x fails", len(f) == 1)
     f, _ = compare(base, cand, 0)
     expect("--min-ratio 0 disables the rate gate", not f)
+    cand = copy.deepcopy(base)
+    cand["fig1_dag_sched_per_sec"] = 1599.0  # below 0.8x
+    f, _ = compare(base, cand, 0.8)
+    expect("fig1 kDag rate below 0.8x fails", len(f) == 1)
 
     # 4. Differing --jobs: step_makespan is excluded, everything else
     #    still compared.

@@ -518,7 +518,8 @@ bool exploreIdentical(const sim::ExploreResult& a,
          a.sleep_set_skips == b.sleep_set_skips &&
          a.states_memoized == b.states_memoized &&
          a.memo_hits == b.memo_hits && a.steps_executed == b.steps_executed &&
-         a.steps_replayed == b.steps_replayed && a.restores == b.restores &&
+         a.steps_replayed == b.steps_replayed &&
+         a.steps_rebuilt == b.steps_rebuilt && a.restores == b.restores &&
          a.max_depth_seen == b.max_depth_seen && a.complete == b.complete &&
          a.frontier_jobs == b.frontier_jobs &&
          a.frontier_depth == b.frontier_depth &&
