@@ -83,11 +83,11 @@ bool dependent(const OpFootprint& a, bool a_vis, const OpFootprint& b,
 //
 // The digest of the CURRENT global state is an XOR of independent salted
 // components — the clock, the object table (ObjectTable::xorContentsDigest,
-// itself maintained per mutation), and one component per process's local
-// state — so one executed step re-mixes only the two components it can
-// change (the clock and the stepping process) plus whatever table delta
-// the table already tracked, instead of re-hashing every object and every
-// process. Order-insensitive across the schedules that reach the state,
+// which re-hashes on read only the objects mutated since the last read),
+// and one component per process's local state — so one executed step
+// re-mixes only the two components it can change (the clock and the
+// stepping process) plus the objects that step touched, instead of
+// re-hashing every object and every process. Order-insensitive across the schedules that reach the state,
 // like the full recompute below, so kDag can unify converging schedules.
 
 std::uint64_t clockComponent(Time now) {

@@ -28,6 +28,14 @@ std::string ObjKey::toString() const {
   return s;
 }
 
+ObjId ObjectTable::create(const ObjKey& key, Object obj) {
+  const ObjId id = static_cast<ObjId>(objects_.size());
+  objects_.push_back(std::move(obj));
+  ids_.emplace(key, id);
+  markStale(id, objects_.back());
+  return id;
+}
+
 ObjId ObjectTable::regId(const ObjKey& key) {
   auto it = ids_.find(key);
   if (it != ids_.end()) {
@@ -36,11 +44,7 @@ ObjId ObjectTable::regId(const ObjKey& key) {
            "object kind mismatch: register requested");
     return it->second;
   }
-  const ObjId id = static_cast<ObjId>(objects_.size());
-  objects_.push_back(Object{});
-  ids_.emplace(key, id);
-  xdigest_ ^= objectComponent(id, objects_.back());
-  return id;
+  return create(key, Object{});
 }
 
 ObjId ObjectTable::snapId(const ObjKey& key, int slots) {
@@ -54,14 +58,10 @@ ObjId ObjectTable::snapId(const ObjKey& key, int slots) {
            "snapshot size mismatch across processes");
     return it->second;
   }
-  const ObjId id = static_cast<ObjId>(objects_.size());
   Object obj;
   obj.kind = Kind::kSnapshot;
   obj.slots.resize(static_cast<std::size_t>(slots));
-  objects_.push_back(std::move(obj));
-  ids_.emplace(key, id);
-  xdigest_ ^= objectComponent(id, objects_.back());
-  return id;
+  return create(key, std::move(obj));
 }
 
 ObjId ObjectTable::consId(const ObjKey& key, int ports) {
@@ -74,14 +74,10 @@ ObjId ObjectTable::consId(const ObjKey& key, int ports) {
     assert(obj.ports == ports && "consensus port limit mismatch");
     return it->second;
   }
-  const ObjId id = static_cast<ObjId>(objects_.size());
   Object obj;
   obj.kind = Kind::kConsensus;
   obj.ports = ports;
-  objects_.push_back(std::move(obj));
-  ids_.emplace(key, id);
-  xdigest_ ^= objectComponent(id, objects_.back());
-  return id;
+  return create(key, std::move(obj));
 }
 
 const RegVal& ObjectTable::read(ObjId id) const {
@@ -95,9 +91,8 @@ void ObjectTable::write(ObjId id, RegVal v) {
   observe(id, ObjectAccess::kWrite);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kRegister);
-  xdigest_ ^= objectComponent(id, obj);
   obj.reg = std::move(v);
-  xdigest_ ^= objectComponent(id, obj);
+  markStale(id, obj);
 }
 
 const std::vector<RegVal>& ObjectTable::scan(ObjId id) const {
@@ -111,16 +106,14 @@ void ObjectTable::update(ObjId id, int slot, RegVal v) {
   observe(id, ObjectAccess::kUpdate);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kSnapshot);
-  xdigest_ ^= objectComponent(id, obj);
   obj.slots.at(static_cast<std::size_t>(slot)) = std::move(v);
-  xdigest_ ^= objectComponent(id, obj);
+  markStale(id, obj);
 }
 
 RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
   observe(id, ObjectAccess::kPropose);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kConsensus);
-  xdigest_ ^= objectComponent(id, obj);
   if (!obj.proposers.contains(proposer)) {
     obj.proposers.insert(proposer);
     assert(obj.proposers.size() <= obj.ports &&
@@ -128,7 +121,7 @@ RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
            "object accepts at most m distinct proposers");
   }
   if (obj.reg.isBottom()) obj.reg = std::move(v);  // first proposal wins
-  xdigest_ ^= objectComponent(id, obj);
+  markStale(id, obj);
   return obj.reg;
 }
 
@@ -145,6 +138,17 @@ std::uint64_t ObjectTable::objectComponent(ObjId id, const Object& obj) {
   h = mix(h, obj.proposers.bits());
   h = mix(h, static_cast<std::uint64_t>(obj.ports));
   return h;
+}
+
+void ObjectTable::flushDigest() const {
+  for (const ObjId id : dirty_) {
+    const Object& obj = objects_[static_cast<std::size_t>(id)];
+    xdigest_ ^= obj.component;
+    obj.component = objectComponent(id, obj);
+    xdigest_ ^= obj.component;
+    obj.stale = false;
+  }
+  dirty_.clear();
 }
 
 std::uint64_t ObjectTable::xorContentsDigestFull() const {

@@ -10,8 +10,11 @@
 
 #include <array>
 #include <compare>
-#include <map>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/reg_val.h"
@@ -53,6 +56,28 @@ struct ObjKey {
   [[nodiscard]] std::string toString() const;
 };
 static_assert(std::is_trivially_copyable_v<ObjKey>);
+// ObjKeyHash hashes the raw bytes, which is exact only if equal keys have
+// equal bytes: no padding, and a tag tail that is always zero. `tag{}`
+// zero-fills the buffer and `append` writes only up to its NUL, so two
+// keys with the same tag string agree on all kTagCap bytes.
+static_assert(std::has_unique_object_representations_v<ObjKey>);
+static_assert(sizeof(ObjKey) % sizeof(std::uint64_t) == 0);
+
+// Mixes the key's 64-bit words (six of them: the tag buffer and the four
+// indices). Used only for lookup; the table never iterates its index, so
+// bucket order cannot reach a trace.
+struct ObjKeyHash {
+  std::size_t operator()(const ObjKey& k) const noexcept {
+    std::array<std::uint64_t, sizeof(ObjKey) / sizeof(std::uint64_t)> w;
+    std::memcpy(w.data(), &k, sizeof k);
+    std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (const std::uint64_t x : w) {
+      h = (h ^ x) * 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 31;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 // How an object was touched — reported to the access observer below.
 enum class ObjectAccess { kRead, kWrite, kScan, kUpdate, kPropose };
@@ -99,25 +124,32 @@ class ObjectTable {
     std::vector<RegVal> slots;     // snapshot cells
     ProcSet proposers;             // consensus: who proposed so far
     int ports = 0;                 // consensus: max distinct proposers
+    // This object's share of xdigest_, as of the last flush; `stale`
+    // means the contents changed since then and the id is on dirty_.
+    mutable std::uint64_t component = 0;
+    mutable bool stale = false;
   };
 
  public:
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
-  // A Snapshot deep-copies the key map and object vector; the RegVal
+  // A Snapshot copies the key index and object vector; the RegVal
   // payloads inside (tuple cells) are immutable shared arrays, so the copy
-  // shares them — O(1) per stored value. The access observer is part of
-  // the *run's* wiring, not the memory state, and survives a restore.
+  // shares them — O(1) per stored value. Taking one flushes the digest
+  // first, so a Snapshot never carries dirty state and restoring one
+  // leaves nothing to flush. The access observer is part of the *run's*
+  // wiring, not the memory state, and survives a restore.
   class Snapshot {
    public:
     Snapshot() = default;
 
    private:
     friend class ObjectTable;
-    std::map<ObjKey, ObjId> ids;
+    std::unordered_map<ObjKey, ObjId, ObjKeyHash> ids;
     std::vector<Object> objects;
     std::uint64_t xdigest = 0;
   };
   [[nodiscard]] Snapshot snapshot() const {
+    flushDigest();
     Snapshot s;
     s.ids = ids_;
     s.objects = objects_;
@@ -128,6 +160,7 @@ class ObjectTable {
     ids_ = s.ids;
     objects_ = s.objects;
     xdigest_ = s.xdigest;
+    dirty_.clear();
   }
 
   // Stable structural digest of the table's entire contents, in creation
@@ -138,15 +171,22 @@ class ObjectTable {
   [[nodiscard]] std::uint64_t contentsDigest() const;
 
   // Order-insensitive XOR-of-components digest of the same contents,
-  // maintained INCREMENTALLY: every mutating access (write/update/
-  // propose) and every object creation re-mixes only the touched object's
-  // component, so reading it is O(1) per explorer step instead of the
-  // O(table) full re-hash contentsDigest() pays. Same state-key
-  // semantics: depends only on the contents, never on the op order.
-  [[nodiscard]] std::uint64_t xorContentsDigest() const { return xdigest_; }
-  // Full recompute of the incremental digest, for audit cross-checks
-  // (the explorer compares it against the maintained value under
-  // WFD_AUDIT and aborts on divergence).
+  // FLUSHED ON READ: a mutating access (write/update/propose) or an
+  // object creation only marks the object stale; reading the digest
+  // re-hashes each object that went stale since the last read, once,
+  // and swaps its new component in. So a run that never reads the digest
+  // never hashes an object, and the explorer, which reads it after every
+  // step, pays one component per touched object instead of the O(table)
+  // re-hash contentsDigest() pays. Same state-key semantics: depends only
+  // on the contents, never on the op order. The flush writes mutable
+  // cache fields, so concurrent readers of one table must synchronize.
+  [[nodiscard]] std::uint64_t xorContentsDigest() const {
+    flushDigest();
+    return xdigest_;
+  }
+  // Full recompute of the flushed digest, for audit cross-checks (the
+  // explorer compares it against the flushed value under WFD_AUDIT and
+  // aborts on divergence).
   [[nodiscard]] std::uint64_t xorContentsDigestFull() const;
 
   // ---- Metadata for auditors (free, never observed) ----
@@ -168,13 +208,25 @@ class ObjectTable {
   void observe(ObjId id, ObjectAccess access) const {
     if (observer_ != nullptr) observer_->onObjectAccess(id, access);
   }
-  // One object's salted component of the XOR digest; XORed out before a
-  // mutation and back in after, so xdigest_ tracks the whole table.
+  // One object's salted component of the XOR digest. xdigest_ is the XOR
+  // of every object's cached `component`; flushDigest() brings the stale
+  // ones up to date.
   [[nodiscard]] static std::uint64_t objectComponent(ObjId id,
                                                      const Object& obj);
-  std::map<ObjKey, ObjId> ids_;
+  // Append a new object (stale, so the next flush mixes it in).
+  ObjId create(const ObjKey& key, Object obj);
+  void markStale(ObjId id, const Object& obj) {
+    if (!obj.stale) {
+      obj.stale = true;
+      dirty_.push_back(id);
+    }
+  }
+  void flushDigest() const;
+
+  std::unordered_map<ObjKey, ObjId, ObjKeyHash> ids_;
   std::vector<Object> objects_;
-  std::uint64_t xdigest_ = 0;
+  mutable std::uint64_t xdigest_ = 0;
+  mutable std::vector<ObjId> dirty_;  // stale objects, in first-touch order
   AccessObserver* observer_ = nullptr;
 };
 

@@ -87,6 +87,7 @@ class Run {
   // Returns the number of results replayed. After restore the run
   // continues exactly as a straight-line execution would have
   // (tests/golden_hash_test.cc holds it to bit-identical trace hashes).
+  // A default-constructed RunCheckpoint throws SimAbort.
   std::uint64_t restore(const RunCheckpoint& ck);
 
   RunResult finish(Time steps_taken);

@@ -72,6 +72,10 @@ World::Snapshot World::snapshot() const {
 }
 
 void World::restore(const Snapshot& s) {
+  // A default-constructed Snapshot was never taken from a world.
+  if (!s.fp.has_value()) {
+    throw SimAbort("World::restore: snapshot was never taken");
+  }
   now_ = s.now;
   fp_version_ = s.fp_version;
   fp_ = *s.fp;

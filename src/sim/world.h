@@ -118,6 +118,8 @@ class World {
   [[nodiscard]] Snapshot snapshot() const;
   // Restoring does not touch the attached auditor's mode, but replaces the
   // auditor instance: stale per-run audit state must not outlive a rewind.
+  // Throws SimAbort, leaving the world untouched, on a default-constructed
+  // Snapshot.
   void restore(const Snapshot& s);
 
   // ---- Model-conformance auditing (sim/step_audit.h) ----

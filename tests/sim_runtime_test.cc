@@ -140,6 +140,125 @@ TEST(ObjectTable, SnapshotSlotsInitializeBottom) {
   EXPECT_EQ(tbl.scan(s)[2].asInt(), 5);
 }
 
+TEST(ObjectTable, IdsFollowFirstReferenceOrder) {
+  sim::ObjectTable tbl;
+  EXPECT_EQ(tbl.snapId(ObjKey{"fig1.Stable", 2}, 4), 0);
+  EXPECT_EQ(tbl.regId(ObjKey{"fig1.D", 2}), 1);
+  EXPECT_EQ(tbl.consId(ObjKey{"cons", 0}, 2), 2);
+  EXPECT_EQ(tbl.regId(ObjKey{"fig1.D", 1}), 3);
+  // Re-references resolve without creating.
+  EXPECT_EQ(tbl.regId(ObjKey{"fig1.D", 2}), 1);
+  EXPECT_EQ(tbl.snapId(ObjKey{"fig1.Stable", 2}, 4), 0);
+  EXPECT_EQ(tbl.objectCount(), 4u);
+}
+
+TEST(ObjectTable, NearbyKeysGetDistinctIds) {
+  sim::ObjectTable tbl;
+  const auto a = tbl.regId(ObjKey{"x", 1, 2, 3, 4});
+  const auto b = tbl.regId(ObjKey{"x", 1, 2, 3, 5});  // differs only in i3
+  const auto d = tbl.regId(ObjKey{"fig1.D", 7});
+  const auto dr = tbl.regId(ObjKey{"fig1.Dr", 7});  // tag prefix of another
+  const auto e = tbl.regId(ObjKey{"fig1.D"});
+  EXPECT_NE(a, b);
+  EXPECT_NE(d, dr);
+  EXPECT_NE(d, e);
+  EXPECT_EQ(tbl.objectCount(), 5u);
+}
+
+TEST(ObjectTable, AppendedTagResolvesLikeSpelledTag) {
+  ObjKey appended{"conv", 3, 1};
+  appended.append(".A");
+  const ObjKey spelled{"conv.A", 3, 1};
+  EXPECT_EQ(appended, spelled);
+  EXPECT_EQ(sim::ObjKeyHash{}(appended), sim::ObjKeyHash{}(spelled));
+  sim::ObjectTable tbl;
+  const auto id = tbl.snapId(spelled, 3);
+  EXPECT_EQ(tbl.snapId(appended, 3), id);
+  EXPECT_EQ(tbl.objectCount(), 1u);
+}
+
+// The flushed-on-read digest against its full recompute, under a seeded
+// random mix of creations, mutations (tuple values included), snapshots
+// and restores — restores while objects are dirty, and of snapshots that
+// were taken while objects were dirty.
+TEST(ObjectTable, FlushedDigestMatchesFullRecompute) {
+  sim::ObjectTable tbl;
+  Rng rng(20070812);
+  const auto value = [&]() -> RegVal {
+    const auto x = static_cast<Value>(rng.below(5));
+    if (rng.below(2) == 0) return RegVal(x);
+    return RegVal::tuple({RegVal(x), RegVal(static_cast<Value>(rng.below(3))),
+                          RegVal(ProcSet::singleton(static_cast<Pid>(x)))});
+  };
+  const auto mutate = [&] {
+    switch (rng.below(3)) {
+      case 0:
+        tbl.write(tbl.regId(ObjKey{"r", static_cast<int>(rng.below(6))}),
+                  value());
+        break;
+      case 1:
+        tbl.update(tbl.snapId(ObjKey{"s", static_cast<int>(rng.below(4))}, 5),
+                   static_cast<int>(rng.below(5)), value());
+        break;
+      default:
+        (void)tbl.propose(
+            tbl.consId(ObjKey{"c", static_cast<int>(rng.below(3))}, 2),
+            static_cast<Pid>(rng.below(2)), value());
+        break;
+    }
+  };
+  struct Saved {
+    sim::ObjectTable::Snapshot snap;
+    std::uint64_t digest;
+  };
+  std::vector<Saved> saved;
+  const auto take = [&] {
+    const std::uint64_t full = tbl.xorContentsDigestFull();
+    saved.push_back({tbl.snapshot(), full});
+  };
+  const auto restoreOne = [&] {
+    const Saved& s = saved[rng.below(saved.size())];
+    tbl.restore(s.snap);
+    EXPECT_EQ(tbl.xorContentsDigest(), s.digest);
+  };
+
+  // The pinned cases first: a snapshot taken while dirty, then a restore
+  // of it while dirty again.
+  mutate();
+  mutate();
+  take();
+  mutate();
+  restoreOne();
+  EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
+
+  for (int i = 0; i < 4000; ++i) {
+    const auto roll = rng.below(20);
+    if (roll < 14) {
+      mutate();
+    } else if (roll < 16) {
+      take();
+    } else if (roll < 18) {
+      restoreOne();
+    } else {
+      ASSERT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull())
+          << "at iteration " << i;
+    }
+  }
+  EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
+  EXPECT_GT(tbl.objectCount(), 10u);
+}
+
+TEST(Run, RestoringAnEmptyCheckpointThrows) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 2;
+  sim::Run run(cfg, [](Env& e, Value) { return counterLoop(e, 3); }, {0, 0});
+  run.enableCheckpoints();
+  EXPECT_THROW(run.restore(sim::RunCheckpoint{}), sim::SimAbort);
+  // The run is untouched and its own checkpoints still restore.
+  const sim::RunCheckpoint ck = run.checkpoint();
+  EXPECT_NO_THROW(run.restore(ck));
+}
+
 TEST(ObjKey, AppendBuildsDistinctNames) {
   ObjKey k{"conv", 3, 1};
   ObjKey a = k;

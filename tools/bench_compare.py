@@ -15,16 +15,20 @@ Two classes of check:
 Usage:
   bench_compare.py --baseline bench/BENCH_explore.baseline.json \
                    --candidate BENCH_explore.json [--min-ratio 0.8]
+  bench_compare.py --baseline bench/BENCH_core.baseline.json \
+                   --candidate BENCH_core.json
   bench_compare.py --self-test
 
 Exit status: 0 = within bounds, 1 = regression or mismatch, 2 = usage.
 Candidate and baseline produced by different bench modes (--quick vs
-full) are compared only on the rows/metrics present in BOTH.
+full) are compared only on the rows/metrics present in BOTH, and not on
+per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch including steps_rebuilt, the rate-ratio boundary on both rate
-metrics, the differing---jobs step_makespan exclusion) and exits 0 only
-if the gate's own behavior is intact; CI runs it as
+mismatch including steps_rebuilt and bench_core's steps, the rate-ratio
+boundary on every rate metric, the differing---jobs step_makespan and
+differing-mode steps exclusions) and exits 0 only if the gate's own
+behavior is intact; CI runs it as
 tools.bench_compare_selftest so a refactor of this script cannot
 silently defang the perf gate.
 """
@@ -49,6 +53,7 @@ ROW_EXACT = [
     "step_makespan",
     "verified",
     "complete",
+    "steps",
 ]
 
 # Deterministic top-level metrics: exact match required when present in
@@ -68,6 +73,9 @@ TOP_EXACT = [
 RATE_METRICS = [
     "dpor_n3_sched_per_sec",
     "fig1_dag_sched_per_sec",
+    "fig1_steps_per_s",
+    "fig2_steps_per_s",
+    "fig3_steps_per_s",
 ]
 
 
@@ -92,6 +100,10 @@ def compare(base, cand, min_ratio):
     row_keys = list(ROW_EXACT)
     if base.get("jobs") != cand.get("jobs"):
         row_keys.remove("step_makespan")
+    # bench_core sizes its rows by mode, so a row's `steps` is compared
+    # only between two runs of the same mode (--quick vs full).
+    if base.get("mode") != cand.get("mode"):
+        row_keys.remove("steps")
 
     base_rows = {r.get("name"): r for r in base.get("rows", [])}
     cand_rows = {r.get("name"): r for r in cand.get("rows", [])}
@@ -135,9 +147,13 @@ def self_test():
     base = {
         "bench": "explore",
         "jobs": 4,
+        "mode": "full",
         "dpor_n3_schedules": 1000,
         "dpor_n3_sched_per_sec": 5000.0,
         "fig1_dag_sched_per_sec": 2000.0,
+        "fig1_steps_per_s": 2.0e6,
+        "fig2_steps_per_s": 2.5e6,
+        "fig3_steps_per_s": 6.0e6,
         "rows": [
             {
                 "name": "dpor/n3",
@@ -145,7 +161,8 @@ def self_test():
                 "steps_rebuilt": 3000,
                 "step_makespan": 420,
                 "verified": 1,
-            }
+            },
+            {"name": "fig1", "steps": 64197, "seconds": 0.03},
         ],
     }
     failed = []
@@ -176,6 +193,17 @@ def self_test():
     del cand["rows"][0]["steps_rebuilt"]
     f, _ = compare(base, cand, 0.8)
     expect("steps_rebuilt absent from one report is skipped", not f)
+    cand = copy.deepcopy(base)
+    cand["rows"][1]["steps"] = 64198
+    f, _ = compare(base, cand, 0.8)
+    expect("bench_core row steps drift fails", len(f) == 1)
+    cand["mode"] = "quick"
+    f, _ = compare(base, cand, 0.8)
+    expect("row steps skipped across differing modes", not f)
+    cand = copy.deepcopy(base)
+    cand["rows"][1]["seconds"] = 0.05
+    f, _ = compare(base, cand, 0.8)
+    expect("row seconds are not compared", not f)
 
     # 3. The rate-ratio boundary: exactly min_ratio * baseline passes
     #    (the check is strict-less-than), epsilon below fails.
@@ -192,6 +220,14 @@ def self_test():
     cand["fig1_dag_sched_per_sec"] = 1599.0  # below 0.8x
     f, _ = compare(base, cand, 0.8)
     expect("fig1 kDag rate below 0.8x fails", len(f) == 1)
+    for key in ("fig1_steps_per_s", "fig2_steps_per_s", "fig3_steps_per_s"):
+        cand = copy.deepcopy(base)
+        cand[key] = 0.8 * base[key]
+        f, _ = compare(base, cand, 0.8)
+        expect(f"{key} at exactly 0.8x passes", not f)
+        cand[key] = 0.79 * base[key]
+        f, _ = compare(base, cand, 0.8)
+        expect(f"{key} below 0.8x fails", len(f) == 1)
 
     # 4. Differing --jobs: step_makespan is excluded, everything else
     #    still compared.
