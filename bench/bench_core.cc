@@ -11,12 +11,18 @@
 //   * fig1/2/3     the Fig. 1 / Fig. 2 / Fig. 3 workloads of E1–E3,
 //                  repeated across a seed sweep — real algorithm mix:
 //                  snapshots, FD queries, tuple-building registers;
+//   * coro-child   spin with one child coroutine per step: each step
+//                  awaits a fresh child that issues the op, so the row
+//                  isolates the frame alloc/free of nested algorithm
+//                  calls (k-converge opens five frames per call);
 //   * naming, snap-update, snap-update-digest
 //                  perf-ledger rows that isolate one ObjectTable layer
 //                  each; their "steps" are table calls, not scheduler
 //                  steps.
 //
-// Every row is timed as the fastest of five repeats of the same work.
+// Every row is timed as the fastest of five repeats of the same work, and
+// reports `allocs`, the global operator new calls one repeat makes (the
+// fewest over the repeats), counted by the replacement operator new below.
 // Output: a table plus (with --json) BENCH_core.json via JsonWriter, with
 // build provenance stamped so before/after numbers across PRs are
 // attributable. Determinism note: wall-clock here measures the HARNESS;
@@ -26,7 +32,30 @@
 //   bench_core [--quick] [--json PATH]
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "bench_util.h"
+
+// Counting replacements of the global allocation functions, for this
+// binary only (the library never replaces them). Per-thread, so counting
+// costs no atomic; bench_core allocates on the main thread only.
+namespace {
+
+std::uint64_t& allocCount() {
+  thread_local std::uint64_t n = 0;
+  return n;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++allocCount();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wfd::bench {
 namespace {
@@ -43,6 +72,7 @@ using sim::RunResult;
 struct Measurement {
   Time steps = 0;
   double seconds = 0;
+  std::uint64_t allocs = 0;
   [[nodiscard]] double stepsPerSec() const {
     return seconds > 0 ? static_cast<double>(steps) / seconds : 0;
   }
@@ -55,7 +85,22 @@ sim::Coro<sim::Unit> spinner(Env& env, Value iters) {
   co_return sim::Unit{};
 }
 
-Measurement spin(int n_plus_1, Time target_steps, sim::PolicyKind policy) {
+// `coro-child`: the spin loop with the op issued by a child coroutine, so
+// every step creates and destroys one frame.
+sim::Coro<sim::Unit> childOp(Env& env) {
+  co_await env.yield();
+  co_return sim::Unit{};
+}
+
+sim::Coro<sim::Unit> childSpinner(Env& env, Value iters) {
+  for (Value i = 0; i < iters; ++i) co_await childOp(env);
+  co_return sim::Unit{};
+}
+
+using SpinBody = sim::Coro<sim::Unit> (*)(Env&, Value);
+
+Measurement spin(int n_plus_1, Time target_steps, sim::PolicyKind policy,
+                 SpinBody body = spinner) {
   RunConfig cfg;
   cfg.n_plus_1 = n_plus_1;
   cfg.seed = 42;
@@ -65,7 +110,7 @@ Measurement spin(int n_plus_1, Time target_steps, sim::PolicyKind policy) {
   Measurement m;
   const WallTimer t;
   const RunResult rr = sim::runTask(
-      cfg, [iters](Env& e, Value) { return spinner(e, iters); },
+      cfg, [iters, body](Env& e, Value) { return body(e, iters); },
       std::vector<Value>(static_cast<std::size_t>(n_plus_1), 0));
   m.seconds = t.seconds();
   m.steps = rr.steps;
@@ -233,7 +278,8 @@ int main(int argc, char** argv) {
   const Time ledger_ops = args.quick ? 200'000 : 2'000'000;
 
   banner("core step-loop throughput (steps/s)");
-  Table table({"workload", "n+1", "steps", "seconds", "Msteps/s"});
+  Table table(
+      {"workload", "n+1", "steps", "seconds", "Msteps/s", "allocs/step"});
   JsonWriter json("bench_core", args.jobs);
   json.note("mode", args.quick ? "quick" : "full");
 
@@ -242,20 +288,33 @@ int main(int argc, char** argv) {
   // fastest run is the least disturbed. CI gates the fig rates on this.
   constexpr int kRepeats = 5;
   bool nondeterministic = false;
+  const auto counted = [](const auto& run) {
+    const std::uint64_t before = allocCount();
+    Measurement m = run();
+    m.allocs = allocCount() - before;
+    return m;
+  };
   const auto report = [&](const std::string& name, int n_plus_1,
                           const auto& run) {
-    Measurement m = run();
+    Measurement m = counted(run);
+    std::uint64_t allocs = m.allocs;
     for (int i = 1; i < kRepeats; ++i) {
-      const Measurement again = run();
+      const Measurement again = counted(run);
       if (again.steps != m.steps) nondeterministic = true;
+      allocs = std::min(allocs, again.allocs);
       if (again.seconds < m.seconds) m = again;
     }
+    const double per_step =
+        m.steps > 0 ? static_cast<double>(allocs) / static_cast<double>(m.steps)
+                    : 0;
     table.addRow({name, fmt(n_plus_1), fmt(m.steps), fmt(m.seconds),
-                  fmt(m.stepsPerSec() / 1e6)});
+                  fmt(m.stepsPerSec() / 1e6), fmt(per_step)});
     json.row(name, {{"n_plus_1", static_cast<double>(n_plus_1)},
                     {"steps", static_cast<double>(m.steps)},
                     {"seconds", m.seconds},
-                    {"steps_per_s", m.stepsPerSec()}});
+                    {"steps_per_s", m.stepsPerSec()},
+                    {"allocs", static_cast<double>(allocs)},
+                    {"allocs_per_step", per_step}});
     return m;
   };
 
@@ -268,6 +327,9 @@ int main(int argc, char** argv) {
   }
   const Measurement rr = report("spin-rr-n8", 8, [&] {
     return spin(8, spin_budget, sim::PolicyKind::kRoundRobin);
+  });
+  report("coro-child", 4, [&] {
+    return spin(4, spin_budget, sim::PolicyKind::kRandom, childSpinner);
   });
   const Measurement f1 =
       report("fig1", 4, [&] { return fig1Sweep(fig12_runs); });

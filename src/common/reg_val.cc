@@ -19,18 +19,29 @@ const ProcSet& RegVal::asSet() const {
   return std::get<ProcSet>(v_);
 }
 
-RegVal RegVal::tuple(std::vector<RegVal> elems) {
-  Tuple t;
-  t.size = elems.size();
-  if (t.size > 0) {
-    // One allocation for control block + elements together.
-    std::shared_ptr<RegVal[]> buf = std::make_shared<RegVal[]>(t.size);
-    for (std::size_t i = 0; i < t.size; ++i) buf[i] = std::move(elems[i]);
-    t.elems = std::move(buf);
+template <class At>
+RegVal RegVal::packed(std::size_t n, At at) {
+  std::shared_ptr<RegVal[]> buf;
+  if (n > 0) {
+    buf = std::make_shared<RegVal[]>(n);
+    for (std::size_t i = 0; i < n; ++i) buf[i] = at(i);
   }
   RegVal r;
-  r.v_ = std::move(t);
+  r.v_ = Tuple{std::move(buf), n};
   return r;
+}
+
+RegVal RegVal::tuple(std::vector<RegVal> elems) {
+  return packed(elems.size(),
+                [&](std::size_t i) { return std::move(elems[i]); });
+}
+
+RegVal RegVal::tuple(std::initializer_list<RegVal> elems) {
+  return packed(elems.size(), [&](std::size_t i) { return elems.begin()[i]; });
+}
+
+RegVal RegVal::tuple(std::span<const Value> ints) {
+  return packed(ints.size(), [&](std::size_t i) { return RegVal(ints[i]); });
 }
 
 RegVal::TupleView RegVal::asTuple() const {

@@ -11,7 +11,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -53,6 +55,13 @@ class RegVal {
   RegVal(bool b) : v_(b) {}                            // NOLINT(google-explicit-constructor)
   RegVal(const ProcSet& s) : v_(s) {}                  // NOLINT(google-explicit-constructor)
   static RegVal tuple(std::vector<RegVal> elems);
+  // One allocation each: the elements go straight into the shared array,
+  // with no vector to grow first. Equal, by == and hash64(), to the same
+  // elements built through the vector overload. Call the braced-list form
+  // from plain functions only: GCC mis-handles braced-init-list
+  // temporaries inside coroutine frames.
+  static RegVal tuple(std::initializer_list<RegVal> elems);
+  static RegVal tuple(std::span<const Value> ints);  // a tuple of ints
 
   [[nodiscard]] bool isBottom() const {
     return std::holds_alternative<std::monostate>(v_);
@@ -96,6 +105,10 @@ class RegVal {
     std::shared_ptr<const RegVal[]> elems;
     std::size_t size = 0;
   };
+  // A tuple of n elements, element i produced by at(i), written straight
+  // into the one make_shared array (control block and elements together).
+  template <class At>
+  static RegVal packed(std::size_t n, At at);
 
   std::variant<std::monostate, std::int64_t, bool, ProcSet, Tuple> v_;
 };

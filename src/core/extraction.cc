@@ -5,10 +5,31 @@
 
 namespace wfd::core {
 
+namespace {
+
+// Heartbeat cell: (D's value, fresh timestamp). A plain function, so the
+// braced list stays out of the coroutine frame.
+RegVal heartbeat(const ProcSet& d, std::int64_t ts) {
+  return RegVal::tuple({RegVal(d), RegVal(ts)});
+}
+
+}  // namespace
+
 Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
   const int n_plus_1 = env.nProcs();
   const ProcSet pi_all = ProcSet::full(n_plus_1);
-  const sim::ObjId own_r = env.reg(sim::ObjKey{"fig3.R", env.me()});
+  const auto n = static_cast<std::size_t>(n_plus_1);
+  // R[j] and Obs[j], each resolved once, at its first reference (which
+  // keeps the ObjId creation order of resolving on every access).
+  std::vector<sim::ObjId> r_ids(n, -1);
+  std::vector<sim::ObjId> obs_ids(n, -1);
+  const auto idOf = [&env](std::vector<sim::ObjId>& ids, const char* tag,
+                           Pid j) {
+    sim::ObjId& id = ids[static_cast<std::size_t>(j)];
+    if (id < 0) id = env.reg(sim::ObjKey{tag, j});
+    return id;
+  };
+  const sim::ObjId own_r = idOf(r_ids, "fig3.R", env.me());
 
   std::int64_t ts = 0;
 
@@ -39,12 +60,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
     // ---- Task 1 heartbeat: query D, report (value, fresh timestamp).
     const ProcSet my_d = (co_await env.queryFd()).scalar.asSet();
     ++ts;
-    {
-      std::vector<RegVal> cell;
-      cell.emplace_back(my_d);
-      cell.emplace_back(ts);
-      co_await env.write(own_r, RegVal::tuple(std::move(cell)));
-    }
+    co_await env.write(own_r, heartbeat(my_d, ts));
 
     if (!have_candidate || my_d != d) {
       // Own module changed: new round with the new value.
@@ -56,7 +72,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
     bool restarted = false;
     for (Pid j = 0; j < n_plus_1 && !restarted; ++j) {
       const RegVal cell =
-          (co_await env.read(env.reg(sim::ObjKey{"fig3.R", j}))).scalar;
+          (co_await env.read(idOf(r_ids, "fig3.R", j))).scalar;
       if (cell.isBottom()) continue;
       const auto& t = cell.asTuple();
       const ProcSet dj = t[0].asSet();
@@ -98,8 +114,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
     if (batches_done >= phi_d.w) {
       // Observed w(sigma) batches myself: record it for the others
       // (line 19) and adopt S (line 20).
-      co_await env.write(env.reg(sim::ObjKey{"fig3.Obs", env.me()}),
-                         RegVal(d));
+      co_await env.write(idOf(obs_ids, "fig3.Obs", env.me()), RegVal(d));
       output_is_s = true;
       env.publishIfChanged(RegVal(phi_d.correct_sigma));
       continue;
@@ -108,7 +123,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
     // Or adopt another process's completed observation for this d.
     for (Pid j = 0; j < n_plus_1; ++j) {
       const RegVal obs =
-          (co_await env.read(env.reg(sim::ObjKey{"fig3.Obs", j}))).scalar;
+          (co_await env.read(idOf(obs_ids, "fig3.Obs", j))).scalar;
       if (obs == RegVal(d)) {
         output_is_s = true;
         env.publishIfChanged(RegVal(phi_d.correct_sigma));

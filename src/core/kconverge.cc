@@ -8,16 +8,11 @@ namespace {
 
 using mem::SnapshotHandle;
 
-// B-entry layout: (committed-tag, value, U-set as tuple of ints).
+// B-entry layout: (committed-tag, value, U-set as tuple of ints). Two
+// allocations; a plain function, so the braced list stays out of the
+// coroutine frame.
 RegVal makeEntry(bool tag_c, Value v, const std::vector<Value>& u) {
-  std::vector<RegVal> uset;
-  uset.reserve(u.size());
-  for (Value x : u) uset.emplace_back(x);
-  std::vector<RegVal> e;
-  e.emplace_back(tag_c);
-  e.emplace_back(v);
-  e.push_back(RegVal::tuple(std::move(uset)));
-  return RegVal::tuple(std::move(e));
+  return RegVal::tuple({RegVal(tag_c), RegVal(v), RegVal::tuple(u)});
 }
 
 ObjKey subKey(ObjKey key, const char* suffix) {

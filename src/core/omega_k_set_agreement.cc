@@ -1,6 +1,8 @@
 #include "core/omega_k_set_agreement.h"
 
+#include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "core/kconverge.h"
 
@@ -10,6 +12,15 @@ Coro<Value> omegaKSetAgreementInstance(Env& env, int k, int instance,
                                        Value v) {
   assert(k >= 1);
   const sim::ObjId d_reg = env.reg(sim::ObjKey{"omk.D", instance});
+  // The current round's Ann[r+1][q] ids, cleared when the round starts and
+  // each resolved once, at its first reference (which keeps the ObjId
+  // creation order of resolving on every read).
+  std::vector<sim::ObjId> ann(static_cast<std::size_t>(env.nProcs()), -1);
+  const auto annId = [&](int round, Pid q) {
+    sim::ObjId& id = ann[static_cast<std::size_t>(q)];
+    if (id < 0) id = env.reg(sim::ObjKey{"omk.Ann", round, q, instance});
+    return id;
+  };
 
   for (int r = 1;; ++r) {
     const Pick p =
@@ -31,10 +42,9 @@ Coro<Value> omegaKSetAgreementInstance(Env& env, int k, int instance,
     // announcement would leak pre-elimination values back in and break
     // agreement — caught by the randomized soak tests.)
     const ProcSet leaders = (co_await env.queryFd()).scalar.asSet();
+    std::fill(ann.begin(), ann.end(), -1);
     if (leaders.contains(env.me())) {
-      co_await env.write(
-          env.reg(sim::ObjKey{"omk.Ann", r + 1, env.me(), instance}),
-          RegVal(v));
+      co_await env.write(annId(r + 1, env.me()), RegVal(v));
     }
     // Adopt some leader's round-r+1 announcement; at most k exist, and
     // after the detector stabilizes one of them is written by a correct
@@ -44,11 +54,8 @@ Coro<Value> omegaKSetAgreementInstance(Env& env, int k, int instance,
     // D (a decision releases everyone).
     for (;;) {
       bool adopted = false;
-      for (Pid q : leaders.members()) {
-        const RegVal a =
-            (co_await env.read(
-                 env.reg(sim::ObjKey{"omk.Ann", r + 1, q, instance})))
-                .scalar;
+      for (Pid q : leaders) {
+        const RegVal a = (co_await env.read(annId(r + 1, q))).scalar;
         if (!a.isBottom()) {
           v = a.asInt();
           adopted = true;

@@ -13,6 +13,12 @@ sim::ObjId cellReg(Env& env, const ObjKey& key, int j) {
   return env.reg(k);
 }
 
+// Cell layout: (value, level). A plain function, so the braced list stays
+// out of the coroutine frame.
+RegVal makeCell(const RegVal& v, int level) {
+  return RegVal::tuple({v, RegVal(static_cast<Value>(level))});
+}
+
 }  // namespace
 
 Coro<std::vector<RegVal>> immediateSnapshot(Env& env, ObjKey key,
@@ -21,12 +27,7 @@ Coro<std::vector<RegVal>> immediateSnapshot(Env& env, ObjKey key,
   int level = m + 1;
   for (;;) {
     --level;
-    {
-      std::vector<RegVal> cell;
-      cell.push_back(v);
-      cell.emplace_back(static_cast<Value>(level));
-      co_await env.write(cellReg(env, key, env.me()), RegVal::tuple(std::move(cell)));
-    }
+    co_await env.write(cellReg(env, key, env.me()), makeCell(v, level));
     // Collect: who is at or below my level?
     std::vector<RegVal> view(static_cast<std::size_t>(m));
     int at_or_below = 0;

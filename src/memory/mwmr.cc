@@ -36,12 +36,10 @@ Coro<Max> collectMax(Env& env, const ObjKey& key) {
   co_return best;
 }
 
+// Cell layout: (ts, writer, value). A plain function, so the braced list
+// stays out of the coroutine frame.
 RegVal makeCell(std::int64_t ts, Pid writer, const RegVal& v) {
-  std::vector<RegVal> cell;
-  cell.emplace_back(ts);
-  cell.emplace_back(static_cast<Value>(writer));
-  cell.push_back(v);
-  return RegVal::tuple(std::move(cell));
+  return RegVal::tuple({RegVal(ts), RegVal(static_cast<Value>(writer)), v});
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 // (matching the paper's A[r][k][i] usage).
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "sim/env.h"
@@ -32,7 +33,16 @@ struct SnapshotHandle {
   ObjKey key;
   int slots = 0;
   SnapshotFlavor flavor = SnapshotFlavor::kNative;
+  // The native object's id, cached by the first update or scan through
+  // this handle (-1 until then). The key is still resolved at its first
+  // reference, so ObjIds come out in the same order as without the cache.
+  // A handle names an object of one world: keep it in the coroutine frame
+  // that uses it, never share one across runs.
+  mutable sim::ObjId id = -1;
 };
+// Coroutines take handles by reference and copy them freely; see the
+// ObjKey comment in sim/object_table.h.
+static_assert(std::is_trivially_copyable_v<SnapshotHandle>);
 
 // Handle construction is free (naming, not memory access). The 2-argument
 // form uses the world's configured default flavor.
@@ -50,6 +60,7 @@ Coro<std::vector<RegVal>> snapshotScan(Env& env, const SnapshotHandle& h);
 
 // ---- Small helpers over scan results ----
 int nonBottomCount(const std::vector<RegVal>& slots);
+// The int cells' values, ascending, each once (⊥ and non-int cells skipped).
 std::vector<Value> distinctValues(const std::vector<RegVal>& slots);
 Value minValue(const std::vector<RegVal>& slots);  // kBottomValue if empty
 

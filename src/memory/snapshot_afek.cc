@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <string>
 
 #include "memory/snapshot.h"
@@ -23,6 +22,19 @@ std::int64_t cellSeq(const RegVal& cell) {
 
 RegVal cellValue(const RegVal& cell) {
   return cell.isBottom() ? RegVal() : cell.asTuple()[1];
+}
+
+// The published cell (seq, value, embedded-scan). A plain function, so the
+// braced list stays out of the coroutine frame.
+RegVal makeCell(std::int64_t seq, const RegVal& v,
+                std::vector<RegVal> view) {
+  return RegVal::tuple({RegVal(seq), v, RegVal::tuple(std::move(view))});
+}
+
+// The native object behind h, resolved on the handle's first use.
+sim::ObjId nativeId(Env& env, const SnapshotHandle& h) {
+  if (h.id < 0) h.id = env.snap(h.key, h.slots);
+  return h.id;
 }
 
 // One collect: read the m cell registers in index order (m atomic steps).
@@ -80,13 +92,7 @@ Coro<Unit> afekUpdate(Env& env, const SnapshotHandle& h, int slot,
   // number is race-free.
   auto own = co_await env.read(cellReg(env, h, slot));
   const std::int64_t seq = cellSeq(own.scalar) + 1;
-  // Built element-by-element: GCC mis-handles braced-init-list temporaries
-  // inside coroutine frames.
-  std::vector<RegVal> cell;
-  cell.emplace_back(seq);
-  cell.push_back(v);
-  cell.push_back(RegVal::tuple(std::move(view)));
-  co_await env.write(cellReg(env, h, slot), RegVal::tuple(std::move(cell)));
+  co_await env.write(cellReg(env, h, slot), makeCell(seq, v, std::move(view)));
   co_return Unit{};
 }
 
@@ -106,7 +112,7 @@ Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
   if (h.flavor == SnapshotFlavor::kAfek) {
     co_return co_await afekUpdate(env, h, slot, v);
   }
-  co_await env.snapUpdate(env.snap(h.key, h.slots), slot, v);
+  co_await env.snapUpdate(nativeId(env, h), slot, v);
   co_return Unit{};
 }
 
@@ -114,7 +120,7 @@ Coro<std::vector<RegVal>> snapshotScan(Env& env, const SnapshotHandle& h) {
   if (h.flavor == SnapshotFlavor::kAfek) {
     co_return co_await afekScan(env, h);
   }
-  auto r = co_await env.snapScan(env.snap(h.key, h.slots));
+  auto r = co_await env.snapScan(nativeId(env, h));
   co_return std::move(r.snapshot);
 }
 
@@ -127,11 +133,14 @@ int nonBottomCount(const std::vector<RegVal>& slots) {
 }
 
 std::vector<Value> distinctValues(const std::vector<RegVal>& slots) {
-  std::set<Value> s;
+  std::vector<Value> out;
+  out.reserve(slots.size());
   for (const auto& v : slots) {
-    if (v.isInt()) s.insert(v.asInt());
+    if (v.isInt()) out.push_back(v.asInt());
   }
-  return {s.begin(), s.end()};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 Value minValue(const std::vector<RegVal>& slots) {

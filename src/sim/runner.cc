@@ -1,10 +1,10 @@
 #include "sim/runner.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 
 namespace wfd::sim {
 
@@ -32,9 +32,12 @@ std::optional<AuditMode> envAuditMode() {
 }  // namespace
 
 int RunResult::distinctDecisions() const {
-  std::set<Value> vals;
-  for (const auto& [p, v] : decisions) vals.insert(v);
-  return static_cast<int>(vals.size());
+  std::vector<Value> vals;
+  vals.reserve(decisions.size());
+  for (const auto& [p, v] : decisions) vals.push_back(v);
+  std::sort(vals.begin(), vals.end());
+  return static_cast<int>(std::unique(vals.begin(), vals.end()) -
+                          vals.begin());
 }
 
 Run::Run(const RunConfig& cfg, const AlgoFn& algo,
@@ -103,8 +106,8 @@ RunResult Run::finish(Time steps_taken) {
       a != nullptr && a->mode() == AuditMode::kCollect && !a->clean()) {
     std::fprintf(stderr, "%s\n", a->report().c_str());
   }
-  for (const auto& e : world_->trace().ofKind(EventKind::kDecide)) {
-    res.decisions[e.pid] = e.value.asInt();
+  for (const auto& e : world_->trace().events()) {
+    if (e.kind == EventKind::kDecide) res.decisions[e.pid] = e.value.asInt();
   }
   // Destroy coroutine frames (which reference envs_ and world_) before the
   // world is handed out.

@@ -79,5 +79,57 @@ TEST(RegVal, CopiesAreIndependentValues) {
   EXPECT_EQ(b.asTuple()[0].asInt(), 5);
 }
 
+// The one-allocation builders give the same values as the vector one.
+TEST(RegVal, BracedTupleEqualsVectorTuple) {
+  std::vector<RegVal> inner;
+  inner.emplace_back(Value{1});
+  inner.emplace_back(ProcSet{1});
+  std::vector<RegVal> outer;
+  outer.emplace_back(true);
+  outer.emplace_back(Value{-4});
+  outer.push_back(RegVal::tuple(std::move(inner)));
+  outer.emplace_back();
+  const RegVal by_vector = RegVal::tuple(std::move(outer));
+  const RegVal braced = RegVal::tuple(
+      {RegVal(true), RegVal(Value{-4}),
+       RegVal::tuple({RegVal(Value{1}), RegVal(ProcSet{1})}), RegVal()});
+  EXPECT_EQ(braced, by_vector);
+  EXPECT_EQ(braced.hash64(), by_vector.hash64());
+  EXPECT_EQ(braced.toString(), by_vector.toString());
+}
+
+TEST(RegVal, IntSpanTupleEqualsVectorTuple) {
+  const std::vector<Value> ints = {3, 1, 4, 1};
+  std::vector<RegVal> cells;
+  for (const Value x : ints) cells.emplace_back(x);
+  const RegVal by_vector = RegVal::tuple(std::move(cells));
+  const RegVal by_span = RegVal::tuple(std::span<const Value>(ints));
+  EXPECT_EQ(by_span, by_vector);
+  EXPECT_EQ(by_span.hash64(), by_vector.hash64());
+  // Nested: the k-converge B-entry shape (tag, value, U-set).
+  std::vector<RegVal> entry;
+  entry.emplace_back(true);
+  entry.emplace_back(Value{7});
+  entry.push_back(by_vector);
+  const RegVal nested_vector = RegVal::tuple(std::move(entry));
+  const RegVal nested =
+      RegVal::tuple({RegVal(true), RegVal(Value{7}), RegVal::tuple(ints)});
+  EXPECT_EQ(nested, nested_vector);
+  EXPECT_EQ(nested.hash64(), nested_vector.hash64());
+}
+
+TEST(RegVal, EmptyTuplesAgreeAcrossBuilders) {
+  const RegVal by_vector = RegVal::tuple(std::vector<RegVal>{});
+  const RegVal braced = RegVal::tuple(std::initializer_list<RegVal>{});
+  const RegVal by_span = RegVal::tuple(std::span<const Value>{});
+  EXPECT_TRUE(braced.isTuple());
+  EXPECT_EQ(braced.asTuple().size(), 0u);
+  EXPECT_EQ(braced, by_vector);
+  EXPECT_EQ(by_span, by_vector);
+  EXPECT_EQ(braced.hash64(), by_vector.hash64());
+  EXPECT_EQ(by_span.hash64(), by_vector.hash64());
+  EXPECT_NE(braced, RegVal());
+}
+
 }  // namespace
 }  // namespace wfd

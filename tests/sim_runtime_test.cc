@@ -2,7 +2,15 @@
 // scheduling policies, determinism, trace bookkeeping, object table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include "test_util.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace wfd {
 namespace {
@@ -306,6 +314,125 @@ TEST(FailurePattern, RandomRespectsBounds) {
       EXPECT_LE(fp.crashTime(p), 100);
     }
   }
+}
+
+// ---- Coroutine frame recycling (sim/coro.h FramePool) ---------------------
+
+using sim::FramePool;
+
+std::uint32_t pooledTotal() {
+  std::uint32_t n = 0;
+  for (std::size_t c = 0; c < FramePool::kClasses; ++c) {
+    n += FramePool::pooled(c);
+  }
+  return n;
+}
+
+// Fig. 1 runs on k-converge, which opens five frames per call.
+std::uint64_t fig1TraceHash() {
+  RunConfig cfg;
+  cfg.n_plus_1 = 4;
+  const auto fp = FailurePattern::withCrashes(4, {{1, 120}});
+  cfg.fp = fp;
+  cfg.fd = fd::makeUpsilon(fp, 150, 7);
+  cfg.seed = 7;
+  const auto rr = sim::runTask(
+      cfg, [](Env& e, Value v) { return core::upsilonSetAgreement(e, v); },
+      test::distinctProposals(4));
+  EXPECT_TRUE(rr.all_correct_done);
+  return rr.trace().hash64();
+}
+
+Coro<Unit> idle() { co_return Unit{}; }
+
+TEST(FramePool, WarmPoolRunsReplayColdPoolAndFreshThreadRuns) {
+  FramePool::trim();
+  const std::uint64_t cold = fig1TraceHash();
+  EXPECT_GT(pooledTotal(), 0u);  // the run's frames came back to the pool
+  const std::uint64_t warm = fig1TraceHash();
+  std::uint64_t fresh = 0;
+  std::thread([&fresh] { fresh = fig1TraceHash(); }).join();
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(cold, fresh);
+}
+
+TEST(FramePool, CoroMadeOnOneThreadIsDestroyedOnAnother) {
+  FramePool::trim();
+  Coro<Unit> c;
+  std::thread([&c] {
+    c = idle();
+    FramePool::trim();
+  }).join();
+  EXPECT_EQ(pooledTotal(), 0u);
+  c = Coro<Unit>();  // frees the foreign frame into this thread's pool
+  EXPECT_EQ(pooledTotal(), 1u);
+  const Coro<Unit> reused = idle();  // the next frame of its class reuses it
+  EXPECT_EQ(pooledTotal(), 0u);
+}
+
+// Owns a frame from before the thread's pool armed its drain, so it is
+// destroyed after the drain ran at thread exit.
+struct LateFrameOwner {
+  Coro<Unit> frame = idle();
+  std::atomic<int>* pooled_after_free = nullptr;
+  LateFrameOwner() = default;
+  LateFrameOwner(const LateFrameOwner&) = delete;
+  LateFrameOwner& operator=(const LateFrameOwner&) = delete;
+  ~LateFrameOwner() {
+    frame = Coro<Unit>();
+    if (pooled_after_free != nullptr) {
+      pooled_after_free->store(static_cast<int>(pooledTotal()));
+    }
+  }
+};
+
+TEST(FramePool, FrameFreedAfterPoolTeardownGoesToOperatorDelete) {
+  std::atomic<int> pooled_after_free{-1};
+  std::thread([&pooled_after_free] {
+    thread_local LateFrameOwner owner;
+    owner.pooled_after_free = &pooled_after_free;
+    { const Coro<Unit> armed = idle(); }  // first pooled free arms the drain
+    EXPECT_EQ(pooledTotal(), 1u);
+  }).join();
+  // The drain emptied the pool before the owner freed its frame, and that
+  // frame did not go back into the dead pool (LeakSanitizer would report it).
+  EXPECT_EQ(pooled_after_free.load(), 0);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePool, UseOfAPooledFrameStillReports) {
+  using Handle = std::coroutine_handle<Coro<Unit>::promise_type>;
+  Handle h;
+  {
+    const Coro<Unit> c = idle();
+    h = Handle::from_address(c.handle().address());
+  }  // the frame is now a poisoned block on the free list
+  EXPECT_TRUE(__asan_address_is_poisoned(h.address()));
+  EXPECT_DEATH(
+      {
+        const void* volatile seen = h.promise().continuation.address();
+        (void)seen;
+      },
+      "use-after-poison");
+}
+#endif
+
+TEST(FramePool, PoolStaysWithinItsCap) {
+  FramePool::trim();
+  std::vector<Coro<Unit>> live;
+  for (std::uint32_t i = 0; i < 2 * FramePool::kCap; ++i) {
+    live.push_back(idle());
+  }
+  live.clear();
+  std::uint32_t fullest = 0;
+  for (std::size_t c = 0; c < FramePool::kClasses; ++c) {
+    EXPECT_LE(FramePool::pooled(c), FramePool::kCap);
+    fullest = std::max(fullest, FramePool::pooled(c));
+  }
+  EXPECT_EQ(fullest, FramePool::kCap);
+  EXPECT_EQ(pooledTotal(), FramePool::kCap);
+  FramePool::trim();
+  EXPECT_EQ(pooledTotal(), 0u);
 }
 
 }  // namespace

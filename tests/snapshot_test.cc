@@ -153,5 +153,72 @@ TEST(Snapshot, FlavorsAgreeOnRoundRobin) {
   ASSERT_TRUE(b.all_correct_done);
 }
 
+// ---- Helpers over scan results ----
+
+std::vector<RegVal> cells(std::initializer_list<RegVal> xs) { return xs; }
+
+TEST(ScanHelpers, DistinctValuesAreSortedAndDeduplicated) {
+  EXPECT_EQ(mem::distinctValues(cells({RegVal(Value{30}), RegVal(Value{10}),
+                                       RegVal(Value{30}), RegVal(Value{20}),
+                                       RegVal(Value{10})})),
+            (std::vector<Value>{10, 20, 30}));
+  EXPECT_EQ(mem::distinctValues(cells({RegVal(Value{-5}), RegVal(Value{5})})),
+            (std::vector<Value>{-5, 5}));
+}
+
+TEST(ScanHelpers, BottomAndNonIntCellsAreSkipped) {
+  const auto view = cells({RegVal(), RegVal(Value{4}), RegVal(true),
+                           RegVal(ProcSet{1}),
+                           RegVal::tuple({RegVal(Value{1})}), RegVal(),
+                           RegVal(Value{2})});
+  EXPECT_EQ(mem::distinctValues(view), (std::vector<Value>{2, 4}));
+  EXPECT_EQ(mem::minValue(view), 2);
+  EXPECT_EQ(mem::nonBottomCount(view), 5);
+}
+
+TEST(ScanHelpers, EmptyAndAllBottomInputs) {
+  const std::vector<RegVal> empty;
+  EXPECT_TRUE(mem::distinctValues(empty).empty());
+  EXPECT_EQ(mem::minValue(empty), kBottomValue);
+  EXPECT_EQ(mem::nonBottomCount(empty), 0);
+  const auto bottoms = cells({RegVal(), RegVal(), RegVal()});
+  EXPECT_TRUE(mem::distinctValues(bottoms).empty());
+  EXPECT_EQ(mem::minValue(bottoms), kBottomValue);
+  EXPECT_EQ(mem::nonBottomCount(bottoms), 0);
+  const auto no_ints = cells({RegVal(false), RegVal(ProcSet{})});
+  EXPECT_TRUE(mem::distinctValues(no_ints).empty());
+  EXPECT_EQ(mem::minValue(no_ints), kBottomValue);
+}
+
+TEST(ScanHelpers, DuplicatesCountOnceButEveryCellIsNonBottom) {
+  const auto view = cells({RegVal(Value{7}), RegVal(Value{7}),
+                           RegVal(Value{7})});
+  EXPECT_EQ(mem::distinctValues(view), (std::vector<Value>{7}));
+  EXPECT_EQ(mem::minValue(view), 7);
+  EXPECT_EQ(mem::nonBottomCount(view), 3);
+}
+
+// A handle caches the id its first native update or scan resolves: the
+// same id a fresh resolution of its key returns.
+Coro<Unit> cachingUser(Env& env) {
+  const auto h = makeSnapshot(env, sim::ObjKey{"t.cache"}, env.nProcs());
+  EXPECT_EQ(h.id, -1);
+  co_await snapshotUpdate(env, h, env.me(), RegVal(Value{1}));
+  EXPECT_EQ(h.id, env.snap(h.key, h.slots));
+  const sim::ObjId first = h.id;
+  (void)co_await snapshotScan(env, h);
+  EXPECT_EQ(h.id, first);
+  co_return Unit{};
+}
+
+TEST(Snapshot, NativeHandleCachesItsObjectId) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 3;
+  cfg.flavor = SnapshotFlavor::kNative;
+  const auto rr = sim::runTask(
+      cfg, [](Env& e, Value) { return cachingUser(e); }, {0, 0, 0});
+  EXPECT_TRUE(rr.all_correct_done);
+}
+
 }  // namespace
 }  // namespace wfd

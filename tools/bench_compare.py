@@ -20,12 +20,15 @@ Usage:
   bench_compare.py --self-test
 
 Exit status: 0 = within bounds, 1 = regression or mismatch, 2 = usage.
+Between two runs of the same bench mode, every baseline row must be
+present in the candidate: a dropped row is a failure, not a silent pass.
 Candidate and baseline produced by different bench modes (--quick vs
 full) are compared only on the rows/metrics present in BOTH, and not on
 per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch including steps_rebuilt and bench_core's steps, the rate-ratio
+mismatch including steps_rebuilt and bench_core's steps, a baseline row
+missing from a same-mode candidate, the rate-ratio
 boundary on every rate metric, the differing---jobs step_makespan and
 differing-mode steps exclusions) and exits 0 only if the gate's own
 behavior is intact; CI runs it as
@@ -102,11 +105,20 @@ def compare(base, cand, min_ratio):
         row_keys.remove("step_makespan")
     # bench_core sizes its rows by mode, so a row's `steps` is compared
     # only between two runs of the same mode (--quick vs full).
-    if base.get("mode") != cand.get("mode"):
+    same_mode = base.get("mode") == cand.get("mode")
+    if not same_mode:
         row_keys.remove("steps")
 
     base_rows = {r.get("name"): r for r in base.get("rows", [])}
     cand_rows = {r.get("name"): r for r in cand.get("rows", [])}
+    # A mode runs a fixed row set (--quick drops some full-mode rows), so
+    # within one mode every baseline row must still be there.
+    if same_mode:
+        for name in sorted(set(base_rows) - set(cand_rows)):
+            checked += 1
+            failures.append(
+                f"row {name}: in the baseline, missing from the candidate"
+            )
     for name in sorted(set(base_rows) & set(cand_rows)):
         b, c = base_rows[name], cand_rows[name]
         for key in row_keys:
@@ -204,6 +216,21 @@ def self_test():
     cand["rows"][1]["seconds"] = 0.05
     f, _ = compare(base, cand, 0.8)
     expect("row seconds are not compared", not f)
+
+    # 2b. A baseline row the candidate dropped fails within one mode;
+    #     across modes only the shared rows are compared. Extra candidate
+    #     rows (a new ledger row) pass.
+    cand = copy.deepcopy(base)
+    del cand["rows"][1]
+    f, _ = compare(base, cand, 0.8)
+    expect("baseline row missing from the candidate fails", len(f) == 1)
+    cand["mode"] = "quick"
+    f, _ = compare(base, cand, 0.8)
+    expect("missing row skipped across differing modes", not f)
+    cand = copy.deepcopy(base)
+    cand["rows"].append({"name": "coro-child", "steps": 200000})
+    f, _ = compare(base, cand, 0.8)
+    expect("candidate-only row passes", not f)
 
     # 3. The rate-ratio boundary: exactly min_ratio * baseline passes
     #    (the check is strict-less-than), epsilon below fails.

@@ -32,7 +32,12 @@ guarantees:
                      schedule policies (src/sim/scheduler.{h,cc}): the
                      per-step hot path is allocation-free by contract
                      (docs/PERF.md) — select pids with nth/nextAbove/
-                     iterators and index slots with asserted operator[]
+                     iterators and index slots with asserted operator[];
+                     and std::set / std::map in the algorithm-side step
+                     path (src/memory/snapshot_afek.cc,
+                     src/core/kconverge.cc), where a node per element
+                     was a heap allocation per call: sort and dedup a
+                     vector instead
   nondet-iteration   range-for over a std::unordered_{map,set,...} in ALL
                      of src/ (including src/sim, where merely owning an
                      unordered container is legal, e.g. sim/report_cache):
@@ -77,6 +82,17 @@ THREAD_SAFETY_DIRS = ["src/core", "src/fd", "src/memory", "src/sim"]
 # exactly the scheduler + policy translation units, not all of src/sim
 # (cold sim code legitimately uses members()/at()).
 HOT_PATH_FILES = ["src/sim/scheduler.cc", "src/sim/scheduler.h"]
+# The algorithm side of every Fig. 1/2 and service step: the snapshot
+# helpers and k-converge run once or more per simulated step.
+ALGO_HOT_PATH_FILES = ["src/memory/snapshot_afek.cc", "src/core/kconverge.cc"]
+HOT_PATH_WHY = (
+    "the per-step hot path is allocation-lean by contract (docs/PERF.md): "
+    "in the scheduler/policies select pids with ProcSet::nth/nextAbove/"
+    "iterators instead of members(), and index slot vectors with asserted "
+    "operator[] instead of .at(); in the snapshot helpers and k-converge "
+    "sort and dedup a std::vector instead of building a node-based "
+    "std::set/std::map"
+)
 # The iteration rule binds the whole library tree: unlike declaring an
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
 # everywhere.
@@ -213,11 +229,15 @@ RULES = [
         # members() materializes a heap vector per call; .at() adds a
         # bounds-throw on paths that run once per simulated step.
         re.compile(r"\.\s*members\s*\(|\.\s*at\s*\("),
-        "the scheduler/policy per-step path is allocation-free by contract "
-        "(docs/PERF.md): select pids with ProcSet::nth/nextAbove/iterators "
-        "instead of members(), and index slot vectors with asserted "
-        "operator[] instead of .at()",
+        HOT_PATH_WHY,
         HOT_PATH_FILES,
+    ),
+    (
+        # Same rule, algorithm side: one heap node per element per call.
+        "hot-path-alloc",
+        re.compile(r"std::(?:set|map|multiset|multimap)\b"),
+        HOT_PATH_WHY,
+        ALGO_HOT_PATH_FILES,
     ),
     (
         "nondet-iteration",
@@ -337,6 +357,21 @@ def scan_text(text: str, path: str, rules=None):
     return findings
 
 
+def binds(prefix: str, rel: str) -> bool:
+    """Whether a dir/file scope entry covers the repo-relative path rel."""
+    return rel == prefix or rel.startswith(prefix.rstrip("/") + "/")
+
+
+def rules_for(rel: str):
+    """The rules that bind one repo-relative file path."""
+    return [
+        r
+        for r in RULES
+        if any(binds(d, rel) for d in rule_dirs(r))
+        and not any(binds(e, rel) for e in rule_excludes(r))
+    ]
+
+
 def all_linted_dirs():
     """Ordered union of every rule's directory scope."""
     seen = []
@@ -370,10 +405,7 @@ def scan_tree(root: pathlib.Path):
             active = [
                 r
                 for r in rules
-                if not any(
-                    rel == e or rel.startswith(e.rstrip("/") + "/")
-                    for e in rule_excludes(r)
-                )
+                if not any(binds(e, rel) for e in rule_excludes(r))
             ]
             findings.extend(scan_text(p.read_text(encoding="utf-8"), rel, active))
     return findings, files
@@ -439,7 +471,27 @@ def self_test() -> int:
             failures += 1
         else:
             print(f"self-test ok: {rule} fires")
-    clean = scan_text(CLEAN_SNIPPET, "<clean>")
+    # Scoped rules: the std::set/std::map half of hot-path-alloc binds the
+    # algorithm-side step files only, so the same text is legal elsewhere.
+    ordered = "std::vector<Value> f(const View& v) {\n  std::set<Value> s;\n"
+    for rel, fires in (
+        ("src/core/kconverge.cc", True),
+        ("src/memory/snapshot_afek.cc", True),
+        ("src/core/checkers.cc", False),
+        ("src/sim/runner.cc", False),
+    ):
+        hits = scan_text(ordered, rel, rules_for(rel))
+        found = {r for (_p, _l, r, _s) in hits}
+        if ("hot-path-alloc" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: hot-path-alloc {verb} on std::set in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: hot-path-alloc {verb} on std::set in {rel}")
+    # The clean snippet is algorithm code, so it is held to the rules that
+    # bind an algorithm file (its std::map is legal there).
+    clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
     if clean:
         print(f"self-test FAIL: clean snippet produced findings: {clean}")
         failures += 1
