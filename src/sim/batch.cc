@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -12,6 +11,7 @@
 #include "fd/upsilon.h"
 #include "sim/service/service.h"
 #include "sim/report_cache.h"
+#include "sim/steal_pool.h"
 
 namespace wfd::sim {
 
@@ -34,51 +34,6 @@ void harvest(CellResult& out, RunVerdict verdict, std::string detail,
   out.distinct_decisions = result.distinctDecisions();
   out.trace_hash = result.trace().hash64();
 }
-
-// Per-worker queue of submission indices. The owner pops the FRONT; a
-// thief takes the BACK half in one locked operation (steal-half amortizes
-// the lock and scan cost over many cells, and taking from the tail keeps
-// the owner on its cache-warm prefix). Cells are whole simulation runs —
-// milliseconds to seconds each — so a plain mutex per deque costs nothing
-// measurable against the work it guards.
-class StealDeque {
- public:
-  // Seed with the contiguous block [begin, end) of the submission order.
-  // Called before the pool starts; no lock needed, kept locked anyway so
-  // the class has one invariant instead of a usage protocol.
-  void seed(std::size_t begin, std::size_t end) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = begin; i < end; ++i) q_.push_back(i);
-  }
-
-  std::optional<std::size_t> popFront() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (q_.empty()) return std::nullopt;
-    const std::size_t i = q_.front();
-    q_.pop_front();
-    return i;
-  }
-
-  void pushBack(const std::vector<std::size_t>& items) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    q_.insert(q_.end(), items.begin(), items.end());
-  }
-
-  // Remove and return the back half (rounded up) of the remaining cells;
-  // empty when there is nothing to steal.
-  std::vector<std::size_t> stealHalf() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (q_.empty()) return {};
-    const auto take = static_cast<std::ptrdiff_t>((q_.size() + 1) / 2);
-    std::vector<std::size_t> out(q_.end() - take, q_.end());
-    q_.erase(q_.end() - take, q_.end());
-    return out;
-  }
-
- private:
-  std::mutex mu_;
-  std::deque<std::size_t> q_;
-};
 
 }  // namespace
 
@@ -168,19 +123,15 @@ std::vector<CellResult> BatchRunner::run(std::size_t count,
   if (stats != nullptr) {
     *stats = BatchStats{};
     stats->jobs = opts_.jobs;
-    stats->steal = opts_.steal;
     stats->cells = count;
   }
   if (count == 0) return results;
 
-  std::atomic<std::size_t> steal_ops{0};
-  std::atomic<std::size_t> stolen_cells{0};
   std::atomic<std::size_t> memo_hits{0};
   std::atomic<std::size_t> memo_misses{0};
 
   // Each slot of `results` is written by exactly one worker and read only
-  // after the pool joins; an index lives in exactly one deque at any
-  // moment, so no cell ever runs twice.
+  // after the pool joins; the pool runs every index exactly once.
   auto exec = [&](std::size_t i) {
     try {
       const BatchCell cell = make(i);
@@ -213,71 +164,21 @@ std::vector<CellResult> BatchRunner::run(std::size_t count,
   std::vector<std::size_t> executed(static_cast<std::size_t>(workers), 0);
   std::vector<long long> steps_run(static_cast<std::size_t>(workers), 0);
   std::vector<double> busy(static_cast<std::size_t>(workers), 0.0);
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      exec(i);
-      steps_run[0] += results[i].steps;
-    }
-    executed[0] = count;
-    busy[0] = secondsSince(wall0);
-  } else {
-    // Contiguous-block distribution: worker w starts with submission
-    // indices [count*w/W, count*(w+1)/W). With steal=false this IS the
-    // whole schedule (static sharding — the baseline BENCH_batch.json
-    // measures against); with steal=true it is only where cells start.
-    std::vector<StealDeque> deques(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      const auto uw = static_cast<std::size_t>(w);
-      deques[uw].seed(count * uw / static_cast<std::size_t>(workers),
-                      count * (uw + 1) / static_cast<std::size_t>(workers));
-    }
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
+  // steal=false is static sharding, the baseline BENCH_batch.json
+  // measures stealing against.
+  const StealStats st =
+      runPool(count, workers, opts_.steal, [&](std::size_t i, int w) {
         const auto uw = static_cast<std::size_t>(w);
-        StealDeque& own = deques[uw];
-        while (true) {
-          const std::optional<std::size_t> idx = own.popFront();
-          if (!idx.has_value()) {
-            if (!opts_.steal) break;
-            // Victim scan from the right neighbour. Cells never spawn
-            // cells, so a full failed scan means this worker is done: any
-            // cell it missed (a victim completing a steal mid-scan) is in
-            // exactly one other worker's deque, and THAT worker drains
-            // its own deque before exiting.
-            bool refilled = false;
-            for (int off = 1; off < workers; ++off) {
-              const auto victim =
-                  static_cast<std::size_t>((w + off) % workers);
-              const std::vector<std::size_t> loot = deques[victim].stealHalf();
-              if (!loot.empty()) {
-                steal_ops.fetch_add(1, std::memory_order_relaxed);
-                stolen_cells.fetch_add(loot.size(),
-                                       std::memory_order_relaxed);
-                own.pushBack(loot);
-                refilled = true;
-                break;
-              }
-            }
-            if (!refilled) break;
-            continue;
-          }
-          const auto t0 = Clock::now();
-          exec(*idx);
-          busy[uw] += secondsSince(t0);
-          steps_run[uw] += results[*idx].steps;
-          ++executed[uw];
-        }
+        const auto t0 = Clock::now();
+        exec(i);
+        busy[uw] += secondsSince(t0);
+        steps_run[uw] += results[i].steps;
+        ++executed[uw];
       });
-    }
-    pool.clear();  // join: all results are published before we return
-  }
 
   if (stats != nullptr) {
-    stats->steal_ops = steal_ops.load(std::memory_order_relaxed);
-    stats->stolen_cells = stolen_cells.load(std::memory_order_relaxed);
+    stats->steal_ops = st.steal_ops;
+    stats->stolen_cells = st.stolen;
     stats->memo_hits = memo_hits.load(std::memory_order_relaxed);
     stats->memo_misses = memo_misses.load(std::memory_order_relaxed);
     stats->executed = std::move(executed);

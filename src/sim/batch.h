@@ -106,7 +106,8 @@ struct BatchOptions {
   int jobs = 0;
   // Work stealing (the default): every worker starts with a contiguous
   // block of the submission order in its own deque and, once drained,
-  // steals the back HALF of a victim's remaining block. false = static
+  // steals the back HALF of the most-loaded victim's remaining block (the
+  // shared pool and policy of sim/steal_pool.h). false = static
   // sharding — each worker runs exactly its initial block, which is the
   // baseline the heavy-tail speedup in BENCH_batch.json is measured
   // against. Both modes produce bit-identical results (the schedule only
@@ -140,7 +141,6 @@ struct BatchOptions {
 // worker id (size = the worker count actually spawned).
 struct BatchStats {
   int jobs = 0;
-  bool steal = false;
   std::size_t cells = 0;
   std::size_t steal_ops = 0;      // successful steal-half operations
   std::size_t stolen_cells = 0;   // cells that changed workers

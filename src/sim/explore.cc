@@ -5,16 +5,14 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "fd/failure_detector.h"
-#include "sim/explore_pool.h"
 #include "sim/report_cache.h"
+#include "sim/steal_pool.h"
 
 namespace wfd::sim {
 
@@ -878,9 +876,6 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   std::vector<JobOut> jouts(jobs.size());
   std::atomic<std::size_t> min_violating{
       std::numeric_limits<std::size_t>::max()};
-  std::mutex err_mu;
-  std::exception_ptr first_err;
-  std::size_t first_err_job = std::numeric_limits<std::size_t>::max();
 
   const auto body = [&](std::size_t j, int /*worker*/) {
     if (cfg.stop_on_violation &&
@@ -889,65 +884,38 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
       jouts[j].skipped = true;
       return;
     }
-    try {
-      const std::uint64_t jkey = certJobKey(cert_key, j, jobs[j]);
-      std::optional<JobOut> cached;
+    const std::uint64_t jkey = certJobKey(cert_key, j, jobs[j]);
+    std::optional<JobOut> cached;
+    if (jkey != 0) {
+      if (const auto hit = cfg.certificates->load(jkey)) {
+        cached = decodeJobCert(*hit);
+      }
+    }
+    if (cached.has_value()) {
+      jouts[j] = std::move(*cached);
+    } else {
+      WalkSpec ws;
+      ws.cfg = &cfg;
+      ws.algo = &algo;
+      ws.proposals = &proposals;
+      ws.fdctx = fdctx;
+      ws.job = &jobs[j];
+      JobOut out = jobOutFromWalk(walk(ws));
       if (jkey != 0) {
-        if (const auto hit = cfg.certificates->load(jkey)) {
-          cached = decodeJobCert(*hit);
-        }
+        cfg.certificates->save(jkey, encodeJobCert(out));
+        out.cert_saved = true;
       }
-      if (cached.has_value()) {
-        jouts[j] = std::move(*cached);
-      } else {
-        WalkSpec ws;
-        ws.cfg = &cfg;
-        ws.algo = &algo;
-        ws.proposals = &proposals;
-        ws.fdctx = fdctx;
-        ws.job = &jobs[j];
-        JobOut out = jobOutFromWalk(walk(ws));
-        if (jkey != 0) {
-          cfg.certificates->save(jkey, encodeJobCert(out));
-          out.cert_saved = true;
-        }
-        jouts[j] = std::move(out);
-      }
-      if (jouts[j].violated && cfg.stop_on_violation) {
-        std::size_t cur = min_violating.load(std::memory_order_relaxed);
-        while (j < cur && !min_violating.compare_exchange_weak(
-                              cur, j, std::memory_order_relaxed)) {
-        }
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lk(err_mu);
-      if (j < first_err_job) {
-        first_err_job = j;
-        first_err = std::current_exception();
+      jouts[j] = std::move(out);
+    }
+    if (jouts[j].violated && cfg.stop_on_violation) {
+      std::size_t cur = min_violating.load(std::memory_order_relaxed);
+      while (j < cur && !min_violating.compare_exchange_weak(
+                            cur, j, std::memory_order_relaxed)) {
       }
     }
   };
 
-  if (cfg.steal) {
-    const ExplorePool::Stats st =
-        ExplorePool::run(jobs.size(), workers, body);
-    res.steal_ops = st.steal_ops;
-  } else {
-    const int w = res.jobs_used;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(w));
-    for (int k = 0; k < w; ++k) {
-      const std::size_t lo = jobs.size() * static_cast<std::size_t>(k) /
-                             static_cast<std::size_t>(w);
-      const std::size_t hi = jobs.size() * static_cast<std::size_t>(k + 1) /
-                             static_cast<std::size_t>(w);
-      threads.emplace_back([&body, lo, hi, k] {
-        for (std::size_t i = lo; i < hi; ++i) body(i, k);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  if (first_err) std::rethrow_exception(first_err);
+  res.steal_ops = runPool(jobs.size(), workers, cfg.steal, body).steal_ops;
 
   // Deterministic merge, in job-index (= DFS) order. Under
   // stop_on_violation only jobs up to the LOWEST violating index are

@@ -45,7 +45,7 @@
 //
 // The frontier engine splits the search into a bounded SERIAL prefix
 // expansion plus independent subtree jobs distributed over a per-worker
-// work-stealing deque pool (sim/explore_pool.h). Phase 1 runs the DFS
+// work-stealing pool (sim/steal_pool.h). Phase 1 runs the DFS
 // with EAGER candidate seeding above the frontier depth F (every enabled,
 // non-slept transition is scheduled up front, so race-driven backtrack
 // additions targeting prefix nodes are no-ops and the job set is closed);

@@ -12,6 +12,7 @@
 
 #include "sim/fabric/wire.h"
 #include "sim/report_cache.h"
+#include "sim/steal_pool.h"
 
 namespace wfd::sim::fabric {
 
@@ -191,7 +192,6 @@ std::vector<CellResult> runFabric(const FabricOptions& opts, std::size_t count,
 
   BatchStats agg;
   agg.jobs = opts.batch.jobs;
-  agg.steal = opts.batch.steal;
   agg.cells = count;
   agg.procs = procs;
   agg.blocks = total_blocks;
@@ -234,28 +234,15 @@ std::vector<CellResult> runFabric(const FabricOptions& opts, std::size_t count,
       next = wk.queue.front();
       wk.queue.pop_front();
     } else if (opts.steal) {
-      std::size_t victim = nprocs;
-      std::size_t victim_cells = 0;
+      std::vector<std::size_t> loads(nprocs, 0);
       for (std::size_t v = 0; v < nprocs; ++v) {
-        if (v == w) continue;
-        std::size_t rem = 0;
-        for (const Block& b : workers[v].queue) rem += b.cells();
-        if (rem > victim_cells) {
-          victim_cells = rem;
-          victim = v;
-        }
+        for (const Block& b : workers[v].queue) loads[v] += b.cells();
       }
-      if (victim < nprocs) {
-        std::deque<Block>& vq = workers[victim].queue;
-        const std::size_t take = (vq.size() + 1) / 2;  // back half, >= 1
-        std::size_t moved_cells = 0;
-        for (std::size_t i = vq.size() - take; i < vq.size(); ++i) {
-          moved_cells += vq[i].cells();
-          wk.queue.push_back(vq[i]);
-        }
-        vq.erase(vq.end() - static_cast<std::ptrdiff_t>(take), vq.end());
+      const std::size_t victim = pickVictim(loads, w);
+      if (victim != npos) {
+        moveBackHalf(workers[victim].queue, wk.queue);  // wk.queue was empty
         ++agg.proc_steal_ops;
-        agg.proc_stolen_cells += moved_cells;
+        for (const Block& b : wk.queue) agg.proc_stolen_cells += b.cells();
         next = wk.queue.front();
         wk.queue.pop_front();
       }

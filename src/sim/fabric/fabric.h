@@ -15,10 +15,10 @@
 // Scheduling: the submission order is cut into contiguous blocks (~64
 // per process by default), dealt as contiguous per-process ranges; a
 // worker that drains its range steals the back half of the most-loaded
-// peer's remaining blocks. Stealing moves whole untouched blocks between
-// PROCESSES at assignment time — it never changes what a cell computes,
-// only where it runs, exactly like the thread-level stealing inside each
-// worker.
+// peer's remaining blocks — the victim rule and back-half move of
+// sim/steal_pool.h, shared with the thread-level pool inside each worker.
+// Stealing moves whole untouched blocks between PROCESSES at assignment
+// time — it never changes what a cell computes, only where it runs.
 //
 // Failure: a worker that dies mid-block (crash, kill, malformed frame)
 // yields structured error results for that block only ("fabric worker

@@ -56,6 +56,11 @@ guarantees:
                      one policy-driven step loop; drive a run through it
                      with a StepObserver (sim/scheduler.h) instead of
                      hand-writing another copy of the loop
+  thread-spawn       std::thread / std::jthread objects in src/ outside
+                     src/sim/steal_pool.*: runPool (sim/steal_pool.h) is
+                     the one place that starts worker threads; hand jobs
+                     to it instead of hand-writing another pool
+                     (std::thread::hardware_concurrency stays legal)
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -104,6 +109,8 @@ IPC_EXCLUDES = ["src/sim/fabric"]
 # The step-drive rule binds src/ minus the loop itself and the explorer,
 # whose DFS steps one chosen transition at a time.
 STEP_DRIVE_EXCLUDES = ["src/sim/scheduler.cc", "src/sim/explore.cc"]
+# The thread-spawn rule binds src/ minus the one work-stealing pool.
+THREAD_SPAWN_EXCLUDES = ["src/sim/steal_pool.h", "src/sim/steal_pool.cc"]
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -276,6 +283,17 @@ RULES = [
         ALL_SRC_DIRS,
         STEP_DRIVE_EXCLUDES,
     ),
+    (
+        "thread-spawn",
+        # A thread object, not a static member: std::thread::... (e.g.
+        # hardware_concurrency) is a query, not a spawn.
+        re.compile(r"\bstd::j?thread\b(?!\s*::)"),
+        "runPool (sim/steal_pool.h) is the one place in src/ that starts "
+        "worker threads; hand it the jobs instead of spawning std::thread/"
+        "std::jthread in another hand-written pool",
+        ALL_SRC_DIRS,
+        THREAD_SPAWN_EXCLUDES,
+    ),
 ]
 
 
@@ -437,6 +455,10 @@ VIOLATING_SNIPPETS = {
         "  while (!run.scheduler().allCorrectDone()) run.scheduler().step(p);\n"
         "}\n"
     ),
+    "thread-spawn": (
+        "std::vector<std::thread> threads;\n"
+        "for (int k = 0; k < w; ++k) threads.emplace_back([&body, k] { body(k); });\n"
+    ),
 }
 
 CLEAN_SNIPPET = """\
@@ -489,6 +511,24 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: hot-path-alloc {verb} on std::set in {rel}")
+    # thread-spawn binds src/ minus the pool itself, and a
+    # hardware_concurrency query is not a spawn.
+    spawn = VIOLATING_SNIPPETS["thread-spawn"]
+    hw = "unsigned hw = std::thread::hardware_concurrency();\n"
+    for rel, text, fires in (
+        ("src/sim/explore.cc", spawn, True),
+        ("src/sim/steal_pool.cc", spawn, False),
+        ("src/sim/steal_pool.h", spawn, False),
+        ("src/sim/batch.cc", hw, False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
+        if ("thread-spawn" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: thread-spawn {verb} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: thread-spawn {verb} in {rel}")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
