@@ -7,10 +7,10 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include "fd/failure_detector.h"
+#include "sim/fabric/wire.h"
 #include "sim/report_cache.h"
 #include "sim/steal_pool.h"
 
@@ -533,79 +533,94 @@ WalkOut walk(const WalkSpec& spec) {
 
 // ---- Persistent exploration certificates ----------------------------------
 //
-// Certificates reuse the fabric CellResult envelope so PersistentStore
-// (append-only, checksummed, version-stamped) needs no new record kind:
-// counters travel in `metrics` (doubles are exact below 2^53, far above
-// any budget), and verdict/counterexample/outcome signatures travel in a
-// line-oriented `detail` blob with a magic first line. Invalidation is
-// the store's version-in-filename rule — a schema bump below changes the
-// magic AND the key salt, so stale records cold-miss, never wrong-hit.
+// A certificate is one typed byte record, the same kind for a whole config
+// and for each frontier job (docs/EXPLORE.md gives the layout). The store
+// keeps it as opaque bytes; decodeCert rejects anything that is not
+// exactly one well-formed record, so a foreign, torn or stale payload is a
+// cold miss, never a wrong hit. A schema bump changes the tag AND the key
+// salt, so records of an older schema are never even looked up.
 
-// v2: records carry steps_rebuilt; a v1 record would read it back as 0.
-constexpr char kCertMagicFull[] = "wfd-explore-v2";
-constexpr char kCertMagicJob[] = "wfd-explore-job-v2";
-constexpr std::uint64_t kCertSchemaSalt = 0xE7F1ECA5C3B2A192ULL;
+// Schema v3: this byte record.
+constexpr std::uint32_t kCertTag = 0x33435857u;  // "WXC3"
+constexpr std::uint64_t kCertSchemaSalt = 0x9B1D5C7E3A4F6083ULL;
 
-std::string oneLine(std::string s) {
-  std::replace(s.begin(), s.end(), '\n', ' ');
-  return s;
+// The eight search counters, in record order; the frontier merge sums the
+// same list.
+constexpr std::uint64_t ExploreResult::*kSearchCounters[] = {
+    &ExploreResult::schedules_explored, &ExploreResult::sleep_set_skips,
+    &ExploreResult::states_memoized,    &ExploreResult::memo_hits,
+    &ExploreResult::steps_executed,     &ExploreResult::steps_replayed,
+    &ExploreResult::steps_rebuilt,      &ExploreResult::restores};
+
+void encodeCert(fabric::ByteWriter& w, const ExploreResult& r) {
+  w.u32(kCertTag);
+  w.u8(r.verdict == ExploreVerdict::kViolation ? 1 : 0);
+  w.u8(r.complete ? 1 : 0);
+  w.str(r.violation);
+  w.u32(static_cast<std::uint32_t>(r.counterexample.size()));
+  for (const Pid p : r.counterexample) w.u32(static_cast<std::uint32_t>(p));
+  w.u32(static_cast<std::uint32_t>(r.outcomes.size()));
+  for (const auto& [sig, o] : r.outcomes) w.u64(sig);  // ascending
+  for (const auto counter : kSearchCounters) w.u64(r.*counter);
+  w.u32(static_cast<std::uint32_t>(r.max_depth_seen));
+  w.u64(r.frontier_jobs);
+  w.u32(static_cast<std::uint32_t>(r.frontier_depth));
+  w.u32(static_cast<std::uint32_t>(r.worker_steps.size()));
+  for (const long long s : r.worker_steps) w.i64(s);
 }
 
-std::string encodePids(const std::vector<Pid>& pids) {
-  std::string s;
-  for (const Pid p : pids) {
-    if (!s.empty()) s += ' ';
-    s += std::to_string(p);
+// The record's result with from_cache set, or nullopt unless `bytes` is
+// exactly one canonical record: right tag, flags of 0 or 1, signatures
+// strictly ascending, no count larger than the bytes left can hold, no
+// underrun and no trailing byte.
+std::optional<ExploreResult> decodeCert(
+    const std::vector<std::uint8_t>& bytes) {
+  fabric::ByteReader rd(bytes.data(), bytes.size());
+  if (rd.u32() != kCertTag) return std::nullopt;
+  const std::uint8_t verdict = rd.u8();
+  const std::uint8_t complete = rd.u8();
+  if (verdict > 1 || complete > 1) return std::nullopt;
+  ExploreResult r;
+  r.from_cache = true;
+  r.verdict = verdict == 1 ? ExploreVerdict::kViolation
+                           : ExploreVerdict::kVerified;
+  r.complete = complete == 1;
+  r.violation = rd.str();
+  // Checked before anything is sized by it: a corrupt count is a miss,
+  // not a huge allocation.
+  const auto count = [&rd](std::size_t width) -> std::uint32_t {
+    const std::uint32_t c = rd.u32();
+    if (c > rd.remaining() / width) rd.fail();
+    return rd.ok() ? c : 0;
+  };
+  r.counterexample.resize(count(4));
+  for (Pid& p : r.counterexample) p = static_cast<Pid>(rd.u32());
+  const std::uint32_t n_sigs = count(8);
+  for (std::uint32_t i = 0; rd.ok() && i < n_sigs; ++i) {
+    ExploreOutcome o;
+    o.sig = rd.u64();
+    if (!r.outcomes.empty() && o.sig <= r.outcomes.rbegin()->first) rd.fail();
+    r.outcomes.emplace_hint(r.outcomes.end(), o.sig, std::move(o));
   }
-  return s;
+  for (const auto counter : kSearchCounters) r.*counter = rd.u64();
+  r.max_depth_seen = static_cast<int>(rd.u32());
+  r.frontier_jobs = rd.u64();
+  r.frontier_depth = static_cast<int>(rd.u32());
+  r.worker_steps.resize(count(8));
+  for (long long& s : r.worker_steps) s = rd.i64();
+  if (!rd.ok() || !rd.atEnd()) return std::nullopt;
+  return r;
 }
 
-std::string encodeSigs(const std::set<std::uint64_t>& sigs) {
-  std::ostringstream os;
-  bool first = true;
-  for (const std::uint64_t sig : sigs) {
-    if (!first) os << ' ';
-    first = false;
-    os << std::hex << sig;
-  }
-  return os.str();
+std::optional<ExploreResult> loadCert(ResultStore& store, std::uint64_t key) {
+  const std::optional<std::vector<std::uint8_t>> bytes = store.load(key);
+  return bytes.has_value() ? decodeCert(*bytes) : std::nullopt;
 }
 
-std::vector<Pid> decodePids(const std::string& line) {
-  std::vector<Pid> pids;
-  std::istringstream is(line);
-  int p = 0;
-  while (is >> p) pids.push_back(p);
-  return pids;
-}
-
-std::vector<std::uint64_t> decodeSigs(const std::string& line) {
-  std::vector<std::uint64_t> sigs;
-  std::istringstream is(line);
-  is >> std::hex;
-  std::uint64_t sig = 0;
-  while (is >> sig) sigs.push_back(sig);
-  return sigs;
-}
-
-std::vector<std::string> splitLines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t nl = s.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(s.substr(pos));
-      break;
-    }
-    lines.push_back(s.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-double metricOr(const CellResult& c, const std::string& key, double dflt) {
-  const auto it = c.metrics.find(key);
-  return it == c.metrics.end() ? dflt : it->second;
+void saveCert(ResultStore& store, std::uint64_t key, const ExploreResult& r) {
+  fabric::ByteWriter w;
+  encodeCert(w, r);
+  store.save(key, w.bytes());
 }
 
 // Digest of every field that determines an exploration's outcome, or 0
@@ -662,154 +677,7 @@ std::uint64_t certJobKey(std::uint64_t config_key, std::size_t job_index,
   return h;
 }
 
-CellResult encodeFullCert(const ExploreResult& r) {
-  CellResult c;
-  c.detail = std::string(kCertMagicFull) + "\n" + oneLine(r.violation) + "\n" +
-             encodePids(r.counterexample) + "\n" + encodeSigs(r.outcomeSigs());
-  c.all_correct_done = true;
-  c.steps = static_cast<Time>(r.steps_executed);
-  auto& m = c.metrics;
-  m["verdict"] = r.verdict == ExploreVerdict::kViolation ? 1 : 0;
-  m["complete"] = r.complete ? 1 : 0;
-  m["schedules_explored"] = static_cast<double>(r.schedules_explored);
-  m["sleep_set_skips"] = static_cast<double>(r.sleep_set_skips);
-  m["states_memoized"] = static_cast<double>(r.states_memoized);
-  m["memo_hits"] = static_cast<double>(r.memo_hits);
-  m["steps_executed"] = static_cast<double>(r.steps_executed);
-  m["steps_replayed"] = static_cast<double>(r.steps_replayed);
-  m["steps_rebuilt"] = static_cast<double>(r.steps_rebuilt);
-  m["restores"] = static_cast<double>(r.restores);
-  m["max_depth_seen"] = r.max_depth_seen;
-  m["frontier_jobs"] = static_cast<double>(r.frontier_jobs);
-  m["frontier_depth"] = r.frontier_depth;
-  return c;
-}
-
-std::optional<ExploreResult> decodeFullCert(const CellResult& c) {
-  const std::vector<std::string> lines = splitLines(c.detail);
-  if (lines.size() < 4 || lines[0] != kCertMagicFull) return std::nullopt;
-  ExploreResult r;
-  r.from_cache = true;
-  r.verdict = metricOr(c, "verdict", 0) != 0 ? ExploreVerdict::kViolation
-                                             : ExploreVerdict::kVerified;
-  r.violation = lines[1];
-  r.counterexample = decodePids(lines[2]);
-  for (const std::uint64_t sig : decodeSigs(lines[3])) {
-    ExploreOutcome o;
-    o.sig = sig;
-    r.outcomes.emplace(sig, std::move(o));
-  }
-  r.complete = metricOr(c, "complete", 1) != 0;
-  r.schedules_explored =
-      static_cast<std::uint64_t>(metricOr(c, "schedules_explored", 0));
-  r.sleep_set_skips =
-      static_cast<std::uint64_t>(metricOr(c, "sleep_set_skips", 0));
-  r.states_memoized =
-      static_cast<std::uint64_t>(metricOr(c, "states_memoized", 0));
-  r.memo_hits = static_cast<std::uint64_t>(metricOr(c, "memo_hits", 0));
-  r.steps_executed =
-      static_cast<std::uint64_t>(metricOr(c, "steps_executed", 0));
-  r.steps_replayed =
-      static_cast<std::uint64_t>(metricOr(c, "steps_replayed", 0));
-  r.steps_rebuilt =
-      static_cast<std::uint64_t>(metricOr(c, "steps_rebuilt", 0));
-  r.restores = static_cast<std::uint64_t>(metricOr(c, "restores", 0));
-  r.max_depth_seen = static_cast<int>(metricOr(c, "max_depth_seen", 0));
-  r.frontier_jobs = static_cast<std::uint64_t>(metricOr(c, "frontier_jobs", 0));
-  r.frontier_depth = static_cast<int>(metricOr(c, "frontier_depth", 0));
-  return r;
-}
-
 // ---- The parallel frontier ------------------------------------------------
-
-// Everything phase 2 needs to know about one finished job: a pure
-// function of the job (never of worker scheduling), so it can also be
-// round-tripped through a per-job certificate.
-struct JobOut {
-  bool skipped = false;    // stop_on_violation fast-path; never merged
-  bool cert_hit = false;
-  bool cert_saved = false;
-  bool violated = false;
-  bool complete = true;
-  std::string violation;
-  std::vector<Pid> cx;  // full schedule (prefix + subtree)
-  std::map<std::uint64_t, ExploreOutcome> outcomes;  // fresh runs
-  std::vector<std::uint64_t> sigs;                   // certificate hits
-  std::uint64_t schedules = 0;
-  std::uint64_t sleeps = 0;
-  std::uint64_t memoized = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t exec = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t rebuilt = 0;
-  std::uint64_t restores = 0;
-  int max_depth = 0;
-};
-
-CellResult encodeJobCert(const JobOut& j) {
-  CellResult c;
-  c.detail = std::string(kCertMagicJob) + "\n" + oneLine(j.violation) + "\n" +
-             encodePids(j.cx) + "\n";
-  std::set<std::uint64_t> sigs;
-  for (const auto& [sig, o] : j.outcomes) sigs.insert(sig);
-  c.detail += encodeSigs(sigs);
-  c.all_correct_done = true;
-  c.steps = static_cast<Time>(j.exec);
-  auto& m = c.metrics;
-  m["violated"] = j.violated ? 1 : 0;
-  m["complete"] = j.complete ? 1 : 0;
-  m["schedules"] = static_cast<double>(j.schedules);
-  m["sleeps"] = static_cast<double>(j.sleeps);
-  m["memoized"] = static_cast<double>(j.memoized);
-  m["memo_hits"] = static_cast<double>(j.memo_hits);
-  m["exec"] = static_cast<double>(j.exec);
-  m["replayed"] = static_cast<double>(j.replayed);
-  m["rebuilt"] = static_cast<double>(j.rebuilt);
-  m["restores"] = static_cast<double>(j.restores);
-  m["max_depth"] = j.max_depth;
-  return c;
-}
-
-std::optional<JobOut> decodeJobCert(const CellResult& c) {
-  const std::vector<std::string> lines = splitLines(c.detail);
-  if (lines.size() < 4 || lines[0] != kCertMagicJob) return std::nullopt;
-  JobOut j;
-  j.cert_hit = true;
-  j.violated = metricOr(c, "violated", 0) != 0;
-  j.complete = metricOr(c, "complete", 1) != 0;
-  j.violation = lines[1];
-  j.cx = decodePids(lines[2]);
-  j.sigs = decodeSigs(lines[3]);
-  j.schedules = static_cast<std::uint64_t>(metricOr(c, "schedules", 0));
-  j.sleeps = static_cast<std::uint64_t>(metricOr(c, "sleeps", 0));
-  j.memoized = static_cast<std::uint64_t>(metricOr(c, "memoized", 0));
-  j.memo_hits = static_cast<std::uint64_t>(metricOr(c, "memo_hits", 0));
-  j.exec = static_cast<std::uint64_t>(metricOr(c, "exec", 0));
-  j.replayed = static_cast<std::uint64_t>(metricOr(c, "replayed", 0));
-  j.rebuilt = static_cast<std::uint64_t>(metricOr(c, "rebuilt", 0));
-  j.restores = static_cast<std::uint64_t>(metricOr(c, "restores", 0));
-  j.max_depth = static_cast<int>(metricOr(c, "max_depth", 0));
-  return j;
-}
-
-JobOut jobOutFromWalk(WalkOut&& o) {
-  JobOut j;
-  j.violated = o.res.verdict == ExploreVerdict::kViolation;
-  j.complete = o.res.complete;
-  j.violation = std::move(o.res.violation);
-  j.cx = std::move(o.res.counterexample);
-  j.outcomes = std::move(o.res.outcomes);
-  j.schedules = o.res.schedules_explored;
-  j.sleeps = o.res.sleep_set_skips;
-  j.memoized = o.res.states_memoized;
-  j.memo_hits = o.res.memo_hits;
-  j.exec = o.res.steps_executed;
-  j.replayed = o.res.steps_replayed;
-  j.rebuilt = o.res.steps_rebuilt;
-  j.restores = o.res.restores;
-  j.max_depth = o.res.max_depth_seen;
-  return j;
-}
 
 ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
                               const std::vector<Value>& proposals,
@@ -870,44 +738,38 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   if (jobs.empty()) return res;
 
   // Phase 2: the job fleet. Results land in job-index slots; scheduling
-  // (steal or static, any worker count) never touches anything merged.
+  // (steal or static, any worker count) never touches anything merged. An
+  // empty slot is a job skipped under stop_on_violation.
   const int workers = std::max(1, cfg.jobs);
   res.jobs_used = std::min<int>(workers, static_cast<int>(jobs.size()));
-  std::vector<JobOut> jouts(jobs.size());
+  std::vector<std::optional<ExploreResult>> slots(jobs.size());
   std::atomic<std::size_t> min_violating{
       std::numeric_limits<std::size_t>::max()};
 
   const auto body = [&](std::size_t j, int /*worker*/) {
     if (cfg.stop_on_violation &&
         j > min_violating.load(std::memory_order_relaxed)) {
-      // A lower-index job already violated: j can never be merged.
-      jouts[j].skipped = true;
-      return;
+      return;  // a lower-index job already violated: j is never merged
     }
     const std::uint64_t jkey = certJobKey(cert_key, j, jobs[j]);
-    std::optional<JobOut> cached;
-    if (jkey != 0) {
-      if (const auto hit = cfg.certificates->load(jkey)) {
-        cached = decodeJobCert(*hit);
-      }
-    }
-    if (cached.has_value()) {
-      jouts[j] = std::move(*cached);
-    } else {
+    std::optional<ExploreResult> out;
+    if (jkey != 0) out = loadCert(*cfg.certificates, jkey);
+    if (!out.has_value()) {
       WalkSpec ws;
       ws.cfg = &cfg;
       ws.algo = &algo;
       ws.proposals = &proposals;
       ws.fdctx = fdctx;
       ws.job = &jobs[j];
-      JobOut out = jobOutFromWalk(walk(ws));
+      out = std::move(walk(ws).res);
       if (jkey != 0) {
-        cfg.certificates->save(jkey, encodeJobCert(out));
-        out.cert_saved = true;
+        saveCert(*cfg.certificates, jkey, *out);
+        out->cert_saves = 1;
       }
-      jouts[j] = std::move(out);
     }
-    if (jouts[j].violated && cfg.stop_on_violation) {
+    const bool violated = out->verdict == ExploreVerdict::kViolation;
+    slots[j] = std::move(out);
+    if (violated && cfg.stop_on_violation) {
       std::size_t cur = min_violating.load(std::memory_order_relaxed);
       while (j < cur && !min_violating.compare_exchange_weak(
                             cur, j, std::memory_order_relaxed)) {
@@ -924,7 +786,8 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   std::size_t cutoff = jobs.size();
   if (cfg.stop_on_violation) {
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (!jouts[j].skipped && jouts[j].violated) {
+      if (slots[j].has_value() &&
+          slots[j]->verdict == ExploreVerdict::kViolation) {
         cutoff = j + 1;
         break;
       }
@@ -933,27 +796,18 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   std::uint64_t first_job_violation = kNoSeq;
   std::size_t first_job_violation_idx = 0;
   for (std::size_t j = 0; j < cutoff; ++j) {
-    const JobOut& jo = jouts[j];
-    assert(!jo.skipped);
-    res.schedules_explored += jo.schedules;
-    res.sleep_set_skips += jo.sleeps;
-    res.states_memoized += jo.memoized;
-    res.memo_hits += jo.memo_hits;
-    res.steps_executed += jo.exec;
-    res.steps_replayed += jo.replayed;
-    res.steps_rebuilt += jo.rebuilt;
-    res.restores += jo.restores;
-    res.max_depth_seen = std::max(res.max_depth_seen, jo.max_depth);
-    res.complete = res.complete && jo.complete;
-    if (jo.cert_hit) ++res.cert_job_hits;
-    if (jo.cert_saved) ++res.cert_saves;
-    for (const auto& [sig, o] : jo.outcomes) res.outcomes.emplace(sig, o);
-    for (const std::uint64_t sig : jo.sigs) {
-      ExploreOutcome o;
-      o.sig = sig;
-      res.outcomes.emplace(sig, std::move(o));
+    assert(slots[j].has_value());
+    ExploreResult& jr = *slots[j];
+    for (const auto counter : kSearchCounters) res.*counter += jr.*counter;
+    res.max_depth_seen = std::max(res.max_depth_seen, jr.max_depth_seen);
+    res.complete = res.complete && jr.complete;
+    if (jr.from_cache) ++res.cert_job_hits;
+    res.cert_saves += jr.cert_saves;
+    for (auto& [sig, o] : jr.outcomes) {
+      res.outcomes.try_emplace(sig, std::move(o));
     }
-    if (jo.violated && first_job_violation == kNoSeq) {
+    if (jr.verdict == ExploreVerdict::kViolation &&
+        first_job_violation == kNoSeq) {
       first_job_violation = jobs[j].seq;
       first_job_violation_idx = j;
     }
@@ -961,24 +815,24 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   // Deterministic load profile: list-schedule the merged jobs' step costs
   // (job-index order, least-loaded worker first) instead of sampling the
   // racy actual placement, so stepMakespan() is bit-stable across runs
-  // and steal timing. Job costs come from JobOut.exec (prefix replay
-  // included), which certificates preserve — warm runs report the same
-  // profile the cold run earned.
+  // and steal timing. Job costs are each slot's steps_executed (prefix
+  // replay included), which certificates preserve — warm runs report the
+  // same profile the cold run earned.
   res.worker_steps.assign(static_cast<std::size_t>(workers), 0);
   for (std::size_t j = 0; j < cutoff; ++j) {
     auto it = std::min_element(res.worker_steps.begin(),
                                res.worker_steps.end());
-    *it += static_cast<long long>(jouts[j].exec);
+    *it += static_cast<long long>(slots[j]->steps_executed);
   }
   // First-violation selection across phase 1 and the fleet: the DFS unit
   // order interleaves phase-1 terminals and job creations, so comparing
   // sequence numbers picks the violation the classic lazy engine's DFS
   // order reaches first among those explored.
   if (first_job_violation != kNoSeq && first_job_violation < ph1.violation_seq) {
-    const JobOut& jo = jouts[first_job_violation_idx];
+    ExploreResult& jr = *slots[first_job_violation_idx];
     res.verdict = ExploreVerdict::kViolation;
-    res.violation = jo.violation;
-    res.counterexample = jo.cx;
+    res.violation = std::move(jr.violation);
+    res.counterexample = std::move(jr.counterexample);
   }
   return res;
 }
@@ -1050,8 +904,8 @@ ExploreResult explore(const ExploreConfig& cfg, const AlgoFn& algo,
 
   const std::uint64_t cert_key = certConfigKey(cfg, proposals);
   if (cert_key != 0) {
-    if (const auto hit = cfg.certificates->load(cert_key)) {
-      if (auto cached = decodeFullCert(*hit)) return std::move(*cached);
+    if (auto cached = loadCert(*cfg.certificates, cert_key)) {
+      return std::move(*cached);
     }
   }
 
@@ -1071,7 +925,7 @@ ExploreResult explore(const ExploreConfig& cfg, const AlgoFn& algo,
   // result is a partial answer whose per-job records (frontier mode)
   // already let the next identical run resume past the finished jobs.
   if (cert_key != 0 && res.complete) {
-    cfg.certificates->save(cert_key, encodeFullCert(res));
+    saveCert(*cfg.certificates, cert_key, res);
     ++res.cert_saves;
   }
   return res;

@@ -11,7 +11,6 @@
 #include <filesystem>
 
 #include "fd/failure_detector.h"
-#include "sim/fabric/wire.h"
 
 namespace wfd::sim::fabric {
 
@@ -182,15 +181,8 @@ void PersistentStore::refreshLocked() {
   }
 }
 
-std::optional<CellResult> PersistentStore::decodeAtLocked(
-    std::size_t off, std::size_t len) const {
-  ByteReader rd(map_ + off, len);
-  CellResult r;
-  if (!decodeCellResult(rd, r) || !rd.atEnd()) return std::nullopt;
-  return r;
-}
-
-std::optional<CellResult> PersistentStore::load(std::uint64_t key) {
+std::optional<std::vector<std::uint8_t>> PersistentStore::load(
+    std::uint64_t key) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (!healthy_) return std::nullopt;
   auto it = index_.find(key);
@@ -199,16 +191,15 @@ std::optional<CellResult> PersistentStore::load(std::uint64_t key) {
     it = index_.find(key);
     if (it == index_.end()) return std::nullopt;
   }
-  return decodeAtLocked(it->second.first, it->second.second);
+  const std::uint8_t* payload = map_ + it->second.first;
+  return std::vector<std::uint8_t>(payload, payload + it->second.second);
 }
 
-void PersistentStore::save(std::uint64_t key, const CellResult& result) {
+void PersistentStore::save(std::uint64_t key,
+                           const std::vector<std::uint8_t>& payload) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (!healthy_) return;
   if (written_.count(key) != 0 || index_.count(key) != 0) return;
-  ByteWriter w;
-  encodeCellResult(w, result);
-  const std::vector<std::uint8_t>& payload = w.bytes();
   if (payload.size() > kMaxPayloadBytes) return;
   std::vector<std::uint8_t> rec(kRecHeaderBytes + payload.size() +
                                 kRecTrailerBytes);

@@ -1,11 +1,17 @@
-// PersistentStore: on-disk backing for ReportCache (sim/report_cache.h).
+// PersistentStore: on-disk ResultStore (sim/report_cache.h) — the backing
+// of ReportCache and of the explorer's certificates.
 //
 // Layout: one append-only segment file per (directory, version stamp):
 //
 //   dir/store-<hex16(version_digest)>.wfdc
 //   header = [u64 kFileMagic][u64 kFormatVersion][u64 version_digest]
 //   record = [u32 kRecMagic][u64 key][u32 payload_len]
-//            [payload = encodeCellResult bytes][u64 checksum]
+//            [payload][u64 checksum]
+//
+// The payload is opaque bytes: ReportCache writes encodeCellResult bytes
+// (sim/fabric/wire.h) and the explorer writes certificate records
+// (docs/EXPLORE.md). The store frames and checksums them, and each reader
+// decodes its own, treating a payload it cannot decode as a miss.
 //
 // The version digest folds kFormatVersion with the caller's stamp
 // (StoreOptions::version — typically the git SHA or a digest of the
@@ -32,6 +38,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/report_cache.h"
 
@@ -50,14 +57,16 @@ class PersistentStore : public ResultStore {
   PersistentStore(const PersistentStore&) = delete;
   PersistentStore& operator=(const PersistentStore&) = delete;
 
-  // Exact stored result or nullopt. Scans any bytes appended since the
+  // Exact stored payload or nullopt. Scans any bytes appended since the
   // last call (by this or another process) before concluding a miss.
-  [[nodiscard]] std::optional<CellResult> load(std::uint64_t key) override;
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> load(
+      std::uint64_t key) override;
 
-  // Durably append key -> result. Deduped per key within this handle and
+  // Durably append key -> payload. Deduped per key within this handle and
   // against every record already scanned; failures disable the handle
   // (healthy() goes false) rather than throwing.
-  void save(std::uint64_t key, const CellResult& result) override;
+  void save(std::uint64_t key,
+            const std::vector<std::uint8_t>& payload) override;
 
   // False after any unrecoverable I/O or header failure: every load
   // misses and every save no-ops, i.e. the campaign runs cold but runs.
@@ -72,8 +81,6 @@ class PersistentStore : public ResultStore {
 
  private:
   void refreshLocked();
-  [[nodiscard]] std::optional<CellResult> decodeAtLocked(std::size_t off,
-                                                         std::size_t len) const;
 
   mutable std::mutex mu_;
   std::string path_;

@@ -18,9 +18,10 @@
 // workers rebuild cell i from the shared deterministic generator and only
 // the plain-data CellResult travels back. Everything here is
 // little-endian host format; coordinator and workers are fork()ed from
-// one binary, so no cross-machine portability is promised (the persistent
-// store, sim/fabric/store.h, reuses this codec under the same caveat and
-// guards it with a version stamp).
+// one binary, so no cross-machine portability is promised (the payloads
+// of the persistent store, sim/fabric/store.h — ReportCache's CellResults
+// and the explorer's certificates — use this codec under the same caveat,
+// guarded by a version stamp).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +74,7 @@ class ByteReader {
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool atEnd() const { return pos_ == size_; }
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   void fail() { ok_ = false; }
 
  private:

@@ -1,6 +1,7 @@
 #include "sim/report_cache.h"
 
 #include "sim/fabric/store.h"
+#include "sim/fabric/wire.h"
 
 namespace wfd::sim {
 
@@ -59,6 +60,17 @@ std::uint64_t digestWatchdog(std::uint64_t h, const WatchdogConfig& wd) {
   h = mixDigest(h, static_cast<std::uint64_t>(wd.livelock_window));
   h = mixDigest(h, static_cast<std::uint64_t>(wd.safety_k));
   return h;
+}
+
+// The store holds opaque bytes; the cache owns their CellResult format.
+// A payload that is not exactly one CellResult is a miss, never a hit.
+std::optional<CellResult> decodeStored(
+    const std::optional<std::vector<std::uint8_t>>& bytes) {
+  if (!bytes.has_value()) return std::nullopt;
+  fabric::ByteReader rd(bytes->data(), bytes->size());
+  CellResult r;
+  if (!fabric::decodeCellResult(rd, r) || !rd.atEnd()) return std::nullopt;
+  return r;
 }
 
 }  // namespace
@@ -122,7 +134,7 @@ std::optional<CellResult> ReportCache::lookup(std::uint64_t key,
       // Second level: the persistent store. A disk hit is still a cache
       // hit (the caller skips the run); it also warms the LRU so repeat
       // lookups in this process stay in memory.
-      if (std::optional<CellResult> stored = store_->load(key);
+      if (std::optional<CellResult> stored = decodeStored(store_->load(key));
           stored.has_value()) {
         ++hits_;
         ++disk_hits_;
@@ -166,8 +178,11 @@ void ReportCache::insertLocked(std::uint64_t key, const CellResult& result,
   map_.emplace(key, Entry{result, lru_.begin(), persisted});
   if (!persisted && store_ != nullptr) {
     // Fresh result: make it durable. The store dedupes keys internally,
-    // so a re-inserted eviction victim costs an index probe, not bytes.
-    store_->save(key, result);
+    // so a re-inserted eviction victim costs an encode and an index
+    // probe, not bytes on disk.
+    fabric::ByteWriter w;
+    fabric::encodeCellResult(w, result);
+    store_->save(key, w.bytes());
   }
 }
 

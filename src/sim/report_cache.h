@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/batch.h"
 
@@ -44,19 +45,24 @@ namespace wfd::sim {
 // the cell is uncacheable (empty memo_family, opaque detector, audited).
 [[nodiscard]] std::optional<std::uint64_t> cellKey(const BatchCell& cell);
 
-// Durable second level below the in-memory LRU. The production
-// implementation is fabric::PersistentStore (sim/fabric/store.h) — an
-// append-only, checksummed, version-stamped segment file shared between
-// worker processes; the interface keeps report_cache free of any
-// filesystem dependency. Contract: load() returns the exact CellResult
-// save() stored for that key, or nullopt — NEVER a wrong or partial
-// result (corruption must degrade to a miss) — and both calls must be
-// thread-safe.
+// Durable second level below the in-memory LRU, and the home of the
+// explorer's certificates (sim/explore.h). The production implementation
+// is fabric::PersistentStore (sim/fabric/store.h) — an append-only,
+// checksummed, version-stamped segment file shared between worker
+// processes; the interface keeps report_cache free of any filesystem
+// dependency. Payloads are opaque bytes whose format the caller owns:
+// ReportCache writes encodeCellResult bytes (sim/fabric/wire.h), the
+// explorer its certificate records. Contract: load() returns exactly the
+// bytes save() stored for that key, or nullopt — NEVER a wrong or partial
+// payload (corruption must degrade to a miss) — and both calls must be
+// thread-safe. A payload its reader cannot decode is a miss too.
 class ResultStore {
  public:
   virtual ~ResultStore() = default;
-  [[nodiscard]] virtual std::optional<CellResult> load(std::uint64_t key) = 0;
-  virtual void save(std::uint64_t key, const CellResult& result) = 0;
+  [[nodiscard]] virtual std::optional<std::vector<std::uint8_t>> load(
+      std::uint64_t key) = 0;
+  virtual void save(std::uint64_t key,
+                    const std::vector<std::uint8_t>& payload) = 0;
 };
 
 class ReportCache {

@@ -7,14 +7,20 @@
 // top of that: frontier-vs-classic outcome equality (counts differ by
 // design: eager prefixes explore a superset of class representatives),
 // steal-vs-static equality, and the certificate store's hit / resume /
-// version-mismatch behavior over fabric::PersistentStore.
+// version-mismatch behavior over fabric::PersistentStore. Certificate
+// records are typed bytes, so an in-memory store fake can also damage
+// each record and check that the damage is a cold miss.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "sim/fabric/wire.h"
 #include "test_util.h"
 
 namespace wfd {
@@ -294,6 +300,37 @@ TEST(Certificates, WarmRunServedFromStoreByteEquivalently) {
   EXPECT_GT(warm.steps_rebuilt, 0u);
   EXPECT_EQ(warm.outcomeSigs(), cold.outcomeSigs());
   EXPECT_EQ(warm.counterexample, cold.counterexample);
+  // The step profile travels with the record, so the warm makespan is the
+  // one the cold run earned.
+  EXPECT_EQ(warm.worker_steps, cold.worker_steps);
+  EXPECT_GT(warm.stepMakespan(), 0);
+}
+
+TEST(Certificates, MultiLineViolationSurvivesTheStore) {
+  SKIP_IF_AUDIT_LATCH();
+  const std::string dir = freshDir("multiline");
+  sim::fabric::PersistentStore store({dir, "vA"});
+  ExploreConfig cfg;
+  cfg.run.n_plus_1 = 2;
+  cfg.mode = ExploreMode::kDpor;
+  cfg.jobs = 2;
+  cfg.certificates = &store;
+  cfg.cert_family = "explore_frontier_test.multiline";
+  const std::vector<Value> pv = props(2);
+  cfg.property = [pv](const ExploreOutcome& o) {
+    const std::string v = convergeViolation(o, 1, pv);
+    return v.empty() ? v : v + "\nsecond line of the report";
+  };
+  const auto buggy = [](Env& e, Value v) { return buggyOneShot(e, v); };
+  const ExploreResult cold = explore(cfg, buggy, props(2));
+  ASSERT_EQ(cold.verdict, ExploreVerdict::kViolation);
+  ASSERT_TRUE(cold.complete);
+  ASSERT_NE(cold.violation.find('\n'), std::string::npos);
+  const ExploreResult warm = explore(cfg, buggy, props(2));
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(warm.verdict, cold.verdict);
+  EXPECT_EQ(warm.violation, cold.violation);
+  EXPECT_EQ(warm.counterexample, cold.counterexample);
 }
 
 TEST(Certificates, DifferentConfigNeverWrongHits) {
@@ -347,6 +384,80 @@ TEST(Certificates, InterruptedFrontierResumesFromPerJobRecords) {
   EXPECT_FALSE(again.from_cache);  // incomplete runs never whole-hit
   EXPECT_GT(again.cert_job_hits, 0u);
   expectBitIdentical(first, again);
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+// In-memory byte ResultStore. Payloads are opaque to it, so a test can
+// rewrite any stored record between runs; `saved` keeps save order.
+struct MemStore : sim::ResultStore {
+  std::optional<Bytes> load(std::uint64_t key) override {
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto it = records.find(key);
+    if (it == records.end()) return std::nullopt;
+    return it->second;
+  }
+  void save(std::uint64_t key, const Bytes& payload) override {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (records.emplace(key, payload).second) saved.push_back(key);
+  }
+  std::mutex mu;
+  std::map<std::uint64_t, Bytes> records;
+  std::vector<std::uint64_t> saved;
+};
+
+TEST(Certificates, DamagedRecordsColdMissAndStayBitIdentical) {
+  SKIP_IF_AUDIT_LATCH();
+  ExploreConfig cfg = convergeCfg(2, 1, ExploreMode::kDpor, 2);
+  cfg.frontier_depth = 2;
+  const ExploreResult fresh = exploreConverge(cfg, 1, 2);  // no store
+  MemStore cold;
+  cfg.certificates = &cold;
+  cfg.cert_family = "explore_frontier_test.damaged";
+  expectBitIdentical(fresh, exploreConverge(cfg, 1, 2));
+  ASSERT_TRUE(fresh.verified());
+  const std::uint64_t jobs = fresh.frontier_jobs;
+  ASSERT_GT(jobs, 1u);
+  ASSERT_EQ(cold.saved.size(), jobs + 1);  // every job, then the config
+  const std::uint64_t full_key = cold.saved.back();
+  EXPECT_TRUE(exploreConverge(cfg, 1, 2).from_cache);  // intact: a hit
+
+  sim::fabric::ByteWriter cell;
+  sim::fabric::encodeCellResult(cell, sim::CellResult{});
+  for (const std::uint64_t key : cold.saved) {
+    const Bytes& good = cold.records.at(key);
+    std::vector<Bytes> damaged;
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      damaged.emplace_back(good.begin(), good.begin() + len);
+    }
+    damaged.push_back(good);
+    damaged.back().push_back(0);  // one trailing byte
+    damaged.push_back(good);
+    damaged.back()[0] ^= 0xFF;  // flipped schema tag
+    // A counterexample count no record could hold. It sits after the tag,
+    // the two flag bytes and the empty violation's u64 length.
+    damaged.push_back(good);
+    for (std::size_t i = 14; i < 18; ++i) damaged.back()[i] = 0xFF;
+    damaged.push_back(cell.bytes());  // a ReportCache payload
+    for (const Bytes& bad : damaged) {
+      // A damaged whole-config record stands alone. A damaged job record
+      // sits among intact ones, with no whole-config record to serve the
+      // call first.
+      MemStore warm;
+      if (key != full_key) {
+        warm.records = cold.records;
+        warm.records.erase(full_key);
+      }
+      warm.records[key] = bad;
+      cfg.certificates = &warm;
+      const ExploreResult r = exploreConverge(cfg, 1, 2);
+      const std::string what = "key " + std::to_string(key) + ", " +
+                               std::to_string(bad.size()) + " bytes";
+      EXPECT_FALSE(r.from_cache) << what;
+      EXPECT_EQ(r.cert_job_hits, key == full_key ? 0 : jobs - 1) << what;
+      expectBitIdentical(fresh, r);
+    }
+  }
 }
 
 TEST(Certificates, AuditedAndOpaqueRunsBypassTheStore) {

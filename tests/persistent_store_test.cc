@@ -1,14 +1,16 @@
 // PersistentStore (sim/fabric/store.h): the durable second level below
 // ReportCache, certified for the properties docs/PARALLEL.md promises:
 //
-//   * save/load round-trips every CellResult field exactly;
+//   * save/load round-trips opaque payload bytes exactly, the empty
+//     payload included; a makeMemo-built ReportCache over the store
+//     round-trips every CellResult field across a handle restart;
 //   * a warm hit survives a real handle teardown (the restart case: a new
 //     PersistentStore over the same directory serves the bytes the old
-//     one appended, and a makeMemo-built ReportCache over it replays a
-//     whole campaign from disk, byte-identical);
+//     one appended);
 //   * robustness: a truncated segment, a corrupted record, a wrong
 //     version stamp, and concurrent writers from two PROCESSES all
-//     degrade to a cold miss — never a wrong hit, never a crash;
+//     degrade to a cold miss — never a wrong hit, never a crash; a
+//     payload that is not a CellResult is a ReportCache disk miss;
 //   * BatchOptions plumbing: makeMemo honors memo_capacity and attaches
 //     the store only when cache_dir is set.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "sim/fabric/store.h"
+#include "sim/fabric/wire.h"
 #include "test_util.h"
 
 namespace wfd {
@@ -37,10 +40,22 @@ using sim::RunVerdict;
 using sim::fabric::PersistentStore;
 using sim::fabric::StoreOptions;
 
+using Bytes = std::vector<std::uint8_t>;
+
 std::string freshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "wfd_store_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Opaque payload bytes varied by seed; seed 0 (and every multiple of 40)
+// is the empty payload.
+Bytes samplePayload(std::uint64_t seed) {
+  Bytes p((seed * 7) % 40);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p[i] = static_cast<std::uint8_t>(seed * 31 + i * 17);
+  }
+  return p;
 }
 
 // A result exercising every field the codec carries, varied by seed.
@@ -78,20 +93,45 @@ void expectIdentical(const CellResult& want, const CellResult& got,
   EXPECT_EQ(want.metrics, got.metrics) << what;
 }
 
-TEST(PersistentStore, RoundTripsEveryField) {
+TEST(PersistentStore, RoundTripsRawPayloads) {
   const std::string dir = freshDir("roundtrip");
   PersistentStore store(StoreOptions{dir, "v1"});
   ASSERT_TRUE(store.healthy());
   for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
-    store.save(1000 + seed, sampleResult(seed));
+    store.save(1000 + seed, samplePayload(seed));
   }
   EXPECT_EQ(store.appends(), 6u);
+  EXPECT_TRUE(samplePayload(0).empty());
   for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
     const auto got = store.load(1000 + seed);
     ASSERT_TRUE(got.has_value()) << "seed " << seed;
-    expectIdentical(sampleResult(seed), *got, "seed " + std::to_string(seed));
+    EXPECT_EQ(*got, samplePayload(seed)) << "seed " << seed;
   }
   EXPECT_FALSE(store.load(999).has_value());
+}
+
+// Every CellResult field, through the cache that owns the payload format:
+// one makeMemo-built ReportCache writes, a fresh one reads after restart.
+TEST(PersistentStore, RoundTripsEveryField) {
+  BatchOptions opts;
+  opts.cache_dir = freshDir("cellresult");
+  opts.cache_version = "v1";
+  {
+    std::unique_ptr<ReportCache> cold = sim::makeMemo(opts);
+    for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
+      cold->insert(1000 + seed, sampleResult(seed));
+    }
+  }  // handle torn down: only the bytes on disk survive
+  std::unique_ptr<ReportCache> warm = sim::makeMemo(opts);
+  for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
+    // sampleResult's index is 7: looking up into slot 7 leaves every
+    // field as stored.
+    const auto got = warm->lookup(1000 + seed, 7);
+    ASSERT_TRUE(got.has_value()) << "seed " << seed;
+    expectIdentical(sampleResult(seed), *got, "seed " + std::to_string(seed));
+  }
+  EXPECT_EQ(warm->diskHits(), 6u);
+  EXPECT_FALSE(warm->lookup(999, 0).has_value());
 }
 
 TEST(PersistentStore, WarmHitSurvivesHandleRestart) {
@@ -99,13 +139,13 @@ TEST(PersistentStore, WarmHitSurvivesHandleRestart) {
   {
     PersistentStore store(StoreOptions{dir, "v1"});
     ASSERT_TRUE(store.healthy());
-    store.save(42, sampleResult(9));
+    store.save(42, samplePayload(9));
   }  // handle torn down: only the bytes on disk survive
   PersistentStore reopened(StoreOptions{dir, "v1"});
   ASSERT_TRUE(reopened.healthy());
   const auto got = reopened.load(42);
   ASSERT_TRUE(got.has_value());
-  expectIdentical(sampleResult(9), *got, "after restart");
+  EXPECT_EQ(*got, samplePayload(9)) << "after restart";
   EXPECT_EQ(reopened.records(), 1u);
   EXPECT_EQ(reopened.appends(), 0u);  // nothing re-written
 }
@@ -113,11 +153,11 @@ TEST(PersistentStore, WarmHitSurvivesHandleRestart) {
 TEST(PersistentStore, SaveDedupesKeys) {
   const std::string dir = freshDir("dedupe");
   PersistentStore store(StoreOptions{dir, "v1"});
-  store.save(7, sampleResult(1));
-  store.save(7, sampleResult(1));  // same handle: skipped
+  store.save(7, samplePayload(1));
+  store.save(7, samplePayload(1));  // same handle: skipped
   EXPECT_EQ(store.appends(), 1u);
   PersistentStore reopened(StoreOptions{dir, "v1"});
-  reopened.save(7, sampleResult(1));  // already scanned: skipped too
+  reopened.save(7, samplePayload(1));  // already scanned: skipped too
   EXPECT_EQ(reopened.appends(), 0u);
 }
 
@@ -125,7 +165,7 @@ TEST(PersistentStore, VersionMismatchIsAColdMissNotAWrongHit) {
   const std::string dir = freshDir("version");
   {
     PersistentStore store(StoreOptions{dir, "schema-A"});
-    store.save(42, sampleResult(3));
+    store.save(42, samplePayload(3));
   }
   // A different stamp addresses a different segment file entirely: the
   // old results are invisible, the new segment starts cold and healthy.
@@ -133,11 +173,11 @@ TEST(PersistentStore, VersionMismatchIsAColdMissNotAWrongHit) {
   ASSERT_TRUE(other.healthy());
   EXPECT_NE(other.path(), PersistentStore::segmentPath(dir, "schema-A"));
   EXPECT_FALSE(other.load(42).has_value());
-  other.save(42, sampleResult(4));  // and is independently writable
-  expectIdentical(sampleResult(4), *other.load(42), "schema-B value");
+  other.save(42, samplePayload(4));  // and is independently writable
+  EXPECT_EQ(*other.load(42), samplePayload(4)) << "schema-B value";
   // The original segment still serves the original bytes.
   PersistentStore original(StoreOptions{dir, "schema-A"});
-  expectIdentical(sampleResult(3), *original.load(42), "schema-A value");
+  EXPECT_EQ(*original.load(42), samplePayload(3)) << "schema-A value";
 }
 
 TEST(PersistentStore, CorruptHeaderDisablesTheHandle) {
@@ -145,7 +185,7 @@ TEST(PersistentStore, CorruptHeaderDisablesTheHandle) {
   const std::string path = PersistentStore::segmentPath(dir, "v1");
   {
     PersistentStore store(StoreOptions{dir, "v1"});
-    store.save(1, sampleResult(1));
+    store.save(1, samplePayload(1));
   }
   {
     // Stomp the version digest inside the header (byte 16).
@@ -157,7 +197,7 @@ TEST(PersistentStore, CorruptHeaderDisablesTheHandle) {
   PersistentStore store(StoreOptions{dir, "v1"});
   EXPECT_FALSE(store.healthy());
   EXPECT_FALSE(store.load(1).has_value());    // miss, not garbage
-  store.save(2, sampleResult(2));             // no-op, not a crash
+  store.save(2, samplePayload(2));             // no-op, not a crash
   EXPECT_EQ(store.appends(), 0u);
 }
 
@@ -166,8 +206,8 @@ TEST(PersistentStore, TruncatedTailDegradesToColdMiss) {
   const std::string path = PersistentStore::segmentPath(dir, "v1");
   {
     PersistentStore store(StoreOptions{dir, "v1"});
-    store.save(1, sampleResult(1));
-    store.save(2, sampleResult(2));
+    store.save(1, samplePayload(1));
+    store.save(2, samplePayload(2));
   }
   // Chop the file mid-way through the last record — the crashed-writer
   // shape. The first record must still hit; the torn one must miss.
@@ -176,7 +216,7 @@ TEST(PersistentStore, TruncatedTailDegradesToColdMiss) {
   PersistentStore store(StoreOptions{dir, "v1"});
   ASSERT_TRUE(store.healthy());
   ASSERT_TRUE(store.load(1).has_value());
-  expectIdentical(sampleResult(1), *store.load(1), "intact record");
+  EXPECT_EQ(*store.load(1), samplePayload(1)) << "intact record";
   EXPECT_FALSE(store.load(2).has_value());
 }
 
@@ -185,8 +225,8 @@ TEST(PersistentStore, CorruptedRecordDegradesToColdMiss) {
   const std::string path = PersistentStore::segmentPath(dir, "v1");
   {
     PersistentStore store(StoreOptions{dir, "v1"});
-    store.save(1, sampleResult(1));
-    store.save(2, sampleResult(2));
+    store.save(1, samplePayload(1));
+    store.save(2, samplePayload(2));
   }
   {
     // Flip one payload byte inside the FIRST record (just past its
@@ -204,7 +244,7 @@ TEST(PersistentStore, CorruptedRecordDegradesToColdMiss) {
   // untrusted, so BOTH records miss — cold, correct, no crash.
   EXPECT_FALSE(store.load(1).has_value());
   EXPECT_FALSE(store.load(2).has_value());
-  store.save(3, sampleResult(3));  // handle still usable for new appends
+  store.save(3, samplePayload(3));  // handle still usable for new appends
   EXPECT_FALSE(store.load(3).has_value());  // but reads stay cold: fine
 }
 
@@ -221,7 +261,7 @@ TEST(PersistentStore, CrashMidWriteFencesTheTornTail) {
     // record, then _exit (no destructors, no flush, fd reaped by the
     // kernel exactly as in a SIGKILL).
     PersistentStore store(StoreOptions{dir, "v1"});
-    store.save(11, sampleResult(11));
+    store.save(11, samplePayload(11));
     if (!store.healthy()) _exit(1);
     const int raw = ::open(path.c_str(), O_WRONLY | O_APPEND);
     if (raw < 0) _exit(2);
@@ -252,7 +292,7 @@ TEST(PersistentStore, CrashMidWriteFencesTheTornTail) {
   ASSERT_TRUE(store.healthy());
   const auto got = store.load(11);
   ASSERT_TRUE(got.has_value());
-  expectIdentical(sampleResult(11), *got, "record before the crash");
+  EXPECT_EQ(*got, samplePayload(11)) << "record before the crash";
   EXPECT_FALSE(store.load(12).has_value());
   EXPECT_EQ(store.records(), 1u);
 
@@ -260,7 +300,7 @@ TEST(PersistentStore, CrashMidWriteFencesTheTornTail) {
   // finds the claimed 40 payload bytes (spanning into the new record),
   // the checksum rejects them, and everything behind the damage stays a
   // cold miss — never a wrong hit, and the pre-crash record still hits.
-  store.save(13, sampleResult(13));
+  store.save(13, samplePayload(13));
   EXPECT_EQ(store.appends(), 1u);
   EXPECT_FALSE(store.load(13).has_value());
   EXPECT_FALSE(store.load(12).has_value());
@@ -278,14 +318,14 @@ TEST(PersistentStore, ConcurrentWritersFromTwoProcesses) {
     PersistentStore store(StoreOptions{dir, "v1"});
     for (int i = 0; i < kPerSide; ++i) {
       store.save(static_cast<std::uint64_t>(2 * i + 1),
-                 sampleResult(static_cast<std::uint64_t>(2 * i + 1)));
+                 samplePayload(static_cast<std::uint64_t>(2 * i + 1)));
     }
     _exit(store.healthy() ? 0 : 1);
   }
   PersistentStore store(StoreOptions{dir, "v1"});
   for (int i = 0; i < kPerSide; ++i) {
     store.save(static_cast<std::uint64_t>(2 * i),
-               sampleResult(static_cast<std::uint64_t>(2 * i)));
+               samplePayload(static_cast<std::uint64_t>(2 * i)));
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -297,7 +337,7 @@ TEST(PersistentStore, ConcurrentWritersFromTwoProcesses) {
   for (std::uint64_t k = 0; k < 2 * kPerSide; ++k) {
     const auto got = reader.load(k);
     ASSERT_TRUE(got.has_value()) << "key " << k;
-    expectIdentical(sampleResult(k), *got, "key " + std::to_string(k));
+    EXPECT_EQ(*got, samplePayload(k)) << "key " << k;
   }
   EXPECT_EQ(reader.records(), static_cast<std::size_t>(2 * kPerSide));
 }
@@ -307,10 +347,10 @@ TEST(PersistentStore, LiveHandleSeesAPeersAppends) {
   PersistentStore a(StoreOptions{dir, "v1"});
   PersistentStore b(StoreOptions{dir, "v1"});  // same segment, two handles
   EXPECT_FALSE(b.load(5).has_value());
-  a.save(5, sampleResult(5));
+  a.save(5, samplePayload(5));
   const auto got = b.load(5);  // b's refresh scan picks up a's append
   ASSERT_TRUE(got.has_value());
-  expectIdentical(sampleResult(5), *got, "cross-handle");
+  EXPECT_EQ(*got, samplePayload(5)) << "cross-handle";
 }
 
 TEST(MakeMemo, HonorsCapacityAndCacheDir) {
@@ -347,6 +387,35 @@ TEST(MakeMemo, HonorsCapacityAndCacheDir) {
   CellResult want = r;
   want.index = 9;
   expectIdentical(want, *got, "memo-backed lookup");
+}
+
+TEST(MakeMemo, UndecodablePayloadIsADiskMiss) {
+  BatchOptions opts;
+  opts.cache_dir = freshDir("undecodable");
+  opts.cache_version = "v1";
+  {
+    sim::fabric::ByteWriter w;
+    sim::fabric::encodeCellResult(w, sampleResult(2));
+    const Bytes truncated(w.bytes().begin(), w.bytes().end() - 1);
+    Bytes trailing = w.bytes();
+    trailing.push_back(0);
+    PersistentStore store(StoreOptions{opts.cache_dir, opts.cache_version});
+    store.save(1, samplePayload(3));  // not a CellResult at all
+    store.save(2, truncated);         // a CellResult short of its last byte
+    store.save(3, trailing);          // a CellResult plus one more byte
+    store.save(4, w.bytes());         // the real thing
+  }
+  // The store serves all four payloads intact; the cache owns the format
+  // and turns the three it cannot decode exactly into misses.
+  std::unique_ptr<ReportCache> memo = sim::makeMemo(opts);
+  for (const std::uint64_t key : {1, 2, 3}) {
+    EXPECT_FALSE(memo->lookup(key, 0).has_value()) << "key " << key;
+  }
+  EXPECT_EQ(memo->diskMisses(), 3u);
+  const auto got = memo->lookup(4, 7);
+  ASSERT_TRUE(got.has_value());
+  expectIdentical(sampleResult(2), *got, "decodable payload");
+  EXPECT_EQ(memo->diskHits(), 1u);
 }
 
 }  // namespace

@@ -61,6 +61,12 @@ guarantees:
                      the one place that starts worker threads; hand jobs
                      to it instead of hand-writing another pool
                      (std::thread::hardware_concurrency stays legal)
+  text-codec         std::istringstream / std::ostringstream /
+                     std::stringstream in src/sim: durable and wire
+                     records go through ByteWriter/ByteReader
+                     (sim/fabric/wire.h), which check bounds and latch
+                     failures, while a text parser silently accepts a
+                     partial line
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -111,6 +117,9 @@ IPC_EXCLUDES = ["src/sim/fabric"]
 STEP_DRIVE_EXCLUDES = ["src/sim/scheduler.cc", "src/sim/explore.cc"]
 # The thread-spawn rule binds src/ minus the one work-stealing pool.
 THREAD_SPAWN_EXCLUDES = ["src/sim/steal_pool.h", "src/sim/steal_pool.cc"]
+# The text-codec rule binds the simulator, whose records (store payloads,
+# certificates, fabric frames) all go through the byte codec.
+TEXT_CODEC_DIRS = ["src/sim"]
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -294,6 +303,14 @@ RULES = [
         ALL_SRC_DIRS,
         THREAD_SPAWN_EXCLUDES,
     ),
+    (
+        "text-codec",
+        re.compile(r"\bstd::[io]?stringstream\b"),
+        "durable and wire records go through ByteWriter/ByteReader "
+        "(sim/fabric/wire.h), which check bounds and latch failures; a "
+        "text parser silently accepts a partial line",
+        TEXT_CODEC_DIRS,
+    ),
 ]
 
 
@@ -459,6 +476,15 @@ VIOLATING_SNIPPETS = {
         "std::vector<std::thread> threads;\n"
         "for (int k = 0; k < w; ++k) threads.emplace_back([&body, k] { body(k); });\n"
     ),
+    "text-codec": (
+        "std::vector<std::uint64_t> decodeSigs(const std::string& line) {\n"
+        "  std::vector<std::uint64_t> sigs;\n"
+        "  std::istringstream is(line);\n"
+        "  std::uint64_t sig = 0;\n"
+        "  while (is >> std::hex >> sig) sigs.push_back(sig);\n"
+        "  return sigs;\n"
+        "}\n"
+    ),
 }
 
 CLEAN_SNIPPET = """\
@@ -529,6 +555,24 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: thread-spawn {verb} in {rel}")
+    # text-codec binds src/sim only, and the byte codec itself is clean.
+    codec = VIOLATING_SNIPPETS["text-codec"]
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    wire = repo / "src/sim/fabric/wire.cc"
+    for rel, text, fires in (
+        ("src/sim/explore.cc", codec, True),
+        ("src/sim/fabric/store.cc", codec, True),
+        ("bench/bench_explore.cc", codec, False),
+        ("src/sim/fabric/wire.cc", wire.read_text(encoding="utf-8"), False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
+        if ("text-codec" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: text-codec {verb} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: text-codec {verb} in {rel}")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
