@@ -185,6 +185,9 @@ struct ExploreResult {
   std::vector<long long> worker_steps;
 
   // ---- Certificate observability ----
+  // On a frontier job's own result (before the merge), from_cache means
+  // that job was answered by its certificate and cert_saves (0 or 1) that
+  // it saved one; the merge counts the former into cert_job_hits.
   bool from_cache = false;          // whole call answered by a certificate
   std::uint64_t cert_job_hits = 0;  // jobs answered by per-job certificates
   std::uint64_t cert_saves = 0;     // records appended this call
