@@ -19,6 +19,13 @@
 //                  perf-ledger rows that isolate one ObjectTable layer
 //                  each; their "steps" are table calls, not scheduler
 //                  steps.
+//   * checkpoint, restore-kept
+//                  ledger rows for the explorer's checkpoint layer: take
+//                  and drop a RunCheckpoint of a mid-run Fig. 1 run, and
+//                  restore one whose frames all stay; "steps" are calls;
+//   * snap-scan, snap-scan-logged
+//                  every step a snapshot scan of tuple cells, without and
+//                  with the result log the explorer keeps.
 //
 // Every row is timed as the fastest of five repeats of the same work, and
 // reports `allocs`, the global operator new calls one repeat makes (the
@@ -258,6 +265,78 @@ Measurement snapUpdateRow(Time ops, bool with_digest) {
   return m;
 }
 
+// `checkpoint` / `restore-kept`: a Fig. 1 run at n+1 = 3 stopped mid-run,
+// the shape the explorer checkpoints at every DFS node. `checkpoint` takes
+// and drops one RunCheckpoint per op. `restore-kept` restores a checkpoint
+// of the live state, so every frame is kept and only the world is
+// restored.
+Measurement checkpointRow(Time ops, bool restore) {
+  const int n_plus_1 = 3;
+  const auto fp = FailurePattern::failureFree(n_plus_1);
+  RunConfig cfg;
+  cfg.n_plus_1 = n_plus_1;
+  cfg.fp = fp;
+  cfg.fd = fd::makeUpsilon(fp, 150, 7);
+  cfg.seed = 7;
+  sim::Run run(cfg, [](Env& e, Value v) { return upsilonSetAgreement(e, v); },
+               {10, 20, 30});
+  run.enableCheckpoints();
+  sim::RandomPolicy policy;
+  (void)run.scheduler().run(policy, 60);
+  const sim::RunCheckpoint ck = run.checkpoint();
+  Measurement m;
+  const WallTimer t;
+  for (Time i = 0; i < ops; ++i) {
+    if (restore) {
+      benchmark::DoNotOptimize(run.restore(ck));
+    } else {
+      const sim::RunCheckpoint taken = run.checkpoint();
+      benchmark::DoNotOptimize(&taken);
+    }
+  }
+  m.seconds = t.seconds();
+  m.steps = ops;
+  return m;
+}
+
+// `snap-scan` / `snap-scan-logged`: every step scans one snapshot of
+// k-converge tuple cells. The logged row keeps the result log on, as the
+// explorer and the service crash sweep do, and starts a fresh run every
+// kChunk steps so the log (one node per step) stays small.
+RegVal scanCell(Value v) {
+  return RegVal::tuple({RegVal(true), RegVal(v), RegVal::tuple({RegVal(v)})});
+}
+
+sim::Coro<sim::Unit> scanner(Env& env, Value iters) {
+  const mem::SnapshotHandle s =
+      mem::makeSnapshot(env, sim::ObjKey{"bench.scan"}, env.nProcs());
+  co_await mem::snapshotUpdate(env, s, env.me(), scanCell(env.me()));
+  for (Value i = 1; i < iters; ++i) (void)co_await mem::snapshotScan(env, s);
+  co_return sim::Unit{};
+}
+
+Measurement scanRow(int n_plus_1, Time target_steps, bool logged) {
+  constexpr Time kChunk = 4096;
+  RunConfig cfg;
+  cfg.n_plus_1 = n_plus_1;
+  cfg.seed = 42;
+  const Value iters = static_cast<Value>(target_steps);  // budget-bounded
+  const sim::AlgoFn algo = [iters](Env& e, Value) { return scanner(e, iters); };
+  const std::vector<Value> props(static_cast<std::size_t>(n_plus_1), 0);
+  Measurement m;
+  const WallTimer t;
+  while (m.steps < target_steps) {
+    sim::Run run(cfg, algo, props);
+    if (logged) run.enableCheckpoints();
+    sim::RandomPolicy policy;
+    m.steps += run.scheduler().run(
+        policy, logged ? std::min(kChunk, target_steps - m.steps)
+                       : target_steps);
+  }
+  m.seconds = t.seconds();
+  return m;
+}
+
 }  // namespace
 }  // namespace wfd::bench
 
@@ -341,6 +420,13 @@ int main(int argc, char** argv) {
   report("snap-update", 5, [&] { return snapUpdateRow(ledger_ops, false); });
   report("snap-update-digest", 5,
          [&] { return snapUpdateRow(ledger_ops, true); });
+  report("checkpoint", 3,
+         [&] { return checkpointRow(ledger_ops / 10, false); });
+  report("restore-kept", 3,
+         [&] { return checkpointRow(ledger_ops / 10, true); });
+  report("snap-scan", 5, [&] { return scanRow(5, spin_budget, false); });
+  report("snap-scan-logged", 16,
+         [&] { return scanRow(16, spin_budget, true); });
   if (nondeterministic) {
     std::fprintf(stderr, "bench_core: a row's step count changed between "
                          "repeats of the same seeded work\n");

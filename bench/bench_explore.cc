@@ -76,7 +76,7 @@ Coro<Unit> buggyOneShot(Env& env, Value v) {
   const mem::SnapshotHandle s =
       mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
   co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const std::vector<RegVal> view = co_await mem::snapshotScan(env, s);
+  const SlotArray view = co_await mem::snapshotScan(env, s);
   const std::vector<Value> u = mem::distinctValues(view);
   env.note(u.size() <= 1 ? "commit" : "adopt", RegVal(v));
   env.decide(v);

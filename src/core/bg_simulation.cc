@@ -22,7 +22,7 @@ struct Projected {
   std::vector<int> round;      // highest round seen per process (0 if none)
 };
 
-Projected project(const BgConfig& cfg, const std::vector<RegVal>& grid) {
+Projected project(const BgConfig& cfg, const SlotArray& grid) {
   Projected out;
   out.view.resize(static_cast<std::size_t>(cfg.simulated));
   out.round.resize(static_cast<std::size_t>(cfg.simulated), 0);

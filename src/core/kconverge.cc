@@ -33,13 +33,13 @@ Coro<Pick> kConverge(Env& env, ObjKey key, int k, Value v) {
 
   // Phase 1: publish the input, observe the input set so far.
   co_await mem::snapshotUpdate(env, a, env.me(), RegVal(v));
-  const std::vector<RegVal> sa = co_await mem::snapshotScan(env, a);
+  const SlotArray sa = co_await mem::snapshotScan(env, a);
   const std::vector<Value> u = mem::distinctValues(sa);
 
   // Phase 2: publish the tagged entry, observe everyone's tags.
   const bool tag_c = static_cast<int>(u.size()) <= k;
   co_await mem::snapshotUpdate(env, b, env.me(), makeEntry(tag_c, v, u));
-  const std::vector<RegVal> sb = co_await mem::snapshotScan(env, b);
+  const SlotArray sb = co_await mem::snapshotScan(env, b);
 
   bool all_c = true;
   std::size_t best_size = 0;

@@ -55,7 +55,7 @@ Coro<Value> upsilonFSetAgreementInstance(Env& env, int f, int instance,
       // are visible (lines 17-19). The loop must stay escapable: it polls
       // D[r] (adopt), D (decide), Stable[r] (advance) and the detector
       // (instability), per the Theorem 6 liveness argument.
-      std::vector<RegVal> view;
+      SlotArray view;
       bool escaped = false;
       bool decided = false;
       Value decided_value = kBottomValue;

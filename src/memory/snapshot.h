@@ -16,6 +16,7 @@
 // (matching the paper's A[r][k][i] usage).
 #pragma once
 
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -56,12 +57,14 @@ SnapshotHandle makeSnapshot(ObjKey key, int slots, SnapshotFlavor flavor);
 // within the same full expression.
 Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
                           const RegVal& v);
-Coro<std::vector<RegVal>> snapshotScan(Env& env, const SnapshotHandle& h);
+// A native scan shares the object's cells (one reference-count increment);
+// an Afek scan wraps the cells its collects built.
+Coro<SlotArray> snapshotScan(Env& env, const SnapshotHandle& h);
 
-// ---- Small helpers over scan results ----
-int nonBottomCount(const std::vector<RegVal>& slots);
+// ---- Small helpers over scan results (a SlotArray or any vector) ----
+int nonBottomCount(std::span<const RegVal> slots);
 // The int cells' values, ascending, each once (⊥ and non-int cells skipped).
-std::vector<Value> distinctValues(const std::vector<RegVal>& slots);
-Value minValue(const std::vector<RegVal>& slots);  // kBottomValue if empty
+std::vector<Value> distinctValues(std::span<const RegVal> slots);
+Value minValue(std::span<const RegVal> slots);  // kBottomValue if empty
 
 }  // namespace wfd::mem

@@ -116,15 +116,16 @@ Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
   co_return Unit{};
 }
 
-Coro<std::vector<RegVal>> snapshotScan(Env& env, const SnapshotHandle& h) {
+Coro<SlotArray> snapshotScan(Env& env, const SnapshotHandle& h) {
   if (h.flavor == SnapshotFlavor::kAfek) {
-    co_return co_await afekScan(env, h);
+    std::vector<RegVal> cells = co_await afekScan(env, h);
+    co_return SlotArray(std::move(cells));
   }
   auto r = co_await env.snapScan(nativeId(env, h));
   co_return std::move(r.snapshot);
 }
 
-int nonBottomCount(const std::vector<RegVal>& slots) {
+int nonBottomCount(std::span<const RegVal> slots) {
   int c = 0;
   for (const auto& v : slots) {
     if (!v.isBottom()) ++c;
@@ -132,7 +133,7 @@ int nonBottomCount(const std::vector<RegVal>& slots) {
   return c;
 }
 
-std::vector<Value> distinctValues(const std::vector<RegVal>& slots) {
+std::vector<Value> distinctValues(std::span<const RegVal> slots) {
   std::vector<Value> out;
   out.reserve(slots.size());
   for (const auto& v : slots) {
@@ -143,7 +144,7 @@ std::vector<Value> distinctValues(const std::vector<RegVal>& slots) {
   return out;
 }
 
-Value minValue(const std::vector<RegVal>& slots) {
+Value minValue(std::span<const RegVal> slots) {
   Value best = kBottomValue;
   for (const auto& v : slots) {
     if (v.isInt() && (best == kBottomValue || v.asInt() < best)) {

@@ -275,8 +275,8 @@ void ChaosEngine::captureScans(World& world, const Scheduler& sched) {
                       1000) >= static_cast<std::uint64_t>(ss.permille)) {
       continue;
     }
-    std::vector<RegVal> view = world.objectsConst().peekSlots(s->obj);
-    std::vector<RegVal> serve = view;
+    SlotArray view = world.objectsConst().peekSlots(s->obj);
+    SlotArray serve = view;
     if (ss.illegal_past) {
       // Negative control: serve the view captured at this process's
       // previous overridden scan of the object — possibly older than
@@ -293,11 +293,10 @@ void ChaosEngine::captureScans(World& world, const Scheduler& sched) {
   }
 }
 
-std::optional<std::vector<RegVal>> ChaosEngine::overrideScan(Pid p,
-                                                             ObjId obj) {
+std::optional<SlotArray> ChaosEngine::overrideScan(Pid p, ObjId obj) {
   const auto it = scan_pending_.find({p, obj});
   if (it == scan_pending_.end()) return std::nullopt;
-  std::vector<RegVal> v = std::move(it->second);
+  SlotArray v = std::move(it->second);
   scan_pending_.erase(it);
   return v;
 }

@@ -210,8 +210,7 @@ class ChaosEngine final : public StepObserver {
   }
   // The view to serve for p's executing scan of `obj`; nullopt = live
   // memory. Consumes the decision made in beforeStep.
-  [[nodiscard]] std::optional<std::vector<RegVal>> overrideScan(Pid p,
-                                                                ObjId obj);
+  [[nodiscard]] std::optional<SlotArray> overrideScan(Pid p, ObjId obj);
 
   void plan(World& world);  // lazy: needs n+1 from the world
   bool tryCrash(World& world, Pid victim);
@@ -232,8 +231,8 @@ class ChaosEngine final : public StepObserver {
   // serve; `scan_prev_` the per-(pid, obj) previously captured view for
   // the illegal-past control.
   std::map<std::pair<Pid, ObjId>, Time> scan_decided_;
-  std::map<std::pair<Pid, ObjId>, std::vector<RegVal>> scan_pending_;
-  std::map<std::pair<Pid, ObjId>, std::vector<RegVal>> scan_prev_;
+  std::map<std::pair<Pid, ObjId>, SlotArray> scan_pending_;
+  std::map<std::pair<Pid, ObjId>, SlotArray> scan_prev_;
 };
 
 // Run `algo` under cfg's policy with chaos perturbations and the watchdog:

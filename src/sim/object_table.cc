@@ -1,5 +1,6 @@
 #include "sim/object_table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -30,6 +31,7 @@ std::string ObjKey::toString() const {
 
 ObjId ObjectTable::create(const ObjKey& key, Object obj) {
   const ObjId id = static_cast<ObjId>(objects_.size());
+  obj.key = key;
   objects_.push_back(std::move(obj));
   ids_.emplace(key, id);
   markStale(id, objects_.back());
@@ -60,7 +62,7 @@ ObjId ObjectTable::snapId(const ObjKey& key, int slots) {
   }
   Object obj;
   obj.kind = Kind::kSnapshot;
-  obj.slots.resize(static_cast<std::size_t>(slots));
+  obj.slots = SlotArray(static_cast<std::size_t>(slots));
   return create(key, std::move(obj));
 }
 
@@ -95,7 +97,7 @@ void ObjectTable::write(ObjId id, RegVal v) {
   markStale(id, obj);
 }
 
-const std::vector<RegVal>& ObjectTable::scan(ObjId id) const {
+const SlotArray& ObjectTable::scan(ObjId id) const {
   observe(id, ObjectAccess::kScan);
   const auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kSnapshot);
@@ -106,7 +108,7 @@ void ObjectTable::update(ObjId id, int slot, RegVal v) {
   observe(id, ObjectAccess::kUpdate);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kSnapshot);
-  obj.slots.at(static_cast<std::size_t>(slot)) = std::move(v);
+  obj.slots.set(static_cast<std::size_t>(slot), std::move(v));
   markStale(id, obj);
 }
 
@@ -123,6 +125,25 @@ RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
   if (obj.reg.isBottom()) obj.reg = std::move(v);  // first proposal wins
   markStale(id, obj);
   return obj.reg;
+}
+
+void ObjectTable::restore(const Snapshot& s) {
+  // Objects are only ever appended, so ids_ maps objects_[i].key to i.
+  // Up to the first position whose key differs, the live table and the
+  // snapshot name the same objects under the same ids; from there on,
+  // drop the live names and enter the snapshot's.
+  const std::size_t common = std::min(objects_.size(), s.objects.size());
+  std::size_t same = 0;
+  while (same < common && objects_[same].key == s.objects[same].key) ++same;
+  for (std::size_t i = same; i < objects_.size(); ++i) {
+    ids_.erase(objects_[i].key);
+  }
+  for (std::size_t i = same; i < s.objects.size(); ++i) {
+    ids_.emplace(s.objects[i].key, static_cast<ObjId>(i));
+  }
+  objects_ = s.objects;
+  xdigest_ = s.xdigest;
+  dirty_.clear();
 }
 
 std::uint64_t ObjectTable::objectComponent(ObjId id, const Object& obj) {

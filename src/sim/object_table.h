@@ -6,6 +6,13 @@
 // first reference under a key creates the object with ⊥-initialized
 // contents. Key resolution is a local (zero-step) action — what costs a
 // step is *operating* on the object, never naming it.
+//
+// Snapshot cells are SlotArrays (common/slot_array.h): a scan result, a
+// result-log node and a table Snapshot share an object's cells, and
+// update() copies them only while someone else holds them. That test
+// reads use_count(), so a table, its Snapshots and every scan result
+// taken from it must stay on one thread at a time; hand a whole run to
+// another thread only through a synchronizing hand-off (a pool join).
 #pragma once
 
 #include <array>
@@ -18,6 +25,7 @@
 #include <vector>
 
 #include "common/reg_val.h"
+#include "common/slot_array.h"
 #include "common/types.h"
 
 namespace wfd::sim {
@@ -109,7 +117,9 @@ class ObjectTable {
   [[nodiscard]] const RegVal& read(ObjId id) const;
   void write(ObjId id, RegVal v);
 
-  [[nodiscard]] const std::vector<RegVal>& scan(ObjId id) const;
+  // The object's cells, shared: copy the SlotArray to keep this view
+  // past later updates (common/slot_array.h).
+  [[nodiscard]] const SlotArray& scan(ObjId id) const;
   void update(ObjId id, int slot, RegVal v);
 
   // First proposal wins; returns the winner. Asserts the port limit.
@@ -119,9 +129,10 @@ class ObjectTable {
 
  private:
   struct Object {
+    ObjKey key;                    // the name it was created under
     Kind kind = Kind::kRegister;
     RegVal reg;                    // register value / consensus winner
-    std::vector<RegVal> slots;     // snapshot cells
+    SlotArray slots;               // snapshot cells, copy-on-write
     ProcSet proposers;             // consensus: who proposed so far
     int ports = 0;                 // consensus: max distinct proposers
     // This object's share of xdigest_, as of the last flush; `stale`
@@ -132,36 +143,33 @@ class ObjectTable {
 
  public:
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
-  // A Snapshot copies the key index and object vector; the RegVal
-  // payloads inside (tuple cells) are immutable shared arrays, so the copy
-  // shares them — O(1) per stored value. Taking one flushes the digest
-  // first, so a Snapshot never carries dirty state and restoring one
-  // leaves nothing to flush. The access observer is part of the *run's*
-  // wiring, not the memory state, and survives a restore.
+  // A Snapshot copies the object vector and nothing else: per object, its
+  // key, its register value (a tuple by reference: tuples are immutable)
+  // and one reference to its copy-on-write cells. The key index is not
+  // copied; restore() repairs the live one from the keys the objects
+  // record. Taking a Snapshot flushes the digest first, so it
+  // never carries dirty state and restoring one leaves nothing to flush.
+  // The access observer is part of the *run's* wiring, not the memory
+  // state, and survives a restore.
   class Snapshot {
    public:
     Snapshot() = default;
 
    private:
     friend class ObjectTable;
-    std::unordered_map<ObjKey, ObjId, ObjKeyHash> ids;
     std::vector<Object> objects;
     std::uint64_t xdigest = 0;
   };
   [[nodiscard]] Snapshot snapshot() const {
     flushDigest();
     Snapshot s;
-    s.ids = ids_;
     s.objects = objects_;
     s.xdigest = xdigest_;
     return s;
   }
-  void restore(const Snapshot& s) {
-    ids_ = s.ids;
-    objects_ = s.objects;
-    xdigest_ = s.xdigest;
-    dirty_.clear();
-  }
+  // Exact for any snapshot of a table of the same run: a restore to an
+  // ancestor, to a sibling branch, or into a fresh table.
+  void restore(const Snapshot& s);
 
   // Stable structural digest of the table's entire contents, in creation
   // (ObjId) order. Free and unobserved — the explorer's state-memoization
@@ -197,7 +205,7 @@ class ObjectTable {
   [[nodiscard]] int slotCount(ObjId id) const;      // snapshots
   // Snapshot cell contents without counting as an access — the stale-scan
   // auditor and the chaos capture hook compare views at zero model cost.
-  [[nodiscard]] const std::vector<RegVal>& peekSlots(ObjId id) const {
+  [[nodiscard]] const SlotArray& peekSlots(ObjId id) const {
     return objects_[static_cast<std::size_t>(id)].slots;
   }
   [[nodiscard]] int portLimit(ObjId id) const;      // consensus

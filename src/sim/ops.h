@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <variant>
-#include <vector>
 
 #include "common/reg_val.h"
+#include "common/slot_array.h"
 #include "common/types.h"
 
 namespace wfd::sim {
@@ -18,6 +18,7 @@ namespace wfd::sim {
 using wfd::ObjId;
 using wfd::Pid;
 using wfd::RegVal;
+using wfd::SlotArray;
 using wfd::Time;
 
 struct OpRead {
@@ -51,8 +52,8 @@ using Op = std::variant<OpRead, OpWrite, OpSnapUpdate, OpSnapScan, OpFdQuery,
                         OpNoop, OpConsPropose>;
 
 struct OpResult {
-  RegVal scalar;                  // read result / FD output
-  std::vector<RegVal> snapshot;   // scan result
+  RegVal scalar;       // read result / FD output
+  SlotArray snapshot;  // scan result: the scanned object's cells, shared
 };
 
 // ---- Step footprints (sim/explore.h) --------------------------------------

@@ -195,11 +195,12 @@ void Scheduler::step(Pid p) {
   if (slot.ctx.pending.has_value()) {
     slot.ctx.result = world_->execute(p, *slot.ctx.pending);
     if (log_results_) {
-      // Copy before the resume below moves the result into the awaiter.
+      // Copy before the resume below moves the result into the awaiter;
+      // a scan's cells are shared, not copied.
       ResultLog& head = result_log_[static_cast<std::size_t>(p)];
       const std::size_t len = head ? head->len + 1 : 1;
       const std::uint64_t digest = stateMix64(
-          head ? head->digest : 0, resultSignature(slot.ctx.result));
+          head ? head->digest : 0, world_->lastResultSignature());
       head = std::make_shared<ResultNode>(slot.ctx.result, std::move(head),
                                           len, digest);
     }

@@ -327,16 +327,14 @@ void StepAuditor::finalizeFdAxioms() {
   }
 }
 
-void StepAuditor::captureScanRequest(Pid p, ObjId obj,
-                                     std::vector<RegVal> view) {
+void StepAuditor::captureScanRequest(Pid p, ObjId obj, SlotArray view) {
   scan_captures_[{p, obj}] = std::move(view);
 }
 
-void StepAuditor::onScanResult(Pid p, ObjId obj,
-                               const std::vector<RegVal>& view) {
+void StepAuditor::onScanResult(Pid p, ObjId obj, const SlotArray& view) {
   const auto it = scan_captures_.find({p, obj});
   if (it == scan_captures_.end()) return;  // no injection: nothing to judge
-  const std::vector<RegVal> captured = std::move(it->second);
+  const SlotArray captured = std::move(it->second);
   scan_captures_.erase(it);
   // Legal linearization points for an atomic scan: anywhere between
   // invocation and response. The served view must therefore match the

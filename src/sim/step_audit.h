@@ -106,11 +106,11 @@ class StepAuditor final : public ObjectTable::AccessObserver {
   // update that preceded its invocation — not linearizable). Only checks
   // when a request-time capture exists (sim/chaos.h records one per
   // overridden scan via captureScanRequest), so normal runs pay nothing.
-  void onScanResult(Pid p, ObjId obj, const std::vector<RegVal>& view);
+  void onScanResult(Pid p, ObjId obj, const SlotArray& view);
   // Chaos wiring: remember the view `obj` held when p's pending scan was
   // requested, keyed by (p, obj). Overwritten per scan; consumed by
   // onScanResult.
-  void captureScanRequest(Pid p, ObjId obj, std::vector<RegVal> view);
+  void captureScanRequest(Pid p, ObjId obj, SlotArray view);
   // End-of-run axiom conditions that need the final failure pattern
   // (Upsilon: stable value != correct(F); Omega^k: stable leaders contain
   // a correct process). Idempotent; called by World::endAuditObservation.
@@ -165,7 +165,7 @@ class StepAuditor final : public ObjectTable::AccessObserver {
 
   // Request-time scan views captured by the chaos engine for overridden
   // scans; keyed (pid, obj). Empty unless stale-snapshot injection is on.
-  std::map<std::pair<Pid, ObjId>, std::vector<RegVal>> scan_captures_;
+  std::map<std::pair<Pid, ObjId>, SlotArray> scan_captures_;
 
   Time steps_audited_ = 0;
   Time ops_audited_ = 0;

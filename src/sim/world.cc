@@ -41,7 +41,8 @@ OpResult World::execute(Pid p, const Op& op) {
   } else {
     assert(std::holds_alternative<OpNoop>(op));
   }
-  trace_.mixResult(resultSignature(res));
+  last_result_sig_ = resultSignature(res);
+  trace_.mixResult(last_result_sig_);
   if (audit_) audit_->onExecuteEnd(p);
   return res;
 }

@@ -74,8 +74,7 @@ class World {
   // (std::nullopt = serve the live memory). Every overridden-world scan
   // result is then reported to the auditor's onScanResult, which judges
   // it against the linearizability window. Normal runs never install one.
-  using ScanOverride =
-      std::function<std::optional<std::vector<RegVal>>(Pid, ObjId)>;
+  using ScanOverride = std::function<std::optional<SlotArray>(Pid, ObjId)>;
   void setScanOverride(ScanOverride f) { scan_override_ = std::move(f); }
   [[nodiscard]] bool hasScanOverride() const {
     return static_cast<bool>(scan_override_);
@@ -94,13 +93,18 @@ class World {
   [[nodiscard]] const OpFootprint& lastFootprint() const {
     return last_footprint_;
   }
+  // resultSignature() of the most recently executed operation's result,
+  // as mixed into the trace; the scheduler's result log reuses it.
+  [[nodiscard]] std::uint64_t lastResultSignature() const {
+    return last_result_sig_;
+  }
 
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   // A Snapshot captures every mutable field of the world: clock, failure
   // pattern (chaos may have mutated it), object table, trace, published
-  // FD-output emulations. RegVal tuple payloads are immutable shared
-  // arrays, so copying the table/trace shares them (copy-on-write by
-  // construction). The FD itself is NOT captured: histories are stateless
+  // FD-output emulations. Tuple payloads and snapshot cells are shared,
+  // not copied (ObjectTable::Snapshot); the trace's event vector is
+  // copied. The FD itself is NOT captured: histories are stateless
   // functions of (seed, p, t), per common/rng.h.
   class Snapshot {
    public:
@@ -154,6 +158,7 @@ class World {
   Time now_ = 0;
   std::uint64_t fp_version_ = 0;
   OpFootprint last_footprint_;
+  std::uint64_t last_result_sig_ = 0;
   ObjectTable objects_;
   Trace trace_;
   std::unique_ptr<StepAuditor> audit_;

@@ -52,7 +52,7 @@ Coro<Unit> buggyOneShot(Env& env, Value v) {
   const mem::SnapshotHandle s =
       mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
   co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const std::vector<RegVal> view = co_await mem::snapshotScan(env, s);
+  const SlotArray view = co_await mem::snapshotScan(env, s);
   const std::vector<Value> u = mem::distinctValues(view);
   env.note(u.size() <= 1 ? "commit" : "adopt", RegVal(v));
   env.decide(v);
@@ -231,7 +231,7 @@ Coro<Unit> fdWorkload(Env& env, Value v) {
       mem::makeSnapshot(env, sim::ObjKey{"x.fd"}, env.nProcs());
   co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
   const sim::OpResult b = co_await env.queryFd();
-  const std::vector<RegVal> view = co_await mem::snapshotScan(env, s);
+  const SlotArray view = co_await mem::snapshotScan(env, s);
   env.note("fd1", a.scalar);
   env.note("fd2", b.scalar);
   env.note("seen",

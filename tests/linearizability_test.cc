@@ -124,7 +124,7 @@ Coro<Unit> snapWorker(Env& env, SnapshotFlavor flavor, int rounds, Value base) {
     env.note("res.update", RegVal(base + r));
     env.note("inv.scan");
     auto view = co_await mem::snapshotScan(env, h);
-    env.note("res.scan", RegVal::tuple(std::move(view)));
+    env.note("res.scan", RegVal::tuple(std::vector<RegVal>(view.begin(), view.end())));
   }
   co_return Unit{};
 }

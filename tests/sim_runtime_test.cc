@@ -256,6 +256,133 @@ TEST(ObjectTable, FlushedDigestMatchesFullRecompute) {
   EXPECT_GT(tbl.objectCount(), 10u);
 }
 
+// Names a key the way an algorithm would: tags starting with 's' are
+// 3-slot snapshots, the rest registers. Each first reference also stores
+// a value derived from the key, so tables built along the same branch
+// agree on contents as well as ids.
+sim::ObjId touch(sim::ObjectTable& tbl, const ObjKey& k) {
+  const std::size_t before = tbl.objectCount();
+  const sim::ObjId id =
+      k.tag[0] == 's' ? tbl.snapId(k, 3) : tbl.regId(k);
+  if (tbl.objectCount() != before) {
+    const RegVal v = RegVal::tuple({RegVal(Value{k.i0}), RegVal(k.tag[0] == 's')});
+    if (k.tag[0] == 's') {
+      tbl.update(id, k.i0 % 3, v);
+    } else {
+      tbl.write(id, v);
+    }
+  }
+  return id;
+}
+
+// The key index is not part of a table snapshot: restore() repairs the
+// live index from the first object whose key differs. Two branches from
+// one checkpoint create objects in different orders (and share one key
+// at different ids); restoring either branch while the table sits on the
+// other, or into a fresh table, must resolve every key of both branches
+// exactly as a table built from scratch along the restored branch does.
+TEST(ObjectTable, RestoreAcrossBranchesResolvesKeysLikeAFreshTable) {
+  const std::vector<ObjKey> prefix = {ObjKey{"p", 0}, ObjKey{"s.p", 1},
+                                      ObjKey{"p", 2}};
+  const std::vector<ObjKey> branch_a = {ObjKey{"x", 1}, ObjKey{"s.y", 2},
+                                        ObjKey{"z", 3}};
+  const std::vector<ObjKey> branch_b = {ObjKey{"s.y", 2}, ObjKey{"w", 4},
+                                        ObjKey{"x", 1}, ObjKey{"v", 5},
+                                        ObjKey{"s.u", 6}};
+  const auto along = [&](const std::vector<ObjKey>& branch) {
+    auto tbl = std::make_unique<sim::ObjectTable>();
+    for (const ObjKey& k : prefix) touch(*tbl, k);
+    for (const ObjKey& k : branch) touch(*tbl, k);
+    return tbl;
+  };
+  // Every key of both branches, resolved on `tbl` and on a fresh table
+  // built along `branch`; keys the branch never named are created on
+  // both, in the same order, so they must get the same ids too.
+  const auto expectResolvesLike = [&](sim::ObjectTable& tbl,
+                                      const std::vector<ObjKey>& branch,
+                                      const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
+    const auto fresh = along(branch);
+    EXPECT_EQ(tbl.objectCount(), fresh->objectCount());
+    EXPECT_EQ(tbl.xorContentsDigest(), fresh->xorContentsDigest());
+    for (const auto* keys : {&prefix, &branch_a, &branch_b}) {
+      for (const ObjKey& k : *keys) {
+        EXPECT_EQ(touch(tbl, k), touch(*fresh, k)) << k.toString();
+      }
+    }
+    EXPECT_EQ(tbl.xorContentsDigest(), fresh->xorContentsDigest());
+  };
+
+  sim::ObjectTable tbl;
+  for (const ObjKey& k : prefix) touch(tbl, k);
+  const sim::ObjectTable::Snapshot fork = tbl.snapshot();
+  for (const ObjKey& k : branch_a) touch(tbl, k);
+  const sim::ObjectTable::Snapshot at_a = tbl.snapshot();
+  tbl.restore(fork);
+  EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
+  for (const ObjKey& k : branch_b) touch(tbl, k);
+  const sim::ObjectTable::Snapshot at_b = tbl.snapshot();
+
+  tbl.restore(at_a);  // from branch B
+  expectResolvesLike(tbl, branch_a, "A restored over B");
+  tbl.restore(at_b);  // from branch A, plus the keys the check created
+  expectResolvesLike(tbl, branch_b, "B restored over A");
+  tbl.restore(at_a);
+  tbl.restore(at_b);  // twice in a row, nothing named in between
+  expectResolvesLike(tbl, branch_b, "B restored over a restored A");
+  sim::ObjectTable empty;
+  empty.restore(at_a);
+  expectResolvesLike(empty, branch_a, "A restored into a fresh table");
+}
+
+// A scan result and a table snapshot share the object's cells; an update
+// after either copies the cells instead of writing through, so both keep
+// what they saw. Restoring the snapshot brings the old cells back.
+TEST(ObjectTable, ScansAndSnapshotsKeepTheirCellsAcrossUpdates) {
+  sim::ObjectTable tbl;
+  const sim::ObjId s = tbl.snapId(ObjKey{"snap"}, 3);
+  const RegVal cell = RegVal::tuple({RegVal(Value{1}), RegVal(Value{2})});
+  tbl.update(s, 0, cell);
+  const SlotArray view = tbl.scan(s);
+  const sim::ObjectTable::Snapshot snap = tbl.snapshot();
+  const std::uint64_t digest = tbl.xorContentsDigest();
+
+  tbl.update(s, 0, RegVal(Value{9}));
+  tbl.update(s, 1, RegVal(Value{8}));
+  EXPECT_EQ(view[0], cell);
+  EXPECT_TRUE(view[1].isBottom());
+  EXPECT_EQ(tbl.scan(s)[0].asInt(), 9);
+  EXPECT_EQ(tbl.scan(s)[1].asInt(), 8);
+  EXPECT_NE(tbl.xorContentsDigest(), digest);
+
+  tbl.restore(snap);
+  EXPECT_EQ(tbl.scan(s), view);
+  EXPECT_EQ(tbl.xorContentsDigest(), digest);
+  EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
+  // The restored cells are shared with the snapshot again: writing them
+  // must not reach the snapshot either.
+  tbl.update(s, 2, RegVal(Value{7}));
+  tbl.restore(snap);
+  EXPECT_TRUE(tbl.scan(s)[2].isBottom());
+  EXPECT_EQ(tbl.xorContentsDigest(), digest);
+
+  // A SlotArray on its own: copies are values.
+  SlotArray a(2);
+  a.set(0, RegVal(Value{1}));
+  SlotArray b = a;
+  b.set(0, RegVal(Value{2}));
+  a.set(1, RegVal(Value{3}));
+  EXPECT_EQ(a[0].asInt(), 1);
+  EXPECT_EQ(a[1].asInt(), 3);
+  EXPECT_EQ(b[0].asInt(), 2);
+  EXPECT_TRUE(b[1].isBottom());
+  EXPECT_THROW(a.set(2, RegVal()), std::out_of_range);
+  const SlotArray moved = std::move(b);
+  EXPECT_EQ(moved[0].asInt(), 2);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(Run, RestoringAnEmptyCheckpointThrows) {
   RunConfig cfg;
   cfg.n_plus_1 = 2;

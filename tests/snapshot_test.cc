@@ -28,7 +28,7 @@ Coro<Unit> updaterScanner(Env& env, int rounds, Value base) {
   for (int r = 1; r <= rounds; ++r) {
     co_await snapshotUpdate(env, h, env.me(), RegVal(base + r));
     const auto view = co_await snapshotScan(env, h);
-    std::vector<RegVal> copy = view;
+    std::vector<RegVal> copy(view.begin(), view.end());
     env.note("scan", RegVal::tuple(std::move(copy)));
   }
   co_return Unit{};

@@ -473,7 +473,7 @@ sim::Coro<sim::Unit> exploreBuggy(Env& env, Value v) {
   const mem::SnapshotHandle s =
       mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
   co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const std::vector<RegVal> view = co_await mem::snapshotScan(env, s);
+  const SlotArray view = co_await mem::snapshotScan(env, s);
   env.note(mem::distinctValues(view).size() <= 1 ? "commit" : "adopt",
            RegVal(v));
   env.decide(v);

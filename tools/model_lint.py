@@ -67,6 +67,11 @@ guarantees:
                      (sim/fabric/wire.h), which check bounds and latch
                      failures, while a text parser silently accepts a
                      partial line
+  scan-copy          std::vector<RegVal> in src/sim/ops.h and
+                     src/sim/world.cc: a scan result is a SlotArray that
+                     shares the scanned object's cells
+                     (common/slot_array.h), so a vector there would copy
+                     every cell of every scan again
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -120,6 +125,8 @@ THREAD_SPAWN_EXCLUDES = ["src/sim/steal_pool.h", "src/sim/steal_pool.cc"]
 # The text-codec rule binds the simulator, whose records (store payloads,
 # certificates, fabric frames) all go through the byte codec.
 TEXT_CODEC_DIRS = ["src/sim"]
+# The scan-copy rule binds the files a scan result is made and typed in.
+SCAN_VIEW_FILES = ["src/sim/ops.h", "src/sim/world.cc"]
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -311,6 +318,14 @@ RULES = [
         "text parser silently accepts a partial line",
         TEXT_CODEC_DIRS,
     ),
+    (
+        "scan-copy",
+        re.compile(r"std::vector\s*<\s*(?:wfd::)?RegVal\s*>"),
+        "a scan result is a SlotArray that shares the object's cells "
+        "(common/slot_array.h): a std::vector<RegVal> here copies every "
+        "cell of every scan, once per step and again per result-log node",
+        SCAN_VIEW_FILES,
+    ),
 ]
 
 
@@ -485,6 +500,12 @@ VIOLATING_SNIPPETS = {
         "  return sigs;\n"
         "}\n"
     ),
+    "scan-copy": (
+        "struct OpResult {\n"
+        "  RegVal scalar;\n"
+        "  std::vector<RegVal> snapshot;\n"
+        "};\n"
+    ),
 }
 
 CLEAN_SNIPPET = """\
@@ -573,6 +594,23 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: text-codec {verb} in {rel}")
+    # scan-copy binds the two files scan results are made and typed in;
+    # World's published outputs (world.h) stay a plain vector.
+    copy = VIOLATING_SNIPPETS["scan-copy"]
+    for rel, fires in (
+        ("src/sim/ops.h", True),
+        ("src/sim/world.cc", True),
+        ("src/sim/world.h", False),
+        ("src/memory/snapshot_afek.cc", False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(copy, rel, rules_for(rel))}
+        if ("scan-copy" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: scan-copy {verb} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: scan-copy {verb} in {rel}")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
