@@ -25,7 +25,12 @@
 //                  restore one whose frames all stay; "steps" are calls;
 //   * snap-scan, snap-scan-logged
 //                  every step a snapshot scan of tuple cells, without and
-//                  with the result log the explorer keeps.
+//                  with the result log the explorer keeps;
+//   * explore-dpor, explore-dag
+//                  a whole serial explorer search (kDpor, kDag) of the
+//                  n+1 = 3 one-shot k-converge family; "steps" are the
+//                  search's executed steps, so allocs/step is the DFS
+//                  bookkeeping per step plus the steps themselves.
 //
 // Every row is timed as the fastest of five repeats of the same work, and
 // reports `allocs`, the global operator new calls one repeat makes (the
@@ -337,6 +342,31 @@ Measurement scanRow(int n_plus_1, Time target_steps, bool logged) {
   return m;
 }
 
+// `explore-dpor` / `explore-dag`: the serial (jobs = 0) search over the
+// one-shot 2-converge family at n+1 = 3, the shape of bench_explore's
+// dpor-n3 / dag-n3 rows without their property check.
+sim::Coro<sim::Unit> convergeOnce(Env& env, Value v) {
+  env.propose(v);
+  const core::Pick p =
+      co_await core::kConverge(env, sim::ObjKey{"x.conv"}, 2, v);
+  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
+  env.decide(p.value);
+  co_return sim::Unit{};
+}
+
+Measurement exploreRow(sim::ExploreMode mode) {
+  sim::ExploreConfig cfg;
+  cfg.run.n_plus_1 = 3;
+  cfg.mode = mode;
+  Measurement m;
+  const WallTimer t;
+  const sim::ExploreResult r = sim::explore(
+      cfg, [](Env& e, Value v) { return convergeOnce(e, v); }, {100, 101, 102});
+  m.seconds = t.seconds();
+  m.steps = static_cast<Time>(r.steps_executed);
+  return m;
+}
+
 }  // namespace
 }  // namespace wfd::bench
 
@@ -427,6 +457,9 @@ int main(int argc, char** argv) {
   report("snap-scan", 5, [&] { return scanRow(5, spin_budget, false); });
   report("snap-scan-logged", 16,
          [&] { return scanRow(16, spin_budget, true); });
+  report("explore-dpor", 3,
+         [&] { return exploreRow(sim::ExploreMode::kDpor); });
+  report("explore-dag", 3, [&] { return exploreRow(sim::ExploreMode::kDag); });
   if (nondeterministic) {
     std::fprintf(stderr, "bench_core: a row's step count changed between "
                          "repeats of the same seeded work\n");

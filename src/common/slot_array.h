@@ -14,7 +14,10 @@
 // explorer job owns its World, checkpoints and result log); a whole World
 // may move to another thread only through a synchronizing hand-off, such
 // as a pool join. Never hand a SlotArray alone to another thread that
-// keeps using it while this one writes.
+// keeps using it while this one writes. The same holds for the other
+// copy-on-write parts of a World checkpoint: the published outputs (a
+// SlotArray) and the trace's event vector (sim/trace.h). The failure
+// pattern a checkpoint shares is immutable and may cross threads.
 #pragma once
 
 #include <cassert>
@@ -55,6 +58,11 @@ class SlotArray {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   const RegVal& operator[](std::size_t i) const {
     assert(i < size_);
+    return cells_[i];
+  }
+  // Throws std::out_of_range for a cell past the end, as std::vector's.
+  [[nodiscard]] const RegVal& at(std::size_t i) const {
+    if (i >= size_) throw std::out_of_range("SlotArray::at: no such cell");
     return cells_[i];
   }
   [[nodiscard]] const RegVal* begin() const { return cells_.get(); }

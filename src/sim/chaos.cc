@@ -331,9 +331,10 @@ void ChaosEngine::beforeStep(World& world, const Scheduler& sched) {
   }
 
   if (on_decide_left_ > 0) {
-    const auto& evs = world.trace().events();
-    for (; decide_scan_ < evs.size(); ++decide_scan_) {
-      const Event& e = evs[decide_scan_];
+    // Re-read the events every pass: a crash records a note, which may
+    // move the trace to a fresh event vector.
+    for (; decide_scan_ < world.trace().events().size(); ++decide_scan_) {
+      const Event& e = world.trace().events()[decide_scan_];
       if (e.kind == EventKind::kDecide && on_decide_left_ > 0 &&
           tryCrash(world, e.pid)) {
         --on_decide_left_;

@@ -6,8 +6,7 @@
 #include <cassert>
 #include <limits>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "fd/failure_detector.h"
 #include "sim/fabric/wire.h"
@@ -48,14 +47,13 @@ bool inSleep(const std::vector<SleepEnt>& sleep, Pid p) {
                      [p](const SleepEnt& se) { return se.pid == p; });
 }
 
-// One executed step on the current DFS path.
+// One executed step on the current DFS path. Its kDpor vector clock is a
+// row of the walk's flat clock array (see walk).
 struct StepX {
   Pid pid = -1;
   OpFootprint fp;
-  bool visible = false;   // emitted a kDecide/kPublish event
-  int proc_seq = 0;       // 1-based index among pid's steps
-  std::vector<int> clock;       // vector clock of this step (inclusive)
-  std::vector<int> prev_clock;  // pid's clock before it (for unwinding)
+  bool visible = false;  // emitted a kDecide/kPublish event
+  int prev_step = -1;    // kDpor: pid's previous step on the stack, or -1
 };
 
 // One branch point: the state BEFORE choosing a step at this depth.
@@ -65,8 +63,7 @@ struct Node {
   ProcSet to_explore;  // kDpor: dynamically grown backtrack set
   ProcSet done;        // explored (or sleep-skipped) from here
   std::vector<SleepEnt> sleep;
-  std::set<std::uint64_t> sub_sigs;  // outcome sigs of the subtree so far
-  std::uint64_t digest = 0;          // kDag memo key
+  std::uint64_t digest = 0;  // kDag memo key
 };
 
 // Two steps must keep their relative order iff they are dependent: either
@@ -119,28 +116,35 @@ std::uint64_t fullStateDigest(Run& run, int n, bool audit_table) {
   return h;
 }
 
-// Collect the terminal state's observable outcome: all recorded events
-// grouped per process (program order within a process; pid order across).
-ExploreOutcome harvestOutcome(Run& run, int n) {
-  ExploreOutcome o;
-  const auto& events = run.world().trace().events();
-  std::vector<std::vector<const Event*>> per(static_cast<std::size_t>(n));
-  for (const Event& e : events) {
-    if (e.pid < 0 || e.pid >= n) continue;
-    per[static_cast<std::size_t>(e.pid)].push_back(&e);
-    if (e.kind == EventKind::kDecide) o.decisions[e.pid] = e.value.asInt();
-  }
+// A terminal state's observable outcome is all recorded events grouped per
+// process (program order within a process; pid order across). Most
+// terminals repeat an outcome already seen, so the signature is hashed in
+// place first and the outcome is built only for a new signature.
+std::uint64_t outcomeSig(const std::vector<Event>& events, int n) {
   std::uint64_t h = 0x452821E638D01377ULL;
   for (int p = 0; p < n; ++p) {
     h = stateMix64(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
-    for (const Event* e : per[static_cast<std::size_t>(p)]) {
-      h = stateMix64(h, static_cast<std::uint64_t>(e->kind) + 1);
-      h = stateMix64(h, labelHash(e->label));
-      h = stateMix64(h, e->value.hash64());
-      o.events.push_back(*e);
+    for (const Event& e : events) {
+      if (e.pid != p) continue;
+      h = stateMix64(h, static_cast<std::uint64_t>(e.kind) + 1);
+      h = stateMix64(h, labelHash(e.label));
+      h = stateMix64(h, e.value.hash64());
     }
   }
-  o.sig = h;
+  return h;
+}
+
+ExploreOutcome harvestOutcome(const std::vector<Event>& events, int n,
+                              std::uint64_t sig) {
+  ExploreOutcome o;
+  o.sig = sig;
+  for (int p = 0; p < n; ++p) {
+    for (const Event& e : events) {
+      if (e.pid != p) continue;
+      if (e.kind == EventKind::kDecide) o.decisions[p] = e.value.asInt();
+      o.events.push_back(e);
+    }
+  }
   return o;
 }
 
@@ -167,11 +171,11 @@ struct FdEpochCtx {
 };
 
 struct CapturedJob {
-  std::vector<Pid> prefix;               // pid per prefix step
-  std::vector<StepX> steps;              // full prefix step stack
-  std::vector<std::vector<int>> clocks;  // per-proc clocks after prefix
-  std::vector<SleepEnt> sleep;           // frontier node's sleep set
-  std::uint64_t seq = 0;                 // DFS unit number at creation
+  std::vector<Pid> prefix;      // pid per prefix step
+  std::vector<StepX> steps;     // full prefix step stack
+  std::vector<int> clock_rows;  // kDpor: the prefix steps' clock rows
+  std::vector<SleepEnt> sleep;  // frontier node's sleep set
+  std::uint64_t seq = 0;        // DFS unit number at creation
 };
 
 constexpr std::uint64_t kNoSeq = std::numeric_limits<std::uint64_t>::max();
@@ -198,7 +202,7 @@ WalkOut walk(const WalkSpec& spec) {
   const bool dpor = cfg.mode == ExploreMode::kDpor;
   const bool capture = spec.capture_depth >= 1;
   // Phase 1 must not memoize: its subtrees are captured, not explored, so
-  // a node's sub_sigs never describe the full subtree a memo entry claims.
+  // a node popped there was never fully explored, as a memo entry claims.
   const bool use_memo = !dpor && cfg.memoize && !capture;
   const bool audit = resolvedAuditMode(cfg.run.audit).has_value();
   const int base =
@@ -212,9 +216,13 @@ WalkOut walk(const WalkSpec& spec) {
 
   std::vector<Node> path;
   std::vector<StepX> steps;
-  std::vector<std::vector<int>> clocks(
-      static_cast<std::size_t>(n),
-      std::vector<int>(static_cast<std::size_t>(n), 0));
+  // kDpor happens-before, flat: row i (n ints) of `clock_rows` is the
+  // vector clock of steps[i], inclusive of it, and last[p] is the index of
+  // p's latest step on the stack, or -1. kDag keeps no clocks.
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<int> clock_rows;
+  std::vector<int> last(un, -1);
+  std::vector<int> past(un);  // scratch of the stability-epoch test
   if (spec.job != nullptr) {
     // Replay the captured prefix by stepping: the worker owns a fresh
     // Run/World/Scheduler stack, so the replay is this job's only
@@ -222,25 +230,30 @@ WalkOut walk(const WalkSpec& spec) {
     for (const Pid p : spec.job->prefix) run.scheduler().step(p);
     res.steps_executed += static_cast<std::uint64_t>(base);
     steps = spec.job->steps;
-    clocks = spec.job->clocks;
+    clock_rows = spec.job->clock_rows;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      last[static_cast<std::size_t>(steps[i].pid)] = static_cast<int>(i);
+    }
   }
-  // kDag memo: state digest -> outcome signatures of its full subtree.
-  // Frontier workers each hold a private memo so every counter is a pure
-  // function of the job, never of worker scheduling.
-  // Hashed: only find/emplace/size, never iterated, so its order cannot
-  // leak into any result.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> memo;
+  // kDag memo: the digests of states whose subtree is fully explored. A
+  // hit's outcomes are already in res.outcomes, found earlier in this
+  // walk, so the memo keeps no outcome sets. Frontier workers each hold a
+  // private memo so every counter is a pure function of the job, never of
+  // worker scheduling. Hashed: only contains/insert/size, never iterated,
+  // so its order cannot leak into any result.
+  std::unordered_set<std::uint64_t> memo;
   int live_depth = 0;  // LOCAL depth the live Run currently corresponds to
   std::uint64_t live_digest = 0;
 
-  const auto harvestTerminal = [&](Node& cur) -> bool {
+  const auto harvestTerminal = [&]() -> bool {
     // Returns true when the caller should abort the whole walk.
-    ExploreOutcome o = harvestOutcome(run, n);
+    const std::vector<Event>& events = run.world().trace().events();
+    const std::uint64_t sig = outcomeSig(events, n);
     ++res.schedules_explored;
-    cur.sub_sigs.insert(o.sig);
-    const std::uint64_t sig = o.sig;
-    auto [it, inserted] = res.outcomes.emplace(sig, std::move(o));
-    (void)inserted;
+    auto it = res.outcomes.lower_bound(sig);
+    if (it == res.outcomes.end() || it->first != sig) {
+      it = res.outcomes.emplace_hint(it, sig, harvestOutcome(events, n, sig));
+    }
     bool violated = false;
     if (cfg.property && res.verdict == ExploreVerdict::kVerified) {
       const std::string v = cfg.property(it->second);
@@ -290,11 +303,27 @@ WalkOut walk(const WalkSpec& spec) {
       seedDpor(root);
     }
     if (run.scheduler().allCorrectDone() || root.enabled.empty()) {
-      harvestTerminal(root);
+      harvestTerminal();
       return out;
     }
     path.push_back(std::move(root));
   }
+
+  // Writes p's clock before its next step: its latest step's row, or 0s.
+  const auto preClock = [&](Pid p, int* out) {
+    const int lp = last[static_cast<std::size_t>(p)];
+    for (std::size_t q = 0; q < un; ++q) {
+      out[q] = lp < 0 ? 0 : clock_rows[static_cast<std::size_t>(lp) * un + q];
+    }
+  };
+  const auto popStep = [&] {
+    const StepX& in = steps.back();
+    if (dpor) {
+      last[static_cast<std::size_t>(in.pid)] = in.prev_step;
+      clock_rows.resize(clock_rows.size() - un);
+    }
+    steps.pop_back();
+  };
 
   while (!path.empty()) {
     Node& cur = path.back();
@@ -317,19 +346,13 @@ WalkOut walk(const WalkSpec& spec) {
     }
 
     if (p < 0) {
-      // Node exhausted: memoize (kDag), fold into the parent, pop.
-      if (use_memo) {
-        memo.emplace(cur.digest,
-                     std::vector<std::uint64_t>(cur.sub_sigs.begin(),
-                                                cur.sub_sigs.end()));
-      }
+      // Node exhausted: memoize (kDag), pop.
+      if (use_memo) memo.insert(cur.digest);
       if (d > 0) {
         Node& parent = path[static_cast<std::size_t>(d) - 1];
-        parent.sub_sigs.insert(cur.sub_sigs.begin(), cur.sub_sigs.end());
         const StepX& in = steps.back();
         if (dpor) parent.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
-        clocks[static_cast<std::size_t>(in.pid)] = in.prev_clock;
-        steps.pop_back();
+        popStep();
       }
       path.pop_back();
       continue;
@@ -378,71 +401,68 @@ WalkOut walk(const WalkSpec& spec) {
       // stable classification (epoch 0) — using the coarse relation here
       // would inflate the past with steps a stable query does not depend
       // on and certify queries the refined relation then reorders.
+      assert(dpor);  // the clock rows exist only in kDpor
       fp.fd_epoch = 0;
-      std::vector<int> past = clocks[static_cast<std::size_t>(p)];
-      for (const StepX& si : steps) {
+      preClock(p, past.data());
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        const StepX& si = steps[i];
         if (si.pid == p) continue;  // program order is already in `past`
         if (!dependent(si.fp, si.visible, fp, visible)) continue;
-        for (int q = 0; q < n; ++q) {
-          past[static_cast<std::size_t>(q)] =
-              std::max(past[static_cast<std::size_t>(q)],
-                       si.clock[static_cast<std::size_t>(q)]);
-        }
+        const int* ci = &clock_rows[i * un];
+        for (std::size_t q = 0; q < un; ++q) past[q] = std::max(past[q], ci[q]);
       }
       long long past_steps = 0;
       for (const int c : past) past_steps += c;
       if (past_steps < spec.fdctx.tau) fp.fd_epoch = kFdEpochUnstable;
     }
 
-    // Vector-clock happens-before pass over the executed prefix, plus
-    // Flanagan–Godefroid dynamic backtracking: for every earlier step
-    // dependent with this one but not ordered before it by the prefix's
-    // happens-before relation, the reversal is a genuine race — make the
-    // pre-state of that step schedule this process too.
-    const std::vector<int> pre_clock = clocks[static_cast<std::size_t>(p)];
-    std::vector<int> now_clock = pre_clock;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const StepX& si = steps[i];
-      if (si.pid == p) continue;  // program order is already in pre_clock
-      if (!dependent(si.fp, si.visible, fp, visible)) continue;
-      for (int q = 0; q < n; ++q) {
-        now_clock[static_cast<std::size_t>(q)] =
-            std::max(now_clock[static_cast<std::size_t>(q)],
-                     si.clock[static_cast<std::size_t>(q)]);
+    StepX st;
+    st.pid = p;
+    st.fp = fp;
+    st.visible = visible;
+    if (dpor) {
+      // Vector-clock happens-before pass over the executed prefix, plus
+      // Flanagan–Godefroid dynamic backtracking: for every earlier step
+      // dependent with this one but not ordered before it by the prefix's
+      // happens-before relation, the reversal is a genuine race — make
+      // the pre-state of that step schedule this process too. The new
+      // step's row starts as p's clock before it (pre), and the rows of
+      // the steps p depends on are folded in.
+      const std::size_t row = steps.size() * un;
+      clock_rows.resize(row + un);
+      int* now_clock = &clock_rows[row];
+      preClock(p, now_clock);
+      const int lp = last[static_cast<std::size_t>(p)];
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        const StepX& si = steps[i];
+        if (si.pid == p) continue;  // program order is already in pre
+        if (!dependent(si.fp, si.visible, fp, visible)) continue;
+        const int* ci = &clock_rows[i * un];
+        for (std::size_t q = 0; q < un; ++q) {
+          now_clock[q] = std::max(now_clock[q], ci[q]);
+        }
+        const auto sq = static_cast<std::size_t>(si.pid);
+        const int pre_seen =
+            lp < 0 ? 0 : clock_rows[static_cast<std::size_t>(lp) * un + sq];
+        if (pre_seen >= ci[sq]) {
+          continue;  // si happens-before p's transition: order is forced
+        }
+        if (i < static_cast<std::size_t>(base)) {
+          continue;  // prefix node: eagerly seeded, the addition is a no-op
+        }
+        Node& nj = path[i - static_cast<std::size_t>(base)];
+        if (nj.enabled.contains(p)) {
+          nj.to_explore.insert(p);
+        } else {
+          // p was not enabled there: conservatively schedule everything.
+          nj.to_explore = nj.to_explore.unionWith(nj.enabled);
+        }
       }
-      if (!dpor) continue;
-      if (pre_clock[static_cast<std::size_t>(si.pid)] >= si.proc_seq) {
-        continue;  // si happens-before p's transition: order is forced
-      }
-      if (i < static_cast<std::size_t>(base)) {
-        continue;  // prefix node: eagerly seeded, the addition is a no-op
-      }
-      Node& nj = path[i - static_cast<std::size_t>(base)];
-      if (nj.enabled.contains(p)) {
-        nj.to_explore.insert(p);
-      } else {
-        // p was not enabled there: conservatively schedule everything.
-        nj.to_explore = nj.to_explore.unionWith(nj.enabled);
-      }
+      now_clock[static_cast<std::size_t>(p)] += 1;
+      st.prev_step = lp;
+      last[static_cast<std::size_t>(p)] = static_cast<int>(steps.size());
     }
-    now_clock[static_cast<std::size_t>(p)] += 1;
-    {
-      StepX st;
-      st.pid = p;
-      st.fp = fp;
-      st.visible = visible;
-      st.proc_seq = now_clock[static_cast<std::size_t>(p)];
-      st.prev_clock = pre_clock;
-      st.clock = now_clock;
-      clocks[static_cast<std::size_t>(p)] = std::move(now_clock);
-      steps.push_back(std::move(st));
-    }
-
-    const auto popStep = [&] {
-      const StepX& in = steps.back();
-      clocks[static_cast<std::size_t>(in.pid)] = in.prev_clock;
-      steps.pop_back();
-    };
+    steps.push_back(st);
 
     const bool all_done = run.scheduler().allCorrectDone();
     const bool blocked = !all_done && run.scheduler().runnable().empty();
@@ -453,7 +473,7 @@ WalkOut walk(const WalkSpec& spec) {
       if (too_deep) {
         res.complete = false;  // this branch was cut, not verified
       } else {
-        abort_search = harvestTerminal(cur);
+        abort_search = harvestTerminal();
       }
       const StepX& in = steps.back();
       if (dpor) cur.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
@@ -474,7 +494,7 @@ WalkOut walk(const WalkSpec& spec) {
       job.prefix.reserve(steps.size());
       for (const StepX& s : steps) job.prefix.push_back(s.pid);
       job.steps = steps;
-      job.clocks = clocks;
+      job.clock_rows = clock_rows;
       const StepX& in = steps.back();
       if (dpor) {
         for (const SleepEnt& se : cur.sleep) {
@@ -499,10 +519,8 @@ WalkOut walk(const WalkSpec& spec) {
         throw SimAbort(
             "explore: incremental state digest diverged from full recompute");
       }
-      const auto hit = memo.find(digest);
-      if (hit != memo.end()) {
+      if (memo.contains(digest)) {
         ++res.memo_hits;
-        cur.sub_sigs.insert(hit->second.begin(), hit->second.end());
         popStep();
         continue;
       }

@@ -13,6 +13,8 @@
 // reads use_count(), so a table, its Snapshots and every scan result
 // taken from it must stay on one thread at a time; hand a whole run to
 // another thread only through a synchronizing hand-off (a pool join).
+// A World checkpoint adds two more such holders, the published outputs
+// and the trace's event vector, under the same rule.
 #pragma once
 
 #include <array>

@@ -4,7 +4,7 @@ namespace wfd::sim {
 
 std::vector<Event> Trace::ofKind(EventKind k) const {
   std::vector<Event> out;
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     if (e.kind == k) out.push_back(e);
   }
   return out;
@@ -12,7 +12,7 @@ std::vector<Event> Trace::ofKind(EventKind k) const {
 
 std::vector<RegVal> Trace::publishedAt(Time t, int n_plus_1) const {
   std::vector<RegVal> out(static_cast<std::size_t>(n_plus_1));
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     if (e.time > t) break;
     if (e.kind == EventKind::kPublish && e.pid >= 0 && e.pid < n_plus_1) {
       out[static_cast<std::size_t>(e.pid)] = e.value;
@@ -24,8 +24,8 @@ std::vector<RegVal> Trace::publishedAt(Time t, int n_plus_1) const {
 std::uint64_t Trace::hash64() const {
   std::uint64_t h = op_digest_;
   h = mix(h, ops_mixed_);
-  h = mix(h, events_.size());
-  for (const auto& e : events_) {
+  h = mix(h, events().size());
+  for (const auto& e : events()) {
     h = mix(h, static_cast<std::uint64_t>(e.time));
     h = mix(h, static_cast<std::uint64_t>(e.pid) + 1);
     h = mix(h, static_cast<std::uint64_t>(e.kind) + 1);
@@ -38,7 +38,7 @@ std::uint64_t Trace::hash64() const {
 
 std::string Trace::toString() const {
   std::string s;
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     s += "t=" + std::to_string(e.time) + " p" + std::to_string(e.pid + 1);
     switch (e.kind) {
       case EventKind::kPropose: s += " propose "; break;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,21 @@ struct Event {
   RegVal value;
 };
 
+// The event vector is shared copy-on-write: copies of a Trace and its
+// Snapshots hold the same vector, and record() copies it first only while
+// another holder still shares it. Like SlotArray (common/slot_array.h),
+// that test reads use_count(), so a trace and every copy or Snapshot of it
+// must stay on one thread at a time.
 class Trace {
  public:
   void record(Time t, Pid p, EventKind k, std::string label, RegVal v) {
     if (muted_) return;
-    events_.push_back(Event{t, p, k, std::move(label), std::move(v)});
+    if (!events_) {
+      events_ = std::make_shared<std::vector<Event>>();
+    } else if (events_.use_count() > 1) {
+      events_ = std::make_shared<std::vector<Event>>(*events_);
+    }
+    events_->push_back(Event{t, p, k, std::move(label), std::move(v)});
   }
 
   // Checkpoint-restore support (sim/explore.h). While a restored process
@@ -61,10 +72,11 @@ class Trace {
 
    private:
     friend class Trace;
-    std::vector<Event> events;
+    std::shared_ptr<std::vector<Event>> events;
     std::uint64_t op_digest = 0;
     std::uint64_t ops_mixed = 0;
   };
+  // Taking and restoring share the event vector; neither copies it.
   [[nodiscard]] Snapshot snapshot() const {
     Snapshot s;
     s.events = events_;
@@ -78,7 +90,12 @@ class Trace {
     ops_mixed_ = s.ops_mixed;
   }
 
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  // A reference that a later record() may leave stale: re-read it after
+  // recording.
+  [[nodiscard]] const std::vector<Event>& events() const {
+    static const std::vector<Event> kNone;
+    return events_ ? *events_ : kNone;
+  }
 
   // Fold one executed atomic operation into the running op digest.
   // Called by World::execute for every op; op_sig is a stable signature
@@ -121,7 +138,7 @@ class Trace {
     h ^= h >> 33;
     return h;
   }
-  std::vector<Event> events_;
+  std::shared_ptr<std::vector<Event>> events_;  // null: no events yet
   std::uint64_t op_digest_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   std::uint64_t ops_mixed_ = 0;
   bool muted_ = false;

@@ -48,7 +48,10 @@ OpResult World::execute(Pid p, const Op& op) {
 }
 
 void World::injectCrash(Pid p) {
-  fp_.injectCrash(p, now_);
+  // Snapshots share the old pattern: install a mutated copy.
+  auto next = std::make_shared<FailurePattern>(*fp_);
+  next->injectCrash(p, now_);
+  fp_ = std::move(next);
   ++fp_version_;  // invalidate cached scheduler liveness
   // Injection is part of the run's (chaos) configuration: record it so
   // replays of the same seeds hash identically and diagnosable traces
@@ -74,12 +77,12 @@ World::Snapshot World::snapshot() const {
 
 void World::restore(const Snapshot& s) {
   // A default-constructed Snapshot was never taken from a world.
-  if (!s.fp.has_value()) {
+  if (!s.fp) {
     throw SimAbort("World::restore: snapshot was never taken");
   }
   now_ = s.now;
   fp_version_ = s.fp_version;
-  fp_ = *s.fp;
+  fp_ = s.fp;
   published_ = s.published;
   objects_.restore(s.objects);
   trace_.restore(s.trace);
@@ -91,7 +94,7 @@ void World::restore(const Snapshot& s) {
 }
 
 void World::setPublished(Pid p, RegVal v) {
-  published_.at(static_cast<std::size_t>(p)) = v;
+  published_.set(static_cast<std::size_t>(p), v);
   trace_.record(now_, p, EventKind::kPublish, "", std::move(v));
 }
 

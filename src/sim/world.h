@@ -12,7 +12,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "fd/failure_detector.h"
 #include "sim/failure_pattern.h"
@@ -44,12 +43,13 @@ class World {
   World(int n_plus_1, FailurePattern fp, fd::FdPtr fd,
         SnapshotFlavor flavor = SnapshotFlavor::kNative)
       : n_plus_1_(n_plus_1),
-        fp_(std::move(fp)),
+        fp_(std::make_shared<const FailurePattern>(std::move(fp))),
         fd_(std::move(fd)),
         flavor_(flavor) {}
 
   [[nodiscard]] int nProcs() const { return n_plus_1_; }
-  [[nodiscard]] const FailurePattern& pattern() const { return fp_; }
+  // A reference that injectCrash leaves dangling: re-read it after.
+  [[nodiscard]] const FailurePattern& pattern() const { return *fp_; }
   [[nodiscard]] const fd::FailureDetector* fd() const { return fd_.get(); }
   [[nodiscard]] SnapshotFlavor snapshotFlavor() const { return flavor_; }
 
@@ -102,10 +102,13 @@ class World {
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   // A Snapshot captures every mutable field of the world: clock, failure
   // pattern (chaos may have mutated it), object table, trace, published
-  // FD-output emulations. Tuple payloads and snapshot cells are shared,
-  // not copied (ObjectTable::Snapshot); the trace's event vector is
-  // copied. The FD itself is NOT captured: histories are stateless
-  // functions of (seed, p, t), per common/rng.h.
+  // FD-output emulations. It copies none of their contents: tuple
+  // payloads and snapshot cells (ObjectTable::Snapshot), the published
+  // outputs (a SlotArray), the immutable pattern (injectCrash installs a
+  // new one) and the trace's event vector (copy-on-write, see Trace) are
+  // shared, and restore() shares them back. The FD itself is NOT
+  // captured: histories are stateless functions of (seed, p, t), per
+  // common/rng.h.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -114,8 +117,8 @@ class World {
     friend class World;
     Time now = 0;
     std::uint64_t fp_version = 0;
-    std::optional<FailurePattern> fp;
-    std::vector<RegVal> published;
+    std::shared_ptr<const FailurePattern> fp;  // null: never taken
+    SlotArray published;
     ObjectTable::Snapshot objects;
     Trace::Snapshot trace;
   };
@@ -152,7 +155,7 @@ class World {
 
  private:
   int n_plus_1_;
-  FailurePattern fp_;
+  std::shared_ptr<const FailurePattern> fp_;
   fd::FdPtr fd_;
   SnapshotFlavor flavor_;
   Time now_ = 0;
@@ -163,8 +166,7 @@ class World {
   Trace trace_;
   std::unique_ptr<StepAuditor> audit_;
   ScanOverride scan_override_;
-  std::vector<RegVal> published_ =
-      std::vector<RegVal>(static_cast<std::size_t>(n_plus_1_));
+  SlotArray published_ = SlotArray(static_cast<std::size_t>(n_plus_1_));
 };
 
 }  // namespace wfd::sim

@@ -297,6 +297,52 @@ TEST(Explore, ThreeProcDporReducesAtLeastFiveFold) {
   EXPECT_EQ(explorerPickSet(dpor, 3), explorerPickSet(dag, 3));
 }
 
+// ---- Many outcomes: kDag's memo against the plain search and kDpor ------
+
+// Each process bumps a shared counter twice without a lock and notes what
+// every read returned, so lost updates give many distinct outcomes.
+Coro<Unit> counterBumps(Env& env, Value v) {
+  env.propose(v);
+  const ObjId c = env.reg(sim::ObjKey{"x.count"});
+  for (int i = 0; i < 2; ++i) {
+    const sim::OpResult r = co_await env.read(c);
+    const Value seen = r.scalar.isBottom() ? 0 : r.scalar.asInt();
+    env.note("saw", RegVal(seen));
+    co_await env.write(c, RegVal(seen + 1));
+  }
+  co_return Unit{};
+}
+
+TEST(Explore, OverSixtyFourOutcomesAgreeWithAndWithoutTheMemo) {
+  const std::vector<Value> props = {100, 101, 102};
+  const sim::AlgoFn algo = [](Env& e, Value v) { return counterBumps(e, v); };
+  ExploreConfig cfg;
+  cfg.run.n_plus_1 = 3;
+  cfg.property = [](const ExploreOutcome& o) -> std::string {
+    for (const auto& e : o.events) {
+      if (e.kind == sim::EventKind::kNote && e.value.asInt() > 5) {
+        return "read a count no schedule can reach";
+      }
+    }
+    return "";
+  };
+  cfg.mode = ExploreMode::kDag;
+  const ExploreResult memo = explore(cfg, algo, props);
+  cfg.memoize = false;
+  const ExploreResult plain = explore(cfg, algo, props);
+  cfg.mode = ExploreMode::kDpor;
+  const ExploreResult dpor = explore(cfg, algo, props);
+
+  EXPECT_GT(memo.outcomeSigs().size(), 64u);
+  EXPECT_GT(memo.memo_hits, 0u);
+  EXPECT_EQ(plain.memo_hits, 0u);
+  for (const ExploreResult* r : {&memo, &plain, &dpor}) {
+    EXPECT_TRUE(r->verified()) << r->violation;
+  }
+  EXPECT_EQ(memo.outcomeSigs(), plain.outcomeSigs());
+  EXPECT_EQ(memo.outcomeSigs(), dpor.outcomeSigs());
+}
+
 // ---- The seeded bug: a broken commit-adopt the explorer must catch -------
 
 // Deliberately wrong commit-adopt: publishes and observes like the real

@@ -383,6 +383,97 @@ TEST(ObjectTable, ScansAndSnapshotsKeepTheirCellsAcrossUpdates) {
   EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
 }
 
+// Everything a World checkpoint shares instead of copying: the published
+// outputs, the failure pattern and the trace's events, plus the hash.
+struct WorldView {
+  std::vector<RegVal> published;
+  std::vector<Time> crash_times;
+  std::vector<std::string> events;
+  std::uint64_t hash = 0;
+  friend bool operator==(const WorldView&, const WorldView&) = default;
+};
+
+WorldView viewOf(const sim::World& w) {
+  WorldView v;
+  for (Pid p = 0; p < w.nProcs(); ++p) {
+    v.published.push_back(w.published(p));
+    v.crash_times.push_back(w.pattern().crashTime(p));
+  }
+  for (const sim::Event& e : w.trace().events()) {
+    v.events.push_back(std::to_string(e.time) + " p" + std::to_string(e.pid) +
+                       " " + std::to_string(static_cast<int>(e.kind)) + " " +
+                       e.label + "=" + e.value.toString());
+  }
+  v.hash = w.trace().hash64();
+  return v;
+}
+
+// Two branches from one checkpoint each publish, crash a process and
+// record events. Restoring the base and both branches in every order, and
+// into a fresh Run, must bring back exactly what each checkpoint saw, and
+// a checkpoint keeps its values across every later mutation.
+TEST(World, CheckpointsKeepPublishedPatternAndEventsAcrossBranches) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 3;
+  const sim::AlgoFn algo = [](Env& e, Value) { return counterLoop(e, 4); };
+  sim::Run run(cfg, algo, {0, 0, 0});
+  run.enableCheckpoints();
+  sim::World& w = run.world();
+  run.scheduler().step(0);
+  w.setPublished(0, RegVal(Value{7}));
+
+  const sim::RunCheckpoint base = run.checkpoint();
+  const WorldView at_base = viewOf(w);
+
+  run.scheduler().step(1);
+  w.setPublished(1, RegVal(Value{11}));
+  w.injectCrash(2);
+  w.trace().record(w.now(), 1, sim::EventKind::kNote, "branch.a", RegVal());
+  const sim::RunCheckpoint a = run.checkpoint();
+  const WorldView at_a = viewOf(w);
+  EXPECT_NE(at_a, at_base);
+
+  run.restore(base);
+  EXPECT_EQ(viewOf(w), at_base);
+  run.scheduler().step(2);
+  w.setPublished(0, RegVal(Value{8}));
+  w.setPublished(2, RegVal::tuple({RegVal(Value{1}), RegVal(Value{2})}));
+  w.injectCrash(1);
+  w.trace().record(w.now(), 2, sim::EventKind::kNote, "branch.b",
+                   RegVal(Value{3}));
+  const sim::RunCheckpoint b = run.checkpoint();
+  const WorldView at_b = viewOf(w);
+  EXPECT_NE(at_b, at_base);
+  EXPECT_NE(at_b, at_a);
+  // Mutating after a checkpoint leaves it alone.
+  w.setPublished(2, RegVal(Value{99}));
+  w.trace().record(w.now(), 0, sim::EventKind::kNote, "after.b", RegVal());
+
+  const std::vector<std::pair<const sim::RunCheckpoint*, const WorldView*>>
+      cks = {{&base, &at_base}, {&a, &at_a}, {&b, &at_b}};
+  std::vector<int> order = {0, 1, 2};
+  do {
+    for (const int i : order) {
+      run.restore(*cks[static_cast<std::size_t>(i)].first);
+      EXPECT_EQ(viewOf(w), *cks[static_cast<std::size_t>(i)].second)
+          << "checkpoint " << i;
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  for (const auto& [ck, view] : cks) {
+    sim::Run fresh(cfg, algo, {0, 0, 0});
+    fresh.enableCheckpoints();
+    fresh.restore(*ck);
+    EXPECT_EQ(viewOf(fresh.world()), *view);
+    // A restored run records into its own events, not the checkpoint's.
+    fresh.world().trace().record(0, 0, sim::EventKind::kNote, "fresh",
+                                 RegVal());
+    fresh.world().setPublished(0, RegVal(Value{-1}));
+  }
+  run.restore(a);
+  EXPECT_EQ(viewOf(w), at_a);
+}
+
 TEST(Run, RestoringAnEmptyCheckpointThrows) {
   RunConfig cfg;
   cfg.n_plus_1 = 2;

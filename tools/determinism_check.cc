@@ -457,7 +457,10 @@ void fabricWorkloads(int procs, int jobs, bool steal) {
 // in both modes, an Upsilon-bearing workload under the refined
 // FD-independence relation, and the seeded-bug family whose counterexample
 // must come out identical), and additionally pins steal vs static
-// sharding. Runs EXCLUSIVELY under --explore (its own ctest entry).
+// sharding. Every kDag family also runs on the classic engine with and
+// without the memo: skipping memoized states must not change the verdict
+// or the outcome-signature set. Runs EXCLUSIVELY under --explore (its own
+// ctest entry).
 
 sim::Coro<sim::Unit> exploreOneShot(Env& env, int k, Value v) {
   env.propose(v);
@@ -604,6 +607,16 @@ void exploreWorkloads(int jobs) {
     } else {
       check(one.verdict == sim::ExploreVerdict::kVerified && one.complete,
             f.name + ": family verified");
+    }
+    if (f.cfg.mode == sim::ExploreMode::kDag) {
+      f.cfg.jobs = 0;
+      const sim::ExploreResult memo = explore(f.cfg, f.algo, f.props);
+      f.cfg.memoize = false;
+      const sim::ExploreResult plain = explore(f.cfg, f.algo, f.props);
+      f.cfg.memoize = true;
+      check(memo.verdict == plain.verdict &&
+                memo.outcomeSigs() == plain.outcomeSigs(),
+            f.name + ": classic memoize=false matches the memoized run");
     }
   }
 }
