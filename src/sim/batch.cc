@@ -45,19 +45,11 @@ double BatchStats::utilization() const {
 }
 
 long long BatchStats::stepMakespan() const {
-  long long makespan = 0;
-  for (const long long s : steps_run) makespan = std::max(makespan, s);
-  return makespan;
+  return sim::stepMakespan(steps_run);
 }
 
 double BatchStats::stepUtilization() const {
-  const long long makespan = stepMakespan();
-  if (makespan <= 0 || steps_run.empty()) return 0;
-  long long total = 0;
-  for (const long long s : steps_run) total += s;
-  return static_cast<double>(total) /
-         (static_cast<double>(makespan) *
-          static_cast<double>(steps_run.size()));
+  return sim::stepUtilization(steps_run);
 }
 
 int resolveJobs(int jobs) {

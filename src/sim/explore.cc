@@ -858,19 +858,11 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
 }  // namespace
 
 long long ExploreResult::stepMakespan() const {
-  long long m = 0;
-  for (const long long s : worker_steps) m = std::max(m, s);
-  return m;
+  return sim::stepMakespan(worker_steps);
 }
 
 double ExploreResult::stepUtilization() const {
-  const long long makespan = stepMakespan();
-  if (makespan <= 0 || worker_steps.empty()) return 0.0;
-  long long total = 0;
-  for (const long long s : worker_steps) total += s;
-  return static_cast<double>(total) /
-         (static_cast<double>(makespan) *
-          static_cast<double>(worker_steps.size()));
+  return sim::stepUtilization(worker_steps);
 }
 
 std::set<std::uint64_t> ExploreResult::outcomeSigs() const {

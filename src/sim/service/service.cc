@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -92,6 +93,18 @@ AlgoFn makeServiceAlgo(
 
 // ---- Segment driver ------------------------------------------------------
 
+// Prepared, drivable segment attempt: `len` instances proposing
+// props[slot][s], the optional chaos engine armed into the Run, and the
+// schedule policy that drives it.
+struct Segment {
+  int len = 0;
+  Injector injector = Injector::kNone;
+  std::shared_ptr<std::vector<std::vector<Value>>> props;  // [slot][s]
+  std::unique_ptr<ChaosEngine> engine;
+  std::unique_ptr<Run> run;
+  std::unique_ptr<SchedulePolicy> policy;
+};
+
 struct SegmentOutcome {
   RunVerdict verdict = RunVerdict::kOk;
   std::string detail;
@@ -104,160 +117,40 @@ struct SegmentOutcome {
   std::vector<std::vector<Time>> note_step;
 };
 
-// Drives one segment Run to a verdict through driveToVerdict, harvesting
-// per-instance commit notes after every step — and, when `record_marks`
-// is set, taking a Run checkpoint at every instance-commit boundary so
-// runCrashSweep can restore the shared prefix instead of re-executing it.
-class SegmentDriver {
- public:
-  SegmentDriver(Run& run, SchedulePolicy& policy, const WatchdogConfig& wd,
-                ChaosEngine* chaos, int group, int len, bool record_marks)
-      : run_(run),
-        policy_(policy),
-        wd_(wd),
-        chaos_(chaos),
-        group_(group),
-        len_(len),
-        record_marks_(record_marks) {
-    assert(!(record_marks_ && chaos_ != nullptr));  // marks need pure state
-    noted_.assign(static_cast<std::size_t>(group_),
-                  std::vector<Value>(static_cast<std::size_t>(len_),
-                                     kBottomValue));
-    note_step_.assign(static_cast<std::size_t>(group_),
-                      std::vector<Time>(static_cast<std::size_t>(len_), 0));
-    if (record_marks_) {
-      run_.enableCheckpoints();
-      marks_.push_back(takeMark());  // mark 0: before any step
-    }
+// Drives a segment that is `done_steps` steps in to a verdict, then reads
+// the commit notes ("c<s>", s < len; the last one per slot and instance
+// wins) off the finished trace. The budget counts from segment start, so
+// a sweep variant resumed at a boundary gets what the base pass had left
+// there; its restored trace already holds the prefix's notes.
+SegmentOutcome driveSegment(Segment& seg, WatchdogConfig wd,
+                            Time done_steps = 0) {
+  wd.step_budget -= done_steps;
+  const RunReport rep =
+      driveToVerdict(*seg.run, *seg.policy, wd, seg.engine.get());
+  const World& world = seg.run->world();
+  const auto len = static_cast<std::size_t>(seg.len);
+  const std::size_t group = seg.props->size();
+  SegmentOutcome out{rep.verdict,
+                     rep.detail,
+                     done_steps + rep.steps,
+                     world.trace().hash64(),
+                     world.pattern(),
+                     std::vector(group, std::vector<Value>(len, kBottomValue)),
+                     std::vector(group, std::vector<Time>(len, 0))};
+  for (const Event& e : world.trace().events()) {
+    if (e.kind != EventKind::kNote || !e.label.starts_with('c')) continue;
+    const char* end = e.label.data() + e.label.size();
+    std::size_t s = 0;
+    const auto [ptr, ec] = std::from_chars(e.label.data() + 1, end, s);
+    if (ec != std::errc{} || ptr != end || s >= len) continue;
+    const auto slot = static_cast<std::size_t>(e.pid);
+    out.noted[slot][s] = e.value.asInt();
+    out.note_step[slot][s] = e.time;
   }
-
-  // Drive to a verdict. The budget counts from segment start, so a
-  // variant resumed at a mark gets what the base pass had left there.
-  SegmentOutcome drive() {
-    WatchdogConfig wd = wd_;
-    wd.step_budget -= steps_;
-    const RunReport rep = driveToVerdict(run_, policy_, wd, chaos_, [this] {
-      ++steps_;
-      scanTrace();
-    });
-    const World& world = run_.world();
-    return SegmentOutcome{rep.verdict, rep.detail, steps_,
-                          world.trace().hash64(), world.pattern(), noted_,
-                          note_step_};
-  }
-
-  // Sweep variant: rewind to the state where exactly `b` instances had
-  // committed (instance b in flight), crash `victim`, drive to a fresh
-  // outcome. Only valid after drive() on a record_marks driver whose base
-  // pass committed past b.
-  SegmentOutcome driveVariant(int b, Pid victim) {
-    assert(record_marks_);
-    assert(b >= 0 && static_cast<std::size_t>(b) < marks_.size());
-    const Mark& m = marks_[static_cast<std::size_t>(b)];
-    run_.restore(m.ck);
-    ++restores_;
-    steps_ = m.steps;
-    last_scanned_ = m.scanned;
-    boundary_ = m.boundary;
-    noted_ = m.noted;
-    note_step_ = m.note_step;
-    record_marks_ = false;  // the variant suffix must not extend the marks
-    run_.world().injectCrash(victim);
-    SegmentOutcome out = drive();
-    record_marks_ = true;
-    return out;
-  }
-
-  [[nodiscard]] long long restores() const { return restores_; }
-
- private:
-  struct Mark {
-    RunCheckpoint ck;
-    Time steps = 0;
-    std::size_t scanned = 0;
-    int boundary = 0;  // instances committed when the mark was taken
-    std::vector<std::vector<Value>> noted;
-    std::vector<std::vector<Time>> note_step;
-  };
-
-  Mark takeMark() const {
-    return Mark{run_.checkpoint(), steps_, last_scanned_, boundary_, noted_,
-                note_step_};
-  }
-
-  void scanTrace() {
-    const auto& evs = run_.world().trace().events();
-    for (; last_scanned_ < evs.size(); ++last_scanned_) {
-      const Event& e = evs[last_scanned_];
-      if (e.kind != EventKind::kNote || e.label.size() < 2 ||
-          e.label[0] != 'c') {
-        continue;
-      }
-      int s = 0;
-      bool digits = true;
-      for (std::size_t i = 1; i < e.label.size(); ++i) {
-        const char ch = e.label[i];
-        if (ch < '0' || ch > '9') {
-          digits = false;
-          break;
-        }
-        s = s * 10 + (ch - '0');
-      }
-      if (!digits || s >= len_) continue;
-      const auto slot = static_cast<std::size_t>(e.pid);
-      noted_[slot][static_cast<std::size_t>(s)] = e.value.asInt();
-      note_step_[slot][static_cast<std::size_t>(s)] = e.time;
-    }
-    if (record_marks_) {
-      while (boundary_ < len_) {
-        bool all = true;
-        for (int slot = 0; slot < group_; ++slot) {
-          if (noted_[static_cast<std::size_t>(slot)]
-                    [static_cast<std::size_t>(boundary_)] == kBottomValue) {
-            all = false;
-            break;
-          }
-        }
-        if (!all) break;
-        ++boundary_;
-        marks_.push_back(takeMark());
-      }
-    }
-  }
-
-  Run& run_;
-  SchedulePolicy& policy_;
-  const WatchdogConfig wd_;
-  ChaosEngine* chaos_;
-  int group_;
-  int len_;
-  bool record_marks_;
-  Time steps_ = 0;
-  std::size_t last_scanned_ = 0;
-  int boundary_ = 0;
-  std::vector<std::vector<Value>> noted_;
-  std::vector<std::vector<Time>> note_step_;
-  std::vector<Mark> marks_;
-  long long restores_ = 0;
-};
+  return out;
+}
 
 // ---- Service driver ------------------------------------------------------
-
-struct SegmentPlan {
-  int len = 0;
-  RunConfig run_cfg;
-  std::optional<ChaosConfig> chaos;
-  Injector injector = Injector::kNone;
-  std::shared_ptr<std::vector<std::vector<Value>>> props;  // [slot][s]
-};
-
-// Prepared, drivable segment: the Run plus everything the harvest needs.
-struct Segment {
-  SegmentPlan plan;
-  std::unique_ptr<ChaosEngine> engine;
-  std::unique_ptr<Run> run;
-  std::unique_ptr<SchedulePolicy> policy;
-};
 
 class ServiceDriver {
  public:
@@ -303,11 +196,7 @@ class ServiceDriver {
   void runOneSegment(State& st) {
     refillInbox(st);
     Segment seg = prepareSegment(st);
-    SegmentDriver sd(*seg.run, *seg.policy, segmentWatchdog(seg.plan.len),
-                     seg.engine.get(), cfg_.group, seg.plan.len,
-                     /*record_marks=*/false);
-    SegmentOutcome out = sd.drive();
-    harvestSegment(st, seg, out);
+    harvestSegment(st, seg, driveSegment(seg, segmentWatchdog(seg.len)));
   }
 
   // Clients collectively offer one inbox-capacity worth of commands per
@@ -346,19 +235,19 @@ class ServiceDriver {
   // no command can commit twice within a segment.
   [[nodiscard]] Segment prepareSegment(const State& st) {
     Segment seg;
-    SegmentPlan& plan = seg.plan;
-    plan.len = static_cast<int>(
+    RunConfig run_cfg;
+    seg.len = static_cast<int>(
         std::min<long long>(cfg_.segment_len, cfg_.instances - st.committed));
     assert(static_cast<long long>(st.inbox.size()) >=
-           static_cast<long long>(plan.len) * cfg_.group);
+           static_cast<long long>(seg.len) * cfg_.group);
 
-    plan.props = std::make_shared<std::vector<std::vector<Value>>>(
+    seg.props = std::make_shared<std::vector<std::vector<Value>>>(
         static_cast<std::size_t>(cfg_.group),
-        std::vector<Value>(static_cast<std::size_t>(plan.len), 0));
-    for (int s = 0; s < plan.len; ++s) {
+        std::vector<Value>(static_cast<std::size_t>(seg.len), 0));
+    for (int s = 0; s < seg.len; ++s) {
       for (int slot = 0; slot < cfg_.group; ++slot) {
-        (*plan.props)[static_cast<std::size_t>(slot)]
-                     [static_cast<std::size_t>(s)] =
+        (*seg.props)[static_cast<std::size_t>(slot)]
+                    [static_cast<std::size_t>(s)] =
             st.inbox[static_cast<std::size_t>(s) *
                          static_cast<std::size_t>(cfg_.group) +
                      static_cast<std::size_t>(slot)];
@@ -367,14 +256,14 @@ class ServiceDriver {
 
     const std::uint64_t sseed =
         mixDigest(cfg_.seed, static_cast<std::uint64_t>(st.seg_counter) + 1);
-    plan.run_cfg.n_plus_1 = cfg_.group;
-    plan.run_cfg.seed = sseed;
-    plan.run_cfg.max_steps = segmentWatchdog(plan.len).step_budget;
-    plan.run_cfg.policy = PolicyKind::kRandom;
+    run_cfg.n_plus_1 = cfg_.group;
+    run_cfg.seed = sseed;
+    run_cfg.max_steps = segmentWatchdog(seg.len).step_budget;
+    run_cfg.policy = PolicyKind::kRandom;
 
     // Injector cadence: one legal injector per `period` attempts,
     // rotating through the enabled kinds.
-    plan.injector = pickInjector(st.seg_counter);
+    seg.injector = pickInjector(st.seg_counter);
     const std::uint64_t iseed =
         mixDigest(cfg_.chaos.seed ^ 0xAB1E,
                   static_cast<std::uint64_t>(st.seg_counter));
@@ -385,11 +274,11 @@ class ServiceDriver {
     // chaos contract; fd/upsilon.h defaultStableSet). Omega crash segments
     // instead protect the stable leader (lowest id, pid 0).
     const bool upsilon_family = cfg_.protocol != Protocol::kOmegaConsensus;
-    const bool preseed = plan.injector == Injector::kCrash && upsilon_family;
+    const bool preseed = seg.injector == Injector::kCrash && upsilon_family;
     FailurePattern fp =
         preseed ? FailurePattern::withCrashes(cfg_.group, {{cfg_.group - 1, 60}})
                 : FailurePattern::failureFree(cfg_.group);
-    plan.run_cfg.fp = fp;
+    run_cfg.fp = fp;
 
     // Detector. Realized histories are cached per (pattern, NetConfig):
     // every ordinary segment of a realized stream shares ONE heartbeat
@@ -398,41 +287,40 @@ class ServiceDriver {
       const std::uint64_t nseed = mixDigest(sseed, 0xFD);
       switch (cfg_.protocol) {
         case Protocol::kOmegaConsensus:
-          plan.run_cfg.fd = fd::makeOmega(fp, cfg_.stab, nseed);
+          run_cfg.fd = fd::makeOmega(fp, cfg_.stab, nseed);
           break;
         case Protocol::kFig1Upsilon:
-          plan.run_cfg.fd = fd::makeUpsilon(fp, cfg_.stab, nseed);
+          run_cfg.fd = fd::makeUpsilon(fp, cfg_.stab, nseed);
           break;
         case Protocol::kFig2UpsilonF:
-          plan.run_cfg.fd = fd::makeUpsilonF(fp, cfg_.f, cfg_.stab, nseed);
+          run_cfg.fd = fd::makeUpsilonF(fp, cfg_.f, cfg_.stab, nseed);
           break;
       }
     } else {
       net::NetConfig nc = cfg_.net;
-      if (plan.injector == Injector::kLink) {
+      if (seg.injector == Injector::kLink) {
         nc.faults.drop_permille = std::min(
             1000, nc.faults.drop_permille + 120 + static_cast<int>(iseed % 180));
         nc.faults.partitions += 1 + static_cast<int>((iseed >> 8) % 2);
       }
       switch (cfg_.protocol) {
         case Protocol::kOmegaConsensus:
-          plan.run_cfg.fd = cache_.netOmega(fp, nc);
+          run_cfg.fd = cache_.netOmega(fp, nc);
           break;
         case Protocol::kFig1Upsilon:
-          plan.run_cfg.fd = cache_.netUpsilonF(fp, cfg_.group - 1, nc);
+          run_cfg.fd = cache_.netUpsilonF(fp, cfg_.group - 1, nc);
           break;
         case Protocol::kFig2UpsilonF:
-          plan.run_cfg.fd = cache_.netUpsilonF(fp, cfg_.f, nc);
+          run_cfg.fd = cache_.netUpsilonF(fp, cfg_.f, nc);
           break;
       }
     }
 
     // Chaos engine configuration per injector kind.
-    if (plan.injector != Injector::kNone &&
-        plan.injector != Injector::kLink) {
+    if (seg.injector != Injector::kNone && seg.injector != Injector::kLink) {
       ChaosConfig cc;
       cc.seed = iseed;
-      switch (plan.injector) {
+      switch (seg.injector) {
         case Injector::kCrash: {
           cc.max_faulty = cfg_.f;
           if (!upsilon_family) cc.protected_pids = ProcSet::singleton(0);
@@ -441,7 +329,7 @@ class ServiceDriver {
             // Horizon scaled to the segment's expected step count so the
             // seeded crash time usually lands while the segment is live.
             const Time horizon =
-                60 + 20 * static_cast<Time>(plan.len);
+                60 + 20 * static_cast<Time>(seg.len);
             cc.crashes.push_back({CrashInjection::Strategy::kRandom, -1, 0,
                                   horizon, count, mixDigest(iseed, 0xC4)});
           }
@@ -471,19 +359,17 @@ class ServiceDriver {
       }
       assert(cc.legal());
       seg.engine = std::make_unique<ChaosEngine>(cc);
-      plan.run_cfg = seg.engine->arm(plan.run_cfg);
-      plan.chaos = cc;
+      run_cfg = seg.engine->arm(run_cfg);
     }
 
     const AlgoFn algo = makeServiceAlgo(cfg_.protocol, cfg_.f, st.committed,
-                                        plan.props);
+                                        seg.props);
     std::vector<Value> inputs;
     for (int slot = 0; slot < cfg_.group; ++slot) {
-      inputs.push_back(
-          (*plan.props)[static_cast<std::size_t>(slot)][0]);
+      inputs.push_back((*seg.props)[static_cast<std::size_t>(slot)][0]);
     }
-    seg.run = std::make_unique<Run>(plan.run_cfg, algo, inputs);
-    seg.policy = makePolicy(plan.run_cfg.policy);
+    seg.run = std::make_unique<Run>(run_cfg, algo, inputs);
+    seg.policy = makePolicy(run_cfg.policy);
     return seg;
   }
 
@@ -491,13 +377,12 @@ class ServiceDriver {
   // safety, retire/replace crashed replicas, and schedule retries.
   void harvestSegment(State& st, const Segment& seg,
                       const SegmentOutcome& out) {
-    const SegmentPlan& plan = seg.plan;
     ++st.seg_counter;
     ++st.stats.segments;
     st.stats.steps += out.steps;
     st.hash = mixDigest(st.hash, out.trace_hash);
-    if (plan.injector != Injector::kNone) {
-      ++st.stats.injector_fires[injectorName(plan.injector)];
+    if (seg.injector != Injector::kNone) {
+      ++st.stats.injector_fires[injectorName(seg.injector)];
     }
     if (seg.engine != nullptr) {
       st.stats.injected_crashes += seg.engine->crashesInjected();
@@ -523,7 +408,7 @@ class ServiceDriver {
 
     // Commit point: the prefix every LIVE replica has applied.
     int m = 0;
-    while (m < plan.len) {
+    while (m < seg.len) {
       bool all = true;
       for (const int slot : live) {
         if (out.noted[static_cast<std::size_t>(slot)]
@@ -583,8 +468,8 @@ class ServiceDriver {
       for (const auto& sv : vals) {
         bool proposed = false;
         for (int slot = 0; slot < cfg_.group; ++slot) {
-          if ((*plan.props)[static_cast<std::size_t>(slot)]
-                           [static_cast<std::size_t>(s)] == sv.second) {
+          if ((*seg.props)[static_cast<std::size_t>(slot)]
+                          [static_cast<std::size_t>(s)] == sv.second) {
             proposed = true;
             break;
           }
@@ -653,7 +538,7 @@ class ServiceDriver {
     // No-gap liveness: a partial commit is retried (bumped seed via
     // seg_counter) until the commit point moves past the segment, at most
     // max_retries consecutive times.
-    if (m < plan.len) {
+    if (m < seg.len) {
       if (++st.retries_here > cfg_.max_retries) {
         st.verdict = ServiceVerdict::kStalled;
         st.detail = "commit point stuck at instance " +
@@ -805,10 +690,9 @@ SweepReport runCrashSweep(const ServiceConfig& cfg) {
   while (st.verdict == ServiceVerdict::kOk && st.committed < cfg.instances) {
     d.refillInbox(st);
     const ServiceDriver::State entry = st;  // fork point for the variants
-    Segment seg = d.prepareSegment(st);
-    SegmentDriver sd(*seg.run, *seg.policy, d.segmentWatchdog(seg.plan.len),
-                     nullptr, cfg.group, seg.plan.len, /*record_marks=*/true);
-    const SegmentOutcome base_out = sd.drive();
+    Segment seg = d.prepareSegment(entry);
+    const WatchdogConfig wd = d.segmentWatchdog(seg.len);
+    const SegmentOutcome base_out = driveSegment(seg, wd);
     if (base_out.verdict != RunVerdict::kOk) {
       // A clean base stream is the sweep's precondition; report it as a
       // single failed variant rather than asserting.
@@ -820,19 +704,40 @@ SweepReport runCrashSweep(const ServiceConfig& cfg) {
       rep.variants.push_back(v);
       break;
     }
+    // Re-drive the segment on a checkpointing Run and mark boundary b,
+    // the state right after the step that landed instance b-1's last note
+    // (a note at world time t lands in step t + 1). A watched run without
+    // chaos takes the plain loop's schedule, so the marks lie on the base
+    // pass.
+    Segment redo = d.prepareSegment(entry);
+    redo.run->enableCheckpoints();
+    std::vector<std::pair<Time, RunCheckpoint>> marks;
+    marks.emplace_back(0, redo.run->checkpoint());
+    for (std::size_t b = 1; b < static_cast<std::size_t>(seg.len); ++b) {
+      const Time done = marks.back().first;
+      Time at = done;
+      for (const auto& steps : base_out.note_step) {
+        at = std::max(at, steps[b - 1] + 1);
+      }
+      redo.run->scheduler().run(*redo.policy, at - done);
+      marks.emplace_back(at, redo.run->checkpoint());
+    }
     // One variant per instance of this segment: restore the shared prefix
     // (b instances committed), crash a seeded non-leader replica, drive
     // the segment suffix, then run the rest of the stream normally.
-    for (int b = 0; b < seg.plan.len; ++b) {
+    for (int b = 0; b < seg.len; ++b) {
       const long long g = entry.committed + static_cast<long long>(b);
       const Pid victim =
           1 + static_cast<Pid>(
                   mixDigest(cfg.seed ^ 0x5EED,
                             static_cast<std::uint64_t>(g)) %
                   static_cast<std::uint64_t>(cfg.group - 1));
-      const SegmentOutcome vout = sd.driveVariant(b, victim);
+      const auto& [at, ck] = marks[static_cast<std::size_t>(b)];
+      redo.run->restore(ck);
+      ++rep.restores;
+      redo.run->world().injectCrash(victim);
       ServiceDriver::State vst = entry;
-      d.harvestSegment(vst, seg, vout);
+      d.harvestSegment(vst, redo, driveSegment(redo, wd, at));
       d.runToCompletion(vst);
       const ServiceReport vrep = d.finalize(vst);
       SweepVariant v;
@@ -845,7 +750,6 @@ SweepReport runCrashSweep(const ServiceConfig& cfg) {
       v.service_hash = vrep.service_hash;
       rep.variants.push_back(v);
     }
-    rep.restores += sd.restores();
     d.harvestSegment(st, seg, base_out);
   }
   rep.base_hash = d.finalize(st).service_hash;

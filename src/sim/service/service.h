@@ -113,9 +113,10 @@ struct ServiceReport {
 // seeded non-leader replica exactly while instance g is in flight, and
 // drive the stream to completion (the victim is retired and replaced at
 // the segment boundary). Cost is sublinear in variants x stream because
-// the base segment is driven ONCE with a Run checkpoint at every
-// instance-commit boundary and each variant restores the shared prefix
-// instead of re-executing it (sim/runner.h checkpoint prefix sharing).
+// each base segment is re-driven once on a checkpointing Run, with a
+// mark at every instance-commit boundary, and each variant restores the
+// shared prefix instead of re-executing it (sim/runner.h checkpoint
+// prefix sharing).
 // Requires Protocol::kOmegaConsensus + DetectorSource::kConstructed +
 // no chaos plan (the sweep injects its own crashes); anything else is
 // harness misuse and throws SimAbort.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -101,6 +102,17 @@ StealStats runPool(std::size_t count, int workers, bool steal,
   if (first_err) std::rethrow_exception(first_err);
   return StealStats{steal_ops.load(std::memory_order_relaxed),
                     stolen.load(std::memory_order_relaxed)};
+}
+
+long long stepMakespan(std::span<const long long> steps) {
+  return steps.empty() ? 0 : std::ranges::max(steps);
+}
+
+double stepUtilization(std::span<const long long> steps) {
+  const long long makespan = stepMakespan(steps);
+  if (makespan <= 0) return 0;
+  return static_cast<double>(std::accumulate(steps.begin(), steps.end(), 0LL)) /
+         (static_cast<double>(makespan) * static_cast<double>(steps.size()));
 }
 
 }  // namespace wfd::sim

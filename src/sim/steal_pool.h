@@ -56,4 +56,11 @@ std::size_t moveBackHalf(std::deque<T>& from, std::deque<T>& to) {
 StealStats runPool(std::size_t count, int workers, bool steal,
                    const std::function<void(std::size_t job, int worker)>& fn);
 
+// Over per-worker simulation step counts: the makespan is the largest
+// (0 when empty), the critical path under perfect core availability; the
+// utilization is total / (workers * makespan), 1.0 = perfectly even and
+// hardware-independent (0 when nothing ran).
+[[nodiscard]] long long stepMakespan(std::span<const long long> steps);
+[[nodiscard]] double stepUtilization(std::span<const long long> steps);
+
 }  // namespace wfd::sim

@@ -25,9 +25,8 @@ namespace {
 // and for progress (any new event), around the chaos engine's hooks.
 class Watch final : public StepObserver {
  public:
-  Watch(const WatchdogConfig& wd, ChaosEngine* chaos,
-        const std::function<void()>& after_step, RunReport& rep)
-      : wd_(wd), chaos_(chaos), after_step_(after_step), rep_(rep) {}
+  Watch(const WatchdogConfig& wd, ChaosEngine* chaos, RunReport& rep)
+      : wd_(wd), chaos_(chaos), rep_(rep) {}
 
   void beforeStep(World& world, const Scheduler& sched) override {
     if (chaos_ != nullptr) chaos_->beforeStep(world, sched);
@@ -41,7 +40,6 @@ class Watch final : public StepObserver {
 
   bool afterStep(World& world, const Scheduler& /*sched*/) override {
     ++rep_.steps;  // counted here, so an audit throw leaves the step out
-    if (after_step_) after_step_();
     const auto& evs = world.trace().events();
     const bool progressed = evs.size() > scanned_;
     for (; scanned_ < evs.size(); ++scanned_) {
@@ -81,7 +79,6 @@ class Watch final : public StepObserver {
 
   const WatchdogConfig& wd_;
   ChaosEngine* chaos_;
-  const std::function<void()>& after_step_;
   std::set<Value> distinct_;
   ProcSet decided_;
   std::size_t scanned_ = 0;
@@ -92,12 +89,11 @@ class Watch final : public StepObserver {
 }  // namespace
 
 RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
-                         const WatchdogConfig& wd, ChaosEngine* chaos,
-                         const std::function<void()>& after_step) {
+                         const WatchdogConfig& wd, ChaosEngine* chaos) {
   RunReport rep;
   World& world = run.world();
   Scheduler& sched = run.scheduler();
-  Watch watch(wd, chaos, after_step, rep);
+  Watch watch(wd, chaos, rep);
   try {
     sched.run(policy, wd.step_budget, &watch);
     if (rep.verdict == RunVerdict::kOk && rep.steps >= wd.step_budget &&

@@ -77,12 +77,10 @@ RunReport driveWatched(Run& run, SchedulePolicy& policy,
                        const WatchdogConfig& wd, ChaosEngine* chaos);
 
 // driveWatched without the harvest: drives `run` from its current state
+// (a fresh run, one stepped by Scheduler::run, or a restored checkpoint)
 // and closes the audit window, leaving `result` empty and the run open.
 // The budget and livelock window count the steps of this call only.
-// `after_step`, if set, runs after every step, ahead of the watchdog's
-// own checks.
 RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
-                         const WatchdogConfig& wd, ChaosEngine* chaos,
-                         const std::function<void()>& after_step = {});
+                         const WatchdogConfig& wd, ChaosEngine* chaos);
 
 }  // namespace wfd::sim

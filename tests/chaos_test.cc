@@ -345,5 +345,42 @@ TEST(Chaos, WatchdogAloneMatchesPlainRunner) {
   EXPECT_EQ(watched.result.trace().hash64(), plain.trace().hash64());
 }
 
+// driveToVerdict picks up a run where Scheduler::run left it: its budget
+// counts only its own steps, and the schedule continues the straight run's.
+TEST(Chaos, DriveToVerdictResumesASteppedRun) {
+  const int n_plus_1 = 4;
+  const auto props = test::distinctProposals(n_plus_1);
+  const RunConfig cfg = fig1Config(n_plus_1, 8);
+  const WatchdogConfig full{cfg.max_steps, 0, 0};
+  sim::Run straight(cfg, fig1Algo(), props);
+  const auto straight_policy = sim::makePolicy(cfg.policy);
+  const RunReport whole =
+      sim::driveWatched(straight, *straight_policy, full, nullptr);
+  ASSERT_EQ(whole.verdict, RunVerdict::kOk) << whole.detail;
+  const Time k = whole.steps / 3;
+  ASSERT_GT(k, 0);
+
+  const auto resumed = [&](Time budget) {
+    auto run = std::make_unique<sim::Run>(cfg, fig1Algo(), props);
+    const auto policy = sim::makePolicy(cfg.policy);
+    EXPECT_EQ(run->scheduler().run(*policy, k), k);
+    RunReport rep = sim::driveToVerdict(*run, *policy,
+                                        WatchdogConfig{budget, 0, 0}, nullptr);
+    return std::make_pair(std::move(run), std::move(rep));
+  };
+
+  const Time short_budget = (whole.steps - k) / 2;
+  const auto [cut, cut_rep] = resumed(short_budget);
+  EXPECT_EQ(cut_rep.verdict, RunVerdict::kBudgetExhausted);
+  EXPECT_EQ(cut_rep.steps, short_budget);
+  EXPECT_EQ(cut->world().now(), k + short_budget);
+
+  const auto [done, done_rep] = resumed(whole.steps - k);
+  EXPECT_EQ(done_rep.verdict, RunVerdict::kOk) << done_rep.detail;
+  EXPECT_EQ(done_rep.steps, whole.steps - k);
+  EXPECT_EQ(done->finish(k + done_rep.steps).trace().hash64(),
+            whole.result.trace().hash64());
+}
+
 }  // namespace
 }  // namespace wfd

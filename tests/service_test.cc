@@ -153,34 +153,60 @@ TEST(ServiceTest, InboxBackpressureAccounting) {
 
 // ---- Exhaustive crash-and-replace sweep ----------------------------------
 
+// Every variant recovers and differs from the base stream and from every
+// other variant (one resumed from the wrong boundary collides), and the
+// whole sweep is pinned: the base stream's hash and a digest folded over
+// every variant's (service_hash, verdict, committed, replacements,
+// victim). The second config ends on a short segment (20 = 2 x 8 + 4)
+// with a wider group and f budget. After an INTENTIONAL change, the
+// failure message prints the moved values.
 TEST(ServiceTest, CrashSweepAtEveryInstanceIndex) {
-  ServiceConfig cfg;
-  cfg.instances = 48;
-  cfg.segment_len = 8;
-  cfg.seed = 3;
-  const SweepReport rep = runCrashSweep(cfg);
-  ASSERT_EQ(rep.variants.size(), 48u);
-  EXPECT_TRUE(rep.allOk());
-  // Prefix sharing did the work: one restore per variant instead of a
-  // from-scratch re-execution of the shared segment prefix.
-  EXPECT_EQ(rep.restores, 48);
-  std::set<std::uint64_t> hashes;
-  for (const auto& v : rep.variants) {
-    EXPECT_EQ(v.verdict, ServiceVerdict::kOk)
-        << "crash at " << v.crash_index << ": " << v.detail;
-    // The victim was replaced and the stream still committed everything.
-    EXPECT_EQ(v.committed, cfg.instances);
-    EXPECT_GE(v.replacements, 1);
-    EXPECT_GE(v.victim_slot, 1);
-    EXPECT_LT(v.victim_slot, cfg.group);
-    hashes.insert(v.service_hash);
+  const struct {
+    int instances, segment_len, group, f;
+    std::uint64_t seed, base_hash, digest;
+  } cases[] = {
+      {48, 8, 3, 1, 3, 0x10e32f41b94f04fbULL, 0xb8e0f9ae751120b3ULL},
+      {20, 8, 4, 2, 5, 0xa09b3faf7800c083ULL, 0xf5c031fd56f50749ULL},
+  };
+  for (const auto& c : cases) {
+    ServiceConfig cfg;
+    cfg.instances = c.instances;
+    cfg.segment_len = c.segment_len;
+    cfg.group = c.group;
+    cfg.f = c.f;
+    cfg.seed = c.seed;
+    const SweepReport rep = runCrashSweep(cfg);
+    ASSERT_EQ(rep.variants.size(), static_cast<std::size_t>(c.instances));
+    EXPECT_TRUE(rep.allOk());
+    // Prefix sharing did the work: one restore per variant instead of a
+    // from-scratch re-execution of the shared segment prefix.
+    EXPECT_EQ(rep.restores, c.instances);
+    std::set<std::uint64_t> hashes;
+    std::uint64_t digest = rep.variants.size();
+    for (const auto& v : rep.variants) {
+      EXPECT_EQ(v.verdict, ServiceVerdict::kOk)
+          << "crash at " << v.crash_index << ": " << v.detail;
+      // The victim was replaced and the stream still committed everything.
+      EXPECT_EQ(v.committed, cfg.instances);
+      EXPECT_GE(v.replacements, 1);
+      EXPECT_GE(v.victim_slot, 1);
+      EXPECT_LT(v.victim_slot, cfg.group);
+      EXPECT_NE(v.service_hash, rep.base_hash)
+          << "variant at " << v.crash_index << " identical to base";
+      hashes.insert(v.service_hash);
+      digest = fd::mixDigest(digest, v.service_hash);
+      digest = fd::mixDigest(digest, static_cast<std::uint64_t>(v.verdict));
+      digest = fd::mixDigest(digest, static_cast<std::uint64_t>(v.committed));
+      digest =
+          fd::mixDigest(digest, static_cast<std::uint64_t>(v.replacements));
+      digest = fd::mixDigest(digest, static_cast<std::uint64_t>(v.victim_slot));
+    }
+    EXPECT_EQ(hashes.size(), rep.variants.size());
+    EXPECT_EQ(rep.base_hash, c.base_hash)
+        << "seed " << c.seed << " base moved: 0x" << std::hex << rep.base_hash;
+    EXPECT_EQ(digest, c.digest)
+        << "seed " << c.seed << " sweep moved: 0x" << std::hex << digest;
   }
-  // Variants are genuinely different executions from the base stream.
-  for (const auto& v : rep.variants) {
-    EXPECT_NE(v.service_hash, rep.base_hash)
-        << "variant at " << v.crash_index << " identical to base";
-  }
-  (void)hashes;
 }
 
 TEST(ServiceTest, CrashSweepRejectsUnsupportedConfigs) {

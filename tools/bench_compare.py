@@ -17,6 +17,8 @@ Usage:
                    --candidate BENCH_explore.json [--min-ratio 0.8]
   bench_compare.py --baseline bench/BENCH_core.baseline.json \
                    --candidate BENCH_core.json
+  bench_compare.py --baseline bench/BENCH_service.baseline.json \
+                   --candidate BENCH_service.json
   bench_compare.py --self-test
 
 Exit status: 0 = within bounds, 1 = regression or mismatch, 2 = usage.
@@ -27,7 +29,8 @@ full) are compared only on the rows/metrics present in BOTH, and not on
 per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch including steps_rebuilt and bench_core's steps, a baseline row
+mismatch including steps_rebuilt, bench_core's steps and the service
+counters, a baseline row
 missing from a same-mode candidate, the rate-ratio
 boundary on every rate metric, the differing---jobs step_makespan and
 differing-mode steps exclusions) and exits 0 only if the gate's own
@@ -57,6 +60,10 @@ ROW_EXACT = [
     "verified",
     "complete",
     "steps",
+    "committed",
+    "replacements",
+    "retries",
+    "streams",
 ]
 
 # Deterministic top-level metrics: exact match required when present in
@@ -70,6 +77,18 @@ TOP_EXACT = [
     "n4_schedules",
     "n4_complete",
     "gates_failed",
+    "campaign_committed",
+    "sustained_steps",
+    "sustained_replacements",
+    "sustained_retries",
+    "lat_p50_steps",
+    "lat_p99_steps",
+    "replay_identical",
+    "sweep_variants",
+    "sweep_recovered",
+    "sweep_restores",
+    "negative_caught",
+    "certification_failures",
 ]
 
 # Throughput metrics: candidate must be >= min_ratio * baseline.
@@ -216,6 +235,42 @@ def self_test():
     cand["rows"][1]["seconds"] = 0.05
     f, _ = compare(base, cand, 0.8)
     expect("row seconds are not compared", not f)
+
+    # 2a. bench_service: every deterministic counter is exact, top-level
+    #     and per campaign row; its wall time and decision rate are not.
+    svc = {
+        "bench": "service",
+        "jobs": 4,
+        "mode": "quick",
+        "sustained_steps": 112384,
+        "sweep_restores": 32,
+        "sweep_wall_s": 0.005,
+        "decisions_per_sec": 136746,
+        "rows": [
+            {
+                "name": "campaign/omega/constructed",
+                "streams": 2,
+                "committed": 192,
+                "replacements": 3,
+                "retries": 0,
+            }
+        ],
+    }
+    for key in ("sustained_steps", "sweep_restores"):
+        cand = copy.deepcopy(svc)
+        cand[key] += 1
+        f, _ = compare(svc, cand, 0.8)
+        expect(f"service {key} drift fails", len(f) == 1)
+    for key in ("streams", "committed", "replacements", "retries"):
+        cand = copy.deepcopy(svc)
+        cand["rows"][0][key] += 1
+        f, _ = compare(svc, cand, 0.8)
+        expect(f"service row {key} drift fails", len(f) == 1)
+    cand = copy.deepcopy(svc)
+    cand["sweep_wall_s"] = 0.05
+    cand["decisions_per_sec"] = 1
+    f, _ = compare(svc, cand, 0.8)
+    expect("service wall time and rate are not compared", not f)
 
     # 2b. A baseline row the candidate dropped fails within one mode;
     #     across modes only the shared rows are compared. Extra candidate
