@@ -82,22 +82,28 @@ bool dependent(const OpFootprint& a, bool a_vis, const OpFootprint& b,
 // and one component per process's local state — so one executed step
 // re-mixes only the two components it can change (the clock and the
 // stepping process) plus the objects that step touched, instead of
-// re-hashing every object and every process. Order-insensitive across the schedules that reach the state,
-// like the full recompute below, so kDag can unify converging schedules.
+// re-hashing every object and every process. Order-insensitive across the
+// schedules that reach the state, like the full recompute below, so kDag
+// can unify converging schedules.
 
 std::uint64_t clockComponent(Time now) {
   return stateMix64(0x243F6A8885A308D3ULL, static_cast<std::uint64_t>(now));
 }
 
-std::uint64_t procComponent(Run& run, Pid p) {
-  const ProcCtx& c = run.scheduler().ctx(p);
+// A process's local state is {steps, resultDigest}: a deterministic
+// automaton's frame, and so whether it has returned and what it has
+// published, is a function of the results it consumed. That is what lets
+// the walk name a successor before resuming its frame.
+std::uint64_t procComponent(Pid p, Time steps, std::uint64_t result_digest) {
   std::uint64_t h =
       stateMix64(0x3C6EF372FE94F82BULL, static_cast<std::uint64_t>(p) + 1);
-  h = stateMix64(h, static_cast<std::uint64_t>(c.steps));
-  h = stateMix64(h, c.done ? 2u : 1u);
-  h = stateMix64(h, run.scheduler().resultDigest(p));
-  h = stateMix64(h, run.world().published(p).hash64());
-  return h;
+  h = stateMix64(h, static_cast<std::uint64_t>(steps));
+  return stateMix64(h, result_digest);
+}
+
+std::uint64_t procComponent(Run& run, Pid p) {
+  return procComponent(p, run.scheduler().ctx(p).steps,
+                       run.scheduler().resultDigest(p));
 }
 
 // The two non-clock, non-table components one step can change.
@@ -369,14 +375,70 @@ WalkOut walk(const WalkSpec& spec) {
       live_digest = cur.digest;
     }
 
+    res.max_depth_seen = std::max(res.max_depth_seen, base + d + 1);
     const std::size_t ev_before = run.world().trace().events().size();
-    std::uint64_t dig_pre = 0;
-    if (use_memo) dig_pre = stepLocalComponent(run, p);
-    run.scheduler().step(p);
-    if (use_memo) live_digest ^= dig_pre ^ stepLocalComponent(run, p);
+    Scheduler& sched = run.scheduler();
+    const std::uint64_t dig_pre = use_memo ? stepLocalComponent(run, p) : 0;
+    if (use_memo && sched.ctx(p).pending.has_value()) {
+      // Probe the memo before p's frame moves: once its parked op has run
+      // on the world, the successor's key is known — clock + 1, the new
+      // table, and p's {steps + 1, resultDigest + this result}.
+      sched.execute(p);
+      const std::uint64_t table =
+          run.world().objectsConst().xorContentsDigest();
+      const std::uint64_t next_proc = procComponent(
+          p, sched.ctx(p).steps + 1,
+          stateMix64(sched.resultDigest(p), run.world().lastResultSignature()));
+      const std::uint64_t next_clock = clockComponent(run.world().now() + 1);
+      const std::uint64_t probe =
+          live_digest ^ dig_pre ^ next_clock ^ table ^ next_proc;
+      if (audit) {
+        // The table and every other process re-hashed from scratch; the
+        // clock and p swapped for their successor components.
+        const std::uint64_t full =
+            fullStateDigest(run, n, /*audit_table=*/true) ^
+            clockComponent(run.world().now()) ^ next_clock ^
+            procComponent(run, p) ^ next_proc;
+        if (probe != full) {
+          throw SimAbort(
+              "explore: incremental probe digest diverged from full "
+              "recompute");
+        }
+      }
+      if (memo.contains(probe)) {
+        ++res.memo_hits;
+        if (!audit) {
+          // Only the world moved: p's log head and steps did not, so the
+          // rollback is the world's alone and every frame is kept.
+          run.world().restore(cur.ckpt.world);
+          continue;
+        }
+        // Audited: confirm the hit with the real resume. The resumed state
+        // must be a memoized interior state, as the probe claimed.
+        sched.resume(p);
+        const bool terminal = sched.allCorrectDone() ||
+                              sched.runnable().empty() ||
+                              base + d + 1 >= cfg.max_depth;
+        if (terminal ||
+            !memo.contains(fullStateDigest(run, n, /*audit_table=*/true))) {
+          throw SimAbort(
+              "explore: a memo probe hit that the resumed step refutes");
+        }
+        run.restore(cur.ckpt);  // a probe rollback, not a counted rewind
+        continue;
+      }
+      sched.resume(p);
+      // The resume may name new objects, so the table's part is re-read.
+      live_digest =
+          probe ^ table ^ run.world().objectsConst().xorContentsDigest();
+    } else {
+      // kDag without the memo, kDpor, and a process's first step, which
+      // runs its prologue and so cannot be probed: one call.
+      sched.step(p);
+      if (use_memo) live_digest ^= dig_pre ^ stepLocalComponent(run, p);
+    }
     ++res.steps_executed;
     live_depth = d + 1;
-    res.max_depth_seen = std::max(res.max_depth_seen, base + d + 1);
 
     OpFootprint fp = run.world().lastFootprint();
     bool visible = false;
@@ -558,9 +620,10 @@ WalkOut walk(const WalkSpec& spec) {
 // cold miss, never a wrong hit. A schema bump changes the tag AND the key
 // salt, so records of an older schema are never even looked up.
 
-// Schema v3: this byte record.
-constexpr std::uint32_t kCertTag = 0x33435857u;  // "WXC3"
-constexpr std::uint64_t kCertSchemaSalt = 0x9B1D5C7E3A4F6083ULL;
+// Schema v4: this byte record, with kDag counters of the walk that probes
+// its memo before resuming a frame (v3 records hold the older counts).
+constexpr std::uint32_t kCertTag = 0x34435857u;  // "WXC4"
+constexpr std::uint64_t kCertSchemaSalt = 0x5E2A7C91D04B3F18ULL;
 
 // The eight search counters, in record order; the frontier merge sums the
 // same list.

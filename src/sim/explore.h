@@ -25,14 +25,16 @@
 //
 //   kDag   Complete stateful search: explores every enabled transition
 //          from every reachable state, memoizing states by a structural
-//          64-bit digest (object table contents + per-process local-state
-//          digests + published values + clock, maintained INCREMENTALLY
-//          from each step's op footprint) so that schedules converging to
-//          the same state share the suffix subtree. Sound and complete
-//          for the bounded protocol (the state graph is acyclic — the
-//          clock strictly increases), including under crashes; used as
-//          the cross-check oracle for kDpor and for failure patterns
-//          kDpor refuses.
+//          64-bit digest (object table contents + per-process
+//          {steps, result digest} + clock, maintained INCREMENTALLY from
+//          each step's op footprint) so that schedules converging to the
+//          same state share the suffix subtree. The memo is probed
+//          between a step's world op and its frame's resume, so a hit
+//          rolls back the world alone and moves no frame. Sound and
+//          complete for the bounded protocol (the state graph is acyclic
+//          — the clock strictly increases), including under crashes;
+//          used as the cross-check oracle for kDpor and for failure
+//          patterns kDpor refuses.
 //
 // Both modes share prefixes via Run checkpoint/restore instead of
 // replaying from step 0: a branch point stores a RunCheckpoint (COW-shared
@@ -156,15 +158,17 @@ struct ExploreResult {
   std::uint64_t schedules_explored = 0;  // terminal states reached
   std::uint64_t sleep_set_skips = 0;     // kDpor transitions pruned asleep
   std::uint64_t states_memoized = 0;     // kDag: distinct interior states
-  std::uint64_t memo_hits = 0;           // kDag: subtrees answered by memo
-  std::uint64_t steps_executed = 0;      // real World::execute steps
+  // kDag: subtrees answered by the memo, most by a probe before the
+  // step's frame resumed (rolled back, not counted as a step or restore).
+  std::uint64_t memo_hits = 0;
+  std::uint64_t steps_executed = 0;      // world steps whose frame resumed
   // Rewind distance: the depths of all restored checkpoints, summed — what
   // a restore that rebuilt every frame would replay.
   std::uint64_t steps_replayed = 0;
   // Actual local replay: results fed into the frames restores rebuilt
   // (kept frames cost nothing). Always <= steps_replayed.
   std::uint64_t steps_rebuilt = 0;
-  std::uint64_t restores = 0;            // checkpoint restores performed
+  std::uint64_t restores = 0;            // checkpoint rewinds performed
   int max_depth_seen = 0;
   bool complete = true;  // false if a budget cut the search short
 

@@ -150,23 +150,7 @@ void Scheduler::auditCrossCheck() const {
   }
 }
 
-void Scheduler::step(Pid p) {
-  assert(static_cast<std::size_t>(p) < slots_.size() && slots_[static_cast<std::size_t>(p)]);
-  auto& slot = *slots_[static_cast<std::size_t>(p)];
-  // Audit hooks come first: in kThrow mode the auditor must get to
-  // report a crashed-process step before the asserts below halt us.
-  StepAuditor* const audit = world_->auditor();
-  if (audit != nullptr) {
-    if (!slot.ctx.on_op_requested) {
-      slot.ctx.on_op_requested = [audit, p](const Op& op, bool pending) {
-        audit->onOpRequested(p, op, pending);
-      };
-    }
-    audit->onStepBegin(p);
-  }
-  assert(!slot.ctx.done);
-  assert(world_->pattern().crashTime(p) > world_->now());
-
+void Scheduler::runUntilBlockedOrDone(Slot& slot) {
   // Reset the current-process pointer even if an audit error is thrown
   // mid-step (kThrow mode), so a caught StepAuditError leaves the
   // scheduler reusable for inspection.
@@ -174,15 +158,30 @@ void Scheduler::step(Pid p) {
     ~CurrentProcGuard() { currentProc() = nullptr; }
   } guard;
   currentProc() = &slot.ctx;
-  // Flat resume loop: run handles until the process requests its next
-  // atomic operation or its top-level coroutine completes. Child starts
-  // and completions update resume_point without nesting resume() calls.
-  const auto runUntilBlockedOrDone = [&slot] {
-    while (!slot.ctx.pending.has_value() && slot.ctx.resume_point) {
-      const std::coroutine_handle<> h = slot.ctx.resume_point;
-      h.resume();
+  // Flat resume loop: child starts and completions update resume_point
+  // without nesting resume() calls.
+  while (!slot.ctx.pending.has_value() && slot.ctx.resume_point) {
+    const std::coroutine_handle<> h = slot.ctx.resume_point;
+    h.resume();
+  }
+}
+
+void Scheduler::executeSlot(Slot& slot, Pid p) {
+  // Audit hooks come first: in kThrow mode the auditor must get to
+  // report a crashed-process step before the asserts below halt us.
+  if (StepAuditor* const audit = world_->auditor()) {
+    if (!slot.ctx.on_op_requested) {
+      // Looks the auditor up per call: World::restore replaces it.
+      slot.ctx.on_op_requested = [world = world_, p](const Op& op,
+                                                     bool pending) {
+        world->auditor()->onOpRequested(p, op, pending);
+      };
     }
-  };
+    audit->onStepBegin(p);
+  }
+  assert(!slot.ctx.done);
+  assert(world_->pattern().crashTime(p) > world_->now());
+
   if (!slot.started) {
     // Fold the prologue (initial local computation up to the first
     // operation request) into the first step, so that every step executes
@@ -190,10 +189,15 @@ void Scheduler::step(Pid p) {
     // scheduled step, matching the paper's step granularity.
     slot.ctx.resume_point = slot.coro.handle();
     slot.started = true;
-    runUntilBlockedOrDone();
+    runUntilBlockedOrDone(slot);
   }
   if (slot.ctx.pending.has_value()) {
     slot.ctx.result = world_->execute(p, *slot.ctx.pending);
+  }
+}
+
+void Scheduler::resumeSlot(Slot& slot, Pid p) {
+  if (slot.ctx.pending.has_value()) {
     if (log_results_) {
       // Copy before the resume below moves the result into the awaiter;
       // a scan's cells are shared, not copied.
@@ -205,13 +209,12 @@ void Scheduler::step(Pid p) {
                                           len, digest);
     }
     slot.ctx.pending.reset();
-    runUntilBlockedOrDone();
+    runUntilBlockedOrDone(slot);
   }
-  currentProc() = nullptr;
 
   ++slot.ctx.steps;
   world_->advanceClock();
-  if (audit != nullptr) audit->onStepEnd(p);
+  if (StepAuditor* const audit = world_->auditor()) audit->onStepEnd(p);
 
   if (slot.coro.done()) {
     slot.ctx.done = true;
@@ -223,6 +226,16 @@ void Scheduler::step(Pid p) {
   }
 }
 
+void Scheduler::step(Pid p) {
+  Slot& slot = slotOf(p);
+  executeSlot(slot, p);
+  resumeSlot(slot, p);
+}
+
+void Scheduler::execute(Pid p) { executeSlot(slotOf(p), p); }
+
+void Scheduler::resume(Pid p) { resumeSlot(slotOf(p), p); }
+
 // ---- Checkpoint/restore ---------------------------------------------------
 
 Scheduler::ResultNode::~ResultNode() {
@@ -230,7 +243,7 @@ Scheduler::ResultNode::~ResultNode() {
   // its `prev`, ... one stack frame per logged result. Walk the nodes this
   // one solely owns instead; a node still shared ends the walk (its other
   // owner frees it later, the same way). Nodes are created non-const by
-  // step(), so detaching `prev` of a node being freed is well-defined.
+  // resume(), so detaching `prev` of a node being freed is well-defined.
   ResultLog p = std::move(prev);
   while (p && p.use_count() == 1) {
     ResultLog next = std::move(const_cast<ResultLog&>(p->prev));
@@ -285,19 +298,12 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
     }
     // Local replay: drive the fresh frame with the recorded result stream
     // until it has consumed every checkpointed result and parked at its
-    // next operation request (or returned). Mirrors step()'s flat resume
-    // loop, minus the world: results come from the log, not execute().
-    struct CurrentProcGuard {
-      ~CurrentProcGuard() { currentProc() = nullptr; }
-    } guard;
-    currentProc() = &slot->ctx;
+    // next operation request (or returned). The step's resume loop, minus
+    // the world: results come from the log, not execute().
     slot->ctx.resume_point = slot->coro.handle();
     std::size_t fed = 0;
     for (;;) {
-      while (!slot->ctx.pending.has_value() && slot->ctx.resume_point) {
-        const std::coroutine_handle<> h = slot->ctx.resume_point;
-        h.resume();
-      }
+      runUntilBlockedOrDone(*slot);
       if (!slot->ctx.pending.has_value()) break;  // automaton returned
       if (fed == results.size()) break;           // parked at the next op
       slot->ctx.result = *results[fed++];
@@ -340,9 +346,6 @@ std::uint64_t Scheduler::restore(
     if (live != nullptr && result_log_[i] == pc.results &&
         live->started == pc.started && live->ctx.done == pc.done &&
         live->ctx.steps == pc.steps) {
-      // The hook captured the auditor World::restore just replaced;
-      // step() installs one for the current auditor.
-      live->ctx.on_op_requested = nullptr;
       live->ctx.crashed = pc.crashed;
     } else {
       restoreSlot(p, make_coro(p), pc);

@@ -2,11 +2,11 @@
 // pattern into a run (paper Sect. 3.3).
 //
 // One call to step(p) is one atomic step of p: the scheduler executes p's
-// pending shared-object/FD operation against the world, then resumes p's
-// coroutine until it requests its next operation (or returns). The policy
-// chooses which runnable process steps next; adversarial policies (used
-// for the Theorem 1/5 separations) may inspect the whole world, which is
-// exactly the power the paper's adversary has.
+// pending shared-object/FD operation against the world (execute), then
+// resumes p's coroutine until it requests its next operation or returns
+// (resume). The policy chooses which runnable process steps next;
+// adversarial policies (used for the Theorem 1/5 separations) may inspect
+// the whole world, which is exactly the power the paper's adversary has.
 #pragma once
 
 #include <cassert>
@@ -136,8 +136,25 @@ class Scheduler {
     return correct_undone_ == 0;
   }
 
-  // One atomic step of p. p must be runnable.
+  // One atomic step of p. p must be runnable. step(p) is execute(p) then
+  // resume(p).
   void step(Pid p);
+
+  // The two halves of a step, for the explorer, which reads the
+  // successor's state between them (sim/explore.cc).
+  //
+  // execute(p) opens the step (the auditor's onStepBegin) and runs p's
+  // parked ctx(p).pending operation on the world. A process that has not
+  // started has no pending operation: execute first runs its prologue up
+  // to the first request, which moves its frame. Otherwise execute leaves
+  // the scheduler as it was, with the result parked in ctx(p).result, so
+  // World::restore to a snapshot taken before it undoes the step.
+  void execute(Pid p);
+  // resume(p) completes the step execute(p) opened, which must be the last
+  // one executed: logs the result, resumes p's frame until its next
+  // request (or return), advances the clock, closes the audit bracket and
+  // retires p if it is done.
+  void resume(Pid p);
 
   // Run under `policy` until all correct processes finished, max_steps
   // elapsed, or `observer` stopped it. Returns steps taken; run(p, a) then
@@ -206,9 +223,10 @@ class Scheduler {
   // Bring every process slot to its state in `ck`. A live slot whose log
   // head is the checkpoint's pointer, with equal steps/started/done, is
   // KEPT: a frame is a function of the results it consumed, so it already
-  // is the frame a rebuild would produce. Every other slot is rebuilt by
-  // local replay, with `make_coro` supplying its fresh coroutine (Run
-  // binds its algorithm + proposal). Returns the number of results fed
+  // is the frame a rebuild would produce (a slot executed but not resumed
+  // since `ck` is kept too). Every other slot is rebuilt by local replay,
+  // with `make_coro` supplying its fresh coroutine (Run binds its
+  // algorithm + proposal). Returns the number of results fed
   // into rebuilt frames. Throws SimAbort on a checkpoint of a differently
   // shaped run. CONTRACT: the caller restores the World to the matching
   // snapshot BEFORE calling this (replayed naming must resolve against
@@ -245,6 +263,21 @@ class Scheduler {
   // Only used by rebuildLiveness() and the audit-mode cross-check.
   [[nodiscard]] ProcSet runnableScan() const;
   [[nodiscard]] int correctUndoneScan() const;
+
+  Slot& slotOf(Pid p) {
+    assert(static_cast<std::size_t>(p) < slots_.size() &&
+           slots_[static_cast<std::size_t>(p)]);
+    return *slots_[static_cast<std::size_t>(p)];
+  }
+
+  // The bodies of execute(p) and resume(p), forced inline so step(p)
+  // costs one call and one slot lookup.
+  [[gnu::always_inline]] inline void executeSlot(Slot& slot, Pid p);
+  [[gnu::always_inline]] inline void resumeSlot(Slot& slot, Pid p);
+
+  // Run the slot's frame until it requests its next atomic operation or
+  // its top-level coroutine completes.
+  static void runUntilBlockedOrDone(Slot& slot);
 
   // Rebuild one slot from its checkpoint via local replay (see restore).
   void restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc);

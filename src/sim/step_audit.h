@@ -85,8 +85,8 @@ class StepAuditor final : public ObjectTable::AccessObserver {
   StepAuditor(const World* world, AuditMode mode);
 
   // ---- Hooks (scheduler / world / coroutine leaf; see ANALYSIS.md) ----
-  void onStepBegin(Pid p);                // Scheduler::step entry
-  void onStepEnd(Pid p);                  // Scheduler::step exit
+  void onStepBegin(Pid p);                // Scheduler::execute entry
+  void onStepEnd(Pid p);                  // Scheduler::resume exit
   void onExecuteBegin(Pid p, const Op& op);  // World::execute, pre-dispatch
   void onExecuteEnd(Pid p);                  // World::execute, post-dispatch
   // OpAwait::await_suspend via ProcCtx::on_op_requested: the automaton

@@ -460,6 +460,31 @@ TEST(Certificates, DamagedRecordsColdMissAndStayBitIdentical) {
   }
 }
 
+// kDag records of the previous schema (tag "WXC3") carry counters that
+// the probe-before-resume walk no longer produces. Whatever key such a
+// record sits under, it cold-misses and the search runs again.
+TEST(Certificates, PreviousSchemaRecordsColdMiss) {
+  SKIP_IF_AUDIT_LATCH();
+  ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDag, 2);
+  const ExploreResult fresh = exploreConverge(cfg, 2, 3);  // no store
+  MemStore store;
+  cfg.certificates = &store;
+  cfg.cert_family = "explore_frontier_test.schema";
+  expectBitIdentical(fresh, exploreConverge(cfg, 2, 3));
+  ASSERT_GT(store.records.size(), 1u);
+  EXPECT_TRUE(exploreConverge(cfg, 2, 3).from_cache);  // intact: a hit
+  for (auto& [key, bytes] : store.records) {
+    // The u32 tag is little-endian: "WXC4" on disk, and "WXC3" before.
+    ASSERT_GE(bytes.size(), 4u);
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "WXC4");
+    bytes[3] = '3';
+  }
+  const ExploreResult r = exploreConverge(cfg, 2, 3);
+  EXPECT_FALSE(r.from_cache);
+  EXPECT_EQ(r.cert_job_hits, 0u);
+  expectBitIdentical(fresh, r);
+}
+
 TEST(Certificates, AuditedAndOpaqueRunsBypassTheStore) {
   const std::string dir = freshDir("bypass");
   sim::fabric::PersistentStore store({dir, "vA"});

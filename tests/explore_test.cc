@@ -297,6 +297,21 @@ TEST(Explore, ThreeProcDporReducesAtLeastFiveFold) {
   EXPECT_EQ(explorerPickSet(dpor, 3), explorerPickSet(dag, 3));
 }
 
+// kDag probes its memo between the world op and the frame's resume: a hit
+// rolls back only the world, so no frame moves. The search is the one the
+// resume-then-probe walk made (570 schedules, 2,002 states, 945 hits);
+// only the executed steps drop, below that walk's 3,516.
+TEST(Explore, DagProbesTheMemoBeforeTheFrameMoves) {
+  const ExploreResult dag =
+      exploreConverge(3, 2, {100, 101, 102}, ExploreMode::kDag);
+  EXPECT_TRUE(dag.verified()) << dag.violation;
+  EXPECT_TRUE(dag.complete);
+  EXPECT_EQ(dag.schedules_explored, 570u);
+  EXPECT_EQ(dag.states_memoized, 2002u);
+  EXPECT_EQ(dag.memo_hits, 945u);
+  EXPECT_LT(dag.steps_executed, 3516u);
+}
+
 // ---- Many outcomes: kDag's memo against the plain search and kDpor ------
 
 // Each process bumps a shared counter twice without a lock and notes what

@@ -485,6 +485,116 @@ TEST(Run, RestoringAnEmptyCheckpointThrows) {
   EXPECT_NO_THROW(run.restore(ck));
 }
 
+// Each process reads a shared counter and writes it back bumped, so every
+// result it consumes depends on the interleaving.
+Coro<Unit> bumpLoop(Env& env, int iterations) {
+  const sim::ObjId c = env.reg(ObjKey{"bump"});
+  for (int i = 0; i < iterations; ++i) {
+    const sim::OpResult r = co_await env.read(c);
+    const Value seen = r.scalar.isBottom() ? 0 : r.scalar.asInt();
+    co_await env.write(c, RegVal(seen + 1));
+  }
+  env.decide(iterations);
+  co_return Unit{};
+}
+
+Coro<Unit> noOps(Env& /*env*/) { co_return Unit{}; }
+
+void expectSameRun(sim::Run& a, sim::Run& b, const std::string& what) {
+  EXPECT_EQ(a.world().trace().hash64(), b.world().trace().hash64()) << what;
+  EXPECT_EQ(a.world().now(), b.world().now()) << what;
+  for (Pid q = 0; q < a.world().nProcs(); ++q) {
+    EXPECT_EQ(a.scheduler().resultDigest(q), b.scheduler().resultDigest(q))
+        << what << ", p" << q + 1;
+    EXPECT_EQ(a.scheduler().ctx(q).steps, b.scheduler().ctx(q).steps)
+        << what << ", p" << q + 1;
+  }
+}
+
+TEST(Scheduler, ExecuteThenResumeIsStep) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 3;
+  const sim::AlgoFn algo = [](Env& e, Value) { return bumpLoop(e, 3); };
+  sim::Run stepped(cfg, algo, {0, 0, 0});
+  sim::Run split(cfg, algo, {0, 0, 0});
+  stepped.enableCheckpoints();
+  split.enableCheckpoints();
+  for (int i = 0; !stepped.scheduler().allCorrectDone(); ++i) {
+    const sim::ProcSet live = stepped.scheduler().runnable();
+    const Pid p = live.nth((i * 7 + i / 3) % live.size());
+    stepped.scheduler().step(p);
+    split.scheduler().execute(p);
+    split.scheduler().resume(p);
+    expectSameRun(stepped, split, "step " + std::to_string(i));
+  }
+  EXPECT_TRUE(split.scheduler().allCorrectDone());
+  EXPECT_EQ(split.world().now(), 18);
+}
+
+// A step executed but not resumed moved only the world: restoring the
+// checkpoint before it keeps every frame, and so does rolling back the
+// world alone. Either way the run continues like one that never ran it.
+TEST(Run, RestoringAnExecutedUnresumedStepRebuildsNothing) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 3;
+  const sim::AlgoFn algo = [](Env& e, Value) { return bumpLoop(e, 3); };
+  const std::vector<Pid> prefix = {0, 1, 2, 0, 1};
+  const std::vector<Pid> rest = {1, 2, 0, 2, 2, 1};
+  sim::Run straight(cfg, algo, {0, 0, 0});
+  straight.enableCheckpoints();
+  for (const Pid p : prefix) straight.scheduler().step(p);
+  for (const Pid p : rest) straight.scheduler().step(p);
+
+  for (const bool world_only : {false, true}) {
+    const std::string what = world_only ? "world rollback" : "Run::restore";
+    sim::Run run(cfg, algo, {0, 0, 0});
+    run.enableCheckpoints();
+    for (const Pid p : prefix) run.scheduler().step(p);
+    const sim::RunCheckpoint ck = run.checkpoint();
+    const std::uint64_t hash = run.world().trace().hash64();
+    const std::uint64_t digest = run.scheduler().resultDigest(2);
+    run.scheduler().execute(2);
+    EXPECT_NE(run.world().trace().hash64(), hash) << what;
+    EXPECT_EQ(run.scheduler().resultDigest(2), digest) << what;
+    if (world_only) {
+      run.world().restore(ck.world);
+    } else {
+      EXPECT_EQ(run.restore(ck), 0u) << what;
+    }
+    EXPECT_EQ(run.world().trace().hash64(), hash) << what;
+    for (const Pid p : rest) run.scheduler().step(p);
+    expectSameRun(straight, run, what);
+  }
+}
+
+TEST(Scheduler, AProcessThatHasNotStartedStillSteps) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 2;
+  sim::Run run(cfg, [](Env& e, Value) { return counterLoop(e, 2); }, {0, 0});
+  sim::Scheduler& sched = run.scheduler();
+  // No parked op yet: the first step runs the prologue, then the op.
+  EXPECT_FALSE(sched.ctx(0).pending.has_value());
+  sched.step(0);
+  EXPECT_EQ(sched.ctx(0).steps, 1);
+  EXPECT_TRUE(sched.ctx(0).pending.has_value());  // parked at write #2
+  // execute runs an unstarted process's prologue before its op.
+  sched.execute(1);
+  EXPECT_TRUE(sched.ctx(1).pending.has_value());
+  EXPECT_EQ(sched.ctx(1).steps, 0);
+  sched.resume(1);
+  EXPECT_EQ(sched.ctx(1).steps, 1);
+  run.world().endAuditObservation();  // inspecting, not stepping
+  auto& tbl = run.world().objects();
+  EXPECT_EQ(tbl.read(tbl.regId(ObjKey{"cnt", 1})).asInt(), 1);
+
+  // An automaton that returns before its first op takes one step.
+  sim::Run empty(cfg, [](Env& e, Value) { return noOps(e); }, {0, 0});
+  empty.scheduler().step(1);
+  EXPECT_TRUE(empty.scheduler().ctx(1).done);
+  EXPECT_EQ(empty.world().now(), 1);
+  EXPECT_FALSE(empty.scheduler().runnable().contains(1));
+}
+
 TEST(ObjKey, AppendBuildsDistinctNames) {
   ObjKey k{"conv", 3, 1};
   ObjKey a = k;

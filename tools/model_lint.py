@@ -51,11 +51,14 @@ guarantees:
                      fork threads mid-flight, duplicate file descriptors,
                      and break the single-address-space assumptions the
                      batch runner's determinism contract rests on
-  step-drive         Scheduler::step calls in src/ outside the scheduler
-                     and the explorer's DFS stepping: Scheduler::run is the
-                     one policy-driven step loop; drive a run through it
-                     with a StepObserver (sim/scheduler.h) instead of
-                     hand-writing another copy of the loop
+  step-drive         Scheduler::step calls, and calls of its two halves
+                     Scheduler::execute / Scheduler::resume, in src/
+                     outside the scheduler and the explorer's DFS stepping:
+                     Scheduler::run is the one policy-driven step loop;
+                     drive a run through it with a StepObserver
+                     (sim/scheduler.h) instead of hand-writing another
+                     copy of the loop. World::execute (two arguments) and
+                     a coroutine handle's resume() (none) do not match
   thread-spawn       std::thread / std::jthread objects in src/ outside
                      src/sim/steal_pool.*: runPool (sim/steal_pool.h) is
                      the one place that starts worker threads; hand jobs
@@ -292,10 +295,17 @@ RULES = [
     ),
     (
         "step-drive",
-        re.compile(r"(?:\.|->)\s*step\s*\("),
+        # Any .step( call, and one-argument .execute(p) / .resume(p) calls:
+        # the scheduler's step halves, not World::execute(p, op) or a
+        # coroutine handle's resume().
+        re.compile(
+            r"(?:\.|->)\s*(?:step\s*\("
+            r"|(?:execute|resume)\s*\((?:[^(),]|\([^()]*\))+\))"
+        ),
         "Scheduler::run is the one policy-driven step loop (its hooks: "
         "StepObserver in sim/scheduler.h); drive runs through it instead "
-        "of calling Scheduler::step in another hand-written loop",
+        "of calling Scheduler::step, or its halves Scheduler::execute and "
+        "Scheduler::resume, in another hand-written loop",
         ALL_SRC_DIRS,
         STEP_DRIVE_EXCLUDES,
     ),
@@ -576,6 +586,32 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: thread-spawn {verb} in {rel}")
+    # step-drive also covers the two halves of a step, outside the two
+    # exempt files, but not World::execute (two arguments) or a coroutine
+    # handle's resume() (none).
+    halves = (
+        "void rogue(Scheduler& s, Pid p) {\n"
+        "  s.execute(p);\n"
+        "  s.resume(static_cast<Pid>(p));\n"
+        "}\n"
+    )
+    for rel, text, want in (
+        ("src/sim/batch.cc", halves, 2),
+        ("src/sim/batch.cc", "void f(Run& run) { run.scheduler().resume(0); }\n", 1),
+        ("src/sim/explore.cc", halves, 0),
+        ("src/sim/scheduler.cc", halves, 0),
+        ("src/sim/batch.cc", "OpResult r = w->execute(p, *ctx.pending);\n", 0),
+        ("src/sim/batch.cc", "void f(std::coroutine_handle<> h) { h.resume(); }\n", 0),
+    ):
+        hits = [r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))
+                if r == "step-drive"]
+        what = f"{text.splitlines()[0]!r} in {rel}"
+        if len(hits) != want:
+            print(f"self-test FAIL: step-drive found {len(hits)} of {want} "
+                  f"calls on {what}")
+            failures += 1
+        else:
+            print(f"self-test ok: step-drive finds {want} call(s) on {what}")
     # text-codec binds src/sim only, and the byte codec itself is clean.
     codec = VIOLATING_SNIPPETS["text-codec"]
     repo = pathlib.Path(__file__).resolve().parent.parent
