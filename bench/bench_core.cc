@@ -30,7 +30,12 @@
 //                  a whole serial explorer search (kDpor, kDag) of the
 //                  n+1 = 3 one-shot k-converge family; "steps" are the
 //                  search's executed steps, so allocs/step is the DFS
-//                  bookkeeping per step plus the steps themselves.
+//                  bookkeeping per step plus the steps themselves;
+//   * audit-off, audit-collect
+//                  a register ping-pong (every step a write or a read:
+//                  the highest op-per-step density, the step auditor's
+//                  worst case) with RunConfig::audit unset and set to
+//                  kCollect; their rate ratio is the auditor's cost.
 //
 // Every row is timed as the fastest of five repeats of the same work, and
 // reports `allocs`, the global operator new calls one repeat makes (the
@@ -46,6 +51,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "bench_util.h"
 
@@ -367,6 +373,40 @@ Measurement exploreRow(sim::ExploreMode mode) {
   return m;
 }
 
+// `audit-off` / `audit-collect`: each process writes its own register and
+// reads its neighbour's, alternately.
+sim::Coro<sim::Unit> pingPong(Env& env, Value iters) {
+  const ObjId mine = env.reg(sim::ObjKey{"pp", env.me()});
+  const ObjId peer = env.reg(sim::ObjKey{"pp", (env.me() + 1) % env.nProcs()});
+  for (Value i = 0; i < iters; ++i) {
+    co_await env.write(mine, RegVal(i));
+    co_await env.read(peer);
+  }
+  co_return sim::Unit{};
+}
+
+// Sets `dirty` when an audited run reports a violation: the ping-pong is
+// legal, so any finding is an auditor bug.
+Measurement pingPongRow(int n_plus_1, Time target_steps,
+                        std::optional<sim::AuditMode> audit, bool& dirty) {
+  RunConfig cfg;
+  cfg.n_plus_1 = n_plus_1;
+  cfg.seed = 99;
+  cfg.audit = audit;
+  const Value iters = static_cast<Value>(target_steps / (2 * n_plus_1));
+  Measurement m;
+  const WallTimer t;
+  const RunResult rr = sim::runTask(
+      cfg, [iters](Env& e, Value) { return pingPong(e, iters); },
+      std::vector<Value>(static_cast<std::size_t>(n_plus_1), 0));
+  m.seconds = t.seconds();
+  m.steps = rr.steps;
+  if (audit.has_value() && (rr.audit() == nullptr || !rr.audit()->clean())) {
+    dirty = true;
+  }
+  return m;
+}
+
 }  // namespace
 }  // namespace wfd::bench
 
@@ -460,9 +500,21 @@ int main(int argc, char** argv) {
   report("explore-dpor", 3,
          [&] { return exploreRow(sim::ExploreMode::kDpor); });
   report("explore-dag", 3, [&] { return exploreRow(sim::ExploreMode::kDag); });
+  bool audit_dirty = false;
+  const Measurement audit_off = report("audit-off", 4, [&] {
+    return pingPongRow(4, spin_budget, std::nullopt, audit_dirty);
+  });
+  const Measurement audit_collect = report("audit-collect", 4, [&] {
+    return pingPongRow(4, spin_budget, sim::AuditMode::kCollect, audit_dirty);
+  });
   if (nondeterministic) {
     std::fprintf(stderr, "bench_core: a row's step count changed between "
                          "repeats of the same seeded work\n");
+    return 1;
+  }
+  if (audit_dirty) {
+    std::fprintf(stderr, "bench_core: the audited ping-pong reported a "
+                         "violation\n");
     return 1;
   }
 
@@ -471,6 +523,10 @@ int main(int argc, char** argv) {
               "fig2 %.2f, fig3 %.2f\n",
               spin8 / 1e6, rr.stepsPerSec() / 1e6, f1.stepsPerSec() / 1e6,
               f2.stepsPerSec() / 1e6, f3.stepsPerSec() / 1e6);
+  std::printf("step auditor (collect) overhead: %.0f%% (audit-off / "
+              "audit-collect - 1)\n",
+              (audit_off.stepsPerSec() / audit_collect.stepsPerSec() - 1.0) *
+                  100.0);
 
   json.metric("spin_n8_steps_per_s", spin8);
   json.metric("spin_rr_n8_steps_per_s", rr.stepsPerSec());

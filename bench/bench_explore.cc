@@ -44,7 +44,7 @@
 #include <set>
 
 #include "bench_util.h"
-#include "sim/fabric/store.h"
+#include "sim/store.h"
 
 namespace wfd::bench {
 namespace {
@@ -500,8 +500,7 @@ int main(int argc, char** argv) {
   // ---- Persistent exploration certificates --------------------------------
   // Skipped under the WFD_AUDIT latch: audited runs are uncacheable BY
   // DESIGN (an audited run exists to be re-executed and checked, never to
-  // be answered from a store), so there is nothing to gate — the same
-  // degradation bench_fabric applies to its memo phases.
+  // be answered from a store), so there is nothing to gate.
   if (sim::resolvedAuditMode(std::nullopt).has_value()) {
     std::printf("note: WFD_AUDIT latch active — certificate phases "
                 "skipped (audited runs bypass the store by design)\n");
@@ -516,7 +515,7 @@ int main(int argc, char** argv) {
     ExplorerOpts certd;
     certd.jobs = 2;
     certd.family = "bench_explore.converge.n3k2";
-    sim::fabric::PersistentStore store({dir, "explore-bench-A"});
+    sim::PersistentStore store({dir, "explore-bench-A"});
     certd.store = &store;
     const WallTimer t_cold;
     const ExploreResult cold = runConverge(3, 2, ExploreMode::kDpor, certd);
@@ -533,7 +532,7 @@ int main(int argc, char** argv) {
          "certificate warm result matches the cold run");
     // Version mismatch: a different store version addresses a different
     // segment file, so the lookup must COLD-MISS, never wrong-hit.
-    sim::fabric::PersistentStore store_b({dir, "explore-bench-B"});
+    sim::PersistentStore store_b({dir, "explore-bench-B"});
     certd.store = &store_b;
     const ExploreResult mismatch =
         runConverge(3, 2, ExploreMode::kDpor, certd);

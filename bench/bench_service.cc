@@ -4,10 +4,10 @@
 //
 // Four certifications per invocation:
 //   * campaign:  an (injector x workload) matrix of chaotic service
-//     streams sharded through BatchRunner (--jobs) or the fabric
-//     (--procs). Zero safety violations, all streams complete, and the
-//     coverage gate FAILS the binary if any planned (injector, workload)
-//     cell fired zero times — coverage is part of the certification.
+//     streams sharded through BatchRunner (--jobs). Zero safety
+//     violations, all streams complete, and the coverage gate FAILS the
+//     binary if any planned (injector, workload) cell fired zero times —
+//     coverage is part of the certification.
 //   * sustained: one long consensus stream (>= 100k sequential decided
 //     instances full, --quick shrinks) measuring decisions/s and the
 //     per-instance commit step-latency p50/p99, then a same-seed replay
@@ -119,15 +119,8 @@ void runCampaign(const wfd::bench::BenchArgs& args,
     }
   }
   const wfd::bench::WallTimer timer;
-  std::vector<CellResult> results;
-  if (args.procs > 1) {
-    sim::fabric::FabricOptions fo;
-    fo.procs = args.procs;
-    fo.batch = args.batchOptions();
-    results = sim::fabric::runFabric(fo, cells);
-  } else {
-    results = BatchRunner(args.batchOptions()).run(cells);
-  }
+  const std::vector<CellResult> results =
+      BatchRunner(args.batchOptions()).run(cells);
   const double dt = timer.seconds();
 
   wfd::bench::Table table({"workload", "streams", "committed", "replacements",

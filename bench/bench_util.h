@@ -104,23 +104,17 @@ inline void banner(const char* title) {
 //   --no-memo      chaos replay-determinism certification re-runs
 //                  identical seeds on purpose, and a memo would answer
 //                  the second run from the first.
-//   --procs N      fabric worker PROCESSES (default 1 = in-process).
-//                  Consumed by harnesses that route through runFabric.
-//   --cache-dir D  back the memo with the persistent store in D
-//                  (sim/fabric/store.h); implies memoization for the
-//                  harnesses that honor it
-//   --cache-cap N  ReportCache capacity (0 = kDefaultCapacity)
+//   --cache-dir D  persistent store directory (sim/store.h) for the
+//                  harnesses that keep one (bench_explore's certificates)
 //   --keep-cache   do NOT wipe the cache dir first: the run must warm
-//                  from a PREVIOUS process's store (the CI restart gate)
+//                  from a PREVIOUS process's store
 //   --json PATH    write machine-readable results (JsonWriter) to PATH
 struct BenchArgs {
   bool quick = false;
   int jobs = 0;  // 0 = hardware_concurrency (sim::resolveJobs)
   bool steal = true;
   bool memo = false;
-  int procs = 1;
   std::string cache_dir;
-  std::size_t cache_cap = 0;
   bool keep_cache = false;
   std::string json_path;
 
@@ -139,12 +133,8 @@ struct BenchArgs {
         a.memo = true;
       } else if (std::strcmp(argv[i], "--no-memo") == 0) {
         a.memo = false;
-      } else if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
-        a.procs = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
         a.cache_dir = argv[++i];
-      } else if (std::strcmp(argv[i], "--cache-cap") == 0 && i + 1 < argc) {
-        a.cache_cap = static_cast<std::size_t>(std::atoll(argv[++i]));
       } else if (std::strcmp(argv[i], "--keep-cache") == 0) {
         a.keep_cache = true;
       } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -156,26 +146,9 @@ struct BenchArgs {
 
   // BatchOptions for these flags; `cache` is attached only under --memo
   // (pass the harness's ReportCache so hit-rate stats survive batches).
-  // cache_dir/cache_cap flow through for makeMemo/runFabric consumers;
-  // the persistent store is stamped with the binary's git SHA so a
-  // rebuilt binary never replays a stale schema.
   [[nodiscard]] sim::BatchOptions batchOptions(
       sim::ReportCache* cache = nullptr) const {
-    sim::BatchOptions o;
-    o.jobs = jobs;
-    o.steal = steal;
-    o.memo = memo ? cache : nullptr;
-    o.memo_capacity = cache_cap;
-    o.cache_dir = cache_dir;
-    o.cache_version = gitSha();
-    return o;
-  }
-
-  // The same provenance stamp JsonWriter records, used as the persistent
-  // store's invalidation version.
-  [[nodiscard]] static std::string gitSha() {
-    const char* sha = std::getenv("WFD_GIT_SHA");
-    return sha != nullptr && *sha != '\0' ? sha : WFD_GIT_SHA;
+    return sim::BatchOptions{jobs, steal, memo ? cache : nullptr};
   }
 };
 
@@ -287,25 +260,19 @@ class JsonWriter {
                         std::vector<std::pair<std::string, double>>>> rows_;
 };
 
-// Surface one batch execution's scheduler/memo/fabric counters in a
-// bench's JSON output, prefixed so a harness can report several batches
+// Surface one batch execution's scheduler/memo counters in a bench's
+// JSON output, prefixed so a harness can report several batches
 // (docs/PERF.md reads these fields across every BENCH_*.json). Metrics
 // cover the aggregate counters; per-worker load lands as one row per
-// worker slot (a worker PROCESS when stats came from runFabric).
+// worker thread.
 inline void emitBatchStats(JsonWriter& json, const std::string& prefix,
                            const sim::BatchStats& stats) {
   const auto n = [](auto v) { return static_cast<double>(v); };
   json.metric(prefix + "_cells", n(stats.cells));
-  json.metric(prefix + "_procs", n(stats.procs));
   json.metric(prefix + "_steal_ops", n(stats.steal_ops));
   json.metric(prefix + "_stolen_cells", n(stats.stolen_cells));
   json.metric(prefix + "_memo_hits", n(stats.memo_hits));
   json.metric(prefix + "_memo_misses", n(stats.memo_misses));
-  json.metric(prefix + "_disk_hits", n(stats.disk_hits));
-  json.metric(prefix + "_disk_misses", n(stats.disk_misses));
-  json.metric(prefix + "_blocks", n(stats.blocks));
-  json.metric(prefix + "_proc_steal_ops", n(stats.proc_steal_ops));
-  json.metric(prefix + "_proc_stolen_cells", n(stats.proc_stolen_cells));
   json.metric(prefix + "_wall_s", stats.wall_s);
   json.metric(prefix + "_utilization", stats.utilization());
   json.metric(prefix + "_step_makespan", n(stats.stepMakespan()));

@@ -116,23 +116,9 @@ struct BatchOptions {
   // Optional whole-run memo (sim/report_cache.h), shared across workers
   // and across batches. Only cells with a non-empty memo_family and a
   // digestible configuration participate; audited runs always bypass.
-  // In-process only: the multi-process fabric (sim/fabric/fabric.h)
-  // ignores this pointer and builds a per-worker memo from the three
-  // fields below instead.
+  // makeMemo (sim/store.h) builds one, optionally backed by the
+  // persistent store so warm results survive the process.
   ReportCache* memo = nullptr;
-  // Configuration consumed by makeMemo (sim/report_cache.h) — harnesses
-  // and the fabric build their ReportCache from these instead of the
-  // hard-coded defaults. 0 = ReportCache::kDefaultCapacity.
-  std::size_t memo_capacity = 0;
-  // Non-empty: back the memo with the persistent content-addressed store
-  // in this directory (sim/fabric/store.h), so warm results survive
-  // process restarts and are shared between concurrent worker processes.
-  std::string cache_dir;
-  // Invalidation stamp for the persistent store: results are only served
-  // back to a binary whose stamp matches (CI passes the git SHA; "" uses
-  // the library's format version alone). Stale schemas self-invalidate
-  // because a different stamp addresses a different segment file.
-  std::string cache_version;
 };
 
 // Scheduler observability for one batch execution: how cells moved across
@@ -158,18 +144,6 @@ struct BatchStats {
   std::vector<double> busy_s;  // wall seconds each worker was active
   double wall_s = 0;           // whole-batch wall time
 
-  // ---- Multi-process fabric counters (sim/fabric/fabric.h) ----
-  // When runFabric fills this struct, `executed`/`steps_run`/`busy_s`
-  // above hold PER-PROCESS aggregates (one slot per worker process, each
-  // summing its own thread pool), and the thread-level steal/memo
-  // counters are summed across processes.
-  int procs = 1;
-  std::size_t blocks = 0;            // assignment blocks the run was cut into
-  std::size_t proc_steal_ops = 0;    // block reassignments between processes
-  std::size_t proc_stolen_cells = 0; // cells that changed processes
-  std::size_t disk_hits = 0;         // persistent-store hits (all workers)
-  std::size_t disk_misses = 0;       // eligible lookups the store missed
-
   // Mean worker busy fraction of the batch wall time (1.0 = no idling).
   [[nodiscard]] double utilization() const;
 
@@ -178,8 +152,8 @@ struct BatchStats {
   [[nodiscard]] long long stepMakespan() const;
 
   // Deterministic load balance: total steps / (workers * max per-worker
-  // steps). 1.0 = perfectly even; hardware-independent, so the fabric's
-  // procs=2 balance gate holds on single-core CI hosts too.
+  // steps). 1.0 = perfectly even; hardware-independent, so a balance
+  // gate holds on single-core CI hosts too.
   [[nodiscard]] double stepUtilization() const;
 };
 

@@ -1,18 +1,14 @@
-#include "sim/fabric/wire.h"
+#include "sim/codec.h"
 
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <cstring>
 
-namespace wfd::sim::fabric {
+namespace wfd::sim {
 
 namespace {
 
 // Hard ceilings a malformed (or corrupted) buffer cannot talk us past:
-// no frame, string, or container in this protocol legitimately reaches
-// these sizes, so hitting one means the bytes are garbage.
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+// no string or container in a record legitimately reaches these sizes,
+// so hitting one means the bytes are garbage.
 constexpr std::uint64_t kMaxStringBytes = 1u << 24;
 constexpr std::uint64_t kMaxContainerItems = 1u << 24;
 
@@ -141,101 +137,4 @@ bool decodeCellResult(ByteReader& rd, CellResult& out) {
   return rd.ok();
 }
 
-void encodeBlockReport(ByteWriter& w, const BlockReport& rep) {
-  w.u64(rep.begin);
-  w.u64(rep.end);
-  w.i64(rep.steps);
-  w.f64(rep.busy_s);
-  w.u64(rep.steal_ops);
-  w.u64(rep.stolen_cells);
-  w.u64(rep.memo_hits);
-  w.u64(rep.memo_misses);
-  w.u64(rep.disk_hits);
-  w.u64(rep.disk_misses);
-  w.u64(rep.results.size());
-  for (const CellResult& r : rep.results) encodeCellResult(w, r);
-}
-
-bool decodeBlockReport(ByteReader& rd, BlockReport& out) {
-  out = BlockReport{};
-  out.begin = rd.u64();
-  out.end = rd.u64();
-  out.steps = rd.i64();
-  out.busy_s = rd.f64();
-  out.steal_ops = rd.u64();
-  out.stolen_cells = rd.u64();
-  out.memo_hits = rd.u64();
-  out.memo_misses = rd.u64();
-  out.disk_hits = rd.u64();
-  out.disk_misses = rd.u64();
-  const std::uint64_t n = rd.u64();
-  if (n > kMaxContainerItems) rd.fail();
-  out.results.reserve(rd.ok() ? static_cast<std::size_t>(n) : 0);
-  for (std::uint64_t i = 0; rd.ok() && i < n; ++i) {
-    CellResult r;
-    if (!decodeCellResult(rd, r)) return false;
-    out.results.push_back(std::move(r));
-  }
-  return rd.ok();
-}
-
-namespace {
-
-// Full-buffer send/recv with EINTR retry. MSG_NOSIGNAL turns a dead
-// peer into an EPIPE return instead of a process-killing SIGPIPE.
-bool sendAll(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-bool recvAll(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::recv(fd, data + off, n - off, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;  // EOF mid-frame: peer died
-    off += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-}  // namespace
-
-bool writeFrame(int fd, MsgType type, const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxFrameBytes) return false;
-  std::uint8_t header[5];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  header[4] = static_cast<std::uint8_t>(type);
-  if (!sendAll(fd, header, sizeof header)) return false;
-  return payload.empty() || sendAll(fd, payload.data(), payload.size());
-}
-
-bool readFrame(int fd, MsgType* type, std::vector<std::uint8_t>* payload) {
-  std::uint8_t header[5];
-  if (!recvAll(fd, header, sizeof header)) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  if (len > kMaxFrameBytes) return false;
-  const std::uint8_t t = header[4];
-  if (t < static_cast<std::uint8_t>(MsgType::kAssign) ||
-      t > static_cast<std::uint8_t>(MsgType::kShutdown)) {
-    return false;
-  }
-  *type = static_cast<MsgType>(t);
-  payload->resize(len);
-  return len == 0 || recvAll(fd, payload->data(), len);
-}
-
-}  // namespace wfd::sim::fabric
+}  // namespace wfd::sim

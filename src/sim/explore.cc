@@ -9,7 +9,7 @@
 #include <unordered_set>
 
 #include "fd/failure_detector.h"
-#include "sim/fabric/wire.h"
+#include "sim/codec.h"
 #include "sim/report_cache.h"
 #include "sim/steal_pool.h"
 
@@ -633,7 +633,7 @@ constexpr std::uint64_t ExploreResult::*kSearchCounters[] = {
     &ExploreResult::steps_executed,     &ExploreResult::steps_replayed,
     &ExploreResult::steps_rebuilt,      &ExploreResult::restores};
 
-void encodeCert(fabric::ByteWriter& w, const ExploreResult& r) {
+void encodeCert(ByteWriter& w, const ExploreResult& r) {
   w.u32(kCertTag);
   w.u8(r.verdict == ExploreVerdict::kViolation ? 1 : 0);
   w.u8(r.complete ? 1 : 0);
@@ -656,7 +656,7 @@ void encodeCert(fabric::ByteWriter& w, const ExploreResult& r) {
 // underrun and no trailing byte.
 std::optional<ExploreResult> decodeCert(
     const std::vector<std::uint8_t>& bytes) {
-  fabric::ByteReader rd(bytes.data(), bytes.size());
+  ByteReader rd(bytes.data(), bytes.size());
   if (rd.u32() != kCertTag) return std::nullopt;
   const std::uint8_t verdict = rd.u8();
   const std::uint8_t complete = rd.u8();
@@ -699,7 +699,7 @@ std::optional<ExploreResult> loadCert(ResultStore& store, std::uint64_t key) {
 }
 
 void saveCert(ResultStore& store, std::uint64_t key, const ExploreResult& r) {
-  fabric::ByteWriter w;
+  ByteWriter w;
   encodeCert(w, r);
   store.save(key, w.bytes());
 }

@@ -80,7 +80,7 @@
 
 namespace wfd::sim {
 
-class ResultStore;  // sim/report_cache.h; backing: fabric::PersistentStore
+class ResultStore;  // sim/report_cache.h; backing: PersistentStore
 
 enum class ExploreMode { kDpor, kDag };
 
@@ -141,7 +141,7 @@ struct ExploreConfig {
   // and the run will not execute audited — the ReportCache rules.
   // Invalidation is the store's: a version/schema change addresses a
   // different segment file, so stale certificates cold-miss by
-  // construction (sim/fabric/store.h).
+  // construction (sim/store.h).
   ResultStore* certificates = nullptr;
   // Names the opaque callables (algo, property) the certificate key
   // cannot digest — the sim/batch.h memo_family contract: two configs may

@@ -1,7 +1,6 @@
 #include "sim/report_cache.h"
 
-#include "sim/fabric/store.h"
-#include "sim/fabric/wire.h"
+#include "sim/codec.h"
 
 namespace wfd::sim {
 
@@ -67,9 +66,9 @@ std::uint64_t digestWatchdog(std::uint64_t h, const WatchdogConfig& wd) {
 std::optional<CellResult> decodeStored(
     const std::optional<std::vector<std::uint8_t>>& bytes) {
   if (!bytes.has_value()) return std::nullopt;
-  fabric::ByteReader rd(bytes->data(), bytes->size());
+  ByteReader rd(bytes->data(), bytes->size());
   CellResult r;
-  if (!fabric::decodeCellResult(rd, r) || !rd.atEnd()) return std::nullopt;
+  if (!decodeCellResult(rd, r) || !rd.atEnd()) return std::nullopt;
   return r;
 }
 
@@ -180,8 +179,8 @@ void ReportCache::insertLocked(std::uint64_t key, const CellResult& result,
     // Fresh result: make it durable. The store dedupes keys internally,
     // so a re-inserted eviction victim costs an encode and an index
     // probe, not bytes on disk.
-    fabric::ByteWriter w;
-    fabric::encodeCellResult(w, result);
+    ByteWriter w;
+    encodeCellResult(w, result);
     store_->save(key, w.bytes());
   }
 }
@@ -214,20 +213,6 @@ std::size_t ReportCache::diskHits() const {
 std::size_t ReportCache::diskMisses() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return disk_misses_;
-}
-
-std::unique_ptr<ReportCache> makeMemo(const BatchOptions& opts) {
-  std::unique_ptr<ResultStore> store;
-  if (!opts.cache_dir.empty()) {
-    fabric::StoreOptions so;
-    so.dir = opts.cache_dir;
-    so.version = opts.cache_version;
-    store = std::make_unique<fabric::PersistentStore>(so);
-  }
-  const std::size_t cap = opts.memo_capacity == 0
-                              ? ReportCache::kDefaultCapacity
-                              : opts.memo_capacity;
-  return std::make_unique<ReportCache>(cap, std::move(store));
 }
 
 }  // namespace wfd::sim

@@ -47,12 +47,12 @@ namespace wfd::sim {
 
 // Durable second level below the in-memory LRU, and the home of the
 // explorer's certificates (sim/explore.h). The production implementation
-// is fabric::PersistentStore (sim/fabric/store.h) — an append-only,
-// checksummed, version-stamped segment file shared between worker
-// processes; the interface keeps report_cache free of any filesystem
-// dependency. Payloads are opaque bytes whose format the caller owns:
-// ReportCache writes encodeCellResult bytes (sim/fabric/wire.h), the
-// explorer its certificate records. Contract: load() returns exactly the
+// is PersistentStore (sim/store.h) — an append-only, checksummed,
+// version-stamped segment file that outlives the process; the interface
+// keeps report_cache free of any filesystem dependency. Payloads are
+// opaque bytes whose format the caller owns: ReportCache writes
+// encodeCellResult bytes (sim/codec.h), the explorer its certificate
+// records. Contract: load() returns exactly the
 // bytes save() stored for that key, or nullopt — NEVER a wrong or partial
 // payload (corruption must degrade to a miss) — and both calls must be
 // thread-safe. A payload its reader cannot decode is a miss too.
@@ -116,12 +116,5 @@ class ReportCache {
   std::size_t disk_hits_ = 0;
   std::size_t disk_misses_ = 0;
 };
-
-// Build the memo a BatchOptions describes: capacity from memo_capacity
-// (0 = kDefaultCapacity) and, when cache_dir is non-empty, a
-// fabric::PersistentStore backing stamped with cache_version. Whether to
-// ATTACH the cache stays the caller's call (BatchOptions::memo for the
-// in-process runner; the fabric builds one per worker process).
-[[nodiscard]] std::unique_ptr<ReportCache> makeMemo(const BatchOptions& opts);
 
 }  // namespace wfd::sim

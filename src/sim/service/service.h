@@ -35,7 +35,7 @@
 // Determinism contract: a ServiceReport is a pure function of its
 // ServiceConfig — same config, same committed log, same service_hash,
 // bit-for-bit (certified by tests/service_test.cc, including through
-// BatchRunner jobs=N and the multi-process fabric).
+// BatchRunner jobs=N).
 #pragma once
 
 #include <cstdint>
@@ -139,10 +139,10 @@ struct SweepReport {
 
 [[nodiscard]] SweepReport runCrashSweep(const ServiceConfig& cfg);
 
-// ---- Batch/fabric adapter -----------------------------------------------
+// ---- Batch adapter -------------------------------------------------------
 //
 // Execute a service cell and fold the report into a CellResult so service
-// campaigns shard through BatchRunner/runFabric exactly like run cells
+// campaigns shard through BatchRunner exactly like run cells
 // (sim/batch.h BatchCell::service). Verdict mapping: kLogDivergence ->
 // kSafetyViolation, kInstanceViolation -> kAxiomViolation, kStalled ->
 // kLivelock, kReplacementOverrun -> kBudgetExhausted; check_detail keeps

@@ -1,7 +1,7 @@
 // The one work-stealing job pool, shared by the batch runner
-// (sim/batch.h), the exploration frontier (sim/explore.h) and — through
-// pickVictim/moveBackHalf — the campaign fabric's block stealing
-// (sim/fabric/fabric.h).
+// (sim/batch.h) and the exploration frontier (sim/explore.h). Its victim
+// rule and back-half move, pickVictim/moveBackHalf, are public so
+// tests/steal_pool_test.cc can pin the policy directly.
 //
 // Policy: worker k is seeded with the contiguous block
 // [count·k/W, count·(k+1)/W) of the job indices; the owner pops the FRONT

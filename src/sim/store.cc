@@ -1,4 +1,4 @@
-#include "sim/fabric/store.h"
+#include "sim/store.h"
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -12,7 +12,7 @@
 
 #include "fd/failure_detector.h"
 
-namespace wfd::sim::fabric {
+namespace wfd::sim {
 
 namespace {
 
@@ -241,4 +241,13 @@ std::size_t PersistentStore::appends() const {
   return appends_;
 }
 
-}  // namespace wfd::sim::fabric
+std::unique_ptr<ReportCache> makeMemo(std::size_t capacity,
+                                      const StoreOptions& store) {
+  std::unique_ptr<ResultStore> backing;
+  if (!store.dir.empty()) backing = std::make_unique<PersistentStore>(store);
+  return std::make_unique<ReportCache>(
+      capacity == 0 ? ReportCache::kDefaultCapacity : capacity,
+      std::move(backing));
+}
+
+}  // namespace wfd::sim

@@ -9,7 +9,7 @@
 //            [payload][u64 checksum]
 //
 // The payload is opaque bytes: ReportCache writes encodeCellResult bytes
-// (sim/fabric/wire.h) and the explorer writes certificate records
+// (sim/codec.h) and the explorer writes certificate records
 // (docs/EXPLORE.md). The store frames and checksums them, and each reader
 // decodes its own, treating a payload it cannot decode as a miss.
 //
@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -42,7 +43,7 @@
 
 #include "sim/report_cache.h"
 
-namespace wfd::sim::fabric {
+namespace wfd::sim {
 
 struct StoreOptions {
   std::string dir;      // created if missing
@@ -97,4 +98,11 @@ class PersistentStore : public ResultStore {
   std::size_t appends_ = 0;
 };
 
-}  // namespace wfd::sim::fabric
+// A ReportCache holding `capacity` results in memory (0 =
+// ReportCache::kDefaultCapacity) and, when `store.dir` is non-empty,
+// backed by a PersistentStore there — so warm results survive the
+// process. Whether to ATTACH it (BatchOptions::memo) is the caller's call.
+[[nodiscard]] std::unique_ptr<ReportCache> makeMemo(
+    std::size_t capacity = 0, const StoreOptions& store = {});
+
+}  // namespace wfd::sim

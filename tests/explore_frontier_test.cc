@@ -7,7 +7,7 @@
 // top of that: frontier-vs-classic outcome equality (counts differ by
 // design: eager prefixes explore a superset of class representatives),
 // steal-vs-static equality, and the certificate store's hit / resume /
-// version-mismatch behavior over fabric::PersistentStore. Certificate
+// version-mismatch behavior over PersistentStore. Certificate
 // records are typed bytes, so an in-memory store fake can also damage
 // each record and check that the damage is a cold miss.
 #include <gtest/gtest.h>
@@ -20,7 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/fabric/wire.h"
+#include "sim/codec.h"
+#include "sim/store.h"
 #include "test_util.h"
 
 namespace wfd {
@@ -283,7 +284,7 @@ std::string freshDir(const std::string& name) {
 TEST(Certificates, WarmRunServedFromStoreByteEquivalently) {
   SKIP_IF_AUDIT_LATCH();
   const std::string dir = freshDir("warm");
-  sim::fabric::PersistentStore store({dir, "vA"});
+  sim::PersistentStore store({dir, "vA"});
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDpor, 2);
   cfg.certificates = &store;
   cfg.cert_family = "explore_frontier_test.converge";
@@ -309,7 +310,7 @@ TEST(Certificates, WarmRunServedFromStoreByteEquivalently) {
 TEST(Certificates, MultiLineViolationSurvivesTheStore) {
   SKIP_IF_AUDIT_LATCH();
   const std::string dir = freshDir("multiline");
-  sim::fabric::PersistentStore store({dir, "vA"});
+  sim::PersistentStore store({dir, "vA"});
   ExploreConfig cfg;
   cfg.run.n_plus_1 = 2;
   cfg.mode = ExploreMode::kDpor;
@@ -336,7 +337,7 @@ TEST(Certificates, MultiLineViolationSurvivesTheStore) {
 TEST(Certificates, DifferentConfigNeverWrongHits) {
   SKIP_IF_AUDIT_LATCH();
   const std::string dir = freshDir("cfg");
-  sim::fabric::PersistentStore store({dir, "vA"});
+  sim::PersistentStore store({dir, "vA"});
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDpor, 2);
   cfg.certificates = &store;
   cfg.cert_family = "explore_frontier_test.converge";
@@ -354,12 +355,12 @@ TEST(Certificates, VersionMismatchColdMisses) {
   const std::string dir = freshDir("ver");
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDpor, 2);
   cfg.cert_family = "explore_frontier_test.converge";
-  sim::fabric::PersistentStore a({dir, "vA"});
+  sim::PersistentStore a({dir, "vA"});
   cfg.certificates = &a;
   EXPECT_FALSE(exploreConverge(cfg, 2, 3).from_cache);
   // The store's version-in-filename rule: a new version addresses a
   // different segment, so the stale certificate cold-misses.
-  sim::fabric::PersistentStore b({dir, "vB"});
+  sim::PersistentStore b({dir, "vB"});
   cfg.certificates = &b;
   EXPECT_FALSE(exploreConverge(cfg, 2, 3).from_cache);
   // And the original version still hits its own segment.
@@ -370,7 +371,7 @@ TEST(Certificates, VersionMismatchColdMisses) {
 TEST(Certificates, InterruptedFrontierResumesFromPerJobRecords) {
   SKIP_IF_AUDIT_LATCH();
   const std::string dir = freshDir("resume");
-  sim::fabric::PersistentStore store({dir, "vA"});
+  sim::PersistentStore store({dir, "vA"});
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDag, 2);
   cfg.certificates = &store;
   cfg.cert_family = "explore_frontier_test.cut";
@@ -422,8 +423,8 @@ TEST(Certificates, DamagedRecordsColdMissAndStayBitIdentical) {
   const std::uint64_t full_key = cold.saved.back();
   EXPECT_TRUE(exploreConverge(cfg, 1, 2).from_cache);  // intact: a hit
 
-  sim::fabric::ByteWriter cell;
-  sim::fabric::encodeCellResult(cell, sim::CellResult{});
+  sim::ByteWriter cell;
+  sim::encodeCellResult(cell, sim::CellResult{});
   for (const std::uint64_t key : cold.saved) {
     const Bytes& good = cold.records.at(key);
     std::vector<Bytes> damaged;
@@ -487,7 +488,7 @@ TEST(Certificates, PreviousSchemaRecordsColdMiss) {
 
 TEST(Certificates, AuditedAndOpaqueRunsBypassTheStore) {
   const std::string dir = freshDir("bypass");
-  sim::fabric::PersistentStore store({dir, "vA"});
+  sim::PersistentStore store({dir, "vA"});
   ExploreConfig cfg = convergeCfg(2, 1, ExploreMode::kDpor, 1);
   cfg.certificates = &store;
   cfg.cert_family = "explore_frontier_test.bypass";

@@ -1,4 +1,4 @@
-// PersistentStore (sim/fabric/store.h): the durable second level below
+// PersistentStore (sim/store.h): the durable second level below
 // ReportCache, certified for the properties docs/PARALLEL.md promises:
 //
 //   * save/load round-trips opaque payload bytes exactly, the empty
@@ -11,8 +11,8 @@
 //     version stamp, and concurrent writers from two PROCESSES all
 //     degrade to a cold miss — never a wrong hit, never a crash; a
 //     payload that is not a CellResult is a ReportCache disk miss;
-//   * BatchOptions plumbing: makeMemo honors memo_capacity and attaches
-//     the store only when cache_dir is set.
+//   * makeMemo honors its capacity and attaches the store only when
+//     StoreOptions::dir is set.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -26,19 +26,18 @@
 #include <string>
 #include <vector>
 
-#include "sim/fabric/store.h"
-#include "sim/fabric/wire.h"
+#include "sim/codec.h"
+#include "sim/store.h"
 #include "test_util.h"
 
 namespace wfd {
 namespace {
 
-using sim::BatchOptions;
 using sim::CellResult;
 using sim::ReportCache;
 using sim::RunVerdict;
-using sim::fabric::PersistentStore;
-using sim::fabric::StoreOptions;
+using sim::PersistentStore;
+using sim::StoreOptions;
 
 using Bytes = std::vector<std::uint8_t>;
 
@@ -113,16 +112,14 @@ TEST(PersistentStore, RoundTripsRawPayloads) {
 // Every CellResult field, through the cache that owns the payload format:
 // one makeMemo-built ReportCache writes, a fresh one reads after restart.
 TEST(PersistentStore, RoundTripsEveryField) {
-  BatchOptions opts;
-  opts.cache_dir = freshDir("cellresult");
-  opts.cache_version = "v1";
+  const StoreOptions opts{freshDir("cellresult"), "v1"};
   {
-    std::unique_ptr<ReportCache> cold = sim::makeMemo(opts);
+    std::unique_ptr<ReportCache> cold = sim::makeMemo(0, opts);
     for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
       cold->insert(1000 + seed, sampleResult(seed));
     }
   }  // handle torn down: only the bytes on disk survive
-  std::unique_ptr<ReportCache> warm = sim::makeMemo(opts);
+  std::unique_ptr<ReportCache> warm = sim::makeMemo(0, opts);
   for (const std::uint64_t seed : {0, 1, 2, 3, 4, 5}) {
     // sampleResult's index is 7: looking up into slot 7 leaves every
     // field as stored.
@@ -356,17 +353,13 @@ TEST(PersistentStore, LiveHandleSeesAPeersAppends) {
 }
 
 TEST(MakeMemo, HonorsCapacityAndCacheDir) {
-  BatchOptions opts;
-  opts.memo_capacity = 2;
-  std::unique_ptr<ReportCache> memo = sim::makeMemo(opts);
+  std::unique_ptr<ReportCache> memo = sim::makeMemo(2);
   ASSERT_NE(memo, nullptr);
   EXPECT_EQ(memo->capacity(), 2u);
-  EXPECT_EQ(memo->store(), nullptr);  // no cache_dir: memory only
+  EXPECT_EQ(memo->store(), nullptr);  // no store dir: memory only
 
-  opts.memo_capacity = 0;
-  opts.cache_dir = freshDir("makememo");
-  opts.cache_version = "stamp";
-  std::unique_ptr<ReportCache> backed = sim::makeMemo(opts);
+  const StoreOptions opts{freshDir("makememo"), "stamp"};
+  std::unique_ptr<ReportCache> backed = sim::makeMemo(0, opts);
   EXPECT_EQ(backed->capacity(), ReportCache::kDefaultCapacity);
   ASSERT_NE(backed->store(), nullptr);
 
@@ -374,7 +367,7 @@ TEST(MakeMemo, HonorsCapacityAndCacheDir) {
   // then served from memory.
   CellResult r = sampleResult(1);
   backed->insert(77, r);
-  std::unique_ptr<ReportCache> warm = sim::makeMemo(opts);
+  std::unique_ptr<ReportCache> warm = sim::makeMemo(0, opts);
   EXPECT_EQ(warm->diskHits(), 0u);
   ASSERT_TRUE(warm->lookup(77, 3).has_value());
   EXPECT_EQ(warm->diskHits(), 1u);
@@ -392,16 +385,14 @@ TEST(MakeMemo, HonorsCapacityAndCacheDir) {
 }
 
 TEST(MakeMemo, UndecodablePayloadIsADiskMiss) {
-  BatchOptions opts;
-  opts.cache_dir = freshDir("undecodable");
-  opts.cache_version = "v1";
+  const StoreOptions opts{freshDir("undecodable"), "v1"};
   {
-    sim::fabric::ByteWriter w;
-    sim::fabric::encodeCellResult(w, sampleResult(2));
+    sim::ByteWriter w;
+    sim::encodeCellResult(w, sampleResult(2));
     const Bytes truncated(w.bytes().begin(), w.bytes().end() - 1);
     Bytes trailing = w.bytes();
     trailing.push_back(0);
-    PersistentStore store(StoreOptions{opts.cache_dir, opts.cache_version});
+    PersistentStore store(opts);
     store.save(1, samplePayload(3));  // not a CellResult at all
     store.save(2, truncated);         // a CellResult short of its last byte
     store.save(3, trailing);          // a CellResult plus one more byte
@@ -409,7 +400,7 @@ TEST(MakeMemo, UndecodablePayloadIsADiskMiss) {
   }
   // The store serves all four payloads intact; the cache owns the format
   // and turns the three it cannot decode exactly into misses.
-  std::unique_ptr<ReportCache> memo = sim::makeMemo(opts);
+  std::unique_ptr<ReportCache> memo = sim::makeMemo(0, opts);
   for (const std::uint64_t key : {1, 2, 3}) {
     EXPECT_FALSE(memo->lookup(key, 0).has_value()) << "key " << key;
   }

@@ -3,8 +3,7 @@
 // (protocol x detector) mode, bit-identical same-seed replay of a
 // 10k-instance stream, the exhaustive crash-and-replace sweep, pinned
 // golden service hashes, the negative-control catch guarantee, the
-// verdict taxonomy, and bit-identity through BatchRunner jobs=N and the
-// multi-process fabric.
+// verdict taxonomy, and bit-identity through BatchRunner jobs=N.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -326,7 +325,7 @@ TEST(ServiceTest, MisconfigurationThrows) {
   EXPECT_THROW((void)runService(cfg3), SimAbort);
 }
 
-// ---- Batch / fabric integration ------------------------------------------
+// ---- Batch integration ---------------------------------------------------
 
 std::vector<BatchCell> campaignCells() {
   std::vector<BatchCell> cells;
@@ -365,23 +364,6 @@ TEST(ServiceTest, BatchJobsBitIdenticalToSerial) {
     EXPECT_EQ(a[i].trace_hash, b[i].trace_hash);
     EXPECT_EQ(a[i].steps, b[i].steps);
     EXPECT_EQ(a[i].metrics.at("instances"), 48);
-  }
-}
-
-TEST(ServiceTest, FabricProcsBitIdenticalToSerial) {
-  const std::vector<BatchCell> cells = campaignCells();
-  const BatchRunner serial(BatchOptions{.jobs = 1});
-  const std::vector<CellResult> a = serial.run(cells);
-  sim::fabric::FabricOptions fo;
-  fo.procs = 2;
-  fo.batch.jobs = 2;
-  const std::vector<CellResult> b = sim::fabric::runFabric(fo, cells);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].verdict, b[i].verdict);
-    EXPECT_EQ(a[i].trace_hash, b[i].trace_hash);
-    EXPECT_EQ(a[i].check_detail, b[i].check_detail);
   }
 }
 

@@ -1,7 +1,7 @@
 // The shared work-stealing pool (sim/steal_pool.h): every job runs exactly
 // once at any size and mode, static sharding keeps the contiguous blocks,
 // a skewed load is stolen, the lowest-index exception wins after every
-// other job ran, and the victim / back-half helpers the fabric shares.
+// other job ran, and the victim / back-half helpers the pool steals with.
 #include "sim/steal_pool.h"
 
 #include <gtest/gtest.h>

@@ -26,14 +26,10 @@
 //     Both scheduler modes are held to it (--steal work stealing, the
 //     default, and --no-steal static sharding), and --memo adds a
 //     ReportCache double-pass: a warm cache hit must reproduce the
-//     serial result byte for byte, field for field;
-//   * fabric equivalence (--procs N, N >= 2): the same workloads through
-//     the multi-process fabric (sim/fabric/fabric.h) — N forked worker
-//     processes, each an unmodified BatchRunner — must again be
-//     field-for-field identical to serial, in both scheduler modes, and
-//     a second pass warmed through the persistent store
-//     (sim/fabric/store.h) must answer every key-eligible cell from disk
-//     while staying byte-identical.
+//     serial result byte for byte, field for field — then the same
+//     double pass through the persistent store (sim/store.h), where a
+//     fresh makeMemo handle over the cold pass's directory must answer
+//     every key-eligible cell from disk.
 #include <unistd.h>
 
 #include <cstdio>
@@ -373,79 +369,43 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
           "warm pass answered every eligible cell from the memo (" +
               std::to_string(warm_stats.memo_hits) + "/" +
               std::to_string(cacheable) + ")");
+
+    // Persistent-store double pass: the cold pass fills an on-disk store
+    // through one makeMemo handle; a fresh handle over the same directory
+    // (the restart case) must answer every eligible cell from it. The
+    // batch resubmits duplicates, so cold hits are possible — but only
+    // from the in-memory LRU: the cold pass loads nothing from disk, and
+    // the warm pass misses nothing.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("wfd_determinism_store_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    const sim::StoreOptions store{dir.string(), "determinism-check"};
+    std::size_t cold_disk_hits = 0;
+    std::vector<sim::CellResult> stored;
+    {
+      const auto cold_memo = sim::makeMemo(0, store);
+      stored = sim::BatchRunner(sim::BatchOptions{jobs, steal, cold_memo.get()})
+                   .run(cells);
+      cold_disk_hits = cold_memo->diskHits();
+    }
+    const auto warm_memo = sim::makeMemo(0, store);
+    sim::BatchStats disk_stats;
+    const auto reread =
+        sim::BatchRunner(sim::BatchOptions{jobs, steal, warm_memo.get()})
+            .run(cells, &disk_stats);
+    check(allSame(a, stored),
+          "persistent-store cold pass matches serial field for field");
+    check(allSame(a, reread),
+          "persistent-store warm pass (fresh handle) byte-identical");
+    check(cold_disk_hits == 0, "cold pass loads 0 cells from disk");
+    check(disk_stats.memo_hits == cacheable && warm_memo->diskMisses() == 0,
+          "warm pass answered every eligible cell from the store (" +
+              std::to_string(disk_stats.memo_hits) + "/" +
+              std::to_string(cacheable) + ", " +
+              std::to_string(warm_memo->diskHits()) +
+              " loaded from disk, 0 disk misses)");
+    std::filesystem::remove_all(dir);
   }
-}
-
-// The fabric contract: procs=M x jobs=N must be indistinguishable from
-// serial execution — forked workers, block stealing, and the persistent
-// store are all pure scheduling/caching, never semantics.
-void fabricWorkloads(int procs, int jobs, bool steal) {
-  std::printf("Fabric (serial vs %d processes x %d workers, %s):\n", procs,
-              jobs, steal ? "stealing" : "static ranges");
-  const auto cells = batchCells();
-  sim::BatchOptions serial_opts;
-  serial_opts.jobs = 1;
-  const sim::BatchRunner serial(serial_opts);
-  const auto truth = serial.run(cells);
-
-  sim::fabric::FabricOptions fo;
-  fo.procs = procs;
-  fo.batch.jobs = jobs;
-  fo.batch.steal = steal;
-  fo.steal = steal;
-  // block=1 maximizes cross-process traffic: every cell is its own
-  // assignment, the adversarial case for the aggregation path.
-  fo.block = 1;
-  sim::BatchStats stats;
-  const auto got = sim::fabric::runFabric(fo, cells, &stats);
-  check(allSame(truth, got),
-        "fabric procs=" + std::to_string(procs) +
-            " matches the serial pass field for field");
-  check(stats.procs == sim::fabric::resolveProcs(procs),
-        "stats report the resolved process count");
-
-  // The OTHER process-scheduler mode must be equally invisible.
-  sim::fabric::FabricOptions other = fo;
-  other.steal = !steal;
-  check(allSame(truth, sim::fabric::runFabric(other, cells)),
-        std::string(!steal ? "block stealing" : "static ranges") +
-            " matches the serial pass field for field");
-
-  // Persistent-store double pass: the cold run fills the on-disk store,
-  // the warm run must answer every key-eligible cell from it — across
-  // fresh fabric instances, i.e. across real process boundaries — while
-  // staying byte-identical to serial. (Under WFD_AUDIT the eligible
-  // count is zero by design: an audited run always re-executes.)
-  std::size_t cacheable = 0;
-  for (const auto& cell : cells) {
-    if (sim::cellKey(cell).has_value()) ++cacheable;
-  }
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("wfd_determinism_fabric_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  sim::fabric::FabricOptions cached = fo;
-  cached.batch.cache_dir = dir.string();
-  cached.batch.cache_version = "determinism-check";
-  sim::BatchStats cold_stats;
-  sim::BatchStats warm_stats;
-  const auto cold = sim::fabric::runFabric(cached, cells, &cold_stats);
-  const auto warm = sim::fabric::runFabric(cached, cells, &warm_stats);
-  check(allSame(truth, cold),
-        "persistent-store cold pass matches serial field for field");
-  check(allSame(truth, warm),
-        "persistent-store warm pass (disk hits) byte-identical");
-  // The campaign resubmits duplicate cells, so cold memo_hits may be > 0
-  // (in-worker LRU hits) and warm disk_hits depends on which worker a
-  // duplicate lands on; the deterministic invariants are that the cold
-  // pass loads NOTHING from disk and the warm pass misses NOTHING.
-  check(cold_stats.disk_hits == 0, "cold pass finds an empty store");
-  check(warm_stats.memo_hits == cacheable && warm_stats.disk_misses == 0,
-        "warm pass answered every eligible cell from the memo (" +
-            std::to_string(warm_stats.memo_hits) + "/" +
-            std::to_string(cacheable) + ", " +
-            std::to_string(warm_stats.disk_hits) +
-            " loaded from disk, 0 disk misses)");
-  std::filesystem::remove_all(dir);
 }
 
 // ---- --explore: the parallel-frontier determinism contract ---------------
@@ -625,15 +585,12 @@ void exploreWorkloads(int jobs) {
 
 int main(int argc, char** argv) {
   int jobs = 4;
-  int procs = 0;
   bool steal = true;
   bool memo = false;
   bool explore_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
-      procs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--steal") == 0) {
       steal = true;
     } else if (std::strcmp(argv[i], "--no-steal") == 0) {
@@ -666,7 +623,6 @@ int main(int argc, char** argv) {
   seedSensitivity();
   resultSensitivity();
   batchWorkloads(jobs < 1 ? 1 : jobs, steal, memo);
-  if (procs > 0) fabricWorkloads(procs, jobs < 1 ? 1 : jobs, steal);
   if (g_failures > 0) {
     std::printf("\ndeterminism check FAILED: %d divergence(s)\n", g_failures);
     return 1;

@@ -44,13 +44,13 @@ guarantees:
                      iterating one visits elements in address/seed order,
                      which leaks nondeterminism the moment any loop effect
                      reaches a trace, a digest, or an eviction choice
-  ipc-primitive      fork/exec*/socket/pipe outside src/sim/fabric: the
-                     multi-process campaign fabric (docs/PARALLEL.md) is
-                     the ONE component allowed to spawn processes and open
-                     IPC channels; anywhere else these primitives would
-                     fork threads mid-flight, duplicate file descriptors,
-                     and break the single-address-space assumptions the
-                     batch runner's determinism contract rests on
+  ipc-primitive      fork/exec*/socket/pipe anywhere in src/, bench/ or
+                     examples/: campaigns run in one process
+                     (docs/PARALLEL.md), and these primitives would fork
+                     live worker threads mid-flight, duplicate file
+                     descriptors, and break the single-address-space
+                     assumptions the batch runner's determinism contract
+                     rests on
   step-drive         Scheduler::step calls, and calls of its two halves
                      Scheduler::execute / Scheduler::resume, in src/
                      outside the scheduler and the explorer's DFS stepping:
@@ -67,7 +67,7 @@ guarantees:
   text-codec         std::istringstream / std::ostringstream /
                      std::stringstream in src/sim: durable and wire
                      records go through ByteWriter/ByteReader
-                     (sim/fabric/wire.h), which check bounds and latch
+                     (sim/codec.h), which check bounds and latch
                      failures, while a text parser silently accepts a
                      partial line
   scan-copy          std::vector<RegVal> in src/sim/ops.h and
@@ -116,17 +116,15 @@ HOT_PATH_WHY = (
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
 # everywhere.
 ALL_SRC_DIRS = ["src"]
-# The IPC rule binds the library AND the harness trees, minus the one
-# component designed to spawn processes: the campaign fabric.
+# The IPC rule binds the library AND the harness trees, with no exemption.
 IPC_DIRS = ["src", "bench", "examples"]
-IPC_EXCLUDES = ["src/sim/fabric"]
 # The step-drive rule binds src/ minus the loop itself and the explorer,
 # whose DFS steps one chosen transition at a time.
 STEP_DRIVE_EXCLUDES = ["src/sim/scheduler.cc", "src/sim/explore.cc"]
 # The thread-spawn rule binds src/ minus the one work-stealing pool.
 THREAD_SPAWN_EXCLUDES = ["src/sim/steal_pool.h", "src/sim/steal_pool.cc"]
 # The text-codec rule binds the simulator, whose records (store payloads,
-# certificates, fabric frames) all go through the byte codec.
+# certificates) all go through the byte codec.
 TEXT_CODEC_DIRS = ["src/sim"]
 # The scan-copy rule binds the files a scan result is made and typed in.
 SCAN_VIEW_FILES = ["src/sim/ops.h", "src/sim/world.cc"]
@@ -162,8 +160,8 @@ def find_nondet_iteration(stripped: str):
 
 # (rule-name, matcher, explanation[, dirs[, excludes]]) — rules without
 # an explicit dirs entry bind LINTED_DIRS; `excludes` names path prefixes
-# inside those dirs the rule does NOT bind (e.g. the fabric exemption of
-# ipc-primitive). A matcher is either a compiled line regex or a callable
+# inside those dirs the rule does NOT bind (e.g. the pool exemption of
+# thread-spawn). A matcher is either a compiled line regex or a callable
 # taking the comment/string-stripped file text and returning the set of
 # violating line numbers (for rules needing file-wide state).
 RULES = [
@@ -279,19 +277,16 @@ RULES = [
         "ipc-primitive",
         # Call-position only; the leading guard blocks member access
         # (obj.fork(...)) but deliberately lets `::fork(` through — the
-        # globally qualified spelling the fabric itself uses must not be
-        # an evasion for everyone else.
+        # globally qualified spelling must not be an evasion.
         re.compile(
             r"(?<![\w.>])(?:fork|vfork|execl|execle|execlp|execv|execve|"
             r"execvp|execvpe|posix_spawn|posix_spawnp|socket|socketpair|"
             r"pipe|pipe2)\s*\("
         ),
-        "process/IPC primitives are confined to the campaign fabric "
-        "(src/sim/fabric/, docs/PARALLEL.md): fork() elsewhere duplicates "
-        "live worker threads and file descriptors mid-run; spawn processes "
-        "only through sim::fabric::runFabric",
+        "campaigns run in one process (docs/PARALLEL.md): fork() "
+        "duplicates live worker threads and file descriptors mid-run; "
+        "shard work across threads with BatchRunner (sim/batch.h) instead",
         IPC_DIRS,
-        IPC_EXCLUDES,
     ),
     (
         "step-drive",
@@ -324,7 +319,7 @@ RULES = [
         "text-codec",
         re.compile(r"\bstd::[io]?stringstream\b"),
         "durable and wire records go through ByteWriter/ByteReader "
-        "(sim/fabric/wire.h), which check bounds and latch failures; a "
+        "(sim/codec.h), which check bounds and latch failures; a "
         "text parser silently accepts a partial line",
         TEXT_CODEC_DIRS,
     ),
@@ -586,6 +581,23 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: thread-spawn {verb} in {rel}")
+    # ipc-primitive binds all of src/ (src/sim included) and the harness
+    # trees; tests/ stays free, since the store's two-writer test forks.
+    fork = "pid_t child = fork();\n"
+    for rel, fires in (
+        ("src/sim/batch.cc", True),
+        ("src/sim/store.cc", True),
+        ("bench/bench_batch.cc", True),
+        ("tests/persistent_store_test.cc", False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(fork, rel, rules_for(rel))}
+        if ("ipc-primitive" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: ipc-primitive {verb} on fork( in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: ipc-primitive {verb} on fork( in {rel}")
     # step-drive also covers the two halves of a step, outside the two
     # exempt files, but not World::execute (two arguments) or a coroutine
     # handle's resume() (none).
@@ -615,12 +627,12 @@ def self_test() -> int:
     # text-codec binds src/sim only, and the byte codec itself is clean.
     codec = VIOLATING_SNIPPETS["text-codec"]
     repo = pathlib.Path(__file__).resolve().parent.parent
-    wire = repo / "src/sim/fabric/wire.cc"
+    codec_cc = repo / "src/sim/codec.cc"
     for rel, text, fires in (
         ("src/sim/explore.cc", codec, True),
-        ("src/sim/fabric/store.cc", codec, True),
+        ("src/sim/store.cc", codec, True),
         ("bench/bench_explore.cc", codec, False),
-        ("src/sim/fabric/wire.cc", wire.read_text(encoding="utf-8"), False),
+        ("src/sim/codec.cc", codec_cc.read_text(encoding="utf-8"), False),
     ):
         found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
         if ("text-codec" in found) != fires:
