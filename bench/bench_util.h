@@ -103,13 +103,16 @@ inline void banner(const char* title) {
 //   --memo /       whole-run ReportCache on or off. Default OFF: the
 //   --no-memo      chaos replay-determinism certification re-runs
 //                  identical seeds on purpose, and a memo would answer
-//                  the second run from the first.
+//                  the second run from the first. A harness that keeps
+//                  no ReportCache rejects --memo as a usage error
+//                  (exit 2).
 //   --cache-dir D  persistent store directory (sim/store.h) for the
 //                  harnesses that keep one (bench_explore's certificates)
 //   --keep-cache   do NOT wipe the cache dir first: the run must warm
 //                  from a PREVIOUS process's store
 //   --json PATH    write machine-readable results (JsonWriter) to PATH
 struct BenchArgs {
+  std::string harness;  // argv[0]'s file name, for usage errors
   bool quick = false;
   int jobs = 0;  // 0 = hardware_concurrency (sim::resolveJobs)
   bool steal = true;
@@ -120,6 +123,10 @@ struct BenchArgs {
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
+    if (argc > 0) {
+      a.harness = argv[0];
+      a.harness.erase(0, a.harness.find_last_of('/') + 1);
+    }
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--quick") == 0) {
         a.quick = true;
@@ -146,8 +153,16 @@ struct BenchArgs {
 
   // BatchOptions for these flags; `cache` is attached only under --memo
   // (pass the harness's ReportCache so hit-rate stats survive batches).
+  // --memo without a cache would be silently ignored, so it exits 2.
   [[nodiscard]] sim::BatchOptions batchOptions(
       sim::ReportCache* cache = nullptr) const {
+    if (memo && cache == nullptr) {
+      std::fprintf(stderr,
+                   "%s: --memo is not supported: this harness keeps no "
+                   "ReportCache\n",
+                   harness.c_str());
+      std::exit(2);
+    }
     return sim::BatchOptions{jobs, steal, memo ? cache : nullptr};
   }
 };

@@ -6,10 +6,10 @@
 #include <cassert>
 #include <limits>
 #include <optional>
-#include <unordered_set>
 
 #include "fd/failure_detector.h"
 #include "sim/codec.h"
+#include "sim/digest_set.h"
 #include "sim/report_cache.h"
 #include "sim/steal_pool.h"
 
@@ -57,6 +57,9 @@ struct StepX {
 };
 
 // One branch point: the state BEFORE choosing a step at this depth.
+// Nodes are recycled (see walk): clear() empties one for the next push at
+// its depth, dropping every reference its checkpoint held while keeping
+// the capacity of its vectors, the sleep set's included.
 struct Node {
   RunCheckpoint ckpt;
   ProcSet enabled;
@@ -64,6 +67,13 @@ struct Node {
   ProcSet done;        // explored (or sleep-skipped) from here
   std::vector<SleepEnt> sleep;
   std::uint64_t digest = 0;  // kDag memo key
+
+  void clear() {
+    ckpt.release();
+    enabled = to_explore = done = ProcSet{};
+    sleep.clear();
+    digest = 0;
+  }
 };
 
 // Two steps must keep their relative order iff they are dependent: either
@@ -220,7 +230,11 @@ WalkOut walk(const WalkSpec& spec) {
   Run run(cfg.run, *spec.algo, *spec.proposals);
   run.enableCheckpoints();
 
+  // The DFS stack: path[0, depth) are the live nodes. A popped node stays
+  // in `path`, cleared, and is refilled by the next push at its depth, so
+  // a push allocates nothing once the walk has been that deep before.
   std::vector<Node> path;
+  std::size_t depth = 0;
   std::vector<StepX> steps;
   // kDpor happens-before, flat: row i (n ints) of `clock_rows` is the
   // vector clock of steps[i], inclusive of it, and last[p] is the index of
@@ -245,9 +259,10 @@ WalkOut walk(const WalkSpec& spec) {
   // hit's outcomes are already in res.outcomes, found earlier in this
   // walk, so the memo keeps no outcome sets. Frontier workers each hold a
   // private memo so every counter is a pure function of the job, never of
-  // worker scheduling. Hashed: only contains/insert/size, never iterated,
-  // so its order cannot leak into any result.
-  std::unordered_set<std::uint64_t> memo;
+  // worker scheduling. A flat digest table (sim/digest_set.h): only
+  // contains/insert/size, never iterated, so its order cannot leak into
+  // any result.
+  DigestSet memo;
   int live_depth = 0;  // LOCAL depth the live Run currently corresponds to
   std::uint64_t live_digest = 0;
 
@@ -295,8 +310,8 @@ WalkOut walk(const WalkSpec& spec) {
   // Initial node. A run can be terminal before its first step only in
   // degenerate configurations (no processes).
   {
-    Node root;
-    root.ckpt = run.checkpoint();
+    Node& root = path.emplace_back();
+    run.checkpoint(root.ckpt);
     root.enabled = run.scheduler().runnable();
     if (spec.job != nullptr) root.sleep = spec.job->sleep;
     if (!dpor) {
@@ -312,7 +327,7 @@ WalkOut walk(const WalkSpec& spec) {
       harvestTerminal();
       return out;
     }
-    path.push_back(std::move(root));
+    depth = 1;
   }
 
   // Writes p's clock before its next step: its latest step's row, or 0s.
@@ -331,9 +346,9 @@ WalkOut walk(const WalkSpec& spec) {
     steps.pop_back();
   };
 
-  while (!path.empty()) {
-    Node& cur = path.back();
-    const int d = static_cast<int>(path.size()) - 1;
+  while (depth > 0) {
+    Node& cur = path[depth - 1];
+    const int d = static_cast<int>(depth) - 1;
 
     // Pick the next candidate transition at this node.
     Pid p = -1;
@@ -360,7 +375,8 @@ WalkOut walk(const WalkSpec& spec) {
         if (dpor) parent.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
         popStep();
       }
-      path.pop_back();
+      cur.clear();
+      --depth;
       continue;
     }
 
@@ -587,13 +603,15 @@ WalkOut walk(const WalkSpec& spec) {
         continue;
       }
     }
-    Node child;
-    child.ckpt = run.checkpoint();
+    if (depth == path.size()) path.emplace_back();  // first visit this deep
+    Node& parent = path[depth - 1];  // the emplace may have moved `cur`
+    Node& child = path[depth++];
+    run.checkpoint(child.ckpt);
     child.enabled = run.scheduler().runnable();
     child.digest = digest;
     if (dpor) {
       const StepX& in = steps.back();
-      for (const SleepEnt& se : cur.sleep) {
+      for (const SleepEnt& se : parent.sleep) {
         // Wake sleepers dependent with the step just taken; the rest
         // remain covered by the subtrees explored from the ancestors.
         if (!dependent(se.fp, se.visible, in.fp, in.visible)) {
@@ -604,7 +622,6 @@ WalkOut walk(const WalkSpec& spec) {
     } else {
       child.to_explore = child.enabled;
     }
-    path.push_back(std::move(child));
   }
 
   if (use_memo) res.states_memoized = memo.size();

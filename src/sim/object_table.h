@@ -156,6 +156,9 @@ class ObjectTable {
   class Snapshot {
    public:
     Snapshot() = default;
+    // Drop every object (and so every reference to a tuple or to cells)
+    // but keep the vector's capacity for the next fill.
+    void release() { objects.clear(); }
 
    private:
     friend class ObjectTable;
@@ -163,11 +166,15 @@ class ObjectTable {
     std::uint64_t xdigest = 0;
   };
   [[nodiscard]] Snapshot snapshot() const {
-    flushDigest();
     Snapshot s;
+    snapshot(s);
+    return s;
+  }
+  // Fill-in form: overwrites `s` in place, reusing its vector's capacity.
+  void snapshot(Snapshot& s) const {
+    flushDigest();
     s.objects = objects_;
     s.xdigest = xdigest_;
-    return s;
   }
   // Exact for any snapshot of a table of the same run: a restore to an
   // ancestor, to a sibling branch, or into a fresh table.

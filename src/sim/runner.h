@@ -57,9 +57,20 @@ struct RunResult {
 // Self-contained — restoring onto any Run with the SAME
 // configuration (algorithm, proposals, pattern, FD, seed) is valid, which
 // is what lets the explorer share prefixes across branches.
+//
+// A checkpoint can be refilled in place (Run::checkpoint(RunCheckpoint&)):
+// the explorer keeps one per DFS depth and refills it at every push.
+// release() drops every reference it holds (result-log heads, object cells,
+// the trace's event vector, the pattern) but keeps its vectors' capacity,
+// so a kept checkpoint neither pins memory nor forces a copy-on-write copy
+// in the live run.
 struct RunCheckpoint {
   World::Snapshot world;
   Scheduler::Checkpoint sched;
+  void release() {
+    world.release();
+    sched.release();
+  }
 };
 
 // Owns everything a run needs; useful directly when a test wants to drive
@@ -77,7 +88,14 @@ class Run {
   // one. Call right after construction, before any step.
   void enableCheckpoints() { sched_->enableResultLog(); }
   [[nodiscard]] RunCheckpoint checkpoint() const {
-    return RunCheckpoint{world_->snapshot(), sched_->checkpoint()};
+    RunCheckpoint ck;
+    checkpoint(ck);
+    return ck;
+  }
+  // Fill-in form: overwrites `ck` in place, reusing its capacity.
+  void checkpoint(RunCheckpoint& ck) const {
+    world_->snapshot(ck.world);
+    sched_->checkpoint(ck.sched);
   }
   // Rewind (or fast-forward) this run to `ck`. Restores the world first,
   // then rebuilds each process coroutine that moved since `ck` by local

@@ -263,34 +263,48 @@ void Scheduler::enableResultLog() {
 }
 
 Scheduler::Checkpoint Scheduler::checkpoint() const {
+  Checkpoint ck;
+  checkpoint(ck);
+  return ck;
+}
+
+void Scheduler::checkpoint(Checkpoint& ck) const {
   if (!log_results_) {
     throw SimAbort(
         "Scheduler::checkpoint requires enableResultLog() from step one");
   }
-  Checkpoint ck;
   ck.rng = rng_;
   ck.procs.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i]) continue;
-    const Slot& slot = *slots_[i];
     ProcCheckpoint& pc = ck.procs[i];
+    if (!slots_[i]) {
+      pc = ProcCheckpoint{};
+      continue;
+    }
+    const Slot& slot = *slots_[i];
     pc.started = slot.started;
     pc.done = slot.ctx.done;
     pc.crashed = slot.ctx.crashed;
     pc.steps = slot.ctx.steps;
     pc.results = result_log_[i];
   }
-  return ck;
 }
 
 void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
-  auto slot = std::make_unique<Slot>();
-  slot->ctx.pid = p;
+  std::unique_ptr<Slot>& owned = slots_[static_cast<std::size_t>(p)];
+  if (!owned) owned = std::make_unique<Slot>();
+  Slot* const slot = owned.get();
+  // Reset to a fresh slot's state. Assigning the coroutine frees the old
+  // frame first; clearing the context drops the references its parked op
+  // and result held.
   slot->coro = std::move(coro);
+  slot->ctx = ProcCtx{};
+  slot->ctx.pid = p;
+  slot->started = pc.started;
   if (pc.started) {
-    slot->started = true;
     // The log links newest-first; replay needs program order.
-    std::vector<const OpResult*> results(pc.results ? pc.results->len : 0);
+    std::vector<const OpResult*>& results = replay_;
+    results.resize(pc.results ? pc.results->len : 0);
     std::size_t i = results.size();
     for (const ResultNode* n = pc.results.get(); n != nullptr;
          n = n->prev.get()) {
@@ -320,7 +334,6 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
   slot->ctx.steps = pc.steps;
   slot->ctx.done = pc.done;
   slot->ctx.crashed = pc.crashed;
-  slots_[static_cast<std::size_t>(p)] = std::move(slot);
 }
 
 std::uint64_t Scheduler::restore(

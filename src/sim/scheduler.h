@@ -214,11 +214,17 @@ class Scheduler {
   struct Checkpoint {
     Rng rng{0};
     std::vector<ProcCheckpoint> procs;
+    // Drop every log head, keeping `procs`' capacity for the next fill.
+    void release() {
+      for (ProcCheckpoint& pc : procs) pc.results.reset();
+    }
   };
 
   // Requires enableResultLog() to have been active since step one. O(n):
   // one pointer copy per process.
   [[nodiscard]] Checkpoint checkpoint() const;
+  // Fill-in form: overwrites `ck` in place, reusing its capacity.
+  void checkpoint(Checkpoint& ck) const;
 
   // Bring every process slot to its state in `ck`. A live slot whose log
   // head is the checkpoint's pointer, with equal steps/started/done, is
@@ -280,6 +286,7 @@ class Scheduler {
   static void runUntilBlockedOrDone(Slot& slot);
 
   // Rebuild one slot from its checkpoint via local replay (see restore).
+  // The slot is reused when it exists.
   void restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc);
 
   World* world_;
@@ -299,6 +306,10 @@ class Scheduler {
   mutable int correct_undone_ = 0;   // |undone_ ∩ correct(F)|
   mutable Time next_crash_ = kNeverCrashes;  // min crash time in runnable_
   mutable std::uint64_t fp_version_seen_ = 0;
+
+  // restoreSlot's program-order view of a log, kept to reuse its
+  // capacity. Last, so the per-step fields above keep their offsets.
+  std::vector<const OpResult*> replay_;
 };
 
 }  // namespace wfd::sim

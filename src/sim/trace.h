@@ -69,6 +69,9 @@ class Trace {
   class Snapshot {
    public:
     Snapshot() = default;
+    // Drop this snapshot's share of the event vector, so a later record()
+    // on the live trace copies nothing on its behalf.
+    void release() { events.reset(); }
 
    private:
     friend class Trace;
@@ -79,10 +82,14 @@ class Trace {
   // Taking and restoring share the event vector; neither copies it.
   [[nodiscard]] Snapshot snapshot() const {
     Snapshot s;
+    snapshot(s);
+    return s;
+  }
+  // Fill-in form: overwrites `s` in place.
+  void snapshot(Snapshot& s) const {
     s.events = events_;
     s.op_digest = op_digest_;
     s.ops_mixed = ops_mixed_;
-    return s;
   }
   void restore(const Snapshot& s) {
     events_ = s.events;

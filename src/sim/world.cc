@@ -66,13 +66,17 @@ void World::enableAudit(AuditMode mode) {
 
 World::Snapshot World::snapshot() const {
   Snapshot s;
+  snapshot(s);
+  return s;
+}
+
+void World::snapshot(Snapshot& s) const {
   s.now = now_;
   s.fp_version = fp_version_;
   s.fp = fp_;
   s.published = published_;
-  s.objects = objects_.snapshot();
-  s.trace = trace_.snapshot();
-  return s;
+  objects_.snapshot(s.objects);
+  trace_.snapshot(s.trace);
 }
 
 void World::restore(const Snapshot& s) {

@@ -112,6 +112,16 @@ class World {
   class Snapshot {
    public:
     Snapshot() = default;
+    // Drop every reference this snapshot holds (pattern, published
+    // outputs, objects, events), keeping its vectors' capacity for the
+    // next fill. Restoring a released snapshot throws, as for one never
+    // taken.
+    void release() {
+      fp.reset();
+      published = SlotArray();
+      objects.release();
+      trace.release();
+    }
 
    private:
     friend class World;
@@ -123,6 +133,8 @@ class World {
     Trace::Snapshot trace;
   };
   [[nodiscard]] Snapshot snapshot() const;
+  // Fill-in form: overwrites `s` in place, reusing its capacity.
+  void snapshot(Snapshot& s) const;
   // Restoring does not touch the attached auditor's mode, but replaces the
   // auditor instance: stale per-run audit state must not outlive a rewind.
   // Throws SimAbort, leaving the world untouched, on a default-constructed

@@ -507,6 +507,169 @@ TEST(GoldenHashes, RestoreRefusesACheckpointOfAnotherShape) {
   EXPECT_THROW(big.restore(ck), sim::SimAbort);
 }
 
+// ---- Recycled checkpoints: Run::checkpoint(RunCheckpoint&) ----------------
+//
+// The explorer keeps one RunCheckpoint per DFS depth, releases it when its
+// node pops, and refills it at the next push. A refilled checkpoint must
+// restore exactly as a freshly taken one, whatever branch it held before,
+// and a released one must hold nothing that makes the live run copy.
+
+// What a restore produced: its rebuilt count, the restored world, and
+// where a rotation drive from there ends.
+struct Restored {
+  std::uint64_t rebuilt = 0;
+  Time now = 0;
+  std::uint64_t contents = 0;
+  std::uint64_t trace_at_restore = 0;
+  std::vector<Time> proc_steps;
+  Time end_steps = 0;
+  std::uint64_t end_hash = 0;
+};
+
+Restored restoreAndFinish(const sim::BatchCell& cell,
+                          const sim::RunCheckpoint& ck, Pid last, Time from,
+                          Time horizon) {
+  sim::Run run(cell.cfg, cell.algo, cell.proposals);
+  run.enableCheckpoints();
+  Restored r;
+  r.rebuilt = run.restore(ck);
+  r.now = run.world().now();
+  r.contents = run.world().objectsConst().contentsDigest();
+  r.trace_at_restore = run.world().trace().hash64();
+  for (Pid p = 0; p < cell.cfg.n_plus_1; ++p) {
+    r.proc_steps.push_back(run.scheduler().ctx(p).steps);
+  }
+  r.end_steps = driveRotation(run, last, from, horizon);
+  r.end_hash = run.world().trace().hash64();
+  return r;
+}
+
+void expectSameRestore(const Restored& got, const Restored& want) {
+  EXPECT_EQ(got.rebuilt, want.rebuilt);
+  EXPECT_EQ(got.now, want.now);
+  EXPECT_EQ(got.contents, want.contents);
+  EXPECT_EQ(got.trace_at_restore, want.trace_at_restore);
+  EXPECT_EQ(got.proc_steps, want.proc_steps);
+  EXPECT_EQ(got.end_steps, want.end_steps);
+  EXPECT_EQ(got.end_hash, want.end_hash);
+}
+
+TEST(GoldenHashes, RefilledCheckpointRestoresLikeAFreshOneAcrossFamilies) {
+  constexpr Time kHorizon = 1500;
+  constexpr Pid kMover = 0;
+  for (const char* family : kFamilies) {
+    SCOPED_TRACE(family);
+    const sim::BatchCell cell = batchCell(family, /*seed=*/7);
+    sim::Run a(cell.cfg, cell.algo, cell.proposals);
+    a.enableCheckpoints();
+    Pid la = -1;
+    const Time sa = driveRotation(a, la, 0, kHorizon);
+    const std::uint64_t ha = a.world().trace().hash64();
+    const Time mid = sa / 2;
+
+    // Another branch: a prefix of the rotation, then kMover alone for a
+    // while, so the recycled checkpoints first hold a state off the
+    // reference schedule (other objects, events and log heads).
+    sim::Run other(cell.cfg, cell.algo, cell.proposals);
+    other.enableCheckpoints();
+    Pid lo = -1;
+    driveRotation(other, lo, 0, mid / 2);
+    for (int i = 0; i < 40 && other.scheduler().runnable().contains(kMover);
+         ++i) {
+      other.scheduler().step(kMover);
+    }
+    sim::RunCheckpoint released;  // refilled after a release, as on a pop
+    sim::RunCheckpoint overwritten;  // refilled over the other branch
+    other.checkpoint(released);
+    other.checkpoint(overwritten);
+    released.release();
+
+    sim::Run b(cell.cfg, cell.algo, cell.proposals);
+    b.enableCheckpoints();
+    Pid lb = -1;
+    ASSERT_EQ(driveRotation(b, lb, 0, mid), mid);
+    const sim::RunCheckpoint fresh = b.checkpoint();
+    b.checkpoint(released);
+    b.checkpoint(overwritten);
+    const Pid last_at_ck = lb;
+
+    const Restored want =
+        restoreAndFinish(cell, fresh, last_at_ck, mid, kHorizon);
+    EXPECT_EQ(want.end_steps, sa);
+    EXPECT_EQ(want.end_hash, ha);
+    {
+      SCOPED_TRACE("refilled after release");
+      expectSameRestore(
+          restoreAndFinish(cell, released, last_at_ck, mid, kHorizon), want);
+    }
+    {
+      SCOPED_TRACE("refilled over another branch");
+      expectSameRestore(
+          restoreAndFinish(cell, overwritten, last_at_ck, mid, kHorizon),
+          want);
+    }
+    // And onto the run that took it, after running past it.
+    driveRotation(b, lb, mid, kHorizon);
+    b.restore(released);
+    lb = last_at_ck;
+    EXPECT_EQ(driveRotation(b, lb, mid, kHorizon), sa);
+    EXPECT_EQ(b.world().trace().hash64(), ha);
+  }
+}
+
+// A checkpoint shares the live run's copy-on-write parts, so while it is
+// held the live run's next snapshot update or trace record copies them
+// (the holder keeps what it saw). After release() it holds no reference:
+// the same writes copy nothing. A copy shows as a moved address: the
+// cells' begin(), or the event vector's. Each step of cellWriter updates
+// its cell (no scan, so no result-log node shares the cells) and records
+// a note.
+sim::Coro<sim::Unit> cellWriter(Env& env, Value v) {
+  const ObjId s = env.snap(sim::ObjKey{"test.cells"}, env.nProcs());
+  for (Value i = 1; i <= 8; ++i) {
+    co_await env.snapUpdate(s, env.me(), RegVal(v + i));
+    env.note("wrote", RegVal(v + i));
+  }
+  co_return sim::Unit{};
+}
+
+TEST(GoldenHashes, ReleasedCheckpointHoldsNoReference) {
+  RunConfig cfg;
+  cfg.n_plus_1 = 2;
+  sim::Run run(cfg, cellWriter, {10, 20});
+  run.enableCheckpoints();
+  sim::Scheduler& sched = run.scheduler();
+  sim::World& w = run.world();
+  sched.step(0);  // names the object, updates once
+  const ObjId s = w.objects().snapId(sim::ObjKey{"test.cells"}, 2);
+
+  sim::RunCheckpoint ck;
+  run.checkpoint(ck);
+  const RegVal* cells = w.objectsConst().peekSlots(s).begin();
+  const std::vector<sim::Event>* events = &w.trace().events();
+  sched.step(0);
+  EXPECT_NE(w.objectsConst().peekSlots(s).begin(), cells)
+      << "a held checkpoint must make the update copy the cells";
+  EXPECT_NE(&w.trace().events(), events)
+      << "a held checkpoint must make the record copy the events";
+
+  run.checkpoint(ck);  // refill, then release as a popped node does
+  ck.release();
+  cells = w.objectsConst().peekSlots(s).begin();
+  events = &w.trace().events();
+  sched.step(0);
+  EXPECT_EQ(w.objectsConst().peekSlots(s).begin(), cells)
+      << "a released checkpoint still shares the cells";
+  EXPECT_EQ(&w.trace().events(), events)
+      << "a released checkpoint still shares the event vector";
+  for (const sim::Scheduler::ProcCheckpoint& pc : ck.sched.procs) {
+    EXPECT_EQ(pc.results, nullptr) << "a released log head is still held";
+  }
+  EXPECT_EQ(ck.sched.procs.size(), 2u);
+  // Released is as good as never taken: restoring it is refused.
+  EXPECT_THROW(run.restore(ck), sim::SimAbort);
+}
+
 // ---- Resumption: Scheduler::run called in pieces --------------------------
 //
 // run(policy, a) then run(policy, b) must equal run(policy, a + b): the

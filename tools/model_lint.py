@@ -37,7 +37,11 @@ guarantees:
                      path (src/memory/snapshot_afek.cc,
                      src/core/kconverge.cc), where a node per element
                      was a heap allocation per call: sort and dedup a
-                     vector instead
+                     vector instead; and std::unordered_set /
+                     std::unordered_map in the explorer's DFS walk
+                     (src/sim/explore.cc), whose memo is probed once or
+                     twice per executed step: use the flat digest table
+                     (sim/digest_set.h) or a vector
   nondet-iteration   range-for over a std::unordered_{map,set,...} in ALL
                      of src/ (including src/sim, where merely owning an
                      unordered container is legal, e.g. sim/report_cache):
@@ -104,13 +108,18 @@ HOT_PATH_FILES = ["src/sim/scheduler.cc", "src/sim/scheduler.h"]
 # The algorithm side of every Fig. 1/2 and service step: the snapshot
 # helpers and k-converge run once or more per simulated step.
 ALGO_HOT_PATH_FILES = ["src/memory/snapshot_afek.cc", "src/core/kconverge.cc"]
+# The explorer's DFS walk: it probes the kDag memo once or twice per
+# executed step and keeps one checkpoint per depth.
+EXPLORE_HOT_PATH_FILES = ["src/sim/explore.cc"]
 HOT_PATH_WHY = (
     "the per-step hot path is allocation-lean by contract (docs/PERF.md): "
     "in the scheduler/policies select pids with ProcSet::nth/nextAbove/"
     "iterators instead of members(), and index slot vectors with asserted "
     "operator[] instead of .at(); in the snapshot helpers and k-converge "
     "sort and dedup a std::vector instead of building a node-based "
-    "std::set/std::map"
+    "std::set/std::map; in the explorer's walk keep search state flat "
+    "(the memo is a sim/digest_set.h DigestSet), not in a node-based "
+    "std::unordered_set/std::unordered_map"
 )
 # The iteration rule binds the whole library tree: unlike declaring an
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
@@ -262,6 +271,13 @@ RULES = [
         re.compile(r"std::(?:set|map|multiset|multimap)\b"),
         HOT_PATH_WHY,
         ALGO_HOT_PATH_FILES,
+    ),
+    (
+        # Same rule, explorer side: one heap node per memoized state.
+        "hot-path-alloc",
+        re.compile(r"std::unordered_(?:set|map)\b"),
+        HOT_PATH_WHY,
+        EXPLORE_HOT_PATH_FILES,
     ),
     (
         "nondet-iteration",
@@ -563,6 +579,26 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: hot-path-alloc {verb} on std::set in {rel}")
+    # The explorer half binds src/sim/explore.cc alone: the node-based memo
+    # the walk once declared fires there, the file as it stands is clean,
+    # and the report cache may keep its unordered map.
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    node_memo = "std::unordered_set<std::uint64_t> memo;\n"
+    explore_cc = (repo / "src/sim/explore.cc").read_text(encoding="utf-8")
+    for rel, text, fires in (
+        ("src/sim/explore.cc", node_memo, True),
+        ("src/sim/explore.cc", explore_cc, False),
+        ("src/sim/report_cache.h", node_memo, False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
+        what = "the file" if text is explore_cc else "a node-based memo"
+        if ("hot-path-alloc" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: hot-path-alloc {verb} on {what} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: hot-path-alloc {verb} on {what} in {rel}")
     # thread-spawn binds src/ minus the pool itself, and a
     # hardware_concurrency query is not a spawn.
     spawn = VIOLATING_SNIPPETS["thread-spawn"]
@@ -626,7 +662,6 @@ def self_test() -> int:
             print(f"self-test ok: step-drive finds {want} call(s) on {what}")
     # text-codec binds src/sim only, and the byte codec itself is clean.
     codec = VIOLATING_SNIPPETS["text-codec"]
-    repo = pathlib.Path(__file__).resolve().parent.parent
     codec_cc = repo / "src/sim/codec.cc"
     for rel, text, fires in (
         ("src/sim/explore.cc", codec, True),
