@@ -29,8 +29,6 @@ class AntiOmegaFd final : public FailureDetector {
   }
   [[nodiscard]] std::uint64_t keyDigest() const override;
 
-  [[nodiscard]] Pid stablePid() const { return params_.stable_pid; }
-
   // A legal stable pid: any faulty process if one exists; otherwise any
   // process (since |correct| = n+1 >= 2 > 1 = |{q}|).
   static Pid defaultStablePid(const FailurePattern& fp);

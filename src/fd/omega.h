@@ -32,9 +32,6 @@ class OmegaKFd final : public FailureDetector {
   }
   [[nodiscard]] std::uint64_t keyDigest() const override;
 
-  [[nodiscard]] const ProcSet& stableLeaders() const {
-    return params_.stable_leaders;
-  }
   [[nodiscard]] int k() const { return k_; }
 
   // A legal stable output: the lowest-id correct process plus the k-1

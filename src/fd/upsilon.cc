@@ -46,10 +46,10 @@ UpsilonFd::UpsilonFd(const FailurePattern& fp, int f, Params p)
 ProcSet UpsilonFd::query(Pid p, Time t) const {
   assert(p >= 0 && p < n_plus_1_);
   if (t >= params_.stab_time) return params_.stable_set;
-  const std::uint64_t salt =
-      params_.per_process_noise ? static_cast<std::uint64_t>(p) + 1 : 0;
+  // Salted per process: pre-stab outputs may differ across pids.
   return noiseSet(n_plus_1_, n_plus_1_ - f_, params_.noise_seed ^ 0xC0FFEE,
-                  salt, t / std::max<Time>(params_.noise_hold, 1));
+                  static_cast<std::uint64_t>(p) + 1,
+                  t / std::max<Time>(params_.noise_hold, 1));
 }
 
 std::string UpsilonFd::name() const {
@@ -66,7 +66,7 @@ std::uint64_t UpsilonFd::keyDigest() const {
   h = mixDigest(h, params_.stable_set.bits());
   h = mixDigest(h, static_cast<std::uint64_t>(params_.stab_time));
   h = mixDigest(h, params_.noise_seed);
-  h = mixDigest(h, params_.per_process_noise ? 1 : 2);
+  h = mixDigest(h, 1);  // per_process_noise, always set: keeps stored keys
   h = mixDigest(h, static_cast<std::uint64_t>(params_.noise_hold));
   return h;
 }

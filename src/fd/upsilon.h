@@ -20,8 +20,7 @@ class UpsilonFd final : public FailureDetector {
   struct Params {
     ProcSet stable_set;          // U; must satisfy the axioms for (F, f)
     Time stab_time = 0;          // first time the output is guaranteed stable
-    std::uint64_t noise_seed = 0;
-    bool per_process_noise = true;  // pre-stab outputs may differ across pids
+    std::uint64_t noise_seed = 0;  // pre-stab noise differs across pids
     // Pre-stabilization noise holds each value for this many time units.
     // 1 = flap every step (algorithms mostly see "unstable" and burn
     // rounds); larger values make misleading sets look temporarily stable,

@@ -69,25 +69,17 @@ CellResult runCell(const BatchCell& cell, std::size_t index) {
     }
     RunReport rep;  // the plain path hands the post-hook one as well
     if (cell.chaos.has_value()) {
-      // Chaos drives cfg.policy internally; an explicit policy_factory
-      // is a plain/watched feature and is ignored here.
       rep = runChaosTask(cell.cfg, *cell.chaos,
                          cell.watchdog.value_or(WatchdogConfig{}), cell.algo,
                          cell.proposals);
-    } else {
-      // runTask, with the cell's own policy in place of cfg.policy if it
-      // has one — how a batch expresses eventually-synchronous or
-      // scripted schedules. A watched run takes the same schedule.
+    } else if (cell.watchdog.has_value()) {
+      // A watched run takes the schedule runTask would.
       Run run(cell.cfg, cell.algo, cell.proposals);
-      const auto policy = cell.policy_factory ? cell.policy_factory()
-                                              : makePolicy(cell.cfg.policy);
-      if (cell.watchdog.has_value()) {
-        rep = driveWatched(run, *policy, *cell.watchdog, nullptr);
-      } else {
-        rep.result =
-            run.finish(run.scheduler().run(*policy, cell.cfg.max_steps));
-        rep.steps = rep.result.steps;
-      }
+      rep = driveWatched(run, *makePolicy(cell.cfg.policy), *cell.watchdog,
+                         nullptr);
+    } else {
+      rep.result = runTask(cell.cfg, cell.algo, cell.proposals);
+      rep.steps = rep.result.steps;
     }
     harvest(out, rep.verdict, rep.detail, rep.steps, rep.result);
     if (cell.post) cell.post(rep, out);

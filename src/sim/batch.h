@@ -57,23 +57,18 @@ struct BatchCell {
   // When either is set the cell is driven through the watchdog — with the
   // chaos engine when `chaos` is present (exactly runChaosTask), plain
   // otherwise (replays Scheduler::run's schedule step for step). Unset:
-  // the cell runs through runTask.
+  // the cell runs through runTask. Either way cfg.policy picks the
+  // schedule; a cell has no per-cell policy hook.
   std::optional<ChaosConfig> chaos;
   std::optional<WatchdogConfig> watchdog;
   CellPost post;  // optional checker/metric hook
-  // Optional explicit schedule policy, built on the worker that runs the
-  // cell and used instead of cfg.policy (plain and watched paths alike) —
-  // lets a batch express eventually-synchronous or scripted schedules.
-  // Must be a pure factory: each call returns a fresh policy whose RNG
-  // draws depend only on the policy's own construction arguments.
-  std::function<std::unique_ptr<SchedulePolicy>()> policy_factory;
   // Service cell: when set, the cell is a whole replicated-service stream
   // (sim/service/service.h, runServiceCell) and every other recipe field
   // above is ignored — a ServiceConfig pins its execution completely.
   // memo_family still gates memoization; the config's digest() keys it.
   std::optional<service::ServiceConfig> service;
   // Memoization opt-in (sim/report_cache.h). The family names this cell's
-  // OPAQUE callables — algo, post, policy_factory — which a 64-bit digest
+  // OPAQUE callables — algo and post — which a 64-bit digest
   // cannot see: two cells may share a family only if they construct those
   // callables identically from the digested fields. Empty = never cached.
   std::string memo_family;
@@ -169,7 +164,6 @@ class BatchRunner {
   explicit BatchRunner(BatchOptions opts = {});
 
   [[nodiscard]] int jobs() const { return opts_.jobs; }
-  [[nodiscard]] const BatchOptions& options() const { return opts_; }
 
   // Execute every cell; results in submission order. `stats`, when
   // non-null, receives the scheduler/memo counters for this execution.

@@ -69,9 +69,6 @@ class Env {
   void publishIfChanged(const RegVal& v) {
     if (world_->published(me_) != v) world_->setPublished(me_, v);
   }
-  [[nodiscard]] const RegVal& publishedValue() const {
-    return world_->published(me_);
-  }
 
   [[nodiscard]] World* world() { return world_; }
 

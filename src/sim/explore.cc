@@ -191,10 +191,7 @@ struct CapturedJob {
   std::vector<StepX> steps;     // full prefix step stack
   std::vector<int> clock_rows;  // kDpor: the prefix steps' clock rows
   std::vector<SleepEnt> sleep;  // frontier node's sleep set
-  std::uint64_t seq = 0;        // DFS unit number at creation
 };
-
-constexpr std::uint64_t kNoSeq = std::numeric_limits<std::uint64_t>::max();
 
 struct WalkSpec {
   const ExploreConfig* cfg = nullptr;
@@ -207,9 +204,7 @@ struct WalkSpec {
 
 struct WalkOut {
   ExploreResult res;
-  std::vector<CapturedJob> jobs;        // coordinator captures, DFS order
-  std::uint64_t units = 0;              // terminals + captures, DFS order
-  std::uint64_t violation_seq = kNoSeq;  // unit index of first violation
+  std::vector<CapturedJob> jobs;  // coordinator captures, DFS order
 };
 
 WalkOut walk(const WalkSpec& spec) {
@@ -284,11 +279,9 @@ WalkOut walk(const WalkSpec& spec) {
         res.violation = v;
         res.counterexample.reserve(steps.size());
         for (const StepX& s : steps) res.counterexample.push_back(s.pid);
-        out.violation_seq = out.units;
       }
     }
-    ++out.units;
-    return violated && cfg.stop_on_violation;
+    return violated;
   };
 
   const auto seedDpor = [&](Node& node) {
@@ -582,8 +575,6 @@ WalkOut walk(const WalkSpec& spec) {
         }
         cur.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
       }
-      job.seq = out.units;
-      ++out.units;
       out.jobs.push_back(std::move(job));
       popStep();
       continue;
@@ -753,7 +744,7 @@ std::uint64_t certConfigKey(const ExploreConfig& cfg,
   h = fd::mixDigest(h, cfg.memoize ? 1u : 0u);
   h = fd::mixDigest(h, cfg.max_schedules);
   h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.max_depth));
-  h = fd::mixDigest(h, cfg.stop_on_violation ? 1u : 0u);
+  h = fd::mixDigest(h, 1u);  // stop_on_violation, always 1: keeps stored keys
   // The engine shape: classic and frontier runs count differently, and
   // the REQUESTED frontier depth pins the auto-deepening result.
   h = fd::mixDigest(h, cfg.jobs > 0 ? 1u : 0u);
@@ -813,10 +804,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     ph1 = walk(spec);
     if (cfg.frontier_depth > 0) break;  // explicit depth: no deepening
     if (!ph1.res.complete) break;       // phase-1 budget cut
-    if (cfg.stop_on_violation &&
-        ph1.res.verdict == ExploreVerdict::kViolation) {
-      break;
-    }
+    if (ph1.res.verdict == ExploreVerdict::kViolation) break;
     if (ph1.jobs.empty()) break;  // tree exhausted above the frontier
     if (static_cast<int>(ph1.jobs.size()) >= kTargetJobs) break;
     if (F >= std::min(cfg.max_depth - 1, kMaxAutoDepth)) break;
@@ -826,7 +814,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   ExploreResult res = std::move(ph1.res);
   res.frontier_depth = F;
   res.frontier_jobs = ph1.jobs.size();
-  if (cfg.stop_on_violation && res.verdict == ExploreVerdict::kViolation) {
+  if (res.verdict == ExploreVerdict::kViolation) {
     // A phase-1 terminal violated: the serial prefix expansion found it
     // before any job existed in DFS order, so the whole search stops
     // here — no job runs, at any worker count.
@@ -836,8 +824,8 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   if (jobs.empty()) return res;
 
   // Phase 2: the job fleet. Results land in job-index slots; scheduling
-  // (steal or static, any worker count) never touches anything merged. An
-  // empty slot is a job skipped under stop_on_violation.
+  // (any worker count) never touches anything merged. An empty slot is a
+  // job skipped because a lower-index job violated.
   const int workers = std::max(1, cfg.jobs);
   res.jobs_used = std::min<int>(workers, static_cast<int>(jobs.size()));
   std::vector<std::optional<ExploreResult>> slots(jobs.size());
@@ -845,8 +833,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
       std::numeric_limits<std::size_t>::max()};
 
   const auto body = [&](std::size_t j, int /*worker*/) {
-    if (cfg.stop_on_violation &&
-        j > min_violating.load(std::memory_order_relaxed)) {
+    if (j > min_violating.load(std::memory_order_relaxed)) {
       return;  // a lower-index job already violated: j is never merged
     }
     const std::uint64_t jkey = certJobKey(cert_key, j, jobs[j]);
@@ -867,7 +854,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     }
     const bool violated = out->verdict == ExploreVerdict::kViolation;
     slots[j] = std::move(out);
-    if (violated && cfg.stop_on_violation) {
+    if (violated) {
       std::size_t cur = min_violating.load(std::memory_order_relaxed);
       while (j < cur && !min_violating.compare_exchange_weak(
                             cur, j, std::memory_order_relaxed)) {
@@ -875,24 +862,21 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     }
   };
 
-  res.steal_ops = runPool(jobs.size(), workers, cfg.steal, body).steal_ops;
+  res.steal_ops =
+      runPool(jobs.size(), workers, /*steal=*/true, body).steal_ops;
 
-  // Deterministic merge, in job-index (= DFS) order. Under
-  // stop_on_violation only jobs up to the LOWEST violating index are
-  // merged: a speculatively-completed higher job must not leak into any
-  // counter, or jobs=N would differ from jobs=1.
+  // Deterministic merge, in job-index (= DFS) order. Only jobs up to the
+  // LOWEST violating index are merged: a speculatively-completed higher
+  // job must not leak into any counter, or jobs=N would differ from
+  // jobs=1.
   std::size_t cutoff = jobs.size();
-  if (cfg.stop_on_violation) {
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (slots[j].has_value() &&
-          slots[j]->verdict == ExploreVerdict::kViolation) {
-        cutoff = j + 1;
-        break;
-      }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (slots[j].has_value() &&
+        slots[j]->verdict == ExploreVerdict::kViolation) {
+      cutoff = j + 1;
+      break;
     }
   }
-  std::uint64_t first_job_violation = kNoSeq;
-  std::size_t first_job_violation_idx = 0;
   for (std::size_t j = 0; j < cutoff; ++j) {
     assert(slots[j].has_value());
     ExploreResult& jr = *slots[j];
@@ -903,11 +887,6 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     res.cert_saves += jr.cert_saves;
     for (auto& [sig, o] : jr.outcomes) {
       res.outcomes.try_emplace(sig, std::move(o));
-    }
-    if (jr.verdict == ExploreVerdict::kViolation &&
-        first_job_violation == kNoSeq) {
-      first_job_violation = jobs[j].seq;
-      first_job_violation_idx = j;
     }
   }
   // Deterministic load profile: list-schedule the merged jobs' step costs
@@ -922,12 +901,11 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
                                res.worker_steps.end());
     *it += static_cast<long long>(slots[j]->steps_executed);
   }
-  // First-violation selection across phase 1 and the fleet: the DFS unit
-  // order interleaves phase-1 terminals and job creations, so comparing
-  // sequence numbers picks the violation the classic lazy engine's DFS
-  // order reaches first among those explored.
-  if (first_job_violation != kNoSeq && first_job_violation < ph1.violation_seq) {
-    ExploreResult& jr = *slots[first_job_violation_idx];
+  // The lowest violating job, if any, is the last one merged. Phase 1
+  // found no violation (else no job ran), so this is the first violation
+  // in DFS order.
+  if (ExploreResult& jr = *slots[cutoff - 1];
+      jr.verdict == ExploreVerdict::kViolation) {
     res.verdict = ExploreVerdict::kViolation;
     res.violation = std::move(jr.violation);
     res.counterexample = std::move(jr.counterexample);

@@ -56,11 +56,12 @@
 // recursing. Phase 2 executes every job on a fresh per-worker
 // Run/World/Scheduler stack (prefix replayed by stepping, then the normal
 // lazy engine below F; kDag uses a per-job private memo so counters stay
-// scheduling-independent). The merge is deterministic: counters and
-// outcome sets fold in job-index order, and under stop_on_violation the
-// LOWEST job index with a violation wins (job creation order is the lex
-// order of prefixes and each job's DFS finds its lex-least violation
-// first), with higher-index jobs excluded from every counter — so
+// scheduling-independent); idle workers steal jobs from busy ones. The
+// merge is deterministic: counters and outcome sets fold in job-index
+// order, and the search stops at the first violation — the LOWEST job
+// index with a violation wins (job creation order is the lex order of
+// prefixes and each job's DFS finds its lex-least violation first), with
+// higher-index jobs excluded from every counter — so
 // jobs=N is bit-identical to jobs=1 on verdict, outcome set,
 // counterexample and all search counters; the worker count only decides
 // where a job runs. jobs=0 (default) is the classic single-phase serial
@@ -113,9 +114,9 @@ struct ExploreConfig {
   // (a global budget would make the cut point depend on worker timing).
   std::uint64_t max_schedules = 1'000'000;
   int max_depth = 4096;
-  bool stop_on_violation = true;
   // Safety property, evaluated at every terminal state. Return "" when
-  // satisfied, a violation description otherwise.
+  // satisfied, a violation description otherwise. The search stops at the
+  // first violation.
   std::function<std::string(const ExploreOutcome&)> property;
 
   // ---- Parallel frontier ----
@@ -127,9 +128,6 @@ struct ExploreConfig {
   // ceil(log_n of the job target) and deepen (deterministically, never
   // consulting `jobs`) until enough jobs exist or the tree is exhausted.
   int frontier_depth = 0;
-  // Work stealing between worker deques (frontier mode); false = static
-  // contiguous blocks. Pure scheduling — never changes any result.
-  bool steal = true;
 
   // ---- Persistent exploration certificates ----
   // When set (and the config is certifiable), explore() consults the

@@ -165,12 +165,7 @@ class ObjectTable {
     std::vector<Object> objects;
     std::uint64_t xdigest = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
-    snapshot(s);
-    return s;
-  }
-  // Fill-in form: overwrites `s` in place, reusing its vector's capacity.
+  // Overwrites `s` in place, reusing its vector's capacity.
   void snapshot(Snapshot& s) const {
     flushDigest();
     s.objects = objects_;

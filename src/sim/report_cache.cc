@@ -112,11 +112,11 @@ std::optional<std::uint64_t> cellKey(const BatchCell& cell) {
   } else {
     h = mixDigest(h, 0xD0);
   }
-  // Presence bits: the family is SUPPOSED to pin these callables, but a
-  // family used with and without a post-hook is a caller bug this keeps
-  // from silently serving wrong results.
+  // Presence bit: the family is SUPPOSED to pin the post-hook, but a
+  // family used with and without one is a caller bug this keeps from
+  // silently serving wrong results.
   h = mixDigest(h, (cell.post ? 2u : 1u));
-  h = mixDigest(h, (cell.policy_factory ? 2u : 1u));
+  h = mixDigest(h, 1u);  // policy_factory, never set: keeps stored keys
   return h;
 }
 

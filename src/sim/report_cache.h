@@ -10,7 +10,7 @@
 //
 // What makes a cell cacheable (cellKey returns a key):
 //   * it names a memo_family — the family stands in for the opaque
-//     callables (algo, post, policy_factory) the digest cannot inspect;
+//     callables (algo, post) the digest cannot inspect;
 //   * its detector (if any) overrides FailureDetector::keyDigest — the
 //     default kOpaqueFdDigest marks a history the digest cannot pin down;
 //   * it will not run audited: resolvedAuditMode(cfg.audit) is empty. An

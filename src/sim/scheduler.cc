@@ -262,12 +262,6 @@ void Scheduler::enableResultLog() {
   result_log_.assign(slots_.size(), nullptr);
 }
 
-Scheduler::Checkpoint Scheduler::checkpoint() const {
-  Checkpoint ck;
-  checkpoint(ck);
-  return ck;
-}
-
 void Scheduler::checkpoint(Checkpoint& ck) const {
   if (!log_results_) {
     throw SimAbort(

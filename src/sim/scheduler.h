@@ -193,7 +193,6 @@ class Scheduler {
   // Capture per-process result streams from here on. Must be called
   // before the first step; costs one node (an OpResult copy) per step.
   void enableResultLog();
-  [[nodiscard]] bool resultLogEnabled() const { return log_results_; }
 
   // Stable digest of the results process p has consumed so far, in
   // program order. A component of the explorer's state-memoization key:
@@ -221,9 +220,8 @@ class Scheduler {
   };
 
   // Requires enableResultLog() to have been active since step one. O(n):
-  // one pointer copy per process.
-  [[nodiscard]] Checkpoint checkpoint() const;
-  // Fill-in form: overwrites `ck` in place, reusing its capacity.
+  // one pointer copy per process. Overwrites `ck` in place, reusing its
+  // capacity.
   void checkpoint(Checkpoint& ck) const;
 
   // Bring every process slot to its state in `ck`. A live slot whose log

@@ -204,7 +204,7 @@ class ServiceDriver {
   // (backpressure). A command value is only minted on admission, so
   // rejected offers do not consume sequence numbers.
   void refillInbox(State& st) {
-    const auto cap = static_cast<long long>(cfg_.effectiveInboxCapacity());
+    const auto cap = static_cast<long long>(cfg_.segment_len) * cfg_.group;
     for (long long i = 0; i < cap; ++i) {
       const auto c = static_cast<std::size_t>(
           (st.seg_counter + i) % static_cast<long long>(cfg_.clients));
@@ -625,14 +625,13 @@ class ServiceDriver {
     const bool crash_ok =
         cfg_.detector == DetectorSource::kConstructed ||
         cfg_.protocol == Protocol::kOmegaConsensus;
-    if (cp.crashes && crash_ok) kinds.push_back(Injector::kCrash);
-    if (cp.starvation) kinds.push_back(Injector::kStarve);
-    if (cp.fd_glitch) kinds.push_back(Injector::kGlitch);
-    if (cp.link_faults && cfg_.detector == DetectorSource::kRealizedNet) {
+    if (crash_ok) kinds.push_back(Injector::kCrash);
+    kinds.push_back(Injector::kStarve);
+    kinds.push_back(Injector::kGlitch);
+    if (cfg_.detector == DetectorSource::kRealizedNet) {
       kinds.push_back(Injector::kLink);
     }
     if (cp.stale_snapshot) kinds.push_back(Injector::kStale);
-    if (kinds.empty()) return Injector::kNone;
     return kinds[static_cast<std::size_t>(
         (seg_counter / cp.period) %
         static_cast<long long>(kinds.size()))];

@@ -42,24 +42,21 @@ enum class ServiceBug {
 };
 
 // Mid-stream fault plan: every `period` segments one injector fires,
-// rotating through the enabled kinds. All injectors are LEGAL (safety
-// must survive them); illegal-glitch negative controls stay at the chaos
-// layer (tests/chaos_test.cc) where the axiom checker is the instrument.
+// rotating through crash injection (within the f budget), bounded
+// starvation windows, legal FD glitches (scramble noise / delay stab),
+// link faults (realized net only: drops/partitions pre-GST) and, when
+// enabled, stale snapshots. All injectors are LEGAL (safety must survive
+// them); illegal-glitch negative controls stay at the chaos layer
+// (tests/chaos_test.cc) where the axiom checker is the instrument.
 struct ChaosPlan {
   int period = 0;  // fire on segments seg % period == period - 1; 0 = off
-  bool crashes = true;      // crash-injection segments (within the f budget)
-  bool starvation = true;   // bounded starvation windows
-  bool fd_glitch = true;    // legal glitches: scramble noise / delay stab
-  bool link_faults = true;  // realized-net only: drops/partitions pre-GST
   bool stale_snapshot = false;  // legal stale-but-linearizable scans
   std::uint64_t seed = 0;       // injector parameter stream
 
   [[nodiscard]] std::uint64_t digest() const {
     std::uint64_t h = fd::mixDigest(0xC4A05, static_cast<std::uint64_t>(period));
-    h = fd::mixDigest(h, (crashes ? 2u : 1u));
-    h = fd::mixDigest(h, (starvation ? 2u : 1u));
-    h = fd::mixDigest(h, (fd_glitch ? 2u : 1u));
-    h = fd::mixDigest(h, (link_faults ? 2u : 1u));
+    // The enabled bits of the four always-on kinds: keeps stored keys.
+    for (int kind = 0; kind < 4; ++kind) h = fd::mixDigest(h, 2u);
     h = fd::mixDigest(h, (stale_snapshot ? 2u : 1u));
     return fd::mixDigest(h, seed);
   }
@@ -89,11 +86,10 @@ struct ServiceConfig {
 
   // Client model: `clients` independent command sources feed a bounded
   // inbox refilled to capacity before each segment; commands beyond
-  // capacity are rejected (backpressure, counted in ServiceStats).
-  // 0 capacity = segment_len * group, the smallest inbox for which every
+  // capacity are rejected (backpressure, counted in ServiceStats). The
+  // capacity is segment_len * group, the smallest inbox for which every
   // instance of a segment proposes pairwise-distinct commands.
   int clients = 4;
-  int inbox_capacity = 0;
 
   std::uint64_t seed = 1;
 
@@ -122,10 +118,6 @@ struct ServiceConfig {
     return 1;
   }
 
-  [[nodiscard]] int effectiveInboxCapacity() const {
-    return std::max(inbox_capacity, segment_len * group);
-  }
-
   [[nodiscard]] std::uint64_t digest() const {
     std::uint64_t h = fd::mixDigest(0x5E21C3, static_cast<std::uint64_t>(group));
     h = fd::mixDigest(h, static_cast<std::uint64_t>(f));
@@ -136,7 +128,7 @@ struct ServiceConfig {
     h = fd::mixDigest(h, static_cast<std::uint64_t>(instances));
     h = fd::mixDigest(h, static_cast<std::uint64_t>(segment_len));
     h = fd::mixDigest(h, static_cast<std::uint64_t>(clients));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(inbox_capacity));
+    h = fd::mixDigest(h, 0u);  // inbox_capacity, always 0: keeps stored keys
     h = fd::mixDigest(h, seed);
     h = fd::mixDigest(h, static_cast<std::uint64_t>(instance_step_budget));
     h = fd::mixDigest(h, static_cast<std::uint64_t>(segment_budget_slack));

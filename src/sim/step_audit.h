@@ -124,7 +124,6 @@ class StepAuditor final : public ObjectTable::AccessObserver {
   }
   [[nodiscard]] bool sawRule(AuditRule rule) const;
   [[nodiscard]] Time stepsAudited() const { return steps_audited_; }
-  [[nodiscard]] Time opsAudited() const { return ops_audited_; }
   [[nodiscard]] std::string report() const;
 
  private:

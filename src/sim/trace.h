@@ -79,13 +79,8 @@ class Trace {
     std::uint64_t op_digest = 0;
     std::uint64_t ops_mixed = 0;
   };
-  // Taking and restoring share the event vector; neither copies it.
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
-    snapshot(s);
-    return s;
-  }
-  // Fill-in form: overwrites `s` in place.
+  // Taking (in place, overwriting `s`) and restoring share the event
+  // vector; neither copies it.
   void snapshot(Snapshot& s) const {
     s.events = events_;
     s.op_digest = op_digest_;

@@ -64,12 +64,6 @@ void World::enableAudit(AuditMode mode) {
   objects_.setObserver(audit_.get());
 }
 
-World::Snapshot World::snapshot() const {
-  Snapshot s;
-  snapshot(s);
-  return s;
-}
-
 void World::snapshot(Snapshot& s) const {
   s.now = now_;
   s.fp_version = fp_version_;

@@ -76,9 +76,6 @@ class World {
   // it against the linearizability window. Normal runs never install one.
   using ScanOverride = std::function<std::optional<SlotArray>(Pid, ObjId)>;
   void setScanOverride(ScanOverride f) { scan_override_ = std::move(f); }
-  [[nodiscard]] bool hasScanOverride() const {
-    return static_cast<bool>(scan_override_);
-  }
 
   ObjectTable& objects() { return objects_; }
   [[nodiscard]] const ObjectTable& objectsConst() const { return objects_; }
@@ -132,8 +129,7 @@ class World {
     ObjectTable::Snapshot objects;
     Trace::Snapshot trace;
   };
-  [[nodiscard]] Snapshot snapshot() const;
-  // Fill-in form: overwrites `s` in place, reusing its capacity.
+  // Overwrites `s` in place, reusing its capacity.
   void snapshot(Snapshot& s) const;
   // Restoring does not touch the attached auditor's mode, but replaces the
   // auditor instance: stale per-run audit state must not outlive a rewind.

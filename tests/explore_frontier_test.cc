@@ -150,15 +150,6 @@ TEST(Frontier, MatchesClassicEngineOutcomeSet) {
   EXPECT_EQ(frontier.jobs_used, 4);
 }
 
-TEST(Frontier, StealAndStaticShardingAgree) {
-  ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDag, 3);
-  cfg.steal = true;
-  const ExploreResult steal = exploreConverge(cfg, 2, 3);
-  cfg.steal = false;
-  const ExploreResult stat = exploreConverge(cfg, 2, 3);
-  expectBitIdentical(steal, stat);
-}
-
 TEST(Frontier, ExplicitFrontierDepthHonored) {
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDag, 2);
   cfg.frontier_depth = 4;

@@ -121,6 +121,27 @@ CellOutcome runUnder(RunConfig cfg, sim::SchedulePolicy& policy,
   return outcomeOf(rr, taken, 0);
 }
 
+// The eventually-synchronous and scripted families run under their own
+// schedule; every other family under cfg.policy. A BatchCell takes
+// cfg.policy only, so the pool replays neither of the two.
+bool hasOwnPolicy(const std::string& family) {
+  return family == "fig1-esync" || family == "fig1-scripted";
+}
+
+std::unique_ptr<sim::SchedulePolicy> familyPolicy(const std::string& family,
+                                                  const RunConfig& cfg) {
+  if (family == "fig1-esync") {
+    return std::make_unique<sim::EventuallySynchronousPolicy>(
+        /*gst=*/400, /*starve_stretch=*/97);
+  }
+  if (family == "fig1-scripted") {
+    return std::make_unique<sim::ScriptedPolicy>(
+        std::vector<Pid>{0, 0, 2, 3, 1, 2, 0, 3, 3, 1},
+        std::make_unique<sim::RoundRobinPolicy>());
+  }
+  return sim::makePolicy(cfg.policy);
+}
+
 CellOutcome runCell(const std::string& family, std::uint64_t seed) {
   if (family == "fig1") {
     const RunConfig cfg = fig1Config(4, seed);
@@ -143,14 +164,9 @@ CellOutcome runCell(const std::string& family, std::uint64_t seed) {
     const RunResult rr = sim::runTask(cfg, fig1Algo(), {1, 2, 3});
     return outcomeOf(rr, rr.steps, 0);
   }
-  if (family == "fig1-esync") {
-    sim::EventuallySynchronousPolicy pol(/*gst=*/400, /*starve_stretch=*/97);
-    return runUnder(fig1Config(4, seed), pol, {10, 20, 30, 40});
-  }
-  if (family == "fig1-scripted") {
-    sim::ScriptedPolicy pol({0, 0, 2, 3, 1, 2, 0, 3, 3, 1},
-                            std::make_unique<sim::RoundRobinPolicy>());
-    return runUnder(fig1Config(4, seed), pol, {10, 20, 30, 40});
+  if (hasOwnPolicy(family)) {
+    const RunConfig cfg = fig1Config(4, seed);
+    return runUnder(cfg, *familyPolicy(family, cfg), {10, 20, 30, 40});
   }
   if (family == "fig3") {
     const int n_plus_1 = 4;
@@ -199,13 +215,12 @@ CellOutcome runCell(const std::string& family, std::uint64_t seed) {
 }
 
 // The same grid as BatchCells, so the work-stealing pool can replay it.
-// Recipes mirror runCell exactly; esync/scripted ride the policy_factory
-// hook (a pure factory per sim/batch.h, so any worker builds an identical
-// policy).
+// Recipes mirror runCell exactly, except that esync/scripted cells carry
+// no policy: familyPolicy supplies it where a test drives them itself.
 sim::BatchCell batchCell(const std::string& family, std::uint64_t seed) {
   sim::BatchCell cell;
   cell.algo = fig1Algo();
-  if (family == "fig1") {
+  if (family == "fig1" || hasOwnPolicy(family)) {
     cell.cfg = fig1Config(4, seed);
     cell.proposals = {10, 20, 30, 40};
   } else if (family == "fig1-rr") {
@@ -219,21 +234,6 @@ sim::BatchCell batchCell(const std::string& family, std::uint64_t seed) {
     cell.cfg.seed = seed;
     cell.cfg.flavor = sim::SnapshotFlavor::kAfek;
     cell.proposals = {1, 2, 3};
-  } else if (family == "fig1-esync") {
-    cell.cfg = fig1Config(4, seed);
-    cell.proposals = {10, 20, 30, 40};
-    cell.policy_factory = [] {
-      return std::make_unique<sim::EventuallySynchronousPolicy>(
-          /*gst=*/400, /*starve_stretch=*/97);
-    };
-  } else if (family == "fig1-scripted") {
-    cell.cfg = fig1Config(4, seed);
-    cell.proposals = {10, 20, 30, 40};
-    cell.policy_factory = [] {
-      return std::make_unique<sim::ScriptedPolicy>(
-          std::vector<Pid>{0, 0, 2, 3, 1, 2, 0, 3, 3, 1},
-          std::make_unique<sim::RoundRobinPolicy>());
-    };
   } else if (family == "fig3") {
     const int n_plus_1 = 4;
     cell.cfg.n_plus_1 = n_plus_1;
@@ -294,10 +294,12 @@ TEST(GoldenHashes, BatchReplayUnderStealingMatchesTheGrid) {
   // The whole grid through the work-stealing pool at jobs=4: whatever
   // worker a cell lands on (or is stolen to), its trace hash, step count,
   // and outputs signature must equal the recorded serial values. This is
-  // the golden safety net extended over sim/batch.h's scheduler.
+  // the golden safety net extended over sim/batch.h's scheduler. The two
+  // families with their own policy stay with the serial grid above.
   std::vector<sim::BatchCell> cells;
   std::vector<const GoldenCell*> expect;
   for (const GoldenCell& g : kGolden) {
+    if (hasOwnPolicy(g.family)) continue;
     cells.push_back(batchCell(g.family, g.seed));
     expect.push_back(&g);
   }
@@ -682,14 +684,13 @@ struct Driven {
   std::uint64_t trace_hash = 0;
 };
 
-Driven driveInPieces(const sim::BatchCell& cell,
+Driven driveInPieces(const std::string& family, const sim::BatchCell& cell,
                      const std::vector<Time>& pieces) {
   std::optional<sim::ChaosEngine> engine;
   if (cell.chaos.has_value()) engine.emplace(*cell.chaos);
   sim::Run run(engine.has_value() ? engine->arm(cell.cfg) : cell.cfg,
                cell.algo, cell.proposals);
-  const auto policy = cell.policy_factory ? cell.policy_factory()
-                                          : sim::makePolicy(cell.cfg.policy);
+  const auto policy = familyPolicy(family, cell.cfg);
   Driven out;
   for (const Time n : pieces) {
     out.steps += run.scheduler().run(
@@ -705,10 +706,10 @@ TEST(GoldenHashes, RunResumesAcrossCallsInEveryFamily) {
     for (const std::uint64_t seed : kSeeds) {
       SCOPED_TRACE(std::string(family) + " seed=" + std::to_string(seed));
       const sim::BatchCell cell = batchCell(family, seed);
-      const Driven whole = driveInPieces(cell, {kHorizon});
+      const Driven whole = driveInPieces(family, cell, {kHorizon});
       ASSERT_GT(whole.steps, 1);
       const Time a = whole.steps / 2;
-      const Driven split = driveInPieces(cell, {a, kHorizon - a});
+      const Driven split = driveInPieces(family, cell, {a, kHorizon - a});
       EXPECT_EQ(split.steps, whole.steps);
       EXPECT_EQ(split.trace_hash, whole.trace_hash);
     }

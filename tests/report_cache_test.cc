@@ -1,9 +1,9 @@
 // ReportCache (sim/report_cache.h): whole-run memoization, certified.
 //
 //   * a warm hit is byte-identical — EVERY CellResult field — to both the
-//     cold fill and a memo-free run, across all seven golden workload
-//     families (plain, round-robin, Afek-flavored, eventually-synchronous,
-//     scripted, watched Fig. 3 extraction, chaos);
+//     cold fill and a memo-free run, across five golden workload families
+//     (plain, round-robin, Afek-flavored, watched Fig. 3 extraction,
+//     chaos);
 //   * capacity is a hard bound: inserting 2x capacity evicts LRU entries
 //     and never grows the map past the limit;
 //   * audited runs bypass: an explicit AuditMode (and the WFD_AUDIT env
@@ -56,8 +56,10 @@ RunConfig fig1Config(int n_plus_1, std::uint64_t seed) {
   return cfg;
 }
 
-// The seven golden families (tests/golden_hash_test.cc), as memo-eligible
-// BatchCells. The memo_family names the opaque callables each shape fixes.
+// The golden families (tests/golden_hash_test.cc) a BatchCell can express,
+// as memo-eligible cells: the eventually-synchronous and scripted ones
+// need a policy other than cfg.policy, which a batch cell cannot take.
+// The memo_family names the opaque callables each shape fixes.
 BatchCell familyCell(const std::string& family, std::uint64_t seed) {
   BatchCell cell;
   cell.memo_family = "rc-" + family;
@@ -82,27 +84,6 @@ BatchCell familyCell(const std::string& family, std::uint64_t seed) {
     cell.cfg.flavor = sim::SnapshotFlavor::kAfek;
     cell.algo = fig1Algo();
     cell.proposals = {1, 2, 3};
-    return cell;
-  }
-  if (family == "fig1-esync") {
-    cell.cfg = fig1Config(4, seed);
-    cell.algo = fig1Algo();
-    cell.proposals = {10, 20, 30, 40};
-    cell.policy_factory = [] {
-      return std::make_unique<sim::EventuallySynchronousPolicy>(
-          /*gst=*/400, /*starve_stretch=*/97);
-    };
-    return cell;
-  }
-  if (family == "fig1-scripted") {
-    cell.cfg = fig1Config(4, seed);
-    cell.algo = fig1Algo();
-    cell.proposals = {10, 20, 30, 40};
-    cell.policy_factory = [] {
-      return std::make_unique<sim::ScriptedPolicy>(
-          std::vector<Pid>{0, 0, 2, 3, 1, 2, 0, 3, 3, 1},
-          std::make_unique<sim::RoundRobinPolicy>());
-    };
     return cell;
   }
   if (family == "fig3-watched") {
@@ -146,8 +127,7 @@ BatchCell familyCell(const std::string& family, std::uint64_t seed) {
 }
 
 const char* const kFamilies[] = {
-    "fig1",         "fig1-rr", "fig1-afek", "fig1-esync",
-    "fig1-scripted", "fig3-watched", "chaos",
+    "fig1", "fig1-rr", "fig1-afek", "fig3-watched", "chaos",
 };
 
 std::vector<BatchCell> familyGrid() {

@@ -222,7 +222,8 @@ TEST(ObjectTable, FlushedDigestMatchesFullRecompute) {
   std::vector<Saved> saved;
   const auto take = [&] {
     const std::uint64_t full = tbl.xorContentsDigestFull();
-    saved.push_back({tbl.snapshot(), full});
+    saved.push_back({{}, full});
+    tbl.snapshot(saved.back().snap);
   };
   const auto restoreOne = [&] {
     const Saved& s = saved[rng.below(saved.size())];
@@ -316,13 +317,16 @@ TEST(ObjectTable, RestoreAcrossBranchesResolvesKeysLikeAFreshTable) {
 
   sim::ObjectTable tbl;
   for (const ObjKey& k : prefix) touch(tbl, k);
-  const sim::ObjectTable::Snapshot fork = tbl.snapshot();
+  sim::ObjectTable::Snapshot fork;
+  tbl.snapshot(fork);
   for (const ObjKey& k : branch_a) touch(tbl, k);
-  const sim::ObjectTable::Snapshot at_a = tbl.snapshot();
+  sim::ObjectTable::Snapshot at_a;
+  tbl.snapshot(at_a);
   tbl.restore(fork);
   EXPECT_EQ(tbl.xorContentsDigest(), tbl.xorContentsDigestFull());
   for (const ObjKey& k : branch_b) touch(tbl, k);
-  const sim::ObjectTable::Snapshot at_b = tbl.snapshot();
+  sim::ObjectTable::Snapshot at_b;
+  tbl.snapshot(at_b);
 
   tbl.restore(at_a);  // from branch B
   expectResolvesLike(tbl, branch_a, "A restored over B");
@@ -345,7 +349,8 @@ TEST(ObjectTable, ScansAndSnapshotsKeepTheirCellsAcrossUpdates) {
   const RegVal cell = RegVal::tuple({RegVal(Value{1}), RegVal(Value{2})});
   tbl.update(s, 0, cell);
   const SlotArray view = tbl.scan(s);
-  const sim::ObjectTable::Snapshot snap = tbl.snapshot();
+  sim::ObjectTable::Snapshot snap;
+  tbl.snapshot(snap);
   const std::uint64_t digest = tbl.xorContentsDigest();
 
   tbl.update(s, 0, RegVal(Value{9}));

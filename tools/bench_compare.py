@@ -19,6 +19,8 @@ Usage:
                    --candidate BENCH_core.json
   bench_compare.py --baseline bench/BENCH_service.baseline.json \
                    --candidate BENCH_service.json
+  bench_compare.py --baseline bench/BENCH_batch.baseline.json \
+                   --candidate BENCH_batch.json
   bench_compare.py --self-test
 
 Exit status: 0 = within bounds, 1 = regression or mismatch, 2 = usage.
@@ -29,8 +31,9 @@ full) are compared only on the rows/metrics present in BOTH, and not on
 per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch including steps_rebuilt, bench_core's steps and the service
-counters, a baseline row
+mismatch including steps_rebuilt, bench_core's steps, the service
+counters and bench_batch's counters and static worker rows, the
+ungated stealing worker rows, a baseline row
 missing from a same-mode candidate, the rate-ratio
 boundary on every rate metric, the differing---jobs step_makespan and
 differing-mode steps exclusions) and exits 0 only if the gate's own
@@ -68,7 +71,9 @@ ROW_EXACT = [
 
 # Deterministic top-level metrics: exact match required when present in
 # both. (Seconds-valued and hit-count metrics are excluded: wall time is
-# hardware-bound, and cache hit counts depend on run order.)
+# hardware-bound, and cache hit counts depend on run order. bench_batch's
+# memo_hit_rate is the exception: its warm pass reruns a campaign the
+# cold pass already filled, so every eligible cell hits.)
 TOP_EXACT = [
     "frontier_n3_jobs",
     "fig1_dpor_schedules",
@@ -89,7 +94,18 @@ TOP_EXACT = [
     "sweep_restores",
     "negative_caught",
     "certification_failures",
+    "heavy_cells",
+    "light_cells",
+    "memo_eligible_cells",
+    "memo_hit_rate",
+    "failures",
 ]
+
+# Rows never compared: bench_batch's stealing-side worker rows, whose
+# placement (and so each worker's steps) depends on thread timing. Its
+# static-sharding rows are a pure function of (cells, jobs) and stay
+# gated.
+ROW_UNGATED_PREFIXES = ("steal_worker_",)
 
 # Throughput metrics: candidate must be >= min_ratio * baseline.
 RATE_METRICS = [
@@ -128,8 +144,15 @@ def compare(base, cand, min_ratio):
     if not same_mode:
         row_keys.remove("steps")
 
-    base_rows = {r.get("name"): r for r in base.get("rows", [])}
-    cand_rows = {r.get("name"): r for r in cand.get("rows", [])}
+    def gated(report):
+        return {
+            r.get("name"): r
+            for r in report.get("rows", [])
+            if not str(r.get("name")).startswith(ROW_UNGATED_PREFIXES)
+        }
+
+    base_rows = gated(base)
+    cand_rows = gated(cand)
     # A mode runs a fixed row set (--quick drops some full-mode rows), so
     # within one mode every baseline row must still be there.
     if same_mode:
@@ -271,6 +294,46 @@ def self_test():
     cand["decisions_per_sec"] = 1
     f, _ = compare(svc, cand, 0.8)
     expect("service wall time and rate are not compared", not f)
+
+    # 2a'. bench_batch: cell counts, memo eligibility, hit rate and
+    #      failures are exact, and so are the static-sharding worker
+    #      steps; wall times and stealing-side worker rows are not.
+    batch = {
+        "bench": "bench_batch",
+        "jobs": 4,
+        "mode": "quick",
+        "heavy_cells": 6,
+        "light_cells": 90,
+        "memo_eligible_cells": 96,
+        "memo_hit_rate": 1.0,
+        "failures": 0,
+        "wall_static_s": 0.5,
+        "steal_speedup_wall": 2.0,
+        "rows": [
+            {"name": "static_worker_0", "executed": 24, "steps": 360000},
+            {"name": "steal_worker_0", "executed": 20, "steps": 120000},
+        ],
+    }
+    for key in ("heavy_cells", "light_cells", "memo_eligible_cells",
+                "memo_hit_rate", "failures"):
+        cand = copy.deepcopy(batch)
+        cand[key] += 1
+        f, _ = compare(batch, cand, 0.8)
+        expect(f"batch {key} drift fails", len(f) == 1)
+    cand = copy.deepcopy(batch)
+    cand["rows"][0]["steps"] += 1
+    f, _ = compare(batch, cand, 0.8)
+    expect("batch static worker steps drift fails", len(f) == 1)
+    cand = copy.deepcopy(batch)
+    cand["rows"][1]["steps"] += 1
+    cand["wall_static_s"] = 5.0
+    cand["steal_speedup_wall"] = 0.5
+    f, _ = compare(batch, cand, 0.8)
+    expect("batch stealing rows and wall times are not compared", not f)
+    cand = copy.deepcopy(batch)
+    del cand["rows"][1]
+    f, _ = compare(batch, cand, 0.8)
+    expect("batch stealing row absent from the candidate passes", not f)
 
     # 2b. A baseline row the candidate dropped fails within one mode;
     #     across modes only the shared rows are compared. Extra candidate

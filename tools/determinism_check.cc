@@ -416,11 +416,11 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
 // across the golden exploration families (k-converge at n = 2 and n = 3
 // in both modes, an Upsilon-bearing workload under the refined
 // FD-independence relation, and the seeded-bug family whose counterexample
-// must come out identical), and additionally pins steal vs static
-// sharding. Every kDag family also runs on the classic engine with and
-// without the memo: skipping memoized states must not change the verdict
-// or the outcome-signature set. Runs EXCLUSIVELY under --explore (its own
-// ctest entry).
+// must come out identical). The frontier always steals, so --steal and
+// --no-steal do not apply here. Every kDag family also runs on the
+// classic engine with and without the memo: skipping memoized states must
+// not change the verdict or the outcome-signature set. Runs EXCLUSIVELY
+// under --explore (its own ctest entry).
 
 sim::Coro<sim::Unit> exploreOneShot(Env& env, int k, Value v) {
   env.propose(v);
@@ -554,11 +554,6 @@ void exploreWorkloads(int jobs) {
     check(exploreIdentical(one, many),
           f.name + ": jobs=" + std::to_string(jobs) +
               " bit-identical to jobs=1");
-    f.cfg.steal = false;
-    const sim::ExploreResult stat = explore(f.cfg, f.algo, f.props);
-    f.cfg.steal = true;
-    check(exploreIdentical(many, stat),
-          f.name + ": static sharding matches stealing");
     if (f.expect_violation) {
       check(one.verdict == sim::ExploreVerdict::kViolation &&
                 one.counterexample == many.counterexample &&
