@@ -11,8 +11,8 @@
 // All (row x seed) cells are independent, so the whole table is submitted
 // as ONE batch (sim/batch.h) sharded over --jobs workers; per-cell trace
 // hashes are bit-identical to serial execution, so the aggregated rows are
-// too. The Upsilon history for each (pattern, stab, seed) triple is built
-// once in a shared FdCache and served to every cell that sweeps it.
+// too. Each cell builds its Upsilon history with fd::makeUpsilon, a pure
+// function of (pattern, stab, seed).
 #include "bench_util.h"
 
 namespace wfd {
@@ -44,7 +44,7 @@ struct Agg {
   bool all_ok = true;
 };
 
-BatchCell makeCell(const Row& r, std::uint64_t seed, sim::FdCache& fds) {
+BatchCell makeCell(const Row& r, std::uint64_t seed) {
   const auto fp =
       r.crashes == 0
           ? FailurePattern::failureFree(r.n_plus_1)
@@ -57,7 +57,7 @@ BatchCell makeCell(const Row& r, std::uint64_t seed, sim::FdCache& fds) {
   BatchCell cell;
   cell.cfg.n_plus_1 = r.n_plus_1;
   cell.cfg.fp = fp;
-  cell.cfg.fd = fds.upsilon(fp, r.stab, seed);
+  cell.cfg.fd = fd::makeUpsilon(fp, r.stab, seed);
   cell.cfg.seed = seed;
   cell.cfg.flavor = r.flavor;
   cell.cfg.policy = r.policy;
@@ -130,16 +130,15 @@ int main(int argc, char** argv) {
                   sim::SnapshotFlavor::kNative});
 
   // One flat batch: cell (row * kSeeds + s) is row `row`, seed s+1. The
-  // generator runs on the workers; the FdCache it shares locks internally.
-  sim::FdCache fds;
+  // generator runs on the workers.
   const bench::WallTimer wall;
   sim::BatchStats batch_stats;
   const auto results = runner.run(
       rows.size() * kSeeds,
-      [&rows, &fds](std::size_t i) {
+      [&rows](std::size_t i) {
         const Row& r = rows[i / kSeeds];
         const std::uint64_t seed = static_cast<std::uint64_t>(i % kSeeds) + 1;
-        return makeCell(r, seed, fds);
+        return makeCell(r, seed);
       },
       &batch_stats);
   const double wall_s = wall.seconds();
@@ -170,11 +169,9 @@ int main(int argc, char** argv) {
               {"pass", pass ? 1.0 : 0.0}});
   }
   t.print();
-  std::printf("wall %.2fs at jobs=%d — %zu cells, %.0f steps/s; fd cache "
-              "%zu built / %zu served\n",
-              wall_s, runner.jobs(), results.size(),
-              wall_s > 0 ? total_steps / wall_s : 0.0, fds.misses(),
-              fds.hits() + fds.misses());
+  std::printf("wall %.2fs at jobs=%d — %zu cells, %.0f steps/s\n", wall_s,
+              runner.jobs(), results.size(),
+              wall_s > 0 ? total_steps / wall_s : 0.0);
   if (!args.json_path.empty()) {
     json.metric("wall_s", wall_s);
     json.metric("cells", static_cast<double>(results.size()));

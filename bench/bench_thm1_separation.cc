@@ -10,10 +10,10 @@
 //   (table 3).
 //
 // The easy-direction sweep is (row x seed)-parallel: all cells go into
-// one batch (sim/batch.h) sharded over --jobs workers, with the Omega^k
-// history per (pattern, stab, seed) built once in a shared FdCache. The
-// hard-direction chases are inherently sequential adversary/candidate
-// dialogues and stay serial.
+// one batch (sim/batch.h) sharded over --jobs workers; each cell builds its
+// Omega^k history with fd::makeOmegaK, a pure function of (pattern, stab,
+// seed). The hard-direction chases are inherently sequential
+// adversary/candidate dialogues and stay serial.
 #include "bench_util.h"
 
 namespace wfd {
@@ -26,9 +26,9 @@ using sim::Env;
 using sim::FailurePattern;
 
 void easyDirection(const bench::BenchArgs& args) {
-  // --memo attaches the whole-run ReportCache: the sweep's detectors come
-  // from the FdCache by digestable construction, so a re-invocation (or a
-  // widened grid sharing rows) answers repeated cells without re-running.
+  // --memo attaches the whole-run ReportCache: the sweep's detectors are
+  // built by digestable construction, so a re-invocation (or a widened
+  // grid sharing rows) answers repeated cells without re-running.
   sim::ReportCache memo;
   const sim::BatchRunner runner(args.batchOptions(&memo));
   std::printf(
@@ -45,11 +45,10 @@ void easyDirection(const bench::BenchArgs& args) {
     for (const Time stab : {100L, 1000L}) rows.push_back({n_plus_1, stab});
   }
   constexpr std::size_t kSeeds = 10;
-  sim::FdCache fds;
   sim::BatchStats stats;
   const auto results = runner.run(
       rows.size() * kSeeds,
-      [&rows, &fds](std::size_t i) {
+      [&rows](std::size_t i) {
         const Row& r = rows[i / kSeeds];
         const std::uint64_t seed = static_cast<std::uint64_t>(i % kSeeds) + 1;
         const auto fp =
@@ -57,7 +56,7 @@ void easyDirection(const bench::BenchArgs& args) {
         BatchCell cell;
         cell.cfg.n_plus_1 = r.n_plus_1;
         cell.cfg.fp = fp;
-        cell.cfg.fd = fds.omegaK(fp, r.n_plus_1 - 1, r.stab, seed);
+        cell.cfg.fd = fd::makeOmegaK(fp, r.n_plus_1 - 1, r.stab, seed);
         cell.cfg.seed = seed;
         cell.cfg.max_steps = r.stab * 3 + 30'000;
         cell.algo = [](Env& e, Value) { return core::omegaKToUpsilonF(e); };

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 #include <thread>
-#include <tuple>
 
 #include "fd/omega.h"
 #include "fd/upsilon.h"
@@ -197,112 +196,67 @@ std::vector<CellResult> driveWatchedBatch(const std::vector<BatchCell>& cells,
 
 // ---- FdCache -------------------------------------------------------------
 
-bool FdCache::Key::operator<(const Key& o) const {
-  return std::tie(family, crash_at, param, stab, seed) <
-         std::tie(o.family, o.crash_at, o.param, o.stab, o.seed);
-}
-
-FdCache::Key FdCache::makeKey(int family, const FailurePattern& fp, int param,
-                              Time stab, std::uint64_t seed) {
-  Key k;
-  k.family = family;
-  k.crash_at.reserve(static_cast<std::size_t>(fp.nProcs()));
-  for (Pid p = 0; p < fp.nProcs(); ++p) k.crash_at.push_back(fp.crashTime(p));
-  k.param = param;
-  k.stab = stab;
-  k.seed = seed;
-  return k;
-}
-
-fd::FdPtr FdCache::getOrBuild(Key key, const std::function<fd::FdPtr()>& build) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-  }
-  // Build outside the lock: construction may be arbitrarily expensive and
-  // a duplicate build is harmless (the factories are pure, so both
-  // products are the same history; first insert wins).
-  fd::FdPtr built = build();
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = cache_.emplace(std::move(key), std::move(built));
-  if (inserted) {
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  return it->second;
-}
-
 fd::FdPtr FdCache::upsilon(const FailurePattern& fp, Time stab,
                            std::uint64_t seed) {
-  return getOrBuild(makeKey(0, fp, 0, stab, seed),
-                    [&] { return fd::makeUpsilon(fp, stab, seed); });
-}
-
-fd::FdPtr FdCache::upsilonF(const FailurePattern& fp, int f, Time stab,
-                            std::uint64_t seed) {
-  return getOrBuild(makeKey(1, fp, f, stab, seed),
-                    [&] { return fd::makeUpsilonF(fp, f, stab, seed); });
+  return fd::makeUpsilon(fp, stab, seed);
 }
 
 fd::FdPtr FdCache::omega(const FailurePattern& fp, Time stab,
                          std::uint64_t seed) {
-  return getOrBuild(makeKey(2, fp, 0, stab, seed),
-                    [&] { return fd::makeOmega(fp, stab, seed); });
+  return fd::makeOmega(fp, stab, seed);
 }
 
-fd::FdPtr FdCache::omegaK(const FailurePattern& fp, int k, Time stab,
-                          std::uint64_t seed) {
-  return getOrBuild(makeKey(3, fp, k, stab, seed),
-                    [&] { return fd::makeOmegaK(fp, k, stab, seed); });
+FdCache::Entry& FdCache::entry(std::unique_lock<std::mutex>& lock,
+                               const FailurePattern& fp,
+                               const net::NetConfig& cfg) {
+  Key key;
+  key.first.reserve(static_cast<std::size_t>(fp.nProcs()));
+  for (Pid p = 0; p < fp.nProcs(); ++p) key.first.push_back(fp.crashTime(p));
+  key.second = cfg.digest();
+  if (const auto it = cache_.find(key); it != cache_.end()) {
+    ++hits_;
+    return it->second;
+  }
+  // Simulate outside the lock: it is the expensive part, and a duplicate
+  // simulation is harmless (the substrate is seed-deterministic, so both
+  // are the same execution; the first insert wins).
+  lock.unlock();
+  net::NetHistoryPtr built = net::simulateHeartbeats(fp, cfg);
+  lock.lock();
+  const auto [it, inserted] =
+      cache_.try_emplace(std::move(key), Entry{std::move(built), {}});
+  ++(inserted ? misses_ : hits_);
+  return it->second;
+}
+
+fd::FdPtr FdCache::lens(const FailurePattern& fp, const net::NetConfig& cfg,
+                        net::RealizedLens kind, int f) {
+  std::unique_lock<std::mutex> lock(mu_);
+  Entry& e = entry(lock, fp, cfg);
+  fd::FdPtr& slot = e.lenses[{kind, f}];
+  if (!slot) slot = std::make_shared<net::RealizedFd>(e.history, kind, f);
+  return slot;
 }
 
 net::NetHistoryPtr FdCache::netHistory(const FailurePattern& fp,
                                        const net::NetConfig& cfg) {
-  Key key = makeKey(7, fp, 0, 0, cfg.digest());
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = net_cache_.find(key);
-    if (it != net_cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-  }
-  // Simulate outside the lock — the expensive part; duplicate builds are
-  // identical (the substrate is seed-deterministic), first insert wins.
-  net::NetHistoryPtr built = net::simulateHeartbeats(fp, cfg);
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = net_cache_.emplace(std::move(key), std::move(built));
-  if (inserted) {
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  return it->second;
+  std::unique_lock<std::mutex> lock(mu_);
+  return entry(lock, fp, cfg).history;
 }
 
 fd::FdPtr FdCache::netEventuallyPerfect(const FailurePattern& fp,
                                         const net::NetConfig& cfg) {
-  return getOrBuild(makeKey(4, fp, 0, 0, cfg.digest()), [&] {
-    return net::makeRealizedEventuallyPerfect(netHistory(fp, cfg));
-  });
+  return lens(fp, cfg, net::RealizedLens::kEventuallyPerfect, 0);
 }
 
 fd::FdPtr FdCache::netOmega(const FailurePattern& fp,
                             const net::NetConfig& cfg) {
-  return getOrBuild(makeKey(5, fp, 0, 0, cfg.digest()),
-                    [&] { return net::makeRealizedOmega(netHistory(fp, cfg)); });
+  return lens(fp, cfg, net::RealizedLens::kOmega, 0);
 }
 
 fd::FdPtr FdCache::netUpsilonF(const FailurePattern& fp, int f,
                                const net::NetConfig& cfg) {
-  return getOrBuild(makeKey(6, fp, f, 0, cfg.digest()), [&] {
-    return net::makeRealizedUpsilon(netHistory(fp, cfg), f);
-  });
+  return lens(fp, cfg, net::RealizedLens::kUpsilon, f);
 }
 
 std::size_t FdCache::hits() const {

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/chaos.h"
@@ -190,64 +191,59 @@ class BatchRunner {
     const std::vector<BatchCell>& cells, const BatchOptions& opts = {},
     BatchStats* stats = nullptr);
 
-// ---- FD-history construction cache --------------------------------------
+// ---- Heartbeat-execution cache -----------------------------------------
 //
-// Sweeps re-derive the same constructed history for many rows: an Upsilon
-// instance is keyed by (pattern, f, stab, noise seed) and nothing else, so
-// rebuilding it per cell is wasted work — and a FailureDetector is an
-// immutable history (query(p, t) is const and stateless), so ONE instance
-// can serve any number of concurrent runs. The cache is thread-safe and
-// intended to be shared by a BatchRunner generator across workers.
+// A realized detector (sim/net/realized_fd.h) is cut from a whole simulated
+// heartbeat execution, which costs hundreds of microseconds; a lens over a
+// cached execution costs a few hundred nanoseconds. The cache holds one
+// entry per (pattern, NetConfig): the execution and the lenses cut from it,
+// so a campaign that certifies <>P, Omega and Upsilon against one substrate
+// pays for one simulation, not three. Constructed histories (fd/upsilon.h,
+// fd/omega.h) are not cached: a factory call is cheaper than a locked
+// lookup. Everything served is immutable, so ONE instance can serve any
+// number of concurrent runs; the cache is thread-safe and intended to be
+// shared by a BatchRunner generator across workers.
 class FdCache {
  public:
+  // Plain factory calls, kept only because bench/suite calls them.
   fd::FdPtr upsilon(const FailurePattern& fp, Time stab, std::uint64_t seed);
-  fd::FdPtr upsilonF(const FailurePattern& fp, int f, Time stab,
-                     std::uint64_t seed);
   fd::FdPtr omega(const FailurePattern& fp, Time stab, std::uint64_t seed);
-  fd::FdPtr omegaK(const FailurePattern& fp, int k, Time stab,
-                   std::uint64_t seed);
 
-  // Realized heartbeat detectors (sim/net/realized_fd.h). The simulated
-  // network execution is itself cached per (pattern, cfg) — the three
-  // lenses over one execution share ONE NetHistory, so a campaign that
-  // certifies <>P, Omega and Upsilon against the same substrate pays for
-  // one simulation, not three.
   fd::FdPtr netEventuallyPerfect(const FailurePattern& fp,
                                  const net::NetConfig& cfg);
   fd::FdPtr netOmega(const FailurePattern& fp, const net::NetConfig& cfg);
   fd::FdPtr netUpsilonF(const FailurePattern& fp, int f,
                         const net::NetConfig& cfg);
-  // The shared execution itself (cached); exposed for substrate tests.
+  // The shared execution itself; exposed for substrate tests.
   net::NetHistoryPtr netHistory(const FailurePattern& fp,
                                 const net::NetConfig& cfg);
 
+  // Every request above except upsilon/omega counts once: a miss when it
+  // cached a new execution, a hit otherwise (a racing duplicate simulation
+  // whose insert lost counts as a hit). size() = executions cached.
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   [[nodiscard]] std::size_t size() const;
 
  private:
-  // (family, crash times, param, stab, seed) pins a constructed history
-  // completely: every factory below is a pure function of these. The net
-  // families carry NetConfig::digest() in `seed` (it pins every substrate
-  // knob) and the lens parameter in `param`.
-  struct Key {
-    int family = 0;  // 0 Upsilon, 1 Upsilon^f, 2 Omega, 3 Omega^k,
-                     // 4 net <>P, 5 net Omega, 6 net Upsilon^f
-    std::vector<Time> crash_at;
-    int param = 0;
-    Time stab = 0;
-    std::uint64_t seed = 0;
-
-    bool operator<(const Key& o) const;
+  // Crash times and NetConfig::digest() pin an execution completely.
+  using Key = std::pair<std::vector<Time>, std::uint64_t>;
+  struct Entry {
+    net::NetHistoryPtr history;
+    // Lenses built on first request, keyed by (lens, f); f is 0 for the
+    // lenses that ignore it.
+    std::map<std::pair<net::RealizedLens, int>, fd::FdPtr> lenses;
   };
 
-  static Key makeKey(int family, const FailurePattern& fp, int param,
-                     Time stab, std::uint64_t seed);
-  fd::FdPtr getOrBuild(Key key, const std::function<fd::FdPtr()>& build);
+  // The entry for (fp, cfg), simulating it if absent. `lock` holds mu_ on
+  // entry and on return; it is released while simulating.
+  Entry& entry(std::unique_lock<std::mutex>& lock, const FailurePattern& fp,
+               const net::NetConfig& cfg);
+  fd::FdPtr lens(const FailurePattern& fp, const net::NetConfig& cfg,
+                 net::RealizedLens kind, int f);
 
   mutable std::mutex mu_;
-  std::map<Key, fd::FdPtr> cache_;
-  std::map<Key, net::NetHistoryPtr> net_cache_;  // family 7: raw executions
+  std::map<Key, Entry> cache_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

@@ -104,6 +104,9 @@ NetHistoryPtr simulateHeartbeats(const FailurePattern& fp,
 
 RealizedFd::RealizedFd(NetHistoryPtr history, RealizedLens lens, int f)
     : history_(std::move(history)), lens_(lens), f_(f) {
+  if (lens_ == RealizedLens::kUpsilon && f_ < 1) {
+    throw SimAbort("realized Upsilon lens requires f >= 1");
+  }
   const int n = history_->n_plus_1;
   stable_ = applyLens(history_->fp.faulty(), lens_, n);
   stab_ = computeStab(*history_, lens_, stable_);
@@ -152,7 +155,6 @@ fd::FdPtr makeRealizedOmega(NetHistoryPtr history) {
 }
 
 fd::FdPtr makeRealizedUpsilon(NetHistoryPtr history, int f) {
-  if (f < 1) throw SimAbort("realized Upsilon lens requires f >= 1");
   return std::make_shared<RealizedFd>(std::move(history),
                                       RealizedLens::kUpsilon, f);
 }

@@ -65,8 +65,8 @@ enum class RealizedLens { kEventuallyPerfect, kOmega, kUpsilon };
 
 class RealizedFd final : public fd::FailureDetector {
  public:
-  // `f` parameterizes the Upsilon lens's axiom claim (must be >= 1);
-  // ignored by the other lenses.
+  // `f` parameterizes the Upsilon lens's axiom claim (must be >= 1, else
+  // SimAbort); ignored by the other lenses.
   RealizedFd(NetHistoryPtr history, RealizedLens lens, int f);
 
   ProcSet query(Pid p, Time t) const override;

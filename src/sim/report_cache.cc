@@ -174,7 +174,7 @@ void ReportCache::insertLocked(std::uint64_t key, const CellResult& result,
     ++evictions_;
   }
   lru_.push_front(key);
-  map_.emplace(key, Entry{result, lru_.begin(), persisted});
+  map_.emplace(key, Entry{result, lru_.begin()});
   if (!persisted && store_ != nullptr) {
     // Fresh result: make it durable. The store dedupes keys internally,
     // so a re-inserted eviction victim costs an encode and an index

@@ -5,7 +5,7 @@
 // sweep harnesses (bench_thm1_separation's easy direction, the Fig. 3
 // extraction grid, warm chaos recertification) resubmit thousands of such
 // duplicates across invocations. The cache layers NEXT TO FdCache: FdCache
-// dedupes constructed detector histories (inputs to runs), ReportCache
+// dedupes simulated heartbeat executions (inputs to runs), ReportCache
 // dedupes the completed run summaries themselves.
 //
 // What makes a cell cacheable (cellKey returns a key):
@@ -99,9 +99,9 @@ class ReportCache {
   struct Entry {
     CellResult result;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
-    bool persisted = false;  // already in the store; never re-append
   };
 
+  // `persisted`: the result came from the store, so it is not re-appended.
   void insertLocked(std::uint64_t key, const CellResult& result,
                     bool persisted);
 

@@ -7,9 +7,12 @@
 //   * exception isolation: one structurally broken cell yields a
 //     structured error result while every other cell completes;
 //   * jobs=1 equivalence to the plain serial loop (runTask/runChaosTask);
-//   * FdCache: keyed sharing, hit/miss accounting, and hash-identical
-//     runs off a cache-served detector.
+//   * FdCache: one simulation per (pattern, config), hit/miss accounting
+//     under concurrent requests, and hash-identical runs off one shared
+//     detector instance.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "test_util.h"
 
@@ -235,55 +238,73 @@ TEST(Batch, ResolveJobsAndRunnerDefaults) {
 
 // ---- FdCache ----
 
-TEST(FdCache, SameKeySharesOneInstance) {
-  sim::FdCache cache;
-  const auto fp = FailurePattern::withCrashes(4, {{3, 60}});
-  const auto a = cache.upsilon(fp, 150, 9);
-  const auto b = cache.upsilon(fp, 150, 9);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+sim::net::NetConfig lossyNet(std::uint64_t seed) {
+  sim::net::NetConfig cfg;
+  cfg.env = {/*gst=*/64, /*delta=*/4};
+  cfg.faults.drop_permille = 150;
+  cfg.seed = seed;
+  return cfg;
 }
 
 TEST(FdCache, DistinctKeysDistinctInstances) {
   sim::FdCache cache;
   const auto fp1 = FailurePattern::withCrashes(4, {{3, 60}});
   const auto fp2 = FailurePattern::withCrashes(4, {{3, 61}});
-  const auto base = cache.upsilon(fp1, 150, 9);
-  EXPECT_NE(base.get(), cache.upsilon(fp2, 150, 9).get());  // pattern
-  EXPECT_NE(base.get(), cache.upsilon(fp1, 151, 9).get());  // stab
-  EXPECT_NE(base.get(), cache.upsilon(fp1, 150, 8).get());  // seed
-  EXPECT_NE(base.get(), cache.upsilonF(fp1, 3, 150, 9).get());  // family
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 5u);
+  const auto base = cache.netHistory(fp1, lossyNet(9));
+  EXPECT_NE(base.get(), cache.netHistory(fp2, lossyNet(9)).get());  // pattern
+  EXPECT_NE(base.get(), cache.netHistory(fp1, lossyNet(8)).get());  // config
+  EXPECT_EQ(cache.misses(), 3u);
+  // A different f is a different lens over the same execution.
+  const auto* up2 = dynamic_cast<const sim::net::RealizedFd*>(
+      cache.netUpsilonF(fp1, 2, lossyNet(9)).get());
+  const auto* up3 = dynamic_cast<const sim::net::RealizedFd*>(
+      cache.netUpsilonF(fp1, 3, lossyNet(9)).get());
+  ASSERT_NE(up2, nullptr);
+  ASSERT_NE(up3, nullptr);
+  EXPECT_NE(up2, up3);
+  EXPECT_EQ(&up2->history(), base.get());
+  EXPECT_EQ(&up3->history(), base.get());
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
-TEST(FdCache, CachedDetectorReplaysRunsHashIdentically) {
-  // A run off the cache-served history must hash exactly like a run off a
-  // freshly built one: the cache changes construction cost, never output.
+TEST(FdCache, ConcurrentRequestsSimulateOnce) {
   sim::FdCache cache;
+  const auto fp = FailurePattern::withCrashes(4, {{3, 40}});
+  std::vector<const sim::net::NetHistory*> seen(4, nullptr);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      threads.emplace_back([&cache, &fp, &seen, i] {
+        const auto h = i % 2 == 0 ? cache.netOmega(fp, lossyNet(5))
+                                  : cache.netUpsilonF(fp, 3, lossyNet(5));
+        const auto* r = dynamic_cast<const sim::net::RealizedFd*>(h.get());
+        if (r != nullptr) seen[i] = &r->history();
+      });
+    }
+  }
+  ASSERT_NE(seen[0], nullptr);
+  for (const auto* h : seen) EXPECT_EQ(h, seen[0]);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FdCache, SharedDetectorReplaysRunsHashIdentically) {
+  // Runs off ONE detector instance, shared by concurrent cells, must hash
+  // exactly like a run off a freshly built one: sharing changes
+  // construction cost, never output.
   auto cell = fig1Cell(21);
-  auto cached = cell;
-  cached.cfg.fd = cache.upsilon(*cell.cfg.fp, 150, 21);
-  auto cached_again = cell;
-  cached_again.cfg.fd = cache.upsilon(*cell.cfg.fp, 150, 21);
-  const auto res = BatchRunner(BatchOptions{3}).run(
-      {cell, cached, cached_again});
+  const auto shared = fd::makeUpsilon(*cell.cfg.fp, 150, 21);
+  auto first = cell;
+  first.cfg.fd = shared;
+  auto second = cell;
+  second.cfg.fd = shared;
+  const auto res = BatchRunner(BatchOptions{3}).run({cell, first, second});
   ASSERT_EQ(res.size(), 3u);
   EXPECT_EQ(res[0].trace_hash, res[1].trace_hash);
   EXPECT_EQ(res[1].trace_hash, res[2].trace_hash);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(FdCache, OmegaFamiliesCacheToo) {
-  sim::FdCache cache;
-  const auto fp = FailurePattern::withCrashes(4, {{3, 60}});
-  EXPECT_EQ(cache.omega(fp, 120, 2).get(), cache.omega(fp, 120, 2).get());
-  EXPECT_EQ(cache.omegaK(fp, 2, 120, 2).get(),
-            cache.omegaK(fp, 2, 120, 2).get());
-  EXPECT_NE(cache.omega(fp, 120, 2).get(), cache.omegaK(fp, 1, 120, 2).get());
-  EXPECT_EQ(cache.size(), 3u);
 }
 
 }  // namespace

@@ -394,10 +394,15 @@ TEST(FdCacheNet, ThreeLensesShareOneSimulation) {
   ASSERT_NE(up_r, nullptr);
   EXPECT_EQ(&ep_r->history(), &om_r->history());
   EXPECT_EQ(&om_r->history(), &up_r->history());
-  // Second lookups hit both layers.
+  // One execution cut three ways: one simulation, two hits.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
+  // A second lookup serves the same lens instance without simulating.
   const auto ep2 = cache.netEventuallyPerfect(fp, cfg);
   EXPECT_EQ(ep.get(), ep2.get());
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 3u);
   // Same (fp, cfg) => the identical history object.
   EXPECT_EQ(cache.netHistory(fp, cfg).get(), &ep_r->history());
   // Distinct keyDigests per lens over the same execution.

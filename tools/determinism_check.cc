@@ -237,23 +237,23 @@ void resultSensitivity() {
 // serial and parallel passes of batchWorkloads.
 std::vector<sim::BatchCell> batchCells() {
   std::vector<sim::BatchCell> cells;
-  // FdCache: the SAME detector instance serves concurrent cells below —
-  // which is exactly the sharing the cache's thread-safety claim makes.
-  sim::FdCache fds;
+  // Each Fig. 1 detector is built once and shared by its cell and the
+  // cell's resubmission: ONE instance serves concurrent cells, which is
+  // the sharing the immutable FailureDetector contract allows.
   for (const std::uint64_t seed : {1u, 7u, 23u, 40u}) {
     const int n_plus_1 = 4;
     const auto fp = FailurePattern::withCrashes(n_plus_1, {{1, 120}});
     sim::BatchCell cell;
     cell.cfg.n_plus_1 = n_plus_1;
     cell.cfg.fp = fp;
-    cell.cfg.fd = fds.upsilon(fp, 150, seed);
+    cell.cfg.fd = fd::makeUpsilon(fp, 150, seed);
     cell.cfg.seed = seed;
     cell.algo = [](Env& e, Value v) { return core::upsilonSetAgreement(e, v); };
     cell.proposals = {10, 20, 30, 40};
     cell.memo_family = "dc-fig1";
     cells.push_back(cell);
-    // Same (pattern, stab, seed) key resubmitted: a guaranteed cache hit
-    // whose run must still hash identically to the first submission.
+    // Resubmitted with the same detector instance: its run must hash
+    // identically to the first submission.
     cells.push_back(cell);
   }
   for (const std::uint64_t seed : {3u, 11u}) {
@@ -262,7 +262,7 @@ std::vector<sim::BatchCell> batchCells() {
     sim::BatchCell cell;
     cell.cfg.n_plus_1 = n_plus_1;
     cell.cfg.fp = fp;
-    cell.cfg.fd = fds.upsilonF(fp, 2, 180, seed);
+    cell.cfg.fd = fd::makeUpsilonF(fp, 2, 180, seed);
     cell.cfg.seed = seed;
     cell.algo = [](Env& e, Value v) {
       return core::upsilonFSetAgreement(e, 2, v);
@@ -277,7 +277,7 @@ std::vector<sim::BatchCell> batchCells() {
     sim::BatchCell cell;
     cell.cfg.n_plus_1 = 4;
     cell.cfg.fp = fp;
-    cell.cfg.fd = fds.omega(fp, 100, seed);
+    cell.cfg.fd = fd::makeOmega(fp, 100, seed);
     cell.cfg.seed = seed;
     cell.cfg.max_steps = 60'000;
     cell.algo = [phi](Env& e, Value) { return core::extractUpsilonF(e, phi); };
@@ -334,12 +334,12 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
   check(hashes, "per-cell trace hashes bit-identical: jobs=1 vs jobs=" +
                     std::to_string(jobs));
   check(verdicts, "verdicts and decisions identical across pool sizes");
-  // Resubmitted duplicate cells (FdCache hits) replay hash-identically.
+  // Resubmitted duplicate cells (one shared detector) replay identically.
   bool dup_ok = true;
   for (std::size_t i = 0; i + 1 < 8; i += 2) {
     dup_ok = dup_ok && b[i].trace_hash == b[i + 1].trace_hash;
   }
-  check(dup_ok, "cache-served detector replays hash-identical runs");
+  check(dup_ok, "shared detector instance replays hash-identical runs");
   // The OTHER scheduler mode must be equally invisible: where a cell runs
   // never changes what it computes.
   const sim::BatchRunner other(sim::BatchOptions{jobs, !steal});
