@@ -14,7 +14,7 @@
 //   * coro-child   spin with one child coroutine per step: each step
 //                  awaits a fresh child that issues the op, so the row
 //                  isolates the frame alloc/free of nested algorithm
-//                  calls (k-converge opens five frames per call);
+//                  calls (an Afek snapshot op opens one per call);
 //   * naming, snap-update, snap-update-digest
 //                  perf-ledger rows that isolate one ObjectTable layer
 //                  each; their "steps" are table calls, not scheduler
@@ -23,6 +23,10 @@
 //                  ledger rows for the explorer's checkpoint layer: take
 //                  and drop a RunCheckpoint of a mid-run Fig. 1 run, and
 //                  restore one whose frames all stay; "steps" are calls;
+//   * trace-mix    the trace digest of every step (opSignature,
+//                  resultSignature, mixOp, mixResult) over a fixed Fig. 1
+//                  op/result stream whose B-entry cells are tuples;
+//                  "steps" are mixed ops;
 //   * snap-scan, snap-scan-logged
 //                  every step a snapshot scan of tuple cells, without and
 //                  with the result log the explorer keeps;
@@ -72,8 +76,13 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise see free() called next to an inlined
+// `new` expression and warn (-Wmismatched-new-delete), although the
+// replaced operator new above does allocate with malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wfd::bench {
 namespace {
@@ -348,6 +357,69 @@ Measurement scanRow(int n_plus_1, Time target_steps, bool logged) {
   return m;
 }
 
+// `trace-mix`: the run digest alone. Every executed step folds its op and
+// result signatures into the trace (World::execute); this row replays one
+// Fig. 1 round's op/result stream at n+1 = 4 through opSignature,
+// resultSignature, Trace::mixOp and Trace::mixResult, with no scheduler,
+// world or coroutine around them. Each process writes D, queries its
+// detector, updates and scans the k-converge snapshots A (int cells) and
+// B (tuple B-entries, as k-converge builds them), reads Dr and writes
+// Stable. "steps" are mixed ops.
+struct MixStep {
+  Pid p = 0;
+  sim::Op op;
+  sim::OpResult res;
+};
+
+std::vector<MixStep> fig1MixStream(int n_plus_1) {
+  const auto n = static_cast<std::size_t>(n_plus_1);
+  const ObjId d = 0, conv_a = 1, conv_b = 2, dr = 3, stable = 4;
+  SlotArray a(n);
+  SlotArray b(n);
+  std::vector<Value> uset;
+  for (Pid p = 0; p < n_plus_1; ++p) {
+    const Value v = 10 * (p + 1);
+    uset.push_back(v);
+    a.set(static_cast<std::size_t>(p), RegVal(v));
+    b.set(static_cast<std::size_t>(p),
+          RegVal::tuple({RegVal(p % 2 == 0), RegVal(v),
+                         RegVal::tuple(std::span<const Value>(uset))}));
+  }
+  std::vector<MixStep> steps;
+  for (Pid p = 0; p < n_plus_1; ++p) {
+    const Value v = 10 * (p + 1);
+    const auto i = static_cast<std::size_t>(p);
+    const auto push = [&](sim::Op op, sim::OpResult res) {
+      steps.push_back(MixStep{p, std::move(op), std::move(res)});
+    };
+    push(sim::OpWrite{d, RegVal(v)}, {});
+    push(sim::OpFdQuery{}, {RegVal(ProcSet::full(n_plus_1)), {}});
+    push(sim::OpSnapUpdate{conv_a, p, RegVal(v)}, {});
+    push(sim::OpSnapScan{conv_a}, {RegVal(), a});
+    push(sim::OpSnapUpdate{conv_b, p, b[i]}, {});
+    push(sim::OpSnapScan{conv_b}, {RegVal(), b});
+    push(sim::OpRead{dr}, {RegVal(v), {}});
+    push(sim::OpWrite{stable, RegVal(true)}, {});
+  }
+  return steps;
+}
+
+Measurement traceMixRow(Time ops) {
+  const std::vector<MixStep> stream = fig1MixStream(4);
+  sim::Trace trace;
+  Measurement m;
+  const WallTimer t;
+  for (Time i = 0; i < ops; ++i) {
+    const MixStep& s = stream[static_cast<std::size_t>(i) % stream.size()];
+    trace.mixOp(i, s.p, sim::opSignature(s.op));
+    trace.mixResult(sim::resultSignature(s.res));
+  }
+  benchmark::DoNotOptimize(trace.opDigest());
+  m.seconds = t.seconds();
+  m.steps = static_cast<Time>(trace.opsMixed());
+  return m;
+}
+
 // `explore-dpor` / `explore-dag`: the serial (jobs = 0) search over the
 // one-shot 2-converge family at n+1 = 3, the shape of bench_explore's
 // dpor-n3 / dag-n3 rows without their property check.
@@ -494,6 +566,7 @@ int main(int argc, char** argv) {
          [&] { return checkpointRow(ledger_ops / 10, false); });
   report("restore-kept", 3,
          [&] { return checkpointRow(ledger_ops / 10, true); });
+  report("trace-mix", 4, [&] { return traceMixRow(ledger_ops); });
   report("snap-scan", 5, [&] { return scanRow(5, spin_budget, false); });
   report("snap-scan-logged", 16,
          [&] { return scanRow(16, spin_budget, true); });

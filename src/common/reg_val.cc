@@ -1,33 +1,51 @@
 #include "common/reg_val.h"
 
-#include <cassert>
+#include <new>
 
 namespace wfd {
 
-std::int64_t RegVal::asInt() const {
-  assert(isInt() && "RegVal: expected int");
-  return std::get<std::int64_t>(v_);
+CellBlock* CellBlock::allocate(std::size_t n) {
+  void* p = ::operator new(sizeof(CellBlock) + n * sizeof(RegVal));
+  return ::new (p) CellBlock(n);
 }
 
-bool RegVal::asBool() const {
-  assert(isBool() && "RegVal: expected bool");
-  return std::get<bool>(v_);
+void* CellBlock::cellStorage(std::size_t i) {
+  return reinterpret_cast<std::byte*>(this + 1) + i * sizeof(RegVal);
 }
 
-const ProcSet& RegVal::asSet() const {
-  assert(isSet() && "RegVal: expected ProcSet");
-  return std::get<ProcSet>(v_);
+void CellBlock::destroy(CellBlock* b) noexcept {
+  RegVal* const cells = b->cells();
+  for (std::size_t i = 0; i < b->size_; ++i) cells[i].~RegVal();
+  b->~CellBlock();
+  ::operator delete(static_cast<void*>(b));
+}
+
+CellBlock* CellBlock::make(std::size_t n) {
+  CellBlock* b = allocate(n);
+  for (std::size_t i = 0; i < n; ++i) ::new (b->cellStorage(i)) RegVal();
+  return b;
+}
+
+CellBlock* CellBlock::copyOf(const CellBlock& from) {
+  CellBlock* b = allocate(from.size_);
+  for (std::size_t i = 0; i < from.size_; ++i) {
+    ::new (b->cellStorage(i)) RegVal(from.cells()[i]);
+  }
+  return b;
 }
 
 template <class At>
 RegVal RegVal::packed(std::size_t n, At at) {
-  std::shared_ptr<RegVal[]> buf;
-  if (n > 0) {
-    buf = std::make_shared<RegVal[]>(n);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = at(i);
-  }
   RegVal r;
-  r.v_ = Tuple{std::move(buf), n};
+  r.kind_ = kTuple;
+  r.u_.t = nullptr;
+  if (n > 0) {
+    CellBlock* b = CellBlock::allocate(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ::new (b->cellStorage(i)) RegVal(at(i));
+    }
+    r.u_.t = b;
+  }
   return r;
 }
 
@@ -44,18 +62,34 @@ RegVal RegVal::tuple(std::span<const Value> ints) {
   return packed(ints.size(), [&](std::size_t i) { return RegVal(ints[i]); });
 }
 
-RegVal::TupleView RegVal::asTuple() const {
-  assert(isTuple() && "RegVal: expected tuple");
-  const Tuple& t = std::get<Tuple>(v_);
-  return {t.elems.get(), t.size};
+std::uint64_t RegVal::tupleHash() const {
+  const TupleView t = asTuple();
+  std::uint64_t h = mix(mix(kSeed, kTuple), t.size());
+  for (const RegVal& e : t) h = mix(h, e.hash64());
+  if (u_.t != nullptr) {
+    u_.t->hash_ = h;
+    u_.t->hashed_ = true;
+  }
+  return h;
 }
 
 bool operator==(const RegVal& a, const RegVal& b) {
-  if (a.v_.index() != b.v_.index()) return false;
-  if (a.isBottom()) return true;
-  if (a.isInt()) return a.asInt() == b.asInt();
-  if (a.isBool()) return a.asBool() == b.asBool();
-  if (a.isSet()) return a.asSet() == b.asSet();
+  if (a.kind_ != b.kind_) return false;
+  switch (a.kind_) {
+    case RegVal::kBottom: return true;
+    case RegVal::kInt: return a.u_.i == b.u_.i;
+    case RegVal::kBool: return a.u_.b == b.u_.b;
+    case RegVal::kSet: return a.u_.s == b.u_.s;
+    case RegVal::kTuple: break;
+  }
+  if (a.u_.t == b.u_.t) return true;  // one payload
+  const CellBlock* const x = a.u_.t;
+  const CellBlock* const y = b.u_.t;
+  // Equal payloads hash equal, so two cached hashes that differ decide.
+  if (x != nullptr && y != nullptr && x->hashed_ && y->hashed_ &&
+      x->hash_ != y->hash_) {
+    return false;
+  }
   const auto ta = a.asTuple();
   const auto tb = b.asTuple();
   if (ta.size() != tb.size()) return false;
@@ -63,26 +97,6 @@ bool operator==(const RegVal& a, const RegVal& b) {
     if (ta[i] != tb[i]) return false;
   }
   return true;
-}
-
-std::uint64_t RegVal::hash64() const {
-  // Alternative index seeds the hash so 0, false, {} and ⊥ all differ.
-  const auto mix = [](std::uint64_t h, std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    return h;
-  };
-  std::uint64_t h = mix(0xCBF29CE484222325ULL, v_.index());
-  if (isInt()) return mix(h, static_cast<std::uint64_t>(asInt()));
-  if (isBool()) return mix(h, asBool() ? 2 : 1);
-  if (isSet()) return mix(h, asSet().bits());
-  if (isTuple()) {
-    const auto& t = asTuple();
-    h = mix(h, t.size());
-    for (const auto& e : t) h = mix(h, e.hash64());
-  }
-  return h;
 }
 
 std::string RegVal::toString() const {

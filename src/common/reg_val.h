@@ -10,18 +10,74 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
+#include <new>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/proc_set.h"
 #include "common/types.h"
 
 namespace wfd {
+
+class RegVal;
+
+// The shared payload of a RegVal tuple and of a SlotArray
+// (common/slot_array.h): a header and `size` RegVal cells in one
+// allocation. The header counts the block's holders with a plain integer
+// and caches a tuple's hash64(), computed on first use.
+//
+// Thread confinement: the count is not atomic, so every holder of one
+// block must live on one thread at a time. A run keeps all its values on
+// the thread that runs it (a batch shard or an explorer job owns its
+// World, checkpoints and result log), and hands them to another thread
+// only through a synchronizing hand-off such as a pool join. No
+// namespace-scope or static RegVal exists that two runs could share.
+class CellBlock {
+ public:
+  // A block of n ⊥ cells, held once.
+  static CellBlock* make(std::size_t n);
+  // A block holding copies of b's cells, held once.
+  static CellBlock* copyOf(const CellBlock& b);
+
+  void retain() noexcept { ++refs_; }
+  void release() noexcept {
+    if (--refs_ == 0) destroy(this);
+  }
+  // Another holder shares the block.
+  [[nodiscard]] bool shared() const { return refs_ > 1; }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  // The cells follow the header (sizeof(CellBlock) is a multiple of
+  // alignof(RegVal)).
+  [[nodiscard]] RegVal* cells() {
+    return std::launder(reinterpret_cast<RegVal*>(this + 1));
+  }
+  [[nodiscard]] const RegVal* cells() const {
+    return std::launder(reinterpret_cast<const RegVal*>(this + 1));
+  }
+
+ private:
+  friend class RegVal;
+  friend bool operator==(const RegVal& a, const RegVal& b);
+  explicit CellBlock(std::size_t n) : size_(static_cast<std::uint32_t>(n)) {}
+  // Storage for the header and n cells; the cells are not constructed.
+  static CellBlock* allocate(std::size_t n);
+  // Where cell i is to be constructed.
+  void* cellStorage(std::size_t i);
+  static void destroy(CellBlock* b) noexcept;
+
+  std::uint32_t refs_ = 1;
+  std::uint32_t size_ = 0;
+  // A tuple's hash64(), valid once `hashed_` is set. Tuples are never
+  // written after they are built, so the cached value never goes stale;
+  // SlotArray blocks never read it.
+  std::uint64_t hash_ = 0;
+  bool hashed_ = false;
+};
 
 class RegVal {
  public:
@@ -51,11 +107,11 @@ class RegVal {
 
   // Bottom (the paper's ⊥): the initial content of every register.
   RegVal() = default;
-  RegVal(std::int64_t v) : v_(v) {}                    // NOLINT(google-explicit-constructor)
-  RegVal(bool b) : v_(b) {}                            // NOLINT(google-explicit-constructor)
-  RegVal(const ProcSet& s) : v_(s) {}                  // NOLINT(google-explicit-constructor)
+  RegVal(std::int64_t v) : kind_(kInt) { u_.i = v; }  // NOLINT(google-explicit-constructor)
+  RegVal(bool b) : kind_(kBool) { u_.b = b; }         // NOLINT(google-explicit-constructor)
+  RegVal(const ProcSet& s) : kind_(kSet) { u_.s = s; }  // NOLINT(google-explicit-constructor)
   static RegVal tuple(std::vector<RegVal> elems);
-  // One allocation each: the elements go straight into the shared array,
+  // One allocation each: the elements go straight into the shared block,
   // with no vector to grow first. Equal, by == and hash64(), to the same
   // elements built through the vector overload. Call the braced-list form
   // from plain functions only: GCC mis-handles braced-init-list
@@ -63,55 +119,112 @@ class RegVal {
   static RegVal tuple(std::initializer_list<RegVal> elems);
   static RegVal tuple(std::span<const Value> ints);  // a tuple of ints
 
-  [[nodiscard]] bool isBottom() const {
-    return std::holds_alternative<std::monostate>(v_);
+  RegVal(const RegVal& o) noexcept : kind_(o.kind_), u_(o.u_) {
+    if (kind_ == kTuple && u_.t != nullptr) u_.t->retain();
   }
-  [[nodiscard]] bool isInt() const {
-    return std::holds_alternative<std::int64_t>(v_);
+  // A moved-from RegVal is ⊥.
+  RegVal(RegVal&& o) noexcept : kind_(o.kind_), u_(o.u_) { o.kind_ = kBottom; }
+  RegVal& operator=(const RegVal& o) noexcept {
+    if (o.kind_ == kTuple && o.u_.t != nullptr) o.u_.t->retain();
+    drop();
+    kind_ = o.kind_;
+    u_ = o.u_;
+    return *this;
   }
-  [[nodiscard]] bool isBool() const { return std::holds_alternative<bool>(v_); }
-  [[nodiscard]] bool isSet() const {
-    return std::holds_alternative<ProcSet>(v_);
+  RegVal& operator=(RegVal&& o) noexcept {
+    if (this != &o) {
+      drop();
+      kind_ = o.kind_;
+      u_ = o.u_;
+      o.kind_ = kBottom;
+    }
+    return *this;
   }
-  [[nodiscard]] bool isTuple() const {
-    return std::holds_alternative<Tuple>(v_);
-  }
+  ~RegVal() { drop(); }
+
+  [[nodiscard]] bool isBottom() const { return kind_ == kBottom; }
+  [[nodiscard]] bool isInt() const { return kind_ == kInt; }
+  [[nodiscard]] bool isBool() const { return kind_ == kBool; }
+  [[nodiscard]] bool isSet() const { return kind_ == kSet; }
+  [[nodiscard]] bool isTuple() const { return kind_ == kTuple; }
 
   // Checked accessors: calling the wrong one on a live simulation is a
   // protocol bug, so they assert rather than return optionals.
-  [[nodiscard]] std::int64_t asInt() const;
-  [[nodiscard]] bool asBool() const;
-  [[nodiscard]] const ProcSet& asSet() const;
-  [[nodiscard]] TupleView asTuple() const;
+  [[nodiscard]] std::int64_t asInt() const {
+    assert(isInt() && "RegVal: expected int");
+    return u_.i;
+  }
+  [[nodiscard]] bool asBool() const {
+    assert(isBool() && "RegVal: expected bool");
+    return u_.b;
+  }
+  [[nodiscard]] const ProcSet& asSet() const {
+    assert(isSet() && "RegVal: expected ProcSet");
+    return u_.s;
+  }
+  [[nodiscard]] TupleView asTuple() const {
+    assert(isTuple() && "RegVal: expected tuple");
+    return u_.t != nullptr ? TupleView{u_.t->cells(), u_.t->size()}
+                           : TupleView{nullptr, 0};
+  }
 
   [[nodiscard]] std::string toString() const;
 
   // Stable structural 64-bit hash (tuples hashed element-wise). Used by
   // the trace hash (sim/trace.h) — must depend only on the value, never
   // on addresses, so that run hashes replay across processes/platforms.
-  [[nodiscard]] std::uint64_t hash64() const;
+  // A tuple's hash is computed once per payload and cached in its block.
+  [[nodiscard]] std::uint64_t hash64() const {
+    switch (kind_) {
+      case kBottom: return mix(kSeed, kBottom);
+      case kInt: return mix(mix(kSeed, kInt), static_cast<std::uint64_t>(u_.i));
+      case kBool: return mix(mix(kSeed, kBool), u_.b ? 2 : 1);
+      case kSet: return mix(mix(kSeed, kSet), u_.s.bits());
+      case kTuple: break;
+    }
+    if (u_.t != nullptr && u_.t->hashed_) return u_.t->hash_;
+    return tupleHash();
+  }
 
   // Deep structural equality (tuples compared element-wise).
   friend bool operator==(const RegVal& a, const RegVal& b);
 
  private:
-  // Immutable packed tuple payload: a single make_shared<RegVal[]>
-  // allocation holds the control block and the elements together (the
-  // previous shared_ptr<const vector<RegVal>> boxing cost two). Copies
-  // stay O(1); contents are never mutated after construction, so sharing
-  // is safe. Kept at the same variant index as the old representation so
-  // hash64() — and with it every recorded trace hash — is unchanged.
-  struct Tuple {
-    std::shared_ptr<const RegVal[]> elems;
-    std::size_t size = 0;
-  };
-  // A tuple of n elements, element i produced by at(i), written straight
-  // into the one make_shared array (control block and elements together).
+  // hash64() seeds with the alternative's number, so 0, false, {} and ⊥
+  // all differ. Every recorded trace hash, digest and stored key depends
+  // on these numbers: never reorder them.
+  enum Kind : std::uint8_t { kBottom, kInt, kBool, kSet, kTuple };
+  static constexpr std::uint64_t kSeed = 0xCBF29CE484222325ULL;
+
+  static constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    return h;
+  }
+  // Hash a tuple's elements and cache the result in its block.
+  [[nodiscard]] std::uint64_t tupleHash() const;
+  // A tuple of n elements, element i produced by at(i), built straight
+  // into one block.
   template <class At>
   static RegVal packed(std::size_t n, At at);
 
-  std::variant<std::monostate, std::int64_t, bool, ProcSet, Tuple> v_;
+  void drop() noexcept {
+    if (kind_ == kTuple && u_.t != nullptr) u_.t->release();
+  }
+
+  Kind kind_ = kBottom;
+  union Payload {
+    Payload() : i(0) {}
+    std::int64_t i;
+    bool b;
+    ProcSet s;
+    CellBlock* t;  // null: the empty tuple
+  } u_;
 };
+
+static_assert(sizeof(RegVal) == 16);
+static_assert(sizeof(CellBlock) % alignof(RegVal) == 0);
 
 inline bool operator!=(const RegVal& a, const RegVal& b) { return !(a == b); }
 

@@ -16,8 +16,10 @@
 // (matching the paper's A[r][k][i] usage).
 #pragma once
 
+#include <coroutine>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/env.h"
@@ -50,16 +52,52 @@ static_assert(std::is_trivially_copyable_v<SnapshotHandle>);
 SnapshotHandle makeSnapshot(Env& env, ObjKey key, int slots);
 SnapshotHandle makeSnapshot(ObjKey key, int slots, SnapshotFlavor flavor);
 
-// update(i, v) / scan() per the paper's object definition. The RegVal is
-// taken by const& (coroutine parameters must be trivially copyable or
-// references — see sim/object_table.h); the referenced value only needs
-// to live until the returned Coro is awaited, which every call site does
-// within the same full expression.
-Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
-                          const RegVal& v);
-// A native scan shares the object's cells (one reference-count increment);
-// an Afek scan wraps the cells its collects built.
-Coro<SlotArray> snapshotScan(Env& env, const SnapshotHandle& h);
+// What snapshotUpdate/snapshotScan return: one awaitable that is either
+// the native object's atomic step itself (an OpAwait, no child frame) or
+// the Afek construction's coroutine (C its result, converted to T).
+// Await it in the full expression that made it, as every call site does.
+template <class T, class C = T>
+class SnapAwait {
+ public:
+  explicit SnapAwait(sim::OpAwait op) : op_(std::move(op)) {}
+  explicit SnapAwait(Coro<C> coro) : coro_(std::move(coro)) {}
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (coro_.handle()) {
+      coro_.await_suspend(h);
+    } else {
+      op_.await_suspend(h);
+    }
+  }
+  T await_resume() {
+    if (coro_.handle()) return T(coro_.await_resume());
+    if constexpr (std::is_same_v<T, SlotArray>) {
+      return std::move(op_.await_resume().snapshot);
+    } else {
+      (void)op_.await_resume();
+      return T{};
+    }
+  }
+
+ private:
+  sim::OpAwait op_;  // the native step (unused for Afek)
+  Coro<C> coro_;     // the Afek coroutine (empty for native)
+};
+
+// update(i, v) / scan() per the paper's object definition. A native op
+// names its object when it is called and copies v into the step's op, so
+// naming happens at the same point of the caller's program as the step.
+// The Afek construction takes v by const& (coroutine parameters must be
+// trivially copyable or references — see sim/object_table.h); the
+// referenced value only needs to live until the awaitable is awaited,
+// which every call site does within the same full expression.
+SnapAwait<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
+                               const RegVal& v);
+// A native scan shares the object's cells (one count increment); an Afek
+// scan wraps the cells its collects built.
+SnapAwait<SlotArray, std::vector<RegVal>> snapshotScan(
+    Env& env, const SnapshotHandle& h);
 
 // ---- Small helpers over scan results (a SlotArray or any vector) ----
 int nonBottomCount(std::span<const RegVal> slots);

@@ -106,23 +106,20 @@ SnapshotHandle makeSnapshot(ObjKey key, int slots, SnapshotFlavor flavor) {
   return SnapshotHandle{std::move(key), slots, flavor};
 }
 
-Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
-                          const RegVal& v) {
+SnapAwait<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
+                               const RegVal& v) {
   assert(slot >= 0 && slot < h.slots);
   if (h.flavor == SnapshotFlavor::kAfek) {
-    co_return co_await afekUpdate(env, h, slot, v);
+    return SnapAwait<Unit>(afekUpdate(env, h, slot, v));
   }
-  co_await env.snapUpdate(nativeId(env, h), slot, v);
-  co_return Unit{};
+  return SnapAwait<Unit>(env.snapUpdate(nativeId(env, h), slot, v));
 }
 
-Coro<SlotArray> snapshotScan(Env& env, const SnapshotHandle& h) {
-  if (h.flavor == SnapshotFlavor::kAfek) {
-    std::vector<RegVal> cells = co_await afekScan(env, h);
-    co_return SlotArray(std::move(cells));
-  }
-  auto r = co_await env.snapScan(nativeId(env, h));
-  co_return std::move(r.snapshot);
+SnapAwait<SlotArray, std::vector<RegVal>> snapshotScan(
+    Env& env, const SnapshotHandle& h) {
+  using Await = SnapAwait<SlotArray, std::vector<RegVal>>;
+  if (h.flavor == SnapshotFlavor::kAfek) return Await(afekScan(env, h));
+  return Await(env.snapScan(nativeId(env, h)));
 }
 
 int nonBottomCount(std::span<const RegVal> slots) {

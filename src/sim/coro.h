@@ -22,9 +22,11 @@
 // single-threaded; a per-thread "current process" pointer connects
 // awaitables to the process context the scheduler is resuming.
 //
-// Frames are recycled: a k-converge call alone opens five, so Coro<T>'s
-// promise allocates through FramePool, a per-thread free list keyed by
-// size class, instead of going to the heap on every call.
+// Frames are recycled: algorithms open one per nested call (k-converge,
+// safe agreement, an Afek snapshot op; a native snapshot op awaits its
+// OpAwait directly and opens none), so Coro<T>'s promise allocates
+// through FramePool, a per-thread free list keyed by size class, instead
+// of going to the heap on every call.
 #pragma once
 
 #include <array>

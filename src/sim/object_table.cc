@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstring>
+#include <system_error>
 
 #include "sim/ops.h"
 
@@ -16,9 +18,13 @@ void ObjKey::append(const char* s) {
 }
 
 void ObjKey::append(int n) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%d", n);
-  append(buf);
+  // Decimal, as "%d" prints it: the text names the object, so ObjIds and
+  // every key-derived hash depend on it.
+  const std::size_t used = std::strlen(tag.data());
+  char* const end = tag.data() + kTagCap - 1;  // keep the NUL
+  const auto [ptr, ec] = std::to_chars(tag.data() + used, end, n);
+  assert(ec == std::errc() && "ObjKey tag overflow");
+  *ptr = '\0';
 }
 
 std::string ObjKey::toString() const {

@@ -9,12 +9,14 @@
 //
 // Snapshot cells are SlotArrays (common/slot_array.h): a scan result, a
 // result-log node and a table Snapshot share an object's cells, and
-// update() copies them only while someone else holds them. That test
-// reads use_count(), so a table, its Snapshots and every scan result
-// taken from it must stay on one thread at a time; hand a whole run to
-// another thread only through a synchronizing hand-off (a pool join).
-// A World checkpoint adds two more such holders, the published outputs
-// and the trace's event vector, under the same rule.
+// update() copies them only while someone else holds them. The cells'
+// holders, like a tuple's, are counted with a plain integer, and that
+// test reads the count, so a table, its Snapshots, every scan result and
+// every register value taken from it must stay on one thread at a time;
+// hand a whole run to another thread only through a synchronizing
+// hand-off (a pool join). A World checkpoint adds two more such holders,
+// the published outputs and the trace's event vector, under the same
+// rule.
 #pragma once
 
 #include <array>

@@ -205,8 +205,7 @@ void Scheduler::resumeSlot(Slot& slot, Pid p) {
       const std::size_t len = head ? head->len + 1 : 1;
       const std::uint64_t digest = stateMix64(
           head ? head->digest : 0, world_->lastResultSignature());
-      head = std::make_shared<ResultNode>(slot.ctx.result, std::move(head),
-                                          len, digest);
+      head = ResultLog::make(slot.ctx.result, std::move(head), len, digest);
     }
     slot.ctx.pending.reset();
     runUntilBlockedOrDone(slot);
@@ -242,8 +241,8 @@ Scheduler::ResultNode::~ResultNode() {
   // The default destructor would release `prev`, whose destructor releases
   // its `prev`, ... one stack frame per logged result. Walk the nodes this
   // one solely owns instead; a node still shared ends the walk (its other
-  // owner frees it later, the same way). Nodes are created non-const by
-  // resume(), so detaching `prev` of a node being freed is well-defined.
+  // owner frees it later, the same way). A LocalPtr stores its node
+  // non-const, so detaching `prev` of a node being freed is well-defined.
   ResultLog p = std::move(prev);
   while (p && p.use_count() == 1) {
     ResultLog next = std::move(const_cast<ResultLog&>(p->prev));

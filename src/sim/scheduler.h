@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/local_ptr.h"
 #include "common/rng.h"
 #include "sim/coro.h"
 #include "sim/env.h"
@@ -172,23 +173,26 @@ class Scheduler {
   //
   // The streams are persistent append-only lists (ResultNode below): a
   // checkpoint shares them by pointer, so taking one costs O(processes),
-  // and two logs with the same head pointer are the same stream.
+  // and two logs with the same head pointer are the same stream. Nodes
+  // count their holders with a plain integer (common/local_ptr.h): a
+  // result log, like the run it belongs to, stays on one thread.
 
   // One consumed result. `prev` is the result before it, so a head pointer
   // names the whole stream; nodes are immutable once linked.
+  struct ResultNode;
+  using ResultLog = LocalPtr<const ResultNode>;
   struct ResultNode {
     OpResult result;
-    std::shared_ptr<const ResultNode> prev;
+    ResultLog prev;
     std::size_t len = 0;         // results in the stream ending here
     std::uint64_t digest = 0;    // resultDigest() after this result
-    ResultNode(OpResult r, std::shared_ptr<const ResultNode> p,
-               std::size_t l, std::uint64_t d)
-        : result(std::move(r)), prev(std::move(p)), len(l), digest(d) {}
+    ResultNode(const OpResult& r, ResultLog p, std::size_t l,
+               std::uint64_t d)
+        : result(r), prev(std::move(p)), len(l), digest(d) {}
     ResultNode(const ResultNode&) = delete;
     ResultNode& operator=(const ResultNode&) = delete;
     ~ResultNode();  // unlinks iteratively: logs can be long
   };
-  using ResultLog = std::shared_ptr<const ResultNode>;
 
   // Capture per-process result streams from here on. Must be called
   // before the first step; costs one node (an OpResult copy) per step.

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/local_ptr.h"
 #include "common/reg_val.h"
 #include "common/types.h"
 
@@ -44,16 +44,17 @@ struct Event {
 // The event vector is shared copy-on-write: copies of a Trace and its
 // Snapshots hold the same vector, and record() copies it first only while
 // another holder still shares it. Like SlotArray (common/slot_array.h),
-// that test reads use_count(), so a trace and every copy or Snapshot of it
-// must stay on one thread at a time.
+// the vector's holders are counted with a plain integer (a LocalPtr,
+// common/local_ptr.h), and that test reads the count, so a trace and every
+// copy or Snapshot of it must stay on one thread at a time.
 class Trace {
  public:
   void record(Time t, Pid p, EventKind k, std::string label, RegVal v) {
     if (muted_) return;
     if (!events_) {
-      events_ = std::make_shared<std::vector<Event>>();
+      events_ = LocalPtr<std::vector<Event>>::make();
     } else if (events_.use_count() > 1) {
-      events_ = std::make_shared<std::vector<Event>>(*events_);
+      events_ = LocalPtr<std::vector<Event>>::make(*events_);
     }
     events_->push_back(Event{t, p, k, std::move(label), std::move(v)});
   }
@@ -75,7 +76,7 @@ class Trace {
 
    private:
     friend class Trace;
-    std::shared_ptr<std::vector<Event>> events;
+    LocalPtr<std::vector<Event>> events;
     std::uint64_t op_digest = 0;
     std::uint64_t ops_mixed = 0;
   };
@@ -140,7 +141,7 @@ class Trace {
     h ^= h >> 33;
     return h;
   }
-  std::shared_ptr<std::vector<Event>> events_;  // null: no events yet
+  LocalPtr<std::vector<Event>> events_;  // null: no events yet
   std::uint64_t op_digest_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   std::uint64_t ops_mixed_ = 0;
   bool muted_ = false;

@@ -79,6 +79,15 @@ guarantees:
                      shares the scanned object's cells
                      (common/slot_array.h), so a vector there would copy
                      every cell of every scan again
+  atomic-share       std::shared_ptr / std::make_shared in the payloads a
+                     run copies on every step (src/common/reg_val.{h,cc},
+                     src/common/slot_array.h, src/sim/trace.h) and in the
+                     scheduler's result log (src/sim/scheduler.{h,cc}):
+                     once a second thread exists, libstdc++ counts
+                     shared_ptr holders with locked read-modify-writes.
+                     These values stay on their run's thread, so they
+                     count holders with a plain integer (a CellBlock,
+                     common/reg_val.h, or a LocalPtr, common/local_ptr.h)
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -137,6 +146,17 @@ THREAD_SPAWN_EXCLUDES = ["src/sim/steal_pool.h", "src/sim/steal_pool.cc"]
 TEXT_CODEC_DIRS = ["src/sim"]
 # The scan-copy rule binds the files a scan result is made and typed in.
 SCAN_VIEW_FILES = ["src/sim/ops.h", "src/sim/world.cc"]
+# The atomic-share rule binds the single-thread payloads and the result
+# log. FailurePattern (sim/world.h) keeps its shared_ptr: a checkpoint's
+# pattern is immutable and may cross threads.
+SINGLE_THREAD_SHARE_FILES = [
+    "src/common/reg_val.h",
+    "src/common/reg_val.cc",
+    "src/common/slot_array.h",
+    "src/sim/trace.h",
+    "src/sim/scheduler.h",
+    "src/sim/scheduler.cc",
+]
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -347,6 +367,15 @@ RULES = [
         "cell of every scan, once per step and again per result-log node",
         SCAN_VIEW_FILES,
     ),
+    (
+        "atomic-share",
+        re.compile(r"\bstd::(?:shared_ptr|make_shared)\b"),
+        "a run's tuples, cells, trace events and result log stay on its "
+        "thread, and std::shared_ptr pays a locked read-modify-write per "
+        "copy once a second thread exists: count holders with a CellBlock "
+        "(common/reg_val.h) or a LocalPtr (common/local_ptr.h)",
+        SINGLE_THREAD_SHARE_FILES,
+    ),
 ]
 
 
@@ -527,6 +556,13 @@ VIOLATING_SNIPPETS = {
         "  std::vector<RegVal> snapshot;\n"
         "};\n"
     ),
+    # The tuple payload as RegVal held it before it had a block of its own.
+    "atomic-share": (
+        "struct Tuple {\n"
+        "  std::shared_ptr<const RegVal[]> elems;\n"
+        "  std::size_t size = 0;\n"
+        "};\n"
+    ),
 }
 
 CLEAN_SNIPPET = """\
@@ -694,6 +730,33 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: scan-copy {verb} in {rel}")
+    # atomic-share binds the single-thread payloads and the result log,
+    # whose files as they stand are clean; World keeps the failure
+    # pattern's shared_ptr.
+    share = VIOLATING_SNIPPETS["atomic-share"]
+    log = "using ResultLog = std::shared_ptr<const ResultNode>;\n"
+    for rel, text, what, fires in (
+        ("src/common/reg_val.h", share, "a shared_ptr tuple", True),
+        ("src/common/slot_array.h", share, "a shared_ptr tuple", True),
+        ("src/sim/trace.h", share, "a shared_ptr tuple", True),
+        ("src/sim/scheduler.h", log, "a shared_ptr log", True),
+        ("src/sim/scheduler.cc", log, "a shared_ptr log", True),
+        ("src/sim/world.h", share, "a shared_ptr tuple", False),
+        ("src/common/reg_val.h",
+         (repo / "src/common/reg_val.h").read_text(encoding="utf-8"),
+         "the file", False),
+        ("src/sim/scheduler.h",
+         (repo / "src/sim/scheduler.h").read_text(encoding="utf-8"),
+         "the file", False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
+        if ("atomic-share" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: atomic-share {verb} on {what} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: atomic-share {verb} on {what} in {rel}")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
