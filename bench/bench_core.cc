@@ -15,10 +15,11 @@
 //                  awaits a fresh child that issues the op, so the row
 //                  isolates the frame alloc/free of nested algorithm
 //                  calls (an Afek snapshot op opens one per call);
-//   * naming, snap-update, snap-update-digest
+//   * naming, naming-fresh, snap-update, snap-update-digest
 //                  perf-ledger rows that isolate one ObjectTable layer
 //                  each; their "steps" are table calls, not scheduler
-//                  steps.
+//                  steps. `naming` resolves existing keys, `naming-fresh`
+//                  creates every object into a fresh table.
 //   * checkpoint, restore-kept
 //                  ledger rows for the explorer's checkpoint layer: take
 //                  and drop a RunCheckpoint of a mid-run Fig. 1 run, and
@@ -260,6 +261,29 @@ Measurement namingRow(Time ops) {
   return m;
 }
 
+// `naming-fresh`: the Fig. 1 key population of 8 rounds (81 objects, about
+// the 65 a service segment names) named into a fresh ObjectTable per pass,
+// so every call creates its object and the index grows from empty: the
+// path a service segment pays for its fresh inner World. Runs whole
+// passes until `ops` calls are made.
+Measurement namingFreshRow(Time ops) {
+  const int n_plus_1 = 4;
+  const Fig1Keys keys = fig1Keys(8, n_plus_1);
+  const auto per_pass = static_cast<Time>(keys.regs.size() + keys.snaps.size());
+  Measurement m;
+  const WallTimer t;
+  while (m.steps < ops) {
+    sim::ObjectTable tbl;
+    for (const auto& k : keys.regs) benchmark::DoNotOptimize(tbl.regId(k));
+    for (const auto& k : keys.snaps) {
+      benchmark::DoNotOptimize(tbl.snapId(k, n_plus_1));
+    }
+    m.steps += per_pass;
+  }
+  m.seconds = t.seconds();
+  return m;
+}
+
 // `snap-update` / `snap-update-digest`: ObjectTable::update of a k-converge
 // tuple cell into a 5-slot snapshot. Plain runs never read the state
 // digest; the explorer reads xorContentsDigest() after every step, which
@@ -497,6 +521,10 @@ int main(int argc, char** argv) {
   const int fig3_runs = args.quick ? 5 : 20;
   const Time fig3_budget = 60'000;
   const Time ledger_ops = args.quick ? 200'000 : 2'000'000;
+  // The naming rows run >= ~20 ms a repeat in both modes: a shorter row
+  // read bimodally across invocations of one binary.
+  const Time naming_ops = 2'000'000;
+  const Time naming_fresh_ops = 1'000'000;
 
   banner("core step-loop throughput (steps/s)");
   Table table(
@@ -558,7 +586,8 @@ int main(int argc, char** argv) {
       report("fig2", 5, [&] { return fig2Sweep(fig12_runs); });
   const Measurement f3 =
       report("fig3", 4, [&] { return fig3Sweep(fig3_runs, fig3_budget); });
-  report("naming", 4, [&] { return namingRow(ledger_ops); });
+  report("naming", 4, [&] { return namingRow(naming_ops); });
+  report("naming-fresh", 4, [&] { return namingFreshRow(naming_fresh_ops); });
   report("snap-update", 5, [&] { return snapUpdateRow(ledger_ops, false); });
   report("snap-update-digest", 5,
          [&] { return snapUpdateRow(ledger_ops, true); });

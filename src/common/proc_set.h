@@ -21,6 +21,17 @@
 
 namespace wfd {
 
+// The number of set bits in x. A target without the POPCNT instruction,
+// such as baseline x86-64, compiles __builtin_popcountll to a call into
+// libgcc (__popcountdi2); this branch-free count gives the same result
+// inline.
+[[nodiscard]] constexpr int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
 class ProcSet {
  public:
   constexpr ProcSet() = default;
@@ -61,7 +72,7 @@ class ProcSet {
     return p >= 0 && p < kMaxProcs && ((bits_ >> p) & 1) != 0;
   }
 
-  [[nodiscard]] int size() const { return __builtin_popcountll(bits_); }
+  [[nodiscard]] int size() const { return popcount64(bits_); }
   [[nodiscard]] bool empty() const { return bits_ == 0; }
   [[nodiscard]] std::uint64_t bits() const { return bits_; }
 
@@ -106,7 +117,7 @@ class ProcSet {
     Pid base = 0;
     for (int half = 32; half >= 8; half /= 2) {
       const auto lo = static_cast<unsigned>(
-          __builtin_popcountll(b & ((std::uint64_t{1} << half) - 1)));
+          popcount64(b & ((std::uint64_t{1} << half) - 1)));
       if (r >= lo) {
         r -= lo;
         base += half;

@@ -2,11 +2,12 @@
 
 #include <new>
 
+#include "common/frame_pool.h"
+
 namespace wfd {
 
 CellBlock* CellBlock::allocate(std::size_t n) {
-  void* p = ::operator new(sizeof(CellBlock) + n * sizeof(RegVal));
-  return ::new (p) CellBlock(n);
+  return ::new (FramePool::allocate(bytes(n))) CellBlock(n);
 }
 
 void* CellBlock::cellStorage(std::size_t i) {
@@ -16,8 +17,9 @@ void* CellBlock::cellStorage(std::size_t i) {
 void CellBlock::destroy(CellBlock* b) noexcept {
   RegVal* const cells = b->cells();
   for (std::size_t i = 0; i < b->size_; ++i) cells[i].~RegVal();
+  const std::size_t n = b->size_;
   b->~CellBlock();
-  ::operator delete(static_cast<void*>(b));
+  FramePool::deallocate(b, bytes(n));
 }
 
 CellBlock* CellBlock::make(std::size_t n) {

@@ -28,7 +28,10 @@ class RegVal;
 // The shared payload of a RegVal tuple and of a SlotArray
 // (common/slot_array.h): a header and `size` RegVal cells in one
 // allocation. The header counts the block's holders with a plain integer
-// and caches a tuple's hash64(), computed on first use.
+// and caches a tuple's hash64(), computed on first use. Blocks come from
+// FramePool (common/frame_pool.h), the per-thread size-class pool that
+// coroutine frames use too: a dropped tuple's block is reused by the next
+// block of its class on the thread that dropped it.
 //
 // Thread confinement: the count is not atomic, so every holder of one
 // block must live on one thread at a time. A run keeps all its values on
@@ -42,6 +45,9 @@ class CellBlock {
   static CellBlock* make(std::size_t n);
   // A block holding copies of b's cells, held once.
   static CellBlock* copyOf(const CellBlock& b);
+
+  // Bytes a block of n cells takes: the header, then the cells.
+  static constexpr std::size_t bytes(std::size_t n);
 
   void retain() noexcept { ++refs_; }
   void release() noexcept {
@@ -225,6 +231,10 @@ class RegVal {
 
 static_assert(sizeof(RegVal) == 16);
 static_assert(sizeof(CellBlock) % alignof(RegVal) == 0);
+
+constexpr std::size_t CellBlock::bytes(std::size_t n) {
+  return sizeof(CellBlock) + n * sizeof(RegVal);
+}
 
 inline bool operator!=(const RegVal& a, const RegVal& b) { return !(a == b); }
 

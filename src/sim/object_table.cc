@@ -35,57 +35,106 @@ std::string ObjKey::toString() const {
   return s;
 }
 
-ObjId ObjectTable::create(const ObjKey& key, Object obj) {
+ObjectTable::Probe ObjectTable::probe(const ObjKey& key) const {
+  const std::uint64_t h = ObjKeyHash{}(key);
+  if (index_.empty()) return {h, -1};
+  for (std::size_t i = static_cast<std::size_t>(h) & mask_;;
+       i = (i + 1) & mask_) {
+    const IndexSlot& e = index_[i];
+    if (e.id < 0) return {h, -1};
+    if (e.hash == h && objects_[static_cast<std::size_t>(e.id)].key == key) {
+      return {h, e.id};
+    }
+  }
+}
+
+std::size_t ObjectTable::emptySlotFor(std::uint64_t hash) const {
+  std::size_t i = static_cast<std::size_t>(hash) & mask_;
+  while (index_[i].id >= 0) i = (i + 1) & mask_;
+  return i;
+}
+
+void ObjectTable::enter(std::uint64_t hash, ObjId id) {
+  if ((static_cast<std::size_t>(id) + 1) * 4 > index_.size() * 3) grow();
+  index_[emptySlotFor(hash)] = IndexSlot{hash, id};
+}
+
+void ObjectTable::grow() {
+  std::vector<IndexSlot> old(index_.empty() ? kMinIndex : index_.size() * 2);
+  old.swap(index_);
+  mask_ = index_.size() - 1;
+  for (const IndexSlot& e : old) {
+    if (e.id >= 0) index_[emptySlotFor(e.hash)] = e;
+  }
+}
+
+void ObjectTable::erase(std::uint64_t hash, ObjId id) {
+  std::size_t hole = static_cast<std::size_t>(hash) & mask_;
+  while (index_[hole].id != id) hole = (hole + 1) & mask_;
+  // An entry later in the run moves into the hole unless its home slot
+  // lies cyclically after the hole: then the hole is not on its chain.
+  for (std::size_t j = (hole + 1) & mask_; index_[j].id >= 0;
+       j = (j + 1) & mask_) {
+    const std::size_t home = static_cast<std::size_t>(index_[j].hash) & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = IndexSlot{};
+}
+
+ObjId ObjectTable::create(const Probe& at, const ObjKey& key, Object obj) {
   const ObjId id = static_cast<ObjId>(objects_.size());
   obj.key = key;
+  enter(at.hash, id);
   objects_.push_back(std::move(obj));
-  ids_.emplace(key, id);
   markStale(id, objects_.back());
   return id;
 }
 
 ObjId ObjectTable::regId(const ObjKey& key) {
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    assert(objects_[static_cast<std::size_t>(it->second)].kind ==
+  const Probe at = probe(key);
+  if (at.id >= 0) {
+    assert(objects_[static_cast<std::size_t>(at.id)].kind ==
                Kind::kRegister &&
            "object kind mismatch: register requested");
-    return it->second;
+    return at.id;
   }
-  return create(key, Object{});
+  return create(at, key, Object{});
 }
 
 ObjId ObjectTable::snapId(const ObjKey& key, int slots) {
   assert(slots > 0);
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    const auto& obj = objects_[static_cast<std::size_t>(it->second)];
+  const Probe at = probe(key);
+  if (at.id >= 0) {
+    const auto& obj = objects_[static_cast<std::size_t>(at.id)];
     assert(obj.kind == Kind::kSnapshot &&
            "object kind mismatch: snapshot requested");
     assert(static_cast<int>(obj.slots.size()) == slots &&
            "snapshot size mismatch across processes");
-    return it->second;
+    return at.id;
   }
   Object obj;
   obj.kind = Kind::kSnapshot;
   obj.slots = SlotArray(static_cast<std::size_t>(slots));
-  return create(key, std::move(obj));
+  return create(at, key, std::move(obj));
 }
 
 ObjId ObjectTable::consId(const ObjKey& key, int ports) {
   assert(ports > 0);
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    const auto& obj = objects_[static_cast<std::size_t>(it->second)];
+  const Probe at = probe(key);
+  if (at.id >= 0) {
+    const auto& obj = objects_[static_cast<std::size_t>(at.id)];
     assert(obj.kind == Kind::kConsensus &&
            "object kind mismatch: consensus requested");
     assert(obj.ports == ports && "consensus port limit mismatch");
-    return it->second;
+    return at.id;
   }
   Object obj;
   obj.kind = Kind::kConsensus;
   obj.ports = ports;
-  return create(key, std::move(obj));
+  return create(at, key, std::move(obj));
 }
 
 const RegVal& ObjectTable::read(ObjId id) const {
@@ -134,18 +183,18 @@ RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
 }
 
 void ObjectTable::restore(const Snapshot& s) {
-  // Objects are only ever appended, so ids_ maps objects_[i].key to i.
-  // Up to the first position whose key differs, the live table and the
+  // Objects are only ever appended, so the index maps objects_[i].key to
+  // i. Up to the first position whose key differs, the live table and the
   // snapshot name the same objects under the same ids; from there on,
   // drop the live names and enter the snapshot's.
   const std::size_t common = std::min(objects_.size(), s.objects.size());
   std::size_t same = 0;
   while (same < common && objects_[same].key == s.objects[same].key) ++same;
   for (std::size_t i = same; i < objects_.size(); ++i) {
-    ids_.erase(objects_[i].key);
+    erase(ObjKeyHash{}(objects_[i].key), static_cast<ObjId>(i));
   }
   for (std::size_t i = same; i < s.objects.size(); ++i) {
-    ids_.emplace(s.objects[i].key, static_cast<ObjId>(i));
+    enter(ObjKeyHash{}(s.objects[i].key), static_cast<ObjId>(i));
   }
   objects_ = s.objects;
   xdigest_ = s.xdigest;

@@ -5,7 +5,9 @@
 // A[r][k], ...) can materialize objects lazily and deterministically: the
 // first reference under a key creates the object with ⊥-initialized
 // contents. Key resolution is a local (zero-step) action — what costs a
-// step is *operating* on the object, never naming it.
+// step is *operating* on the object, never naming it. Keys resolve
+// through a flat open-addressed index (see `index_` below), so naming
+// allocates nothing but the index's own array as it grows.
 //
 // Snapshot cells are SlotArrays (common/slot_array.h): a scan result, a
 // result-log node and a table Snapshot share an object's cells, and
@@ -25,7 +27,6 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/reg_val.h"
@@ -77,7 +78,7 @@ static_assert(sizeof(ObjKey) % sizeof(std::uint64_t) == 0);
 
 // Mixes the key's 64-bit words (six of them: the tag buffer and the four
 // indices). Used only for lookup; the table never iterates its index, so
-// bucket order cannot reach a trace.
+// slot order cannot reach a trace.
 struct ObjKeyHash {
   std::size_t operator()(const ObjKey& k) const noexcept {
     std::array<std::uint64_t, sizeof(ObjKey) / sizeof(std::uint64_t)> w;
@@ -151,7 +152,8 @@ class ObjectTable {
   // key, its register value (a tuple by reference: tuples are immutable)
   // and one reference to its copy-on-write cells. The key index is not
   // copied; restore() repairs the live one from the keys the objects
-  // record. Taking a Snapshot flushes the digest first, so it
+  // record, erasing the names past the common prefix and entering the
+  // snapshot's. Taking a Snapshot flushes the digest first, so it
   // never carries dirty state and restoring one leaves nothing to flush.
   // The access observer is part of the *run's* wiring, not the memory
   // state, and survives a restore.
@@ -227,8 +229,31 @@ class ObjectTable {
   // ones up to date.
   [[nodiscard]] static std::uint64_t objectComponent(ObjId id,
                                                      const Object& obj);
-  // Append a new object (stale, so the next flush mixes it in).
-  ObjId create(const ObjKey& key, Object obj);
+  // One slot of the key index: a key's ObjKeyHash and its id, or id -1
+  // for an empty slot.
+  struct IndexSlot {
+    std::uint64_t hash = 0;
+    ObjId id = -1;
+  };
+  // A key's hash and its id, or id -1 when no object has that name.
+  struct Probe {
+    std::uint64_t hash;
+    ObjId id;
+  };
+  [[nodiscard]] Probe probe(const ObjKey& key) const;
+  // The empty slot that ends the probe chain of `hash`.
+  [[nodiscard]] std::size_t emptySlotFor(std::uint64_t hash) const;
+  // Enter an absent name under `id`. The index holds ids 0..id-1, so
+  // `id` counts its entries; it grows first when one more would pass 3/4
+  // load.
+  void enter(std::uint64_t hash, ObjId id);
+  void grow();
+  // Remove the entry of `id`, whose key hashes to `hash`, shifting the
+  // rest of its run back so every chain stays unbroken.
+  void erase(std::uint64_t hash, ObjId id);
+  // Append a new object (stale, so the next flush mixes it in) and name
+  // it in the index.
+  ObjId create(const Probe& at, const ObjKey& key, Object obj);
   void markStale(ObjId id, const Object& obj) {
     if (!obj.stale) {
       obj.stale = true;
@@ -237,7 +262,17 @@ class ObjectTable {
   }
   void flushDigest() const;
 
-  std::unordered_map<ObjKey, ObjId, ObjKeyHash> ids_;
+  // The key index, flat and open-addressed: a key's home slot is the low
+  // bits of its ObjKeyHash, a collision probes linearly to the next slot
+  // (wrapping past the end), and a key is compared, through
+  // objects_[id].key, only on a full hash match. The capacity is a power
+  // of two (or zero before the first object), doubled when an entry
+  // would pass 3/4 load. It holds one entry per object, so
+  // objects_.size() counts its entries. restore() removes names with
+  // backward-shift deletion, so no tombstone ever lengthens a chain.
+  static constexpr std::size_t kMinIndex = 16;
+  std::vector<IndexSlot> index_;
+  std::size_t mask_ = 0;
   std::vector<Object> objects_;
   mutable std::uint64_t xdigest_ = 0;
   mutable std::vector<ObjId> dirty_;  // stale objects, in first-touch order

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace wfd {
 namespace {
 
@@ -180,6 +182,28 @@ TEST(ProcSet, IteratorIsForwardIterator) {
   EXPECT_EQ(*it, 9);
   ++it;
   EXPECT_EQ(it, s.end());
+}
+
+// popcount64 is the inline count size() and nth() use in place of a
+// libgcc call; it must count exactly as the builtin does.
+TEST(ProcSet, InlinePopcountMatchesTheBuiltin) {
+  static_assert(popcount64(0) == 0);
+  static_assert(popcount64(~std::uint64_t{0}) == 64);
+  static_assert(popcount64(0x8000000000000001ULL) == 2);
+  Rng rng(64);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t w = rng.next();
+    // Dense and sparse words as well as uniform ones.
+    for (const std::uint64_t x : {w, w & rng.next(), w | rng.next()}) {
+      ASSERT_EQ(popcount64(x), __builtin_popcountll(x)) << std::hex << x;
+      ASSERT_EQ(ProcSet::fromBits(x).size(), __builtin_popcountll(x));
+    }
+  }
+  for (int b = 0; b < 64; ++b) {
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    EXPECT_EQ(popcount64(bit), 1);
+    EXPECT_EQ(popcount64(bit - 1), b);
+  }
 }
 
 }  // namespace

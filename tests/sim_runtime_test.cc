@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
 #include <thread>
 
+#include "sim/steal_pool.h"
 #include "test_util.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -340,6 +343,105 @@ TEST(ObjectTable, RestoreAcrossBranchesResolvesKeysLikeAFreshTable) {
   expectResolvesLike(empty, branch_a, "A restored into a fresh table");
 }
 
+// The flat key index against a std::map reference. Seeded regId/snapId/
+// consId calls interleave with snapshots and with restores to any saved
+// snapshot (a sibling branch or an ancestor) and into a fresh table;
+// every id must be the one the reference hands out in first-reference
+// order. The pool mixes ordinary keys with keys whose ObjKeyHash ends in
+// twelve 1 bits: their home is the last slot at every capacity up to
+// 4096, so their chains wrap to slot 0, and a grow re-enters them ahead
+// of older keys of the same chain. A restore that then drops such a key
+// must shift the older ones back, or they become unreachable. The index
+// grows through every capacity from 16 to 4096.
+TEST(ObjectTable, FlatIndexMatchesAMapAcrossSnapshotsAndRestores) {
+  struct Named {
+    ObjKey key;
+    int kind;  // 0 register, 1 snapshot, 2 consensus
+  };
+  std::vector<Named> pool;
+  const char* const tags[] = {"D", "conv.A", "Ann", "Stable"};
+  for (int i = 0; i < 1600; ++i) {
+    ObjKey k(tags[i % 4], i / 4);
+    if (i % 5 == 0) k.append(i % 7);
+    pool.push_back({k, i % 3});
+  }
+  for (int i = 0, wrapping = 0; wrapping < 48; ++i) {
+    const ObjKey k("wrap", i);
+    if ((sim::ObjKeyHash{}(k) & 0xFFF) == 0xFFF) {
+      pool.push_back({k, wrapping % 3});
+      ++wrapping;
+    }
+  }
+  const auto name = [](sim::ObjectTable& tbl, const Named& n) {
+    switch (n.kind) {
+      case 0: return tbl.regId(n.key);
+      case 1: return tbl.snapId(n.key, 2);
+      default: return tbl.consId(n.key, 3);
+    }
+  };
+  // The reference: ids by key, and keys by id.
+  std::map<ObjKey, sim::ObjId> ref;
+  std::vector<std::size_t> order;  // pool index of each id
+  const auto expectNames = [&](sim::ObjectTable& tbl, std::size_t p) {
+    const auto [it, fresh] =
+        ref.emplace(pool[p].key, static_cast<sim::ObjId>(order.size()));
+    if (fresh) order.push_back(p);
+    ASSERT_EQ(name(tbl, pool[p]), it->second) << pool[p].key.toString();
+    ASSERT_EQ(tbl.objectCount(), order.size());
+  };
+  const auto resetTo = [&](const std::vector<std::size_t>& ids) {
+    order = ids;
+    ref.clear();
+    for (std::size_t id = 0; id < order.size(); ++id) {
+      ref.emplace(pool[order[id]].key, static_cast<sim::ObjId>(id));
+    }
+  };
+  struct Saved {
+    sim::ObjectTable::Snapshot snap;
+    std::vector<std::size_t> order;
+  };
+  std::vector<Saved> saved;
+  auto tbl = std::make_unique<sim::ObjectTable>();
+  Rng rng(2007);
+  std::size_t most = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 4) {
+      Saved s;
+      tbl->snapshot(s.snap);
+      s.order = order;
+      if (saved.size() < 12) {
+        saved.push_back(std::move(s));
+      } else {
+        saved[rng.below(saved.size())] = std::move(s);
+      }
+    } else if (roll < 8 && !saved.empty()) {
+      const Saved& s = saved[rng.below(saved.size())];
+      if (roll == 7) tbl = std::make_unique<sim::ObjectTable>();
+      tbl->restore(s.snap);
+      resetTo(s.order);
+      ASSERT_EQ(tbl->objectCount(), order.size());
+      for (const std::size_t p : order) expectNames(*tbl, p);
+    } else {
+      // Mostly keys near the front of the pool, so names repeat.
+      const std::size_t span = roll < 60 ? 400 : pool.size();
+      expectNames(*tbl, rng.below(span));
+    }
+    most = std::max(most, order.size());
+    if (HasFatalFailure()) return;
+  }
+  // Name the whole pool, then restore it into a fresh table.
+  for (std::size_t p = 0; p < pool.size(); ++p) expectNames(*tbl, p);
+  Saved all;
+  tbl->snapshot(all.snap);
+  all.order = order;
+  sim::ObjectTable fresh;
+  fresh.restore(all.snap);
+  for (std::size_t p = 0; p < pool.size(); ++p) expectNames(fresh, p);
+  most = std::max(most, order.size());
+  EXPECT_GT(most, 2048u * 3 / 4);  // past the last grow, to 4096 slots
+}
+
 // A scan result and a table snapshot share the object's cells; an update
 // after either copies the cells instead of writing through, so both keep
 // what they saw. Restoring the snapshot brings the old cells back.
@@ -649,9 +751,9 @@ TEST(FailurePattern, RandomRespectsBounds) {
   }
 }
 
-// ---- Coroutine frame recycling (sim/coro.h FramePool) ---------------------
+// ---- Block recycling (common/frame_pool.h FramePool) ----------------------
 
-using sim::FramePool;
+using wfd::FramePool;
 
 std::uint32_t pooledTotal() {
   std::uint32_t n = 0;
@@ -677,6 +779,10 @@ std::uint64_t fig1TraceHash() {
 }
 
 Coro<Unit> idle() { co_return Unit{}; }
+
+RegVal triple(Value v) {
+  return RegVal::tuple({RegVal(v), RegVal(v + 1), RegVal(v + 2)});
+}
 
 TEST(FramePool, WarmPoolRunsReplayColdPoolAndFreshThreadRuns) {
   FramePool::trim();
@@ -766,7 +872,96 @@ TEST(FramePool, PoolStaysWithinItsCap) {
   EXPECT_EQ(pooledTotal(), FramePool::kCap);
   FramePool::trim();
   EXPECT_EQ(pooledTotal(), 0u);
+  // Cell blocks share the cap.
+  std::vector<RegVal> tuples;
+  for (std::uint32_t i = 0; i < 2 * FramePool::kCap; ++i) {
+    tuples.push_back(triple(static_cast<Value>(i)));
+  }
+  tuples.clear();
+  EXPECT_EQ(FramePool::pooled(FramePool::classOf(CellBlock::bytes(3))),
+            FramePool::kCap);
+  EXPECT_EQ(pooledTotal(), FramePool::kCap);
+  FramePool::trim();
 }
+
+// ---- Cell blocks: tuples and SlotArray cells come from the same pool ------
+
+// A 3-tuple's block and a 4-cell SlotArray's fall in one size class.
+TEST(FramePool, FreedCellBlockIsReusedByTheNextBlockOfItsClass) {
+  const std::size_t c = FramePool::classOf(CellBlock::bytes(3));
+  ASSERT_EQ(c, FramePool::classOf(CellBlock::bytes(4)));
+  FramePool::trim();
+  const RegVal* block = nullptr;
+  {
+    const RegVal t = triple(1);
+    block = t.asTuple().begin();
+  }
+  EXPECT_EQ(FramePool::pooled(c), 1u);
+  {
+    const RegVal t = triple(5);
+    EXPECT_EQ(t.asTuple().begin(), block);
+    EXPECT_EQ(pooledTotal(), 0u);
+  }
+  const RegVal* copy = nullptr;
+  {
+    SlotArray cells(4);
+    EXPECT_EQ(cells.begin(), block);
+    cells.set(0, RegVal(Value{9}));
+    const SlotArray view = cells;
+    cells.set(1, RegVal(Value{8}));  // copies into a new block of the class
+    copy = cells.begin();
+    EXPECT_NE(copy, block);
+    EXPECT_EQ(view.begin(), block);
+  }  // frees `view`'s block, then `cells`'s
+  EXPECT_EQ(FramePool::pooled(c), 2u);
+  {
+    const RegVal t = triple(7);  // the last block freed comes back first
+    EXPECT_EQ(t.asTuple().begin(), copy);
+  }
+  FramePool::trim();
+}
+
+TEST(FramePool, TupleBuiltOnAPoolWorkerLandsInTheCallersPool) {
+  constexpr std::size_t kJobs = 16;
+  std::vector<RegVal> tuples(kJobs);
+  std::atomic<std::size_t> foreign{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  sim::runPool(kJobs, 4, /*steal=*/false, [&](std::size_t job, int) {
+    if (std::this_thread::get_id() != caller) ++foreign;
+    tuples[job] = triple(static_cast<Value>(job));
+  });
+  EXPECT_EQ(foreign.load(), kJobs);
+  const std::size_t c = FramePool::classOf(CellBlock::bytes(3));
+  FramePool::trim();
+  tuples.clear();
+  EXPECT_EQ(FramePool::pooled(c), kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    tuples.push_back(triple(static_cast<Value>(i)));
+  }
+  EXPECT_EQ(FramePool::pooled(c), 0u);  // the caller's next tuples reuse them
+  EXPECT_EQ(tuples[3], triple(3));
+  tuples.clear();
+  FramePool::trim();
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePool, UseOfAFreedTupleStillReports) {
+  FramePool::trim();
+  const RegVal* cell = nullptr;
+  {
+    const RegVal t = triple(1);
+    cell = t.asTuple().begin();
+  }  // the block is now a poisoned block on the free list
+  EXPECT_TRUE(__asan_address_is_poisoned(cell));
+  EXPECT_DEATH(
+      {
+        const volatile bool seen = cell->isInt();
+        (void)seen;
+      },
+      "use-after-poison");
+  FramePool::trim();
+}
+#endif
 
 }  // namespace
 }  // namespace wfd

@@ -40,8 +40,15 @@ guarantees:
                      vector instead; and std::unordered_set /
                      std::unordered_map in the explorer's DFS walk
                      (src/sim/explore.cc), whose memo is probed once or
-                     twice per executed step: use the flat digest table
-                     (sim/digest_set.h) or a vector
+                     twice per executed step, and in the object table
+                     (src/sim/object_table.{h,cc}), whose key index is
+                     probed at about the step rate and filled once per
+                     fresh World: use a flat open-addressed table
+                     (sim/digest_set.h, ObjectTable's index) or a vector;
+                     and raw operator new / operator delete in
+                     src/common/reg_val.cc, where every tuple and
+                     snapshot cell array is a block: take blocks from
+                     FramePool (common/frame_pool.h)
   nondet-iteration   range-for over a std::unordered_{map,set,...} in ALL
                      of src/ (including src/sim, where merely owning an
                      unordered container is legal, e.g. sim/report_cache):
@@ -120,6 +127,11 @@ ALGO_HOT_PATH_FILES = ["src/memory/snapshot_afek.cc", "src/core/kconverge.cc"]
 # The explorer's DFS walk: it probes the kDag memo once or twice per
 # executed step and keeps one checkpoint per depth.
 EXPLORE_HOT_PATH_FILES = ["src/sim/explore.cc"]
+# The object table's key index: every native snapshot op resolves a key,
+# and the service names ~65 objects into a fresh World per segment.
+OBJECT_TABLE_FILES = ["src/sim/object_table.h", "src/sim/object_table.cc"]
+# Cell blocks: a tuple per snapshot update, a cell array per copy.
+CELL_BLOCK_FILES = ["src/common/reg_val.cc"]
 HOT_PATH_WHY = (
     "the per-step hot path is allocation-lean by contract (docs/PERF.md): "
     "in the scheduler/policies select pids with ProcSet::nth/nextAbove/"
@@ -128,7 +140,9 @@ HOT_PATH_WHY = (
     "sort and dedup a std::vector instead of building a node-based "
     "std::set/std::map; in the explorer's walk keep search state flat "
     "(the memo is a sim/digest_set.h DigestSet), not in a node-based "
-    "std::unordered_set/std::unordered_map"
+    "std::unordered_set/std::unordered_map, and so is the object table's "
+    "key index; CellBlocks come from FramePool (common/frame_pool.h), "
+    "not from raw operator new/delete"
 )
 # The iteration rule binds the whole library tree: unlike declaring an
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
@@ -293,11 +307,19 @@ RULES = [
         ALGO_HOT_PATH_FILES,
     ),
     (
-        # Same rule, explorer side: one heap node per memoized state.
+        # Same rule, explorer and naming side: one heap node per memoized
+        # state or named object.
         "hot-path-alloc",
         re.compile(r"std::unordered_(?:set|map)\b"),
         HOT_PATH_WHY,
-        EXPLORE_HOT_PATH_FILES,
+        EXPLORE_HOT_PATH_FILES + OBJECT_TABLE_FILES,
+    ),
+    (
+        # Same rule, cell side: a general-heap block per tuple.
+        "hot-path-alloc",
+        re.compile(r"\boperator\s+(?:new|delete)\b"),
+        HOT_PATH_WHY,
+        CELL_BLOCK_FILES,
     ),
     (
         "nondet-iteration",
@@ -615,19 +637,35 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: hot-path-alloc {verb} on std::set in {rel}")
-    # The explorer half binds src/sim/explore.cc alone: the node-based memo
-    # the walk once declared fires there, the file as it stands is clean,
-    # and the report cache may keep its unordered map.
+    # The explorer half binds src/sim/explore.cc, and the naming half the
+    # object table: the node-based memo the walk once declared and the
+    # table's former key index fire there, the files as they stand are
+    # clean, and the report cache may keep its unordered map. The cell
+    # half binds reg_val.cc: its former CellBlock::allocate fires there
+    # and nowhere else (the block pool itself calls operator new).
     repo = pathlib.Path(__file__).resolve().parent.parent
     node_memo = "std::unordered_set<std::uint64_t> memo;\n"
-    explore_cc = (repo / "src/sim/explore.cc").read_text(encoding="utf-8")
-    for rel, text, fires in (
-        ("src/sim/explore.cc", node_memo, True),
-        ("src/sim/explore.cc", explore_cc, False),
-        ("src/sim/report_cache.h", node_memo, False),
-    ):
+    node_index = "  std::unordered_map<ObjKey, ObjId, ObjKeyHash> ids_;\n"
+    heap_cells = (
+        "CellBlock* CellBlock::allocate(std::size_t n) {\n"
+        "  void* p = ::operator new(sizeof(CellBlock) + n * sizeof(RegVal));\n"
+        "  return ::new (p) CellBlock(n);\n"
+        "}\n"
+    )
+    cases = [
+        ("src/sim/explore.cc", node_memo, "a node-based memo", True),
+        ("src/sim/report_cache.h", node_memo, "a node-based memo", False),
+        ("src/sim/object_table.h", node_index, "the node-based index", True),
+        ("src/sim/object_table.cc", node_index, "the node-based index", True),
+        ("src/common/reg_val.cc", heap_cells, "heap cell blocks", True),
+        ("src/common/frame_pool.h", heap_cells, "heap cell blocks", False),
+    ]
+    for rel in ("src/sim/explore.cc", "src/sim/object_table.h",
+                "src/sim/object_table.cc", "src/common/reg_val.cc"):
+        cases.append(
+            (rel, (repo / rel).read_text(encoding="utf-8"), "the file", False))
+    for rel, text, what, fires in cases:
         found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
-        what = "the file" if text is explore_cc else "a node-based memo"
         if ("hot-path-alloc" in found) != fires:
             verb = "did not fire" if fires else "fired"
             print(f"self-test FAIL: hot-path-alloc {verb} on {what} in {rel}")
