@@ -18,17 +18,17 @@
 //     two executions land on different workers, so this also certifies
 //     the batch determinism contract on every invocation.
 //
-// Each (seed, workload) pair is one BatchCell; driveWatchedBatch shards
-// them over --jobs workers (default: all hardware) and returns results in
-// submission order, so the certification logic below is identical at any
-// pool size. The soak also prints an (injector x workload) coverage
-// matrix — which chaos cells this run actually visited (ROADMAP item) —
-// and FAILS (non-zero exit) if any planned cell is empty: coverage is
-// part of the certification, not decoration. `--json out.json` records
-// runs, wall time, steps/s and scheduler/memo counters per campaign;
-// --steal/--no-steal and --memo/--no-memo select the batch scheduler
-// mode and the whole-run ReportCache (replay determinism always
-// re-executes, memo or not).
+// Each (seed, workload) pair is one BatchCell that sets its own chaos plan
+// and watchdog; BatchRunner shards them over --jobs workers (default: all
+// hardware) and returns results in submission order, so the certification
+// logic below is identical at any pool size. The soak also prints an
+// (injector x workload) coverage matrix — which chaos cells this run
+// actually visited (ROADMAP item) — and FAILS (non-zero exit) if any
+// planned cell is empty: coverage is part of the certification, not
+// decoration. `--json out.json` records runs, wall time, steps/s and
+// scheduler/memo counters per campaign; --steal/--no-steal and
+// --memo/--no-memo select the batch scheduler mode and the whole-run
+// ReportCache (replay determinism always re-executes, memo or not).
 //
 // --quick shrinks the campaign for CI smoke; the full depth (>= 5,000
 // legal + >= 1,000 negative runs) is the scheduled soak and the numbers
@@ -301,7 +301,7 @@ CampaignStats legalFig1(int runs, const sim::BatchOptions& opts,
     recordCoverage(cover, "fig1", *cells.back().chaos);
   }
   sim::BatchStats stats;
-  const auto results = driveWatchedBatch(cells, opts, &stats);
+  const auto results = sim::BatchRunner(opts).run(cells, &stats);
   pool.add(stats);
   CampaignStats st;
   for (const CellResult& r : results) {
@@ -339,7 +339,7 @@ CampaignStats legalFig2(int runs, const sim::BatchOptions& opts,
     cells.push_back(std::move(cell));
   }
   sim::BatchStats stats;
-  const auto results = driveWatchedBatch(cells, opts, &stats);
+  const auto results = sim::BatchRunner(opts).run(cells, &stats);
   pool.add(stats);
   CampaignStats st;
   for (const CellResult& r : results) {
@@ -375,7 +375,7 @@ CampaignStats legalFig3(int runs, const sim::BatchOptions& opts,
     cells.push_back(std::move(cell));
   }
   sim::BatchStats stats;
-  const auto results = driveWatchedBatch(cells, opts, &stats);
+  const auto results = sim::BatchRunner(opts).run(cells, &stats);
   pool.add(stats);
   CampaignStats st;
   for (const CellResult& r : results) {
@@ -455,7 +455,7 @@ NegativeStats negativeControls(int runs_per_kind,
     cells.push_back(std::move(cell));
   }
   sim::BatchStats stats;
-  const auto results = driveWatchedBatch(cells, opts, &stats);
+  const auto results = sim::BatchRunner(opts).run(cells, &stats);
   pool.add(stats);
   NegativeStats st;
   for (const CellResult& r : results) {
@@ -489,7 +489,7 @@ int replayDeterminism(int pairs, sim::BatchOptions opts) {
       cells.push_back(fig1Cell(seed, props));
     }
   }
-  const auto results = driveWatchedBatch(cells, opts);
+  const auto results = sim::BatchRunner(opts).run(cells);
   int ok = 0;
   for (int i = 0; i < pairs; ++i) {
     const CellResult& a = results[static_cast<std::size_t>(i)];

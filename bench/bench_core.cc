@@ -32,10 +32,11 @@
 //                  every step a snapshot scan of tuple cells, without and
 //                  with the result log the explorer keeps;
 //   * explore-dpor, explore-dag
-//                  a whole serial explorer search (kDpor, kDag) of the
-//                  n+1 = 3 one-shot k-converge family; "steps" are the
-//                  search's executed steps, so allocs/step is the DFS
-//                  bookkeeping per step plus the steps themselves;
+//                  whole serial explorer searches (kDpor, kDag) of the
+//                  n+1 = 3 one-shot k-converge family, repeated 5 and 12
+//                  times; "steps" are the searches' executed steps, so
+//                  allocs/step is the DFS bookkeeping per step plus the
+//                  steps themselves;
 //   * audit-off, audit-collect
 //                  a register ping-pong (every step a write or a read:
 //                  the highest op-per-step density, the step auditor's
@@ -446,7 +447,8 @@ Measurement traceMixRow(Time ops) {
 
 // `explore-dpor` / `explore-dag`: the serial (jobs = 0) search over the
 // one-shot 2-converge family at n+1 = 3, the shape of bench_explore's
-// dpor-n3 / dag-n3 rows without their property check.
+// dpor-n3 / dag-n3 rows without their property check, run `searches`
+// times so that one repeat lasts long enough to time on a shared host.
 sim::Coro<sim::Unit> convergeOnce(Env& env, Value v) {
   env.propose(v);
   const core::Pick p =
@@ -456,16 +458,19 @@ sim::Coro<sim::Unit> convergeOnce(Env& env, Value v) {
   co_return sim::Unit{};
 }
 
-Measurement exploreRow(sim::ExploreMode mode) {
+Measurement exploreRow(sim::ExploreMode mode, int searches) {
   sim::ExploreConfig cfg;
   cfg.run.n_plus_1 = 3;
   cfg.mode = mode;
   Measurement m;
   const WallTimer t;
-  const sim::ExploreResult r = sim::explore(
-      cfg, [](Env& e, Value v) { return convergeOnce(e, v); }, {100, 101, 102});
+  for (int i = 0; i < searches; ++i) {
+    const sim::ExploreResult r = sim::explore(
+        cfg, [](Env& e, Value v) { return convergeOnce(e, v); },
+        {100, 101, 102});
+    m.steps += static_cast<Time>(r.steps_executed);
+  }
   m.seconds = t.seconds();
-  m.steps = static_cast<Time>(r.steps_executed);
   return m;
 }
 
@@ -599,9 +604,12 @@ int main(int argc, char** argv) {
   report("snap-scan", 5, [&] { return scanRow(5, spin_budget, false); });
   report("snap-scan-logged", 16,
          [&] { return scanRow(16, spin_budget, true); });
+  // One kDpor search takes ~6 ms and one kDag search ~3 ms: repeated,
+  // each row runs >= ~20 ms a repeat in both modes.
   report("explore-dpor", 3,
-         [&] { return exploreRow(sim::ExploreMode::kDpor); });
-  report("explore-dag", 3, [&] { return exploreRow(sim::ExploreMode::kDag); });
+         [&] { return exploreRow(sim::ExploreMode::kDpor, 5); });
+  report("explore-dag", 3,
+         [&] { return exploreRow(sim::ExploreMode::kDag, 12); });
   bool audit_dirty = false;
   const Measurement audit_off = report("audit-off", 4, [&] {
     return pingPongRow(4, spin_budget, std::nullopt, audit_dirty);

@@ -215,7 +215,7 @@ SectionStats certifyCampaign(int seeds_per_cell, const sim::BatchOptions& opts,
       }
     }
   }
-  const auto results = driveWatchedBatch(cells, opts, batch_stats);
+  const auto results = sim::BatchRunner(opts).run(cells, batch_stats);
   SectionStats s;
   s.runs = static_cast<int>(results.size());
   for (const CellResult& r : results) {
@@ -267,7 +267,7 @@ SectionStats negativeControls(int seeds_per_control,
       cells.push_back(std::move(cell));
     }
   }
-  const auto results = driveWatchedBatch(cells, opts);
+  const auto results = sim::BatchRunner(opts).run(cells);
   SectionStats s;
   s.runs = static_cast<int>(results.size());
   for (const CellResult& r : results) {

@@ -66,8 +66,8 @@ RegVal RegVal::tuple(std::span<const Value> ints) {
 
 std::uint64_t RegVal::tupleHash() const {
   const TupleView t = asTuple();
-  std::uint64_t h = mix(mix(kSeed, kTuple), t.size());
-  for (const RegVal& e : t) h = mix(h, e.hash64());
+  std::uint64_t h = mixDigest(mixDigest(kSeed, kTuple), t.size());
+  for (const RegVal& e : t) h = mixDigest(h, e.hash64());
   if (u_.t != nullptr) {
     u_.t->hash_ = h;
     u_.t->hashed_ = true;

@@ -182,10 +182,12 @@ class RegVal {
   // A tuple's hash is computed once per payload and cached in its block.
   [[nodiscard]] std::uint64_t hash64() const {
     switch (kind_) {
-      case kBottom: return mix(kSeed, kBottom);
-      case kInt: return mix(mix(kSeed, kInt), static_cast<std::uint64_t>(u_.i));
-      case kBool: return mix(mix(kSeed, kBool), u_.b ? 2 : 1);
-      case kSet: return mix(mix(kSeed, kSet), u_.s.bits());
+      case kBottom: return mixDigest(kSeed, kBottom);
+      case kInt:
+        return mixDigest(mixDigest(kSeed, kInt),
+                         static_cast<std::uint64_t>(u_.i));
+      case kBool: return mixDigest(mixDigest(kSeed, kBool), u_.b ? 2 : 1);
+      case kSet: return mixDigest(mixDigest(kSeed, kSet), u_.s.bits());
       case kTuple: break;
     }
     if (u_.t != nullptr && u_.t->hashed_) return u_.t->hash_;
@@ -202,12 +204,6 @@ class RegVal {
   enum Kind : std::uint8_t { kBottom, kInt, kBool, kSet, kTuple };
   static constexpr std::uint64_t kSeed = 0xCBF29CE484222325ULL;
 
-  static constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    return h;
-  }
   // Hash a tuple's elements and cache the result in its block.
   [[nodiscard]] std::uint64_t tupleHash() const;
   // A tuple of n elements, element i produced by at(i), built straight

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace wfd {
 
@@ -28,5 +29,25 @@ using ObjId = std::int64_t;
 // Maximum number of processes a ProcSet can hold. 64 covers every
 // experiment in the paper (which works with small n) with a flat bitmask.
 inline constexpr int kMaxProcs = 64;
+
+// One round of splitmix64-style mixing: cheap and stable across platforms.
+// Every trace hash, state digest, detector digest and stored key is a
+// fold of this round, so changing it moves every golden pin
+// (tests/golden_hash_test.cc, tests/digest_pin_test.cc).
+[[nodiscard]] constexpr std::uint64_t mixDigest(std::uint64_t h,
+                                                std::uint64_t x) {
+  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
+
+// Fold a string: its length, then each byte.
+[[nodiscard]] constexpr std::uint64_t digestString(std::uint64_t h,
+                                                   std::string_view s) {
+  h = mixDigest(h, s.size());
+  for (const char c : s) h = mixDigest(h, static_cast<unsigned char>(c));
+  return h;
+}
 
 }  // namespace wfd

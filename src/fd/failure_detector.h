@@ -31,22 +31,10 @@ using sim::FailurePattern;
 // excluded from whole-run memoization (sim/report_cache.h).
 inline constexpr std::uint64_t kOpaqueFdDigest = 0;
 
-// One round of splitmix64-style mixing — the same round Trace and RegVal
-// use — so detector digests compose with the trace-hash machinery.
-[[nodiscard]] constexpr std::uint64_t mixDigest(std::uint64_t h,
-                                                std::uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
-
-[[nodiscard]] inline std::uint64_t digestString(std::uint64_t h,
-                                                const std::string& s) {
-  h = mixDigest(h, s.size());
-  for (const char c : s) h = mixDigest(h, static_cast<unsigned char>(c));
-  return h;
-}
+// Detector digests fold the common mix round (common/types.h), so they
+// compose with the trace-hash machinery; benchmarks and tests call it as
+// fd::mixDigest.
+using wfd::mixDigest;
 
 // A pattern pins the perfect-information detectors (P, <>P) completely,
 // and disambiguates histories whose factories derived defaults from it.

@@ -178,22 +178,6 @@ std::vector<CellResult> BatchRunner::run(const std::vector<BatchCell>& cells,
              stats);
 }
 
-std::vector<CellResult> driveWatchedBatch(const std::vector<BatchCell>& cells,
-                                          const BatchOptions& opts,
-                                          BatchStats* stats) {
-  const BatchRunner runner(opts);
-  return runner.run(
-      cells.size(),
-      [&cells](std::size_t i) {
-        BatchCell cell = cells[i];
-        if (!cell.chaos.has_value() && !cell.watchdog.has_value()) {
-          cell.watchdog = WatchdogConfig{};
-        }
-        return cell;
-      },
-      stats);
-}
-
 // ---- FdCache -------------------------------------------------------------
 
 fd::FdPtr FdCache::upsilon(const FailurePattern& fp, Time stab,

@@ -184,13 +184,6 @@ class BatchRunner {
   BatchOptions opts_;
 };
 
-// Chaos soaks shard too: drive watched/chaos cells across the pool. Cells
-// that set neither `chaos` nor `watchdog` get a default WatchdogConfig so
-// every result carries a structured verdict.
-[[nodiscard]] std::vector<CellResult> driveWatchedBatch(
-    const std::vector<BatchCell>& cells, const BatchOptions& opts = {},
-    BatchStats* stats = nullptr);
-
 // ---- Heartbeat-execution cache -----------------------------------------
 //
 // A realized detector (sim/net/realized_fd.h) is cut from a whole simulated

@@ -254,7 +254,7 @@ void ChaosEngine::captureScans(World& world, const Scheduler& sched) {
   const StaleSnapshot& ss = *cfg_.stale_snapshot;
   for (Pid p = 0; p < world.nProcs(); ++p) {
     const ProcCtx& c = sched.ctx(p);
-    if (c.done || c.crashed || !c.pending.has_value()) continue;
+    if (c.done || !c.pending.has_value()) continue;
     const auto* s = std::get_if<OpSnapScan>(&*c.pending);
     if (s == nullptr) continue;
     const auto key = std::make_pair(p, s->obj);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,9 @@ class ByteWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void str(const std::string& s);
+  void raw(std::span<const std::uint8_t> b) {
+    buf_.insert(buf_.end(), b.begin(), b.end());
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
 

@@ -34,7 +34,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -42,6 +41,8 @@
 #include "sim/ops.h"
 
 namespace wfd::sim {
+
+class World;
 
 // Per-process control block shared between the scheduler and the leaf
 // awaitables of that process's coroutine stack.
@@ -57,18 +58,21 @@ struct ProcCtx {
   // Result of the operation the scheduler just executed.
   OpResult result;
   bool done = false;
-  bool crashed = false;
   Time steps = 0;  // steps this process has taken
-  // Model-conformance hook (sim/step_audit.h): when set by the scheduler
-  // of an audited world, OpAwait::await_suspend reports every requested
+  // Model-conformance wiring (sim/step_audit.h): set by the scheduler of
+  // an audited world, so OpAwait::await_suspend reports every requested
   // operation (and whether a previous request was still pending — a
   // violation of the one-op-per-step model) before the scheduler executes
-  // it. A std::function keeps coro.h free of the auditor's type.
-  std::function<void(const Op&, bool already_pending)> on_op_requested;
+  // it.
+  const World* world = nullptr;
 };
 
 // The process the scheduler is currently resuming (single-threaded).
 ProcCtx*& currentProc();
+
+// Hand c's requested operation to its world's current auditor (the world
+// may swap it on restore, so it is looked up per request).
+void reportOpRequest(const ProcCtx& c, const Op& op);
 
 // Awaitable that performs one atomic shared-memory / FD step.
 struct OpAwait {
@@ -78,7 +82,7 @@ struct OpAwait {
   void await_suspend(std::coroutine_handle<> h) {
     ProcCtx* c = currentProc();
     assert(c != nullptr && "op awaited outside a scheduled process");
-    if (c->on_op_requested) c->on_op_requested(op, c->pending.has_value());
+    if (c->world != nullptr) reportOpRequest(*c, op);
     c->pending = std::move(op);
     c->resume_point = h;
     // Returning void unwinds the whole resume() call back to the scheduler.

@@ -7,7 +7,7 @@
 // digest plus a bucket array; this set keeps the digests themselves in
 // one open-addressed array:
 //
-//   * the keys are already mixed (stateMix64 outputs XORed together), so
+//   * the keys are already mixed (mixDigest outputs XORed together), so
 //     a digest's home slot is its low bits and a collision probes
 //     linearly to the next slot, wrapping past the end of the array;
 //   * the capacity is a power of two, doubled when an insert would pass

@@ -97,7 +97,7 @@ bool dependent(const OpFootprint& a, bool a_vis, const OpFootprint& b,
 // can unify converging schedules.
 
 std::uint64_t clockComponent(Time now) {
-  return stateMix64(0x243F6A8885A308D3ULL, static_cast<std::uint64_t>(now));
+  return mixDigest(0x243F6A8885A308D3ULL, static_cast<std::uint64_t>(now));
 }
 
 // A process's local state is {steps, resultDigest}: a deterministic
@@ -106,9 +106,9 @@ std::uint64_t clockComponent(Time now) {
 // the walk name a successor before resuming its frame.
 std::uint64_t procComponent(Pid p, Time steps, std::uint64_t result_digest) {
   std::uint64_t h =
-      stateMix64(0x3C6EF372FE94F82BULL, static_cast<std::uint64_t>(p) + 1);
-  h = stateMix64(h, static_cast<std::uint64_t>(steps));
-  return stateMix64(h, result_digest);
+      mixDigest(0x3C6EF372FE94F82BULL, static_cast<std::uint64_t>(p) + 1);
+  h = mixDigest(h, static_cast<std::uint64_t>(steps));
+  return mixDigest(h, result_digest);
 }
 
 std::uint64_t procComponent(Run& run, Pid p) {
@@ -139,12 +139,12 @@ std::uint64_t fullStateDigest(Run& run, int n, bool audit_table) {
 std::uint64_t outcomeSig(const std::vector<Event>& events, int n) {
   std::uint64_t h = 0x452821E638D01377ULL;
   for (int p = 0; p < n; ++p) {
-    h = stateMix64(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
+    h = mixDigest(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
     for (const Event& e : events) {
       if (e.pid != p) continue;
-      h = stateMix64(h, static_cast<std::uint64_t>(e.kind) + 1);
-      h = stateMix64(h, labelHash(e.label));
-      h = stateMix64(h, e.value.hash64());
+      h = mixDigest(h, static_cast<std::uint64_t>(e.kind) + 1);
+      h = mixDigest(h, labelHash(e.label));
+      h = mixDigest(h, e.value.hash64());
     }
   }
   return h;
@@ -170,8 +170,7 @@ ExploreOutcome harvestOutcome(const std::vector<Event>& events, int n,
 //   * classic   — the full single-phase serial search (jobs = 0);
 //   * coordinator — phase 1 of the frontier engine: EAGER candidate
 //     seeding above capture_depth, and reaching capture_depth captures a
-//     job (prefix + step/clock stack + frontier sleep set) instead of
-//     recursing;
+//     job (step/clock stack + frontier sleep set) instead of recursing;
 //   * worker    — phase 2: replay one captured prefix, then run the
 //     normal lazy engine below the frontier. Backtrack additions whose
 //     race partner sits inside the prefix are dropped: the coordinator
@@ -187,8 +186,7 @@ struct FdEpochCtx {
 };
 
 struct CapturedJob {
-  std::vector<Pid> prefix;      // pid per prefix step
-  std::vector<StepX> steps;     // full prefix step stack
+  std::vector<StepX> steps;     // the prefix step stack, pids included
   std::vector<int> clock_rows;  // kDpor: the prefix steps' clock rows
   std::vector<SleepEnt> sleep;  // frontier node's sleep set
 };
@@ -217,7 +215,7 @@ WalkOut walk(const WalkSpec& spec) {
   const bool use_memo = !dpor && cfg.memoize && !capture;
   const bool audit = resolvedAuditMode(cfg.run.audit).has_value();
   const int base =
-      spec.job == nullptr ? 0 : static_cast<int>(spec.job->prefix.size());
+      spec.job == nullptr ? 0 : static_cast<int>(spec.job->steps.size());
 
   WalkOut out;
   ExploreResult& res = out.res;
@@ -242,7 +240,7 @@ WalkOut walk(const WalkSpec& spec) {
     // Replay the captured prefix by stepping: the worker owns a fresh
     // Run/World/Scheduler stack, so the replay is this job's only
     // coupling to the coordinator — a pid sequence, nothing shared.
-    for (const Pid p : spec.job->prefix) run.scheduler().step(p);
+    for (const StepX& s : spec.job->steps) run.scheduler().step(s.pid);
     res.steps_executed += static_cast<std::uint64_t>(base);
     steps = spec.job->steps;
     clock_rows = spec.job->clock_rows;
@@ -397,7 +395,7 @@ WalkOut walk(const WalkSpec& spec) {
           run.world().objectsConst().xorContentsDigest();
       const std::uint64_t next_proc = procComponent(
           p, sched.ctx(p).steps + 1,
-          stateMix64(sched.resultDigest(p), run.world().lastResultSignature()));
+          mixDigest(sched.resultDigest(p), run.world().lastResultSignature()));
       const std::uint64_t next_clock = clockComponent(run.world().now() + 1);
       const std::uint64_t probe =
           live_digest ^ dig_pre ^ next_clock ^ table ^ next_proc;
@@ -562,8 +560,6 @@ WalkOut walk(const WalkSpec& spec) {
     // parent) — phase 2 explores it for real, in job-creation order.
     if (capture && d + 1 >= spec.capture_depth) {
       CapturedJob job;
-      job.prefix.reserve(steps.size());
-      for (const StepX& s : steps) job.prefix.push_back(s.pid);
       job.steps = steps;
       job.clock_rows = clock_rows;
       const StepX& in = steps.back();
@@ -726,29 +722,29 @@ std::uint64_t certConfigKey(const ExploreConfig& cfg,
     if (fd_digest == fd::kOpaqueFdDigest) return 0;
   }
   const int n = cfg.run.n_plus_1;
-  std::uint64_t h = fd::mixDigest(kCertSchemaSalt, 0x45584C52ULL);  // "EXLR"
-  h = fd::digestString(h, cfg.cert_family);
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(n));
+  std::uint64_t h = mixDigest(kCertSchemaSalt, 0x45584C52ULL);  // "EXLR"
+  h = digestString(h, cfg.cert_family);
+  h = mixDigest(h, static_cast<std::uint64_t>(n));
   const FailurePattern fp =
       cfg.run.fp.has_value() ? *cfg.run.fp : FailurePattern::failureFree(n);
   h = fd::digestPattern(h, fp);
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.run.flavor));
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.run.max_steps));
-  h = fd::mixDigest(h, cfg.run.fd ? 1u : 0u);
-  h = fd::mixDigest(h, fd_digest);
-  h = fd::mixDigest(h, proposals.size());
+  h = mixDigest(h, static_cast<std::uint64_t>(cfg.run.flavor));
+  h = mixDigest(h, static_cast<std::uint64_t>(cfg.run.max_steps));
+  h = mixDigest(h, cfg.run.fd ? 1u : 0u);
+  h = mixDigest(h, fd_digest);
+  h = mixDigest(h, proposals.size());
   for (const Value v : proposals) {
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(v));
+    h = mixDigest(h, static_cast<std::uint64_t>(v));
   }
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.mode));
-  h = fd::mixDigest(h, cfg.memoize ? 1u : 0u);
-  h = fd::mixDigest(h, cfg.max_schedules);
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.max_depth));
-  h = fd::mixDigest(h, 1u);  // stop_on_violation, always 1: keeps stored keys
+  h = mixDigest(h, static_cast<std::uint64_t>(cfg.mode));
+  h = mixDigest(h, cfg.memoize ? 1u : 0u);
+  h = mixDigest(h, cfg.max_schedules);
+  h = mixDigest(h, static_cast<std::uint64_t>(cfg.max_depth));
+  h = mixDigest(h, 1u);  // stop_on_violation, always 1: keeps stored keys
   // The engine shape: classic and frontier runs count differently, and
   // the REQUESTED frontier depth pins the auto-deepening result.
-  h = fd::mixDigest(h, cfg.jobs > 0 ? 1u : 0u);
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(cfg.frontier_depth));
+  h = mixDigest(h, cfg.jobs > 0 ? 1u : 0u);
+  h = mixDigest(h, static_cast<std::uint64_t>(cfg.frontier_depth));
   if (h == 0) h = 1;
   return h;
 }
@@ -756,11 +752,11 @@ std::uint64_t certConfigKey(const ExploreConfig& cfg,
 std::uint64_t certJobKey(std::uint64_t config_key, std::size_t job_index,
                          const CapturedJob& job) {
   if (config_key == 0) return 0;
-  std::uint64_t h = fd::mixDigest(config_key, 0x6A09E667F3BCC909ULL);
-  h = fd::mixDigest(h, job_index + 1);
-  h = fd::mixDigest(h, job.prefix.size());
-  for (const Pid p : job.prefix) {
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(p) + 1);
+  std::uint64_t h = mixDigest(config_key, 0x6A09E667F3BCC909ULL);
+  h = mixDigest(h, job_index + 1);
+  h = mixDigest(h, job.steps.size());
+  for (const StepX& s : job.steps) {
+    h = mixDigest(h, static_cast<std::uint64_t>(s.pid) + 1);
   }
   if (h == 0) h = 1;
   return h;

@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "fd/failure_detector.h"
 #include "sim/failure_pattern.h"
 
 namespace wfd::sim::net {
@@ -82,7 +81,6 @@ struct NetConfig {
   // Pins every field that can change the simulated execution. Composes
   // with fd::digestPattern so (cfg, fp) keys realized histories.
   [[nodiscard]] std::uint64_t digest() const {
-    using fd::mixDigest;
     std::uint64_t h = mixDigest(0x4E455457, 0x4F524C44);  // "NETW","ORLD"
     h = mixDigest(h, static_cast<std::uint64_t>(env.gst));
     h = mixDigest(h, static_cast<std::uint64_t>(env.delta));

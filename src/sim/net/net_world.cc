@@ -48,8 +48,6 @@ void NetContext::setTimer(int id, Time delay) {
   world_->doSetTimer(me_, id, delay);
 }
 
-void NetContext::cancelTimer(int id) { world_->doCancelTimer(me_, id); }
-
 void NetContext::setOutput(const ProcSet& suspected) {
   world_->doSetOutput(me_, suspected);
 }
@@ -67,11 +65,11 @@ NetWorld::NetWorld(FailurePattern fp, NetConfig cfg)
 void NetWorld::mix(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                    std::uint64_t d) {
   std::uint64_t h = counters_.trace_hash;
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(now_));
-  h = fd::mixDigest(h, a);
-  h = fd::mixDigest(h, b);
-  h = fd::mixDigest(h, c);
-  h = fd::mixDigest(h, d);
+  h = mixDigest(h, static_cast<std::uint64_t>(now_));
+  h = mixDigest(h, a);
+  h = mixDigest(h, b);
+  h = mixDigest(h, c);
+  h = mixDigest(h, d);
   counters_.trace_hash = h;
 }
 
@@ -148,10 +146,6 @@ void NetWorld::doSend(Pid from, Pid to, int tag, std::int64_t payload) {
 void NetWorld::doSetTimer(Pid p, int id, Time delay) {
   assert(running_);
   timers_[static_cast<std::size_t>(p)][id] = now_ + std::max<Time>(delay, 1);
-}
-
-void NetWorld::doCancelTimer(Pid p, int id) {
-  timers_[static_cast<std::size_t>(p)].erase(id);
 }
 
 void NetWorld::doSetOutput(Pid p, const ProcSet& suspected) {

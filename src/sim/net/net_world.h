@@ -4,7 +4,7 @@
 // fixed order: (1) messages scheduled for the tick are delivered in
 // canonical (receiver, sequence) order, (2) expired virtual timers fire
 // in (pid, timer id) order. Processes are event-driven automata
-// (NetProcess) that may send, set/cancel timers, and publish a
+// (NetProcess) that may send, set timers, and publish a
 // failure-detector output (a ProcSet) in response; all of their actions
 // are mediated by NetContext, which stamps every effect into the event
 // hash — so one (NetConfig, FailurePattern) pair names exactly one
@@ -62,7 +62,6 @@ class NetContext {
   // from now; delay is clamped to >= 1 so a timer never fires within the
   // tick that set it.
   void setTimer(int id, Time delay);
-  void cancelTimer(int id);
 
   // Publish this process's failure-detector module output. Recorded as a
   // switch point only when it differs from the previous output.
@@ -136,7 +135,6 @@ class NetWorld {
 
   void doSend(Pid from, Pid to, int tag, std::int64_t payload);
   void doSetTimer(Pid p, int id, Time delay);
-  void doCancelTimer(Pid p, int id);
   void doSetOutput(Pid p, const ProcSet& suspected);
   [[nodiscard]] bool crashed(Pid p, Time t) const {
     return fp_.crashTime(p) <= t;

@@ -138,9 +138,9 @@ fd::AxiomSpec RealizedFd::axioms() const {
 }
 
 std::uint64_t RealizedFd::keyDigest() const {
-  std::uint64_t h = fd::digestString(history_->digest, name());
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(lens_));
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(f_));
+  std::uint64_t h = digestString(history_->digest, name());
+  h = mixDigest(h, static_cast<std::uint64_t>(lens_));
+  h = mixDigest(h, static_cast<std::uint64_t>(f_));
   return h;
 }
 

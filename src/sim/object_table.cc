@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "sim/ops.h"
+#include "sim/step_audit.h"
 
 namespace wfd::sim {
 
@@ -202,17 +203,16 @@ void ObjectTable::restore(const Snapshot& s) {
 }
 
 std::uint64_t ObjectTable::objectComponent(ObjId id, const Object& obj) {
-  const auto mix = stateMix64;
   // The id is part of the component: XOR aggregation is order-blind, so
   // without it two objects swapping contents would cancel out.
-  std::uint64_t h = mix(0x9216D5D98979FB1BULL,
-                        static_cast<std::uint64_t>(id) + 1);
-  h = mix(h, static_cast<std::uint64_t>(obj.kind) + 1);
-  h = mix(h, obj.reg.hash64());
-  h = mix(h, obj.slots.size());
-  for (const RegVal& v : obj.slots) h = mix(h, v.hash64());
-  h = mix(h, obj.proposers.bits());
-  h = mix(h, static_cast<std::uint64_t>(obj.ports));
+  std::uint64_t h = mixDigest(0x9216D5D98979FB1BULL,
+                              static_cast<std::uint64_t>(id) + 1);
+  h = mixDigest(h, static_cast<std::uint64_t>(obj.kind) + 1);
+  h = mixDigest(h, obj.reg.hash64());
+  h = mixDigest(h, obj.slots.size());
+  for (const RegVal& v : obj.slots) h = mixDigest(h, v.hash64());
+  h = mixDigest(h, obj.proposers.bits());
+  h = mixDigest(h, static_cast<std::uint64_t>(obj.ports));
   return h;
 }
 
@@ -236,15 +236,14 @@ std::uint64_t ObjectTable::xorContentsDigestFull() const {
 }
 
 std::uint64_t ObjectTable::contentsDigest() const {
-  const auto mix = stateMix64;
   std::uint64_t h = 0x6A09E667F3BCC909ULL;
   for (const Object& obj : objects_) {
-    h = mix(h, static_cast<std::uint64_t>(obj.kind) + 1);
-    h = mix(h, obj.reg.hash64());
-    h = mix(h, obj.slots.size());
-    for (const RegVal& v : obj.slots) h = mix(h, v.hash64());
-    h = mix(h, obj.proposers.bits());
-    h = mix(h, static_cast<std::uint64_t>(obj.ports));
+    h = mixDigest(h, static_cast<std::uint64_t>(obj.kind) + 1);
+    h = mixDigest(h, obj.reg.hash64());
+    h = mixDigest(h, obj.slots.size());
+    for (const RegVal& v : obj.slots) h = mixDigest(h, v.hash64());
+    h = mixDigest(h, obj.proposers.bits());
+    h = mixDigest(h, static_cast<std::uint64_t>(obj.ports));
   }
   return h;
 }
@@ -272,6 +271,10 @@ int ObjectTable::proposerCount(ObjId id) const {
 bool ObjectTable::hasProposed(ObjId id, Pid p) const {
   assert(knows(id));
   return objects_[static_cast<std::size_t>(id)].proposers.contains(p);
+}
+
+void ObjectTable::reportAccess(ObjId id, ObjectAccess access) const {
+  auditor_->onObjectAccess(id, access);
 }
 
 }  // namespace wfd::sim

@@ -92,24 +92,20 @@ struct ObjKeyHash {
   }
 };
 
-// How an object was touched — reported to the access observer below.
+// How an object was touched — reported to the step auditor.
 enum class ObjectAccess { kRead, kWrite, kScan, kUpdate, kPropose };
+
+class StepAuditor;
 
 class ObjectTable {
  public:
   enum class Kind { kRegister, kSnapshot, kConsensus };
 
-  // Observer of every step-costing primitive access (read/write/scan/
-  // update/propose; naming is free and unobserved). The step auditor
-  // (sim/step_audit.h) implements this to prove that all shared access
-  // goes through the atomic-step machinery; the table itself stays
-  // behavior-identical whether or not an observer is installed.
-  class AccessObserver {
-   public:
-    virtual ~AccessObserver() = default;
-    virtual void onObjectAccess(ObjId id, ObjectAccess access) = 0;
-  };
-  void setObserver(AccessObserver* obs) { observer_ = obs; }
+  // The step auditor (sim/step_audit.h) sees every step-costing primitive
+  // access (read/write/scan/update/propose; naming is free and unseen), to
+  // prove that all shared access goes through the atomic-step machinery;
+  // the table itself stays behavior-identical with or without one.
+  void setAuditor(StepAuditor* audit) { auditor_ = audit; }
 
   // Resolve-or-create. Registers start at ⊥; snapshot objects start with
   // `slots` ⊥ cells; consensus objects start undecided with a port limit
@@ -155,8 +151,8 @@ class ObjectTable {
   // record, erasing the names past the common prefix and entering the
   // snapshot's. Taking a Snapshot flushes the digest first, so it
   // never carries dirty state and restoring one leaves nothing to flush.
-  // The access observer is part of the *run's* wiring, not the memory
-  // state, and survives a restore.
+  // The auditor is part of the *run's* wiring, not the memory state, and
+  // survives a restore.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -222,8 +218,9 @@ class ObjectTable {
 
  private:
   void observe(ObjId id, ObjectAccess access) const {
-    if (observer_ != nullptr) observer_->onObjectAccess(id, access);
+    if (auditor_ != nullptr) reportAccess(id, access);
   }
+  void reportAccess(ObjId id, ObjectAccess access) const;
   // One object's salted component of the XOR digest. xdigest_ is the XOR
   // of every object's cached `component`; flushDigest() brings the stale
   // ones up to date.
@@ -276,7 +273,7 @@ class ObjectTable {
   std::vector<Object> objects_;
   mutable std::uint64_t xdigest_ = 0;
   mutable std::vector<ObjId> dirty_;  // stale objects, in first-touch order
-  AccessObserver* observer_ = nullptr;
+  StepAuditor* auditor_ = nullptr;
 };
 
 }  // namespace wfd::sim

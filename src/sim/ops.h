@@ -144,20 +144,6 @@ struct OpFootprint {
   return false;
 }
 
-// One round of splitmix64-style mixing for STATE digests (explorer
-// memoization keys, per-process result-stream digests, object-table
-// contents). Same shape as the trace's history mix but deliberately a
-// separate definition: state digests are order-insensitive keys, the trace
-// digest is a history key, and neither may silently inherit changes to the
-// other.
-[[nodiscard]] inline std::uint64_t stateMix64(std::uint64_t h,
-                                              std::uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
-
 // ---- Stable signatures ----------------------------------------------------
 //
 // Cheap stable signature of one executed operation, folded into the trace's

@@ -6,9 +6,6 @@ namespace wfd::sim {
 
 namespace {
 
-using fd::digestString;
-using fd::mixDigest;
-
 std::uint64_t digestPatternOpt(std::uint64_t h,
                                const std::optional<FailurePattern>& fp) {
   if (!fp.has_value()) return mixDigest(h, 0x0F);

@@ -150,6 +150,10 @@ void Scheduler::auditCrossCheck() const {
   }
 }
 
+void reportOpRequest(const ProcCtx& c, const Op& op) {
+  c.world->auditor()->onOpRequested(c.pid, op, c.pending.has_value());
+}
+
 void Scheduler::runUntilBlockedOrDone(Slot& slot) {
   // Reset the current-process pointer even if an audit error is thrown
   // mid-step (kThrow mode), so a caught StepAuditError leaves the
@@ -170,13 +174,7 @@ void Scheduler::executeSlot(Slot& slot, Pid p) {
   // Audit hooks come first: in kThrow mode the auditor must get to
   // report a crashed-process step before the asserts below halt us.
   if (StepAuditor* const audit = world_->auditor()) {
-    if (!slot.ctx.on_op_requested) {
-      // Looks the auditor up per call: World::restore replaces it.
-      slot.ctx.on_op_requested = [world = world_, p](const Op& op,
-                                                     bool pending) {
-        world->auditor()->onOpRequested(p, op, pending);
-      };
-    }
+    slot.ctx.world = world_;
     audit->onStepBegin(p);
   }
   assert(!slot.ctx.done);
@@ -203,7 +201,7 @@ void Scheduler::resumeSlot(Slot& slot, Pid p) {
       // a scan's cells are shared, not copied.
       ResultLog& head = result_log_[static_cast<std::size_t>(p)];
       const std::size_t len = head ? head->len + 1 : 1;
-      const std::uint64_t digest = stateMix64(
+      const std::uint64_t digest = mixDigest(
           head ? head->digest : 0, world_->lastResultSignature());
       head = ResultLog::make(slot.ctx.result, std::move(head), len, digest);
     }
@@ -277,7 +275,6 @@ void Scheduler::checkpoint(Checkpoint& ck) const {
     const Slot& slot = *slots_[i];
     pc.started = slot.started;
     pc.done = slot.ctx.done;
-    pc.crashed = slot.ctx.crashed;
     pc.steps = slot.ctx.steps;
     pc.results = result_log_[i];
   }
@@ -326,7 +323,6 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
   }
   slot->ctx.steps = pc.steps;
   slot->ctx.done = pc.done;
-  slot->ctx.crashed = pc.crashed;
 }
 
 std::uint64_t Scheduler::restore(
@@ -349,11 +345,11 @@ std::uint64_t Scheduler::restore(
     // freed while a head refers to it, so equal heads are the same
     // stream, and the frame is a function of the results it consumed
     // (every ObjId it holds was resolved in that shared history).
-    if (live != nullptr && result_log_[i] == pc.results &&
-        live->started == pc.started && live->ctx.done == pc.done &&
-        live->ctx.steps == pc.steps) {
-      live->ctx.crashed = pc.crashed;
-    } else {
+    const bool unchanged = live != nullptr && result_log_[i] == pc.results &&
+                           live->started == pc.started &&
+                           live->ctx.done == pc.done &&
+                           live->ctx.steps == pc.steps;
+    if (!unchanged) {
       restoreSlot(p, make_coro(p), pc);
       result_log_[i] = pc.results;
       if (pc.results) rebuilt += pc.results->len;

@@ -210,7 +210,6 @@ class Scheduler {
   struct ProcCheckpoint {
     bool started = false;
     bool done = false;
-    bool crashed = false;
     Time steps = 0;
     ResultLog results;  // consumed results, shared with the live log
   };

@@ -19,8 +19,6 @@ namespace wfd::sim::service {
 
 namespace {
 
-using fd::mixDigest;
-
 // Client command encoding: client c's i-th accepted command is
 // c * kCmdStride + i — globally unique and human-decodable in dumps.
 constexpr Value kCmdStride = 1'000'000;

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "fd/failure_detector.h"
 #include "sim/net/net_config.h"
 
 namespace wfd::sim::service {
@@ -54,11 +53,11 @@ struct ChaosPlan {
   std::uint64_t seed = 0;       // injector parameter stream
 
   [[nodiscard]] std::uint64_t digest() const {
-    std::uint64_t h = fd::mixDigest(0xC4A05, static_cast<std::uint64_t>(period));
+    std::uint64_t h = mixDigest(0xC4A05, static_cast<std::uint64_t>(period));
     // The enabled bits of the four always-on kinds: keeps stored keys.
-    for (int kind = 0; kind < 4; ++kind) h = fd::mixDigest(h, 2u);
-    h = fd::mixDigest(h, (stale_snapshot ? 2u : 1u));
-    return fd::mixDigest(h, seed);
+    for (int kind = 0; kind < 4; ++kind) h = mixDigest(h, 2u);
+    h = mixDigest(h, (stale_snapshot ? 2u : 1u));
+    return mixDigest(h, seed);
   }
 };
 
@@ -119,23 +118,23 @@ struct ServiceConfig {
   }
 
   [[nodiscard]] std::uint64_t digest() const {
-    std::uint64_t h = fd::mixDigest(0x5E21C3, static_cast<std::uint64_t>(group));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(f));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(protocol));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(detector));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(stab));
-    h = fd::mixDigest(h, net.digest());
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(instances));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(segment_len));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(clients));
-    h = fd::mixDigest(h, 0u);  // inbox_capacity, always 0: keeps stored keys
-    h = fd::mixDigest(h, seed);
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(instance_step_budget));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(segment_budget_slack));
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(max_retries));
-    h = fd::mixDigest(h, chaos.digest());
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(bug));
-    return fd::mixDigest(h, bug_seed);
+    std::uint64_t h = mixDigest(0x5E21C3, static_cast<std::uint64_t>(group));
+    h = mixDigest(h, static_cast<std::uint64_t>(f));
+    h = mixDigest(h, static_cast<std::uint64_t>(protocol));
+    h = mixDigest(h, static_cast<std::uint64_t>(detector));
+    h = mixDigest(h, static_cast<std::uint64_t>(stab));
+    h = mixDigest(h, net.digest());
+    h = mixDigest(h, static_cast<std::uint64_t>(instances));
+    h = mixDigest(h, static_cast<std::uint64_t>(segment_len));
+    h = mixDigest(h, static_cast<std::uint64_t>(clients));
+    h = mixDigest(h, 0u);  // inbox_capacity, always 0: keeps stored keys
+    h = mixDigest(h, seed);
+    h = mixDigest(h, static_cast<std::uint64_t>(instance_step_budget));
+    h = mixDigest(h, static_cast<std::uint64_t>(segment_budget_slack));
+    h = mixDigest(h, static_cast<std::uint64_t>(max_retries));
+    h = mixDigest(h, chaos.digest());
+    h = mixDigest(h, static_cast<std::uint64_t>(bug));
+    return mixDigest(h, bug_seed);
   }
 };
 

@@ -80,7 +80,7 @@ class StepAuditError : public std::runtime_error {
   const AuditViolation violation;
 };
 
-class StepAuditor final : public ObjectTable::AccessObserver {
+class StepAuditor final {
  public:
   StepAuditor(const World* world, AuditMode mode);
 
@@ -89,11 +89,11 @@ class StepAuditor final : public ObjectTable::AccessObserver {
   void onStepEnd(Pid p);                  // Scheduler::resume exit
   void onExecuteBegin(Pid p, const Op& op);  // World::execute, pre-dispatch
   void onExecuteEnd(Pid p);                  // World::execute, post-dispatch
-  // OpAwait::await_suspend via ProcCtx::on_op_requested: the automaton
-  // asked for its next atomic operation.
+  // OpAwait::await_suspend via reportOpRequest (sim/coro.h): the
+  // automaton asked for its next atomic operation.
   void onOpRequested(Pid p, const Op& op, bool already_pending);
-  // ObjectTable::AccessObserver: a step-costing primitive was touched.
-  void onObjectAccess(ObjId id, ObjectAccess access) override;
+  // ObjectTable: a step-costing primitive was touched.
+  void onObjectAccess(ObjId id, ObjectAccess access);
   // World::execute, after an FD query was answered but BEFORE the answer
   // reaches the algorithm: validate it online against the detector's
   // AxiomSpec (range per answer; constancy after stabilizationTime()).

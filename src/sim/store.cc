@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "fd/failure_detector.h"
+#include "sim/codec.h"
 
 namespace wfd::sim {
 
@@ -26,43 +26,23 @@ constexpr std::size_t kRecHeaderBytes = 16;
 constexpr std::size_t kRecTrailerBytes = 8;
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 28;
 
-std::uint32_t loadU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t loadU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void storeU32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void storeU64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 // Checksum over key, payload length, and payload bytes — the fields a
-// torn write can damage. Reuses the Trace mix round so the store adds no
+// torn write can damage. Reuses the common mix round so the store adds no
 // second hashing scheme to audit.
 std::uint64_t recordChecksum(std::uint64_t key, const std::uint8_t* payload,
                              std::size_t len) {
-  std::uint64_t h = fd::mixDigest(0x5704E, key);
-  h = fd::mixDigest(h, static_cast<std::uint64_t>(len));
+  std::uint64_t h = mixDigest(0x5704E, key);
+  h = mixDigest(h, static_cast<std::uint64_t>(len));
   for (std::size_t i = 0; i < len; ++i) {
-    h = fd::mixDigest(h, static_cast<std::uint64_t>(payload[i]) + 1);
+    h = mixDigest(h, static_cast<std::uint64_t>(payload[i]) + 1);
   }
   return h;
 }
 
-bool writeAll(int fd, const std::uint8_t* data, std::size_t n) {
+bool writeAll(int fd, const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
+  while (off < bytes.size()) {
+    const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -75,7 +55,7 @@ bool writeAll(int fd, const std::uint8_t* data, std::size_t n) {
 }  // namespace
 
 std::uint64_t PersistentStore::versionDigest(const std::string& version) {
-  return fd::digestString(fd::mixDigest(0xD15C, kFormatVersion), version);
+  return digestString(mixDigest(0xD15C, kFormatVersion), version);
 }
 
 std::string PersistentStore::segmentPath(const std::string& dir,
@@ -100,11 +80,11 @@ PersistentStore::PersistentStore(const StoreOptions& opts)
   struct stat st{};
   bool ok = ::fstat(fd_, &st) == 0;
   if (ok && st.st_size == 0) {
-    std::uint8_t header[kHeaderBytes];
-    storeU64(header, kFileMagic);
-    storeU64(header + 8, kFormatVersion);
-    storeU64(header + 16, version_digest_);
-    ok = writeAll(fd_, header, sizeof header);
+    ByteWriter header;
+    header.u64(kFileMagic);
+    header.u64(kFormatVersion);
+    header.u64(version_digest_);
+    ok = writeAll(fd_, header.bytes());
   }
   ::flock(fd_, LOCK_UN);
   if (!ok) return;
@@ -144,8 +124,9 @@ void PersistentStore::refreshLocked() {
     map_ = static_cast<const std::uint8_t*>(m);
     map_len_ = file_len;
   }
-  if (loadU64(map_) != kFileMagic || loadU64(map_ + 8) != kFormatVersion ||
-      loadU64(map_ + 16) != version_digest_) {
+  ByteReader header(map_, kHeaderBytes);
+  if (header.u64() != kFileMagic || header.u64() != kFormatVersion ||
+      header.u64() != version_digest_) {
     // Wrong-version bytes behind our filename (renamed/overwritten file).
     healthy_ = false;
     return;
@@ -154,13 +135,13 @@ void PersistentStore::refreshLocked() {
   while (scanned_ < map_len_) {
     const std::size_t avail = map_len_ - scanned_;
     if (avail < kRecHeaderBytes) break;  // header still being written
-    const std::uint8_t* rec = map_ + scanned_;
-    if (loadU32(rec) != kRecMagic) {
+    ByteReader rec(map_ + scanned_, avail);
+    if (rec.u32() != kRecMagic) {
       tail_corrupt_ = true;  // garbage bytes: nothing past here is trusted
       return;
     }
-    const std::uint64_t key = loadU64(rec + 4);
-    const std::uint32_t payload_len = loadU32(rec + 12);
+    const std::uint64_t key = rec.u64();
+    const std::uint32_t payload_len = rec.u32();
     if (payload_len > kMaxPayloadBytes) {
       tail_corrupt_ = true;
       return;
@@ -168,8 +149,8 @@ void PersistentStore::refreshLocked() {
     const std::size_t rec_len =
         kRecHeaderBytes + payload_len + kRecTrailerBytes;
     if (avail < rec_len) break;  // incomplete tail: retry on next refresh
-    const std::uint8_t* payload = rec + kRecHeaderBytes;
-    if (loadU64(payload + payload_len) !=
+    const std::uint8_t* payload = map_ + scanned_ + kRecHeaderBytes;
+    if (ByteReader(payload + payload_len, kRecTrailerBytes).u64() !=
         recordChecksum(key, payload, payload_len)) {
       tail_corrupt_ = true;
       return;
@@ -201,14 +182,12 @@ void PersistentStore::save(std::uint64_t key,
   if (!healthy_) return;
   if (written_.count(key) != 0 || index_.count(key) != 0) return;
   if (payload.size() > kMaxPayloadBytes) return;
-  std::vector<std::uint8_t> rec(kRecHeaderBytes + payload.size() +
-                                kRecTrailerBytes);
-  storeU32(rec.data(), kRecMagic);
-  storeU64(rec.data() + 4, key);
-  storeU32(rec.data() + 12, static_cast<std::uint32_t>(payload.size()));
-  std::copy(payload.begin(), payload.end(), rec.begin() + kRecHeaderBytes);
-  storeU64(rec.data() + kRecHeaderBytes + payload.size(),
-           recordChecksum(key, payload.data(), payload.size()));
+  ByteWriter rec;
+  rec.u32(kRecMagic);
+  rec.u64(key);
+  rec.u32(static_cast<std::uint32_t>(payload.size()));
+  rec.raw(payload);
+  rec.u64(recordChecksum(key, payload.data(), payload.size()));
   // flock + O_APPEND: concurrent processes append whole records, never
   // interleaved bytes. A failed write poisons the handle — a half-written
   // record is exactly what the checksum scan protects readers from.
@@ -216,7 +195,7 @@ void PersistentStore::save(std::uint64_t key,
     healthy_ = false;
     return;
   }
-  const bool ok = writeAll(fd_, rec.data(), rec.size());
+  const bool ok = writeAll(fd_, rec.bytes());
   ::flock(fd_, LOCK_UN);
   if (!ok) {
     healthy_ = false;

@@ -23,15 +23,14 @@ std::vector<RegVal> Trace::publishedAt(Time t, int n_plus_1) const {
 
 std::uint64_t Trace::hash64() const {
   std::uint64_t h = op_digest_;
-  h = mix(h, ops_mixed_);
-  h = mix(h, events().size());
+  h = mixDigest(h, ops_mixed_);
+  h = mixDigest(h, events().size());
   for (const auto& e : events()) {
-    h = mix(h, static_cast<std::uint64_t>(e.time));
-    h = mix(h, static_cast<std::uint64_t>(e.pid) + 1);
-    h = mix(h, static_cast<std::uint64_t>(e.kind) + 1);
-    h = mix(h, e.label.size());
-    for (char c : e.label) h = mix(h, static_cast<unsigned char>(c));
-    h = mix(h, e.value.hash64());
+    h = mixDigest(h, static_cast<std::uint64_t>(e.time));
+    h = mixDigest(h, static_cast<std::uint64_t>(e.pid) + 1);
+    h = mixDigest(h, static_cast<std::uint64_t>(e.kind) + 1);
+    h = digestString(h, e.label);
+    h = mixDigest(h, e.value.hash64());
   }
   return h;
 }

@@ -61,7 +61,7 @@ void World::injectCrash(Pid p) {
 
 void World::enableAudit(AuditMode mode) {
   audit_ = std::make_unique<StepAuditor>(this, mode);
-  objects_.setObserver(audit_.get());
+  objects_.setAuditor(audit_.get());
 }
 
 void World::snapshot(Snapshot& s) const {

@@ -149,7 +149,7 @@ class World {
   // closes out the end-of-run FD-axiom conditions (idempotent), which in
   // kThrow mode may raise StepAuditError.
   void endAuditObservation() {
-    objects_.setObserver(nullptr);
+    objects_.setAuditor(nullptr);
     if (audit_) audit_->finalizeFdAxioms();
   }
 

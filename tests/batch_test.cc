@@ -214,20 +214,6 @@ TEST(Batch, PostHookRunsOnWorkerAndFillsMetrics) {
   }
 }
 
-TEST(Batch, DriveWatchedBatchDefaultsAWatchdog) {
-  // Cells without chaos/watchdog get WatchdogConfig{} under
-  // driveWatchedBatch: same schedule as Scheduler::run, structured verdict.
-  std::vector<BatchCell> cells{fig1Cell(3), chaosCell(4)};
-  const auto res = sim::driveWatchedBatch(cells, BatchOptions{2});
-  ASSERT_EQ(res.size(), 2u);
-  EXPECT_FALSE(res[0].error) << res[0].detail;
-  EXPECT_EQ(res[0].verdict, RunVerdict::kOk);
-  const auto plain = sim::runTask(cells[0].cfg, cells[0].algo,
-                                  cells[0].proposals);
-  EXPECT_EQ(res[0].trace_hash, plain.trace().hash64());
-  EXPECT_FALSE(res[1].error) << res[1].detail;
-}
-
 TEST(Batch, ResolveJobsAndRunnerDefaults) {
   EXPECT_GE(sim::resolveJobs(0), 1);
   EXPECT_EQ(sim::resolveJobs(7), 7);

@@ -66,8 +66,9 @@ const char* const kFamilies[] = {
 };
 constexpr std::uint64_t kSeeds[] = {1, 2, 7, 23};
 
-// Same mixing round as Trace/RegVal so the signature is stable across
-// platforms and recorder runs.
+// The mixing round of wfd::mixDigest (common/types.h), kept as an
+// independent copy so the signature is stable across platforms and
+// recorder runs, and a change to the library's round cannot move it.
 std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
   h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
   h *= 0xFF51AFD7ED558CCDULL;

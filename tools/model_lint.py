@@ -95,6 +95,13 @@ guarantees:
                      These values stay on their run's thread, so they
                      count holders with a plain integer (a CellBlock,
                      common/reg_val.h, or a LocalPtr, common/local_ptr.h)
+  one-mix            the mix round's multiplier literal 0xFF51AFD7ED558CCD
+                     anywhere in src/ but its one definition
+                     (wfd::mixDigest, src/common/types.h): every trace
+                     hash, digest and stored key folds that round, so a
+                     second copy could drift from the pinned one unseen;
+                     call mixDigest instead (tests/ keep an independent
+                     reference copy on purpose)
 
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
@@ -144,6 +151,11 @@ HOT_PATH_WHY = (
     "key index; CellBlocks come from FramePool (common/frame_pool.h), "
     "not from raw operator new/delete"
 )
+ONE_MIX_WHY = (
+    "every trace hash, digest and stored key folds one mix round, defined "
+    "once as wfd::mixDigest (common/types.h): call it instead of copying "
+    "the round, so no second copy can drift from the pinned one"
+)
 # The iteration rule binds the whole library tree: unlike declaring an
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
 # everywhere.
@@ -171,6 +183,21 @@ SINGLE_THREAD_SHARE_FILES = [
     "src/sim/scheduler.h",
     "src/sim/scheduler.cc",
 ]
+
+# The one-mix rule binds src/; the round's one home may hold the literal
+# once.
+MIX_HOME = ["src/common/types.h"]
+MIX_MULTIPLIER_RX = re.compile(r"\b0x0*FF51AFD7ED558CCD", re.IGNORECASE)
+
+
+def find_extra_mix_rounds(stripped: str):
+    """Line numbers of every mix-multiplier literal after the first."""
+    hits = [
+        lineno
+        for lineno, line in enumerate(stripped.splitlines(), start=1)
+        for _ in MIX_MULTIPLIER_RX.finditer(line)
+    ]
+    return set(hits[1:])
 
 
 UNORDERED_DECL_RX = re.compile(
@@ -398,6 +425,20 @@ RULES = [
         "(common/reg_val.h) or a LocalPtr (common/local_ptr.h)",
         SINGLE_THREAD_SHARE_FILES,
     ),
+    (
+        "one-mix",
+        MIX_MULTIPLIER_RX,
+        ONE_MIX_WHY,
+        ALL_SRC_DIRS,
+        MIX_HOME,
+    ),
+    (
+        # Same rule, at the definition's home: one literal, not two.
+        "one-mix",
+        find_extra_mix_rounds,
+        ONE_MIX_WHY,
+        MIX_HOME,
+    ),
 ]
 
 
@@ -584,6 +625,15 @@ VIOLATING_SNIPPETS = {
         "  std::shared_ptr<const RegVal[]> elems;\n"
         "  std::size_t size = 0;\n"
         "};\n"
+    ),
+    # Trace's private copy of the mix round, before the one definition.
+    "one-mix": (
+        "  static std::uint64_t mix(std::uint64_t h, std::uint64_t x) {\n"
+        "    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);\n"
+        "    h *= 0xFF51AFD7ED558CCDULL;\n"
+        "    h ^= h >> 33;\n"
+        "    return h;\n"
+        "  }\n"
     ),
 }
 
@@ -795,6 +845,32 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: atomic-share {verb} on {what} in {rel}")
+    # one-mix binds src/: a copy of the round fires wherever it sits there
+    # but in its home, which may hold the literal once and not twice; the
+    # tests' reference copy is out of scope, and the files that once held
+    # copies are clean.
+    copy = VIOLATING_SNIPPETS["one-mix"]
+    home = (repo / "src/common/types.h").read_text(encoding="utf-8")
+    cases = [
+        ("src/sim/trace.h", copy, "a copy of the round", True),
+        ("src/sim/ops.h", copy, "a copy of the round", True),
+        ("tests/golden_hash_test.cc", copy, "a copy of the round", False),
+        ("src/common/types.h", home, "the file", False),
+        ("src/common/types.h", home + copy, "a second copy", True),
+    ]
+    for rel in ("src/sim/trace.h", "src/sim/ops.h", "src/common/reg_val.h",
+                "src/fd/failure_detector.h"):
+        cases.append(
+            (rel, (repo / rel).read_text(encoding="utf-8"), "the file", False))
+    for rel, text, what, fires in cases:
+        found = {r for (_p, _l, r, _s) in scan_text(text, rel, rules_for(rel))}
+        if ("one-mix" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: one-mix {verb} on {what} in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: one-mix {verb} on {what} in {rel}")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
