@@ -76,17 +76,18 @@ int main() {
                      /*omega_target=*/false);
   // P is a legal <>P history; Omega is Omega^1; a stable anti-Omega
   // history is a legal Upsilon history — three "free" lattice edges:
-  std::printf("  %-28s -> %-14s %s\n", "P is a <>P history", "(axioms)",
-              fd::checkEventuallyPerfect(*fd::makePerfect(fp), fp, stab + 200)
-                      .ok
-                  ? "ok"
-                  : "FAIL");
-  std::printf("  %-28s -> %-14s %s\n", "anti-Omega is an Upsilon", "(axioms)",
-              fd::checkUpsilonF(*fd::makeAntiOmega(fp, stab, 5), fp,
-                                n_plus_1 - 1, stab + 200)
-                      .ok
-                  ? "ok"
-                  : "FAIL");
+  using Family = fd::AxiomSpec::Family;
+  const auto axiomEdge = [&](const char* what, const fd::FdPtr& d,
+                             fd::AxiomSpec spec) {
+    const auto rep = fd::checkHistory(*d, fp, spec, stab + 200);
+    std::printf("  %-28s -> %-14s %s\n", what, "(axioms)",
+                rep.ok ? "ok" : "FAIL");
+    return rep.ok;
+  };
+  ok &= axiomEdge("P is a <>P history", fd::makePerfect(fp),
+                  {Family::kEventuallyPerfect, 0});
+  ok &= axiomEdge("anti-Omega is an Upsilon", fd::makeAntiOmega(fp, stab, 5),
+                  {Family::kUpsilonF, n_plus_1 - 1});
 
   std::printf("\nand the floor: Theorem 10 extracts Upsilon from ANY stable\n");
   std::printf("non-trivial detector — try ./weakest_fd_extraction next.\n");

@@ -3,6 +3,8 @@
 #include <map>
 #include <set>
 
+#include "fd/axioms.h"
+
 namespace wfd::core {
 
 namespace {
@@ -31,6 +33,25 @@ EmulationReport harvestPublished(const RunResult& rr) {
     if (correct.contains(e.pid)) rep.last_change = e.time;
   }
   if (rep.stabilized && fv.isSet()) rep.stable_value = fv.asSet();
+  return rep;
+}
+
+// The harvested stable value against the target family's range and
+// stable-value rules.
+EmulationReport judgeEmulated(const RunResult& rr, const fd::AxiomSpec& spec) {
+  EmulationReport rep = harvestPublished(rr);
+  if (!rep.stabilized) return rep;
+  const auto& fp = rr.world->pattern();
+  std::string why = fd::rangeViolation(spec, fp.nProcs(), rep.stable_value);
+  if (why.empty()) {
+    why = fd::stableViolation(spec, fp.nProcs(), rep.stable_value,
+                              fp.correct());
+  }
+  rep.legal = why.empty();
+  if (!rep.legal) {
+    rep.violation =
+        "emulated output " + rep.stable_value.toString() + " " + why;
+  }
   return rep;
 }
 
@@ -76,41 +97,11 @@ AgreementReport checkKSetAgreement(const RunResult& rr, int k,
 }
 
 EmulationReport checkEmulatedUpsilonF(const RunResult& rr, int f) {
-  EmulationReport rep = harvestPublished(rr);
-  if (!rep.stabilized) return rep;
-  const auto& fp = rr.world->pattern();
-  const int n_plus_1 = fp.nProcs();
-  rep.legal = true;
-  if (rep.stable_value.empty()) {
-    rep.legal = false;
-    rep.violation = "emulated Upsilon output is empty";
-  } else if (rep.stable_value.size() < n_plus_1 - f) {
-    rep.legal = false;
-    rep.violation = "emulated Upsilon^f output " + rep.stable_value.toString() +
-                    " smaller than n+1-f";
-  } else if (rep.stable_value == fp.correct()) {
-    rep.legal = false;
-    rep.violation = "emulated output equals the correct set " +
-                    rep.stable_value.toString();
-  }
-  return rep;
+  return judgeEmulated(rr, {fd::AxiomSpec::Family::kUpsilonF, f});
 }
 
 EmulationReport checkEmulatedOmega(const RunResult& rr) {
-  EmulationReport rep = harvestPublished(rr);
-  if (!rep.stabilized) return rep;
-  const auto& fp = rr.world->pattern();
-  rep.legal = true;
-  if (rep.stable_value.size() != 1) {
-    rep.legal = false;
-    rep.violation = "emulated Omega output " + rep.stable_value.toString() +
-                    " is not a singleton";
-  } else if (fp.correct().intersect(rep.stable_value).empty()) {
-    rep.legal = false;
-    rep.violation = "emulated leader " + rep.stable_value.toString() +
-                    " is faulty";
-  }
-  return rep;
+  return judgeEmulated(rr, {fd::AxiomSpec::Family::kOmegaK, 1});
 }
 
 }  // namespace wfd::core

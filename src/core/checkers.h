@@ -44,12 +44,11 @@ struct EmulationReport {
   [[nodiscard]] bool ok() const { return stabilized && legal; }
 };
 
-// The emulated output must be a non-empty set of size >= n+1-f that is
-// not correct(F) (Upsilon^f axioms).
+// The emulated stable output must obey Upsilon^f's range and stable-value
+// rules (fd/axioms.h): a non-empty set of size >= n+1-f, != correct(F).
 EmulationReport checkEmulatedUpsilonF(const RunResult& rr, int f);
 
-// The emulated output must be the same singleton {q} with q correct
-// (Omega axioms).
+// The same for Omega = Omega^1: a singleton {q} with q correct.
 EmulationReport checkEmulatedOmega(const RunResult& rr);
 
 }  // namespace wfd::core

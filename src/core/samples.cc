@@ -1,5 +1,7 @@
 #include "core/samples.h"
 
+#include "fd/axioms.h"
+
 namespace wfd::core {
 
 bool isFResilientSample(DetectorFamily family, int n_plus_1, int f,
@@ -12,16 +14,23 @@ bool isFResilientSample(DetectorFamily family, int n_plus_1, int f,
   if (r.empty() || !r.subsetOf(ProcSet::full(n_plus_1))) return false;
   if (r.complement(n_plus_1).size() > f) return false;  // F must be in E_f
 
+  // A constant history d is legal for a family iff d obeys its range rule
+  // and may be the permanent value when correct(F) = R.
+  const auto legal = [&](fd::AxiomSpec spec) {
+    return fd::rangeViolation(spec, n_plus_1, d).empty() &&
+           fd::stableViolation(spec, n_plus_1, d, r).empty();
+  };
+  using Family = fd::AxiomSpec::Family;
   switch (family) {
     case DetectorFamily::kOmegaK:
-      return d.size() == static_cast<int>(param) && !d.intersect(r).empty();
+      return legal({Family::kOmegaK, static_cast<int>(param)});
     case DetectorFamily::kUpsilonF:
-      return !d.empty() && d.size() >= n_plus_1 - f && d != r;
+      return legal({Family::kUpsilonF, f});
     case DetectorFamily::kAntiOmegaStable:
-      return d.size() == 1 && d != r;
+      return d.size() == 1 && legal({Family::kUpsilonF, n_plus_1 - 1});
     case DetectorFamily::kEventuallyPerfect:
     case DetectorFamily::kPerfect:
-      return d == r.complement(n_plus_1);
+      return legal({Family::kEventuallyPerfect, 0});
     case DetectorFamily::kDummy:
       return d == ProcSet::fromBits(param);
   }

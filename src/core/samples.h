@@ -13,7 +13,9 @@
 // concrete detector family, because prefixes are unconstrained for every
 // shipped detector (their axioms are purely eventual, except P whose
 // prefix constraints are always satisfiable by choosing crash times) and
-// the eventual constraint reduces to a set predicate:
+// the eventual constraint reduces to a set predicate — for the axiom
+// families, d passing fd/axioms.h's range and stable-value rules with
+// correct(F) = R:
 //
 //   Omega^k:  |d| = k  and  d intersects R       (eventual leader set
 //                                                  contains a correct)

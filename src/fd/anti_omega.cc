@@ -3,14 +3,17 @@
 #include <cassert>
 
 #include "common/rng.h"
+#include "fd/axioms.h"
 
 namespace wfd::fd {
 
 AntiOmegaFd::AntiOmegaFd(const FailurePattern& fp, Params p)
     : n_plus_1_(fp.nProcs()), params_(p) {
   assert(params_.stable_pid >= 0 && params_.stable_pid < n_plus_1_);
-  assert(ProcSet::singleton(params_.stable_pid) != fp.correct() &&
-         "stable singleton must not equal the correct set");
+  assert(stableViolation(axioms(), n_plus_1_,
+                         ProcSet::singleton(params_.stable_pid), fp.correct())
+             .empty() &&
+         "stable singleton breaks the stable-value rule");
 }
 
 ProcSet AntiOmegaFd::query(Pid p, Time t) const {

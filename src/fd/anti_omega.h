@@ -27,6 +27,10 @@ class AntiOmegaFd final : public FailureDetector {
   [[nodiscard]] Time stabilizationTime() const override {
     return params_.stab_time;
   }
+  // Every stable anti-Omega history is an Upsilon (= Upsilon^n) history.
+  [[nodiscard]] AxiomSpec axioms() const override {
+    return {AxiomSpec::Family::kUpsilonF, n_plus_1_ - 1};
+  }
   [[nodiscard]] std::uint64_t keyDigest() const override;
 
   // A legal stable pid: any faulty process if one exists; otherwise any

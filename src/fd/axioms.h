@@ -1,46 +1,68 @@
-// Axiom checkers: certify that a generated history really belongs to D(F).
+// The detector axioms: the one place that knows what each AxiomSpec
+// family allows.
 //
 // Every experiment's conclusion hinges on the failure detector history
-// being *legal* — a set-agreement run "solved with Upsilon" proves nothing
-// if the history violated Upsilon's axioms. These checkers sample H(p, t)
-// over a horizon and verify the published definitions:
-//   Upsilon^f: outputs non-empty, size >= n+1-f; eventually the same set,
-//              != correct(F), permanently at all correct processes.
-//   Omega^k:   outputs size k; eventually the same set, containing a
-//              correct process, permanently at all correct processes.
-//   stability: eventually the same value permanently at all correct
-//              processes (Sect. 6.2).
-// A check needs a stabilization witness: we use fd.stabilizationTime() and
-// verify stability on [witness, horizon].
+// being *legal*, H in D(F) — a set-agreement run "solved with Upsilon"
+// proves nothing if the history violated Upsilon's axioms. Each family's
+// definition splits into two rules, written once here:
+//   range rule (every answer, at every process and time, stabilized or
+//   not):
+//     Upsilon^f: non-empty, size >= n+1-f.
+//     Omega^k:   size exactly k.
+//     <>P:       any set.
+//   stable-value rule (the value every correct process eventually outputs
+//   permanently, judged against the final correct(F)):
+//     Upsilon^f: != correct(F).
+//     Omega^k:   contains a correct process.
+//     <>P:       == faulty(F).
+// kNone constrains nothing. Consumers: the offline checkers below, the
+// online auditor (sim/step_audit.h), chaos noise (sim/chaos.h), the
+// emulation checks (core/checkers.h), the f-resilient sample predicate
+// (core/samples.h) and the Upsilon^f / Omega^k constructors.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "fd/failure_detector.h"
 
 namespace wfd::fd {
 
+// Why `answer` breaks the range rule; empty (and allocation-free) when it
+// is in range.
+std::string rangeViolation(const AxiomSpec& spec, int n_plus_1,
+                           const ProcSet& answer);
+
+// Why `stable` may not be the permanent value under correct set `correct`;
+// empty when it may. Reads after the value: "{p1} contains no correct
+// process — ...". The stable value must also pass rangeViolation.
+std::string stableViolation(const AxiomSpec& spec, int n_plus_1,
+                            const ProcSet& stable, const ProcSet& correct);
+
+// Smallest answer size the range rule allows (0 for <>P).
+int minLegalSize(const AxiomSpec& spec, int n_plus_1);
+
+// In-range noise for (salt, t): a pure function of its arguments, as every
+// history must be. Upsilon^f: a cyclic block of minLegalSize members plus
+// random extras; Omega^k: the cyclic block alone; <>P: a random subset.
+ProcSet legalNoise(const AxiomSpec& spec, int n_plus_1, std::uint64_t seed,
+                   std::uint64_t salt, Time t);
+
 struct AxiomReport {
   bool ok = true;
   std::string violation;  // human-readable first failure
 };
 
-AxiomReport checkUpsilonF(const FailureDetector& fd, const FailurePattern& fp,
-                          int f, Time horizon);
+// Offline certification of one history against `spec` over [0, horizon]:
+// the range rule at every process and time, eventual constancy at the
+// correct processes from the witness fd.stabilizationTime() on, and the
+// stable-value rule. With kNone only constancy is checked.
+AxiomReport checkHistory(const FailureDetector& fd, const FailurePattern& fp,
+                         const AxiomSpec& spec, Time horizon);
 
-AxiomReport checkOmegaK(const FailureDetector& fd, const FailurePattern& fp,
-                        int k, Time horizon);
-
-// Stability alone (Sect. 6.2): same value at all correct processes from
-// the witness time through the horizon.
-AxiomReport checkStable(const FailureDetector& fd, const FailurePattern& fp,
-                        Time horizon);
-
-// <>P: eventually the output equals exactly faulty(F) at all correct
-// processes. With `perfect` also enforce strong accuracy over the whole
-// horizon (never suspect a process before it crashes).
-AxiomReport checkEventuallyPerfect(const FailureDetector& fd,
-                                   const FailurePattern& fp, Time horizon,
-                                   bool perfect = false);
+// P's strong accuracy over [0, horizon]: no process is suspected before
+// it crashes (completeness is checkHistory's <>P stable-value rule).
+AxiomReport checkStrongAccuracy(const FailureDetector& fd,
+                                const FailurePattern& fp, Time horizon);
 
 }  // namespace wfd::fd

@@ -49,12 +49,11 @@ using wfd::mixDigest;
 
 // What a detector instance claims about its own history, machine-readably:
 // the axiom family its outputs promise to satisfy, plus the family
-// parameter (f for Upsilon^f, k for Omega^k). The online axiom checker in
-// sim/step_audit.h validates every query() answer against this claim as it
-// is produced — range per answer, constancy after stabilizationTime(), and
-// the non-triviality conditions against the final failure pattern at end
-// of run. kNone opts a detector out (scripted/adversarial histories whose
-// whole point is to sit outside any family).
+// parameter (f for Upsilon^f, k for Omega^k). What each family allows is
+// written once, in fd/axioms.h; the online axiom checker in
+// sim/step_audit.h applies it to every query() answer as it is produced.
+// kNone opts a detector out (scripted/adversarial histories whose whole
+// point is to sit outside any family).
 struct AxiomSpec {
   enum class Family { kNone, kUpsilonF, kOmegaK, kEventuallyPerfect };
   Family family = Family::kNone;

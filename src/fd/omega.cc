@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/rng.h"
+#include "fd/axioms.h"
 
 namespace wfd::fd {
 
@@ -32,10 +33,12 @@ ProcSet noiseKSet(int n_plus_1, int k, std::uint64_t seed, Pid p, Time t) {
 OmegaKFd::OmegaKFd(const FailurePattern& fp, int k, Params p)
     : n_plus_1_(fp.nProcs()), k_(k), params_(std::move(p)) {
   assert(k_ >= 1 && k_ <= n_plus_1_);
-  assert(params_.stable_leaders.size() == k_ &&
-         "Omega^k outputs sets of size exactly k");
-  assert(!params_.stable_leaders.intersect(fp.correct()).empty() &&
-         "Omega^k's stable set must contain a correct process");
+  assert(rangeViolation(axioms(), n_plus_1_, params_.stable_leaders).empty() &&
+         "stable set breaks the range rule");
+  assert(stableViolation(axioms(), n_plus_1_, params_.stable_leaders,
+                         fp.correct())
+             .empty() &&
+         "stable set breaks the stable-value rule");
 }
 
 ProcSet OmegaKFd::query(Pid p, Time t) const {

@@ -4,52 +4,28 @@
 #include <cassert>
 
 #include "common/rng.h"
+#include "fd/axioms.h"
 
 namespace wfd::fd {
-
-namespace {
-
-// Deterministic pre-stabilization noise: a set of size >= min_size drawn
-// as a pure function of (seed, salt, t) so re-queries agree.
-ProcSet noiseSet(int n_plus_1, int min_size, std::uint64_t seed,
-                 std::uint64_t salt, Time t) {
-  assert(min_size >= 1 && min_size <= n_plus_1);
-  // Start from a random base offset and take min_size cyclic members, then
-  // add each remaining process independently with probability ~1/2.
-  ProcSet s;
-  const auto base = static_cast<int>(hashedUniform(
-      seed, salt, static_cast<std::uint64_t>(t) * 2 + 0,
-      static_cast<std::uint64_t>(n_plus_1)));
-  for (int i = 0; i < min_size; ++i) s.insert((base + i) % n_plus_1);
-  const std::uint64_t extra_bits = hashedUniform(
-      seed, salt, static_cast<std::uint64_t>(t) * 2 + 1,
-      ~std::uint64_t{0});
-  for (int p = 0; p < n_plus_1; ++p) {
-    if (!s.contains(p) && ((extra_bits >> p) & 1) != 0) s.insert(p);
-  }
-  return s;
-}
-
-}  // namespace
 
 UpsilonFd::UpsilonFd(const FailurePattern& fp, int f, Params p)
     : n_plus_1_(fp.nProcs()), f_(f), params_(std::move(p)) {
   assert(f_ >= 1 && f_ <= n_plus_1_ - 1);
-  assert(!params_.stable_set.empty() && "Upsilon range excludes the empty set");
-  assert(params_.stable_set.size() >= n_plus_1_ - f_ &&
-         "Upsilon^f outputs sets of size >= n+1-f");
   assert(params_.stable_set.subsetOf(ProcSet::full(n_plus_1_)));
-  assert(params_.stable_set != fp.correct() &&
-         "stable set must not be the set of correct processes");
+  assert(rangeViolation(axioms(), n_plus_1_, params_.stable_set).empty() &&
+         "stable set breaks the range rule");
+  assert(stableViolation(axioms(), n_plus_1_, params_.stable_set, fp.correct())
+             .empty() &&
+         "stable set breaks the stable-value rule");
 }
 
 ProcSet UpsilonFd::query(Pid p, Time t) const {
   assert(p >= 0 && p < n_plus_1_);
   if (t >= params_.stab_time) return params_.stable_set;
   // Salted per process: pre-stab outputs may differ across pids.
-  return noiseSet(n_plus_1_, n_plus_1_ - f_, params_.noise_seed ^ 0xC0FFEE,
-                  static_cast<std::uint64_t>(p) + 1,
-                  t / std::max<Time>(params_.noise_hold, 1));
+  return legalNoise(axioms(), n_plus_1_, params_.noise_seed ^ 0xC0FFEE,
+                    static_cast<std::uint64_t>(p) + 1,
+                    t / std::max<Time>(params_.noise_hold, 1));
 }
 
 std::string UpsilonFd::name() const {

@@ -5,6 +5,7 @@
 #include <variant>
 
 #include "common/rng.h"
+#include "fd/axioms.h"
 
 namespace wfd::sim {
 
@@ -42,55 +43,6 @@ namespace {
 
 using fd::AxiomSpec;
 
-// Smallest answer size the inner detector's axiom family allows.
-int minLegalSize(const AxiomSpec& spec, int n_plus_1) {
-  switch (spec.family) {
-    case AxiomSpec::Family::kUpsilonF:
-      return std::max(1, n_plus_1 - spec.param);
-    case AxiomSpec::Family::kOmegaK:
-      return std::max(1, spec.param);
-    case AxiomSpec::Family::kEventuallyPerfect:
-      return 0;  // any suspicion set — even empty — is in range pre-stab
-    case AxiomSpec::Family::kNone:
-      return 1;
-  }
-  return 1;
-}
-
-// Fresh in-range noise for (p, t): a stateless function of the seed, as
-// every history must be. Upsilon^f: >= n+1-f members (a cyclic base block
-// plus random extras); Omega^k: exactly k members.
-ProcSet legalNoise(const AxiomSpec& spec, int n_plus_1, std::uint64_t seed,
-                   Pid p, Time t) {
-  if (spec.family == AxiomSpec::Family::kEventuallyPerfect) {
-    // <>P's pre-stabilization output is unconstrained: any subset of Pi.
-    const std::uint64_t bits =
-        hashedUniform(seed, static_cast<std::uint64_t>(p) + 1,
-                      2 * static_cast<std::uint64_t>(t), ~std::uint64_t{0});
-    ProcSet s;
-    for (Pid q = 0; q < n_plus_1; ++q) {
-      if (((bits >> q) & 1) != 0) s.insert(q);
-    }
-    return s;
-  }
-  const int min_size = minLegalSize(spec, n_plus_1);
-  const auto base = static_cast<int>(
-      hashedUniform(seed, static_cast<std::uint64_t>(p) + 1,
-                    2 * static_cast<std::uint64_t>(t),
-                    static_cast<std::uint64_t>(n_plus_1)));
-  ProcSet s;
-  for (int i = 0; i < min_size; ++i) s.insert((base + i) % n_plus_1);
-  if (spec.family == AxiomSpec::Family::kUpsilonF) {
-    const std::uint64_t extra =
-        hashedUniform(seed, static_cast<std::uint64_t>(p) + 1,
-                      2 * static_cast<std::uint64_t>(t) + 1, ~std::uint64_t{0});
-    for (Pid q = 0; q < n_plus_1; ++q) {
-      if (((extra >> q) & 1) != 0) s.insert(q);
-    }
-  }
-  return s;
-}
-
 // The glitch wrapper. Forwards the inner detector's AxiomSpec so the
 // online checker judges the perturbed history against the inner claim;
 // kDelayStabilization is the one glitch that changes stabilizationTime()
@@ -114,15 +66,15 @@ class ChaosFd final : public fd::FailureDetector {
         return inner;
       case GlitchKind::kScrambleNoise:
         if (spec.family == AxiomSpec::Family::kNone || t >= tau) return inner;
-        return legalNoise(spec, n_, noise_seed_, p, t);
+        return noise(spec, p, t);
       case GlitchKind::kDelayStabilization:
         if (spec.family == AxiomSpec::Family::kNone) return inner;
-        if (t < tau + g_.delay) return legalNoise(spec, n_, noise_seed_, p, t);
+        if (t < tau + g_.delay) return noise(spec, p, t);
         return inner;  // t >= tau + delay >= tau: the inner stable value
       case GlitchKind::kEmptyAnswer:
         return {};
       case GlitchKind::kUndersizedAnswer: {
-        const int target = std::max(0, minLegalSize(spec, n_) - 1);
+        const int target = std::max(0, fd::minLegalSize(spec, n_) - 1);
         ProcSet s = inner;
         while (s.size() > target) s.erase(s.min());
         return s;
@@ -139,10 +91,9 @@ class ChaosFd final : public fd::FailureDetector {
       case GlitchKind::kStabExcludeCorrect: {
         // Omega^k control: a stable k-set of faulty processes only.
         if (t < tau) return inner;
-        const int want =
-            spec.family == AxiomSpec::Family::kOmegaK
-                ? std::max(1, spec.param)
-                : std::max(1, inner.size());
+        const int want = spec.family == AxiomSpec::Family::kOmegaK
+                             ? fd::minLegalSize(spec, n_)
+                             : std::max(1, inner.size());
         ProcSet s;
         for (Pid m : fp_.faulty().members()) {
           if (s.size() >= want) break;
@@ -171,6 +122,12 @@ class ChaosFd final : public fd::FailureDetector {
   [[nodiscard]] AxiomSpec axioms() const override { return inner_->axioms(); }
 
  private:
+  // Fresh in-range noise for (p, t), salted per process like UpsilonFd's.
+  ProcSet noise(const AxiomSpec& spec, Pid p, Time t) const {
+    return fd::legalNoise(spec, n_, noise_seed_,
+                          static_cast<std::uint64_t>(p) + 1, t);
+  }
+
   fd::FdPtr inner_;
   FdGlitch g_;
   FailurePattern fp_;

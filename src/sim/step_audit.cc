@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "fd/axioms.h"
 #include "sim/world.h"
 
 namespace wfd::sim {
@@ -210,18 +211,7 @@ void StepAuditor::onExecuteBegin(Pid p, const Op& op) {
   }
   checkOpAgainstTable(p, op);
   in_execute_ = true;
-  exec_obj_ = -1;
-  if (const auto* r = std::get_if<OpRead>(&op)) {
-    exec_obj_ = r->obj;
-  } else if (const auto* w = std::get_if<OpWrite>(&op)) {
-    exec_obj_ = w->obj;
-  } else if (const auto* u = std::get_if<OpSnapUpdate>(&op)) {
-    exec_obj_ = u->obj;
-  } else if (const auto* s = std::get_if<OpSnapScan>(&op)) {
-    exec_obj_ = s->obj;
-  } else if (const auto* c = std::get_if<OpConsPropose>(&op)) {
-    exec_obj_ = c->obj;
-  }
+  exec_obj_ = footprintOf(op).obj;
 }
 
 void StepAuditor::onExecuteEnd(Pid) {
@@ -243,33 +233,16 @@ void StepAuditor::onFdAnswer(Pid p, const ProcSet& answer) {
   if (det == nullptr) return;
   const fd::AxiomSpec spec = det->axioms();
   if (spec.family == fd::AxiomSpec::Family::kNone) return;
-  const int n_plus_1 = world_->nProcs();
   const Time t = world_->now();
 
-  // Range axioms hold for EVERY answer, stabilized or not.
-  if (spec.family == fd::AxiomSpec::Family::kUpsilonF) {
-    const int min_size = n_plus_1 - spec.param;
-    if (answer.empty() || answer.size() < min_size) {
-      flag(AuditRule::kFdIllegalOutput, p,
-           det->name() + " answered " + answer.toString() + " (size " +
-               std::to_string(answer.size()) +
-               "); Upsilon^f outputs non-empty sets of size >= n+1-f = " +
-               std::to_string(min_size < 1 ? 1 : min_size));
-      return;
-    }
-  } else if (spec.family == fd::AxiomSpec::Family::kOmegaK) {
-    if (answer.size() != spec.param) {
-      flag(AuditRule::kFdIllegalOutput, p,
-           det->name() + " answered " + answer.toString() + " (size " +
-               std::to_string(answer.size()) +
-               "); Omega^k outputs sets of size exactly k = " +
-               std::to_string(spec.param));
-      return;
-    }
+  // The range rule holds for EVERY answer, stabilized or not.
+  const std::string why = fd::rangeViolation(spec, world_->nProcs(), answer);
+  if (!why.empty()) {
+    flag(AuditRule::kFdIllegalOutput, p,
+         det->name() + " answered " + answer.toString() + " (size " +
+             std::to_string(answer.size()) + "); " + why);
+    return;
   }
-  // kEventuallyPerfect has no per-answer range axiom (any suspicion set is
-  // legal pre-stabilization); its teeth are the constancy check below and
-  // the finalize condition stable value == faulty(F).
 
   // Stability: our detector implementations promise the uniform contract
   // "query(p, t) is the stable value for every p once t >=
@@ -297,33 +270,15 @@ void StepAuditor::finalizeFdAxioms() {
   fd_finalized_ = true;
   const fd::FailureDetector* det = world_->fd();
   if (det == nullptr || !post_stab_seen_) return;
-  const fd::AxiomSpec spec = det->axioms();
-  const ProcSet correct = world_->pattern().correct();
-  // Non-triviality conditions are properties of the FINAL failure pattern
-  // (chaos may inject crashes mid-run), so they can only close out here.
-  if (spec.family == fd::AxiomSpec::Family::kUpsilonF) {
-    if (post_stab_value_ == correct) {
-      flag(AuditRule::kFdIllegalOutput, -1,
-           det->name() + " stabilized on " + post_stab_value_.toString() +
-               " which equals correct(F) — Upsilon's non-triviality axiom "
-               "requires the stable set to differ from the correct set");
-    }
-  } else if (spec.family == fd::AxiomSpec::Family::kOmegaK) {
-    if (post_stab_value_.intersect(correct).empty()) {
-      flag(AuditRule::kFdIllegalOutput, -1,
-           det->name() + " stabilized on " + post_stab_value_.toString() +
-               " which contains no correct process — Omega^k's stable set "
-               "must include at least one");
-    }
-  } else if (spec.family == fd::AxiomSpec::Family::kEventuallyPerfect) {
-    const ProcSet faulty = world_->pattern().faulty();
-    if (post_stab_value_ != faulty) {
-      flag(AuditRule::kFdIllegalOutput, -1,
-           det->name() + " stabilized on " + post_stab_value_.toString() +
-               " but faulty(F) = " + faulty.toString() +
-               " — <>P must eventually suspect exactly the faulty "
-               "processes (strong completeness + eventual strong accuracy)");
-    }
+  // The stable-value rule is a property of the FINAL failure pattern
+  // (chaos may inject crashes mid-run), so it can only close out here.
+  const std::string why =
+      fd::stableViolation(det->axioms(), world_->nProcs(), post_stab_value_,
+                          world_->pattern().correct());
+  if (!why.empty()) {
+    flag(AuditRule::kFdIllegalOutput, -1,
+         det->name() + " stabilized on " + post_stab_value_.toString() +
+             " which " + why);
   }
 }
 

@@ -96,7 +96,8 @@ class StepAuditor final {
   void onObjectAccess(ObjId id, ObjectAccess access);
   // World::execute, after an FD query was answered but BEFORE the answer
   // reaches the algorithm: validate it online against the detector's
-  // AxiomSpec (range per answer; constancy after stabilizationTime()).
+  // AxiomSpec (fd/axioms.h's range rule per answer; constancy after
+  // stabilizationTime(); the stable-value rule in finalizeFdAxioms).
   // In kThrow mode an illegal answer never enters the run.
   void onFdAnswer(Pid p, const ProcSet& answer);
   // World::execute, after a snapshot scan produced its view (possibly

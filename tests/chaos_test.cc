@@ -222,6 +222,38 @@ TEST(Chaos, EveryIllegalGlitchIsDetected) {
   }
 }
 
+// A stable anti-Omega history is an Upsilon history, and anti-Omega claims
+// exactly that (fd/anti_omega.h), so the online checker judges it: an
+// illegal glitch over it is caught, and the unperturbed history audits
+// clean before and after stabilization.
+RunConfig antiOmegaConfig() {
+  RunConfig cfg;
+  cfg.n_plus_1 = 4;
+  cfg.fp = FailurePattern::withCrashes(4, {{3, 50}});
+  cfg.fd = fd::makeAntiOmega(*cfg.fp, /*stab_time=*/100, /*noise_seed=*/5);
+  cfg.seed = 17;
+  return cfg;
+}
+
+TEST(Chaos, IllegalGlitchOverAntiOmegaIsDetected) {
+  ChaosConfig chaos;
+  chaos.glitch = {GlitchKind::kEmptyAnswer, 0, 1};
+  const RunReport rep =
+      runChaosTask(antiOmegaConfig(), chaos, WatchdogConfig{400'000, 0, 0},
+                   fdSampler(), test::distinctProposals(4));
+  ASSERT_EQ(rep.verdict, RunVerdict::kAxiomViolation) << rep.detail;
+  EXPECT_NE(rep.detail.find("fd-illegal-output"), std::string::npos);
+}
+
+TEST(Chaos, AuditedAntiOmegaRunIsClean) {
+  RunConfig cfg = antiOmegaConfig();
+  cfg.audit = sim::AuditMode::kCollect;
+  const auto rr = sim::runTask(cfg, fdSampler(), test::distinctProposals(4));
+  ASSERT_NE(rr.audit(), nullptr);
+  EXPECT_TRUE(rr.audit()->clean()) << rr.audit()->report();
+  EXPECT_TRUE(rr.all_correct_done);
+}
+
 // The same illegal histories run against the real Fig. 1 workload either
 // get caught or — if the algorithm never sampled the history — terminate
 // safely; they never abort and never silently violate agreement.

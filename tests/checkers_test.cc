@@ -17,6 +17,7 @@ using sim::EventKind;
 using sim::FailurePattern;
 using sim::RunConfig;
 using sim::RunResult;
+using Family = fd::AxiomSpec::Family;
 
 // Build a RunResult by hand: a world with the given pattern plus a
 // scripted trace.
@@ -149,25 +150,25 @@ TEST(AxiomChecker, FlagsNonStabilizingHistory) {
   const auto flip = fd::makeScripted(
       "flip", [](Pid, Time t) { return ProcSet{static_cast<Pid>(t % 2)}; },
       /*claimed stab=*/0);
-  EXPECT_FALSE(fd::checkStable(*flip, fp, 50).ok);
-  EXPECT_FALSE(fd::checkUpsilonF(*flip, fp, 1, 50).ok);
+  EXPECT_FALSE(fd::checkHistory(*flip, fp, fd::AxiomSpec{}, 50).ok);
+  EXPECT_FALSE(fd::checkHistory(*flip, fp, {Family::kUpsilonF, 1}, 50).ok);
 }
 
 TEST(AxiomChecker, FlagsCorrectSetStableValue) {
   const auto fp = FailurePattern::failureFree(3);
   const auto bad = fd::makeScripted(
       "U=Pi", [](Pid, Time) { return ProcSet::full(3); }, 0);
-  EXPECT_FALSE(fd::checkUpsilonF(*bad, fp, 2, 50).ok);
+  EXPECT_FALSE(fd::checkHistory(*bad, fp, {Family::kUpsilonF, 2}, 50).ok);
   // The same history IS legal when someone is faulty.
   const auto fp2 = FailurePattern::withCrashes(3, {{0, 5}});
-  EXPECT_TRUE(fd::checkUpsilonF(*bad, fp2, 2, 50).ok);
+  EXPECT_TRUE(fd::checkHistory(*bad, fp2, {Family::kUpsilonF, 2}, 50).ok);
 }
 
 TEST(AxiomChecker, FlagsAllFaultyOmegaSet) {
   const auto fp = FailurePattern::withCrashes(3, {{0, 2}});
   const auto bad = fd::makeScripted(
       "L={p1}", [](Pid, Time) { return ProcSet{0}; }, 0);
-  EXPECT_FALSE(fd::checkOmegaK(*bad, fp, 1, 50).ok);
+  EXPECT_FALSE(fd::checkHistory(*bad, fp, {Family::kOmegaK, 1}, 50).ok);
 }
 
 TEST(AxiomChecker, FlagsPrematureSuspicion) {
@@ -175,9 +176,10 @@ TEST(AxiomChecker, FlagsPrematureSuspicion) {
   const auto eager = fd::makeScripted(
       "eager", [](Pid, Time) { return ProcSet{2}; }, 40);
   // As <>P: fine (suspicion before crash is allowed noise).
-  EXPECT_TRUE(fd::checkEventuallyPerfect(*eager, fp, 100).ok);
+  EXPECT_TRUE(
+      fd::checkHistory(*eager, fp, {Family::kEventuallyPerfect, 0}, 100).ok);
   // As P: strong accuracy violated (p3 suspected while alive).
-  EXPECT_FALSE(fd::checkEventuallyPerfect(*eager, fp, 100, true).ok);
+  EXPECT_FALSE(fd::checkStrongAccuracy(*eager, fp, 100).ok);
 }
 
 }  // namespace

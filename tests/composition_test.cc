@@ -14,6 +14,7 @@ using sim::Env;
 using sim::FailurePattern;
 using sim::RunConfig;
 using sim::RunResult;
+using Family = fd::AxiomSpec::Family;
 
 // ---- MappedFd: Omega_n through the complement lens IS an Upsilon ----
 
@@ -21,7 +22,7 @@ TEST(MappedFd, ComplementOfOmegaNIsALegalUpsilonHistory) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto fp = FailurePattern::random(4, 3, 50, seed);
     const auto lens = fd::makeComplemented(fd::makeOmegaK(fp, 3, 80, seed), 4);
-    const auto rep = fd::checkUpsilonF(*lens, fp, 3, 300);
+    const auto rep = fd::checkHistory(*lens, fp, {Family::kUpsilonF, 3}, 300);
     EXPECT_TRUE(rep.ok) << rep.violation;
   }
 }
@@ -67,8 +68,8 @@ TEST(RecordedFd, ReplaysExtractionOutputAsUpsilon) {
   // Stage 2: the recorded emulation is itself a legal Upsilon history...
   const auto recorded = fd::makeRecorded(stage1.trace(), n_plus_1,
                                          ProcSet::full(n_plus_1), "recorded");
-  EXPECT_TRUE(fd::checkUpsilonF(*recorded, fp, n_plus_1 - 1,
-                                recorded->stabilizationTime() + 200)
+  EXPECT_TRUE(fd::checkHistory(*recorded, fp, {Family::kUpsilonF, n_plus_1 - 1},
+                               recorded->stabilizationTime() + 200)
                   .ok);
 
   // ...and drives Fig. 1 to a correct decision.

@@ -16,11 +16,14 @@ namespace wfd {
 namespace {
 
 using sim::FailurePattern;
+using Family = fd::AxiomSpec::Family;
 
 TEST(Lattice, PerfectHistoriesAreEventuallyPerfect) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto fp = FailurePattern::random(5, 4, 60, seed);
-    EXPECT_TRUE(fd::checkEventuallyPerfect(*fd::makePerfect(fp), fp, 300).ok);
+    EXPECT_TRUE(fd::checkHistory(*fd::makePerfect(fp), fp,
+                                 {Family::kEventuallyPerfect, 0}, 300)
+                    .ok);
   }
 }
 
@@ -40,7 +43,7 @@ TEST(Lattice, OmegaToOmegaKByPadding) {
             return s;
           },
           "pad(Omega)");
-      EXPECT_TRUE(fd::checkOmegaK(*lens, fp, k, 300).ok)
+      EXPECT_TRUE(fd::checkHistory(*lens, fp, {Family::kOmegaK, k}, 300).ok)
           << "k=" << k << " seed " << seed;
     }
   }
@@ -58,7 +61,7 @@ TEST(Lattice, OmegaKToUpsilonByComplement) {
       // The complement misses the stable correct leader, so it is never
       // the correct set — a legal Upsilon history. (For k = n+1-? the
       // tighter Upsilon^{n+1-k} claim is covered in reductions_test.)
-      EXPECT_TRUE(fd::checkUpsilonF(*lens, fp, f, 300).ok)
+      EXPECT_TRUE(fd::checkHistory(*lens, fp, {Family::kUpsilonF, f}, 300).ok)
           << "k=" << k << " seed " << seed;
     }
   }
@@ -74,7 +77,7 @@ TEST(Lattice, UpsilonFPrimeHistoriesAreUpsilonF) {
                                              static_cast<std::uint64_t>(
                                                  f_strong * 10 + f_weak));
       const auto d = fd::makeUpsilonF(fp, f_strong, 60, 3);
-      EXPECT_TRUE(fd::checkUpsilonF(*d, fp, f_weak, 250).ok)
+      EXPECT_TRUE(fd::checkHistory(*d, fp, {Family::kUpsilonF, f_weak}, 250).ok)
           << "f'=" << f_strong << " f=" << f_weak;
     }
   }
@@ -94,9 +97,11 @@ TEST(Lattice, ChainedLensPToUpsilon) {
           return ProcSet::singleton(alive.empty() ? 0 : alive.min());
         },
         "omega(P)");
-    EXPECT_TRUE(fd::checkOmegaK(*omega, fp, 1, 250).ok);
+    EXPECT_TRUE(fd::checkHistory(*omega, fp, {Family::kOmegaK, 1}, 250).ok);
     const auto upsilon = fd::makeComplemented(omega, n_plus_1);
-    EXPECT_TRUE(fd::checkUpsilonF(*upsilon, fp, n_plus_1 - 1, 250).ok);
+    EXPECT_TRUE(
+        fd::checkHistory(*upsilon, fp, {Family::kUpsilonF, n_plus_1 - 1}, 250)
+            .ok);
   }
 }
 

@@ -7,17 +7,17 @@
 namespace wfd {
 namespace {
 
-using fd::checkOmegaK;
-using fd::checkStable;
-using fd::checkUpsilonF;
+using fd::checkHistory;
 using sim::FailurePattern;
+using Family = fd::AxiomSpec::Family;
 
 TEST(UpsilonFd, AxiomsHoldFailureFree) {
   for (int n_plus_1 : {2, 3, 5, 8}) {
     const auto fp = FailurePattern::failureFree(n_plus_1);
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const auto u = fd::makeUpsilon(fp, /*stab_time=*/50, seed);
-      const auto rep = checkUpsilonF(*u, fp, n_plus_1 - 1, /*horizon=*/300);
+      const auto rep = checkHistory(*u, fp, {Family::kUpsilonF, n_plus_1 - 1},
+                                    /*horizon=*/300);
       EXPECT_TRUE(rep.ok) << "n+1=" << n_plus_1 << " seed " << seed << ": "
                           << rep.violation;
     }
@@ -28,7 +28,7 @@ TEST(UpsilonFd, AxiomsHoldWithCrashes) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto fp = FailurePattern::random(5, 4, 100, seed);
     const auto u = fd::makeUpsilon(fp, 80, seed);
-    const auto rep = checkUpsilonF(*u, fp, 4, 400);
+    const auto rep = checkHistory(*u, fp, {Family::kUpsilonF, 4}, 400);
     EXPECT_TRUE(rep.ok) << rep.violation;
   }
 }
@@ -37,7 +37,7 @@ TEST(UpsilonFd, FRangeRespected) {
   for (int f = 1; f <= 4; ++f) {
     const auto fp = FailurePattern::failureFree(5);
     const auto u = fd::makeUpsilonF(fp, f, 60, 7);
-    const auto rep = checkUpsilonF(*u, fp, f, 250);
+    const auto rep = checkHistory(*u, fp, {Family::kUpsilonF, f}, 250);
     EXPECT_TRUE(rep.ok) << "f=" << f << ": " << rep.violation;
   }
 }
@@ -80,7 +80,7 @@ TEST(OmegaKFd, AxiomsHold) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const auto fp = FailurePattern::random(5, 5 - k, 50, seed * 3);
       const auto om = fd::makeOmegaK(fp, k, 70, seed);
-      const auto rep = checkOmegaK(*om, fp, k, 300);
+      const auto rep = checkHistory(*om, fp, {Family::kOmegaK, k}, 300);
       EXPECT_TRUE(rep.ok) << "k=" << k << " seed " << seed << ": "
                           << rep.violation;
     }
@@ -91,7 +91,7 @@ TEST(OmegaKFd, OmegaIsOmega1) {
   const auto fp = FailurePattern::failureFree(3);
   const auto om = fd::makeOmega(fp, 40, 5);
   EXPECT_EQ(om->name(), "Omega");
-  const auto rep = checkOmegaK(*om, fp, 1, 200);
+  const auto rep = checkHistory(*om, fp, {Family::kOmegaK, 1}, 200);
   EXPECT_TRUE(rep.ok) << rep.violation;
 }
 
@@ -102,7 +102,7 @@ TEST(AntiOmegaFd, StableVariantIsALegalUpsilonHistory) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto fp = FailurePattern::random(4, 3, 60, seed * 11);
     const auto ao = fd::makeAntiOmega(fp, 90, seed);
-    const auto rep = checkUpsilonF(*ao, fp, 3, 350);
+    const auto rep = checkHistory(*ao, fp, {Family::kUpsilonF, 3}, 350);
     EXPECT_TRUE(rep.ok) << rep.violation;
   }
 }
@@ -121,7 +121,7 @@ TEST(ScriptedFd, RealizesArbitraryHistories) {
 TEST(DummyFd, IsStableAndConstant) {
   const auto fp = FailurePattern::failureFree(3);
   const auto d = fd::makeConstant(ProcSet{1});
-  const auto rep = checkStable(*d, fp, 100);
+  const auto rep = checkHistory(*d, fp, fd::AxiomSpec{}, 100);
   EXPECT_TRUE(rep.ok) << rep.violation;
 }
 
@@ -134,7 +134,7 @@ TEST(AllShippedDetectors, AreStable) {
       fd::makeOmega(fp, 60, 3),   fd::makeOmegaK(fp, 3, 60, 4),
       fd::makeAntiOmega(fp, 60, 5), fd::makeConstant(ProcSet{0})};
   for (const auto& d : dets) {
-    const auto rep = checkStable(*d, fp, 400);
+    const auto rep = checkHistory(*d, fp, fd::AxiomSpec{}, 400);
     EXPECT_TRUE(rep.ok) << d->name() << ": " << rep.violation;
   }
 }

@@ -34,6 +34,7 @@ using sim::net::NetHistoryPtr;
 using sim::net::RealizedFd;
 using sim::net::RealizedLens;
 using sim::net::simulateHeartbeats;
+using Family = fd::AxiomSpec::Family;
 
 // A substrate configuration with every pre-GST fault class armed.
 NetConfig faultyNet(std::uint64_t seed, Time gst = 64) {
@@ -144,16 +145,19 @@ TEST(RealizedFd, LensesSatisfyTheirAxiomFamiliesOffline) {
     const Time horizon = h->horizon + 64;
 
     const auto ep = sim::net::makeRealizedEventuallyPerfect(h);
-    const auto ep_rep = fd::checkEventuallyPerfect(*ep, fp, horizon);
+    const auto ep_rep =
+        fd::checkHistory(*ep, fp, {Family::kEventuallyPerfect, 0}, horizon);
     EXPECT_TRUE(ep_rep.ok) << "seed " << seed << ": " << ep_rep.violation;
 
     const auto om = sim::net::makeRealizedOmega(h);
-    const auto om_rep = fd::checkOmegaK(*om, fp, 1, horizon);
+    const auto om_rep =
+        fd::checkHistory(*om, fp, {Family::kOmegaK, 1}, horizon);
     EXPECT_TRUE(om_rep.ok) << "seed " << seed << ": " << om_rep.violation;
 
     const int f = fp.nProcs() - 1;
     const auto up = sim::net::makeRealizedUpsilon(h, f);
-    const auto up_rep = fd::checkUpsilonF(*up, fp, f, horizon);
+    const auto up_rep =
+        fd::checkHistory(*up, fp, {Family::kUpsilonF, f}, horizon);
     EXPECT_TRUE(up_rep.ok) << "seed " << seed << ": " << up_rep.violation;
   }
 }

@@ -14,6 +14,7 @@ using core::isFResilientSample;
 using sim::Env;
 using sim::FailurePattern;
 using sim::RunConfig;
+using Family = fd::AxiomSpec::Family;
 
 // ---- Axioms ----
 
@@ -24,7 +25,10 @@ TEST(PerfectFd, TracksCrashesExactly) {
   EXPECT_EQ(p->query(0, 10), ProcSet{1});
   EXPECT_EQ(p->query(2, 29), ProcSet{1});
   EXPECT_EQ(p->query(2, 30), (ProcSet{1, 3}));
-  const auto rep = fd::checkEventuallyPerfect(*p, fp, 200, /*perfect=*/true);
+  const auto accurate = fd::checkStrongAccuracy(*p, fp, 200);
+  EXPECT_TRUE(accurate.ok) << accurate.violation;
+  const auto rep =
+      fd::checkHistory(*p, fp, {Family::kEventuallyPerfect, 0}, 200);
   EXPECT_TRUE(rep.ok) << rep.violation;
 }
 
@@ -32,17 +36,19 @@ TEST(EventuallyPerfectFd, AxiomsHold) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const auto fp = FailurePattern::random(5, 4, 60, seed * 19);
     const auto dp = fd::makeEventuallyPerfect(fp, 100, seed);
-    const auto rep = fd::checkEventuallyPerfect(*dp, fp, 400);
+    const auto rep =
+        fd::checkHistory(*dp, fp, {Family::kEventuallyPerfect, 0}, 400);
     EXPECT_TRUE(rep.ok) << rep.violation;
     // <>P is stable, so it is in scope for Theorem 10.
-    EXPECT_TRUE(fd::checkStable(*dp, fp, 400).ok);
+    EXPECT_TRUE(fd::checkHistory(*dp, fp, fd::AxiomSpec{}, 400).ok);
   }
 }
 
 TEST(EventuallyPerfectFd, PerfectIsALegalEventuallyPerfectHistory) {
   const auto fp = FailurePattern::withCrashes(3, {{2, 25}});
   const auto p = fd::makePerfect(fp);
-  EXPECT_TRUE(fd::checkEventuallyPerfect(*p, fp, 200).ok);
+  EXPECT_TRUE(
+      fd::checkHistory(*p, fp, {Family::kEventuallyPerfect, 0}, 200).ok);
 }
 
 // ---- <>P -> Omega ----
