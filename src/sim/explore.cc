@@ -26,46 +26,32 @@ std::uint64_t labelHash(const std::string& s) {
   return h;
 }
 
-// A sleep-set entry: process `pid`'s next transition as observed when it
-// was explored (or skipped) at some ancestor node. The footprint and
-// output visibility of a process's next step are functions of its local
-// state alone, and the sleep discipline only carries an entry across
-// steps INDEPENDENT of it — which leave that local state's inputs
-// untouched — so the recorded values stay exact for the entry's lifetime.
-// That includes the refined fd_epoch classification: an entry's causal
-// past can only grow through steps DEPENDENT with it, so a query
-// certified stable when the entry was recorded stays stable wherever the
-// entry is carried.
-struct SleepEnt {
-  Pid pid = -1;
-  OpFootprint fp;
-  bool visible = false;
-};
-
-bool inSleep(const std::vector<SleepEnt>& sleep, Pid p) {
-  return std::any_of(sleep.begin(), sleep.end(),
-                     [p](const SleepEnt& se) { return se.pid == p; });
-}
-
-// One executed step on the current DFS path. Its kDpor vector clock is a
-// row of the walk's flat clock array (see walk).
-struct StepX {
+// One executed step of the current DFS path, and one sleep-set entry:
+// process `pid`'s next transition as observed when it was explored (or
+// skipped) at some ancestor node. The footprint and output visibility of
+// a process's next step are functions of its local state alone, and the
+// sleep discipline only carries an entry across steps INDEPENDENT of it —
+// which leave that local state's inputs untouched — so the recorded
+// values stay exact for the entry's lifetime. That includes the refined
+// fd_epoch classification: an entry's causal past can only grow through
+// steps DEPENDENT with it, so a query certified stable when the entry was
+// recorded stays stable wherever the entry is carried.
+struct Step {
   Pid pid = -1;
   OpFootprint fp;
   bool visible = false;  // emitted a kDecide/kPublish event
-  int prev_step = -1;    // kDpor: pid's previous step on the stack, or -1
 };
 
 // One branch point: the state BEFORE choosing a step at this depth.
-// Nodes are recycled (see walk): clear() empties one for the next push at
-// its depth, dropping every reference its checkpoint held while keeping
-// the capacity of its vectors, the sleep set's included.
+// Nodes are recycled (see StateSpace): clear() empties one for the next
+// push at its depth, dropping every reference its checkpoint held while
+// keeping the capacity of its vectors, the sleep set's included.
 struct Node {
   RunCheckpoint ckpt;
   ProcSet enabled;
   ProcSet to_explore;  // kDpor: dynamically grown backtrack set
   ProcSet done;        // explored (or sleep-skipped) from here
-  std::vector<SleepEnt> sleep;
+  std::vector<Step> sleep;   // kDpor
   std::uint64_t digest = 0;  // kDag memo key
 
   void clear() {
@@ -79,9 +65,8 @@ struct Node {
 // Two steps must keep their relative order iff they are dependent: either
 // fails to commute by footprint, or either is output-visible (decides and
 // published FD-output emulations are ordered events of the run).
-bool dependent(const OpFootprint& a, bool a_vis, const OpFootprint& b,
-               bool b_vis) {
-  return a_vis || b_vis || !footprintsCommute(a, b);
+bool dependent(const Step& a, const Step& b) {
+  return a.visible || b.visible || !footprintsCommute(a.fp, b.fp);
 }
 
 // ---- Incremental state digests (kDag memo keys) ---------------------------
@@ -164,40 +149,34 @@ ExploreOutcome harvestOutcome(const std::vector<Event>& events, int n,
   return o;
 }
 
-// ---- The DFS walker -------------------------------------------------------
+// ---- The engine: one DFS over a state space, two strategies --------------
 //
-// One function runs all three engine roles:
-//   * classic   — the full single-phase serial search (jobs = 0);
-//   * coordinator — phase 1 of the frontier engine: EAGER candidate
-//     seeding above capture_depth, and reaching capture_depth captures a
-//     job (step/clock stack + frontier sleep set) instead of recursing;
-//   * worker    — phase 2: replay one captured prefix, then run the
-//     normal lazy engine below the frontier. Backtrack additions whose
-//     race partner sits inside the prefix are dropped: the coordinator
-//     seeded every prefix node with its FULL enabled set, so the
-//     addition is a no-op by construction.
-
-// Stability-epoch classification of FD queries (docs/EXPLORE.md): enabled
-// only when the run's detector can be pinned (overrides keyDigest) and
-// promises a finite stabilizationTime tau.
-struct FdEpochCtx {
-  bool enabled = false;
-  Time tau = 0;
-};
+// search() runs one depth-first loop over a StateSpace and binds a strategy
+// as a template parameter: Dpor (dynamic backtracking, sleep sets, clock
+// rows) or Dag (the digest memo). A walk's role is set by its inputs only:
+//   * classic     — the full single-phase serial search (jobs = 0): an
+//     empty job, no capture depth;
+//   * coordinator — phase 1 of the frontier engine: an empty job and a
+//     capture depth. Dpor seeds every node EAGERLY, and a state reached at
+//     the capture depth becomes a job (step/clock stack + frontier sleep
+//     set) instead of a subtree;
+//   * worker      — phase 2: replays one captured job's prefix, then runs
+//     the normal lazy engine below the frontier.
 
 struct CapturedJob {
-  std::vector<StepX> steps;     // the prefix step stack, pids included
+  std::vector<Step> steps;      // the prefix step stack, pids included
   std::vector<int> clock_rows;  // kDpor: the prefix steps' clock rows
-  std::vector<SleepEnt> sleep;  // frontier node's sleep set
+  std::vector<Step> sleep;      // frontier node's sleep set
 };
 
 struct WalkSpec {
   const ExploreConfig* cfg = nullptr;
   const AlgoFn* algo = nullptr;
   const std::vector<Value>* proposals = nullptr;
-  FdEpochCtx fdctx;
-  int capture_depth = -1;          // >= 1: coordinator role, capture here
-  const CapturedJob* job = nullptr;  // non-null: worker role
+  // kDpor's stability-epoch classification of FD queries (docs/EXPLORE.md):
+  // the detector's stabilizationTime() when it can be pinned (overrides
+  // keyDigest); kNeverCrashes turns the classification off.
+  Time tau = kNeverCrashes;
 };
 
 struct WalkOut {
@@ -205,62 +184,83 @@ struct WalkOut {
   std::vector<CapturedJob> jobs;  // coordinator captures, DFS order
 };
 
-WalkOut walk(const WalkSpec& spec) {
-  const ExploreConfig& cfg = *spec.cfg;
-  const int n = cfg.run.n_plus_1;
-  const bool dpor = cfg.mode == ExploreMode::kDpor;
-  const bool capture = spec.capture_depth >= 1;
-  // Phase 1 must not memoize: its subtrees are captured, not explored, so
-  // a node popped there was never fully explored, as a memo entry claims.
-  const bool use_memo = !dpor && cfg.memoize && !capture;
-  const bool audit = resolvedAuditMode(cfg.run.audit).has_value();
-  const int base =
-      spec.job == nullptr ? 0 : static_cast<int>(spec.job->steps.size());
+constexpr int kNoCapture = std::numeric_limits<int>::max();
 
-  WalkOut out;
-  ExploreResult& res = out.res;
+// What the state after a step is: interior, final (every correct process
+// done, or none runnable: harvest it), or cut by max_depth.
+enum class Leaf { kInterior, kFinal, kCut };
 
-  Run run(cfg.run, *spec.algo, *spec.proposals);
-  run.enableCheckpoints();
-
-  // The DFS stack: path[0, depth) are the live nodes. A popped node stays
-  // in `path`, cleared, and is refilled by the next push at its depth, so
-  // a push allocates nothing once the walk has been that deep before.
-  std::vector<Node> path;
-  std::size_t depth = 0;
-  std::vector<StepX> steps;
-  // kDpor happens-before, flat: row i (n ints) of `clock_rows` is the
-  // vector clock of steps[i], inclusive of it, and last[p] is the index of
-  // p's latest step on the stack, or -1. kDag keeps no clocks.
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<int> clock_rows;
-  std::vector<int> last(un, -1);
-  std::vector<int> past(un);  // scratch of the stability-epoch test
-  if (spec.job != nullptr) {
-    // Replay the captured prefix by stepping: the worker owns a fresh
+// The searched state space: one live Run, the stack of branch points over
+// it, and the executed-step stack. path[0, depth) are the live nodes. A
+// popped node stays in `path`, cleared, and is refilled by the next push
+// at its depth, so a push allocates nothing once the walk has been that
+// deep before.
+struct StateSpace {
+  StateSpace(const WalkSpec& spec, const CapturedJob& job)
+      : cfg(*spec.cfg),
+        n(cfg.run.n_plus_1),
+        base(static_cast<int>(job.steps.size())),
+        audit(resolvedAuditMode(cfg.run.audit).has_value()),
+        run(cfg.run, *spec.algo, *spec.proposals),
+        steps(job.steps) {
+    run.enableCheckpoints();
+    // Replay the captured prefix by stepping: a worker owns a fresh
     // Run/World/Scheduler stack, so the replay is this job's only
     // coupling to the coordinator — a pid sequence, nothing shared.
-    for (const StepX& s : spec.job->steps) run.scheduler().step(s.pid);
-    res.steps_executed += static_cast<std::uint64_t>(base);
-    steps = spec.job->steps;
-    clock_rows = spec.job->clock_rows;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      last[static_cast<std::size_t>(steps[i].pid)] = static_cast<int>(i);
-    }
+    for (const Step& s : job.steps) run.scheduler().step(s.pid);
+    out.res.steps_executed += static_cast<std::uint64_t>(base);
   }
-  // kDag memo: the digests of states whose subtree is fully explored. A
-  // hit's outcomes are already in res.outcomes, found earlier in this
-  // walk, so the memo keeps no outcome sets. Frontier workers each hold a
-  // private memo so every counter is a pure function of the job, never of
-  // worker scheduling. A flat digest table (sim/digest_set.h): only
-  // contains/insert/size, never iterated, so its order cannot leak into
-  // any result.
-  DigestSet memo;
-  int live_depth = 0;  // LOCAL depth the live Run currently corresponds to
-  std::uint64_t live_digest = 0;
 
-  const auto harvestTerminal = [&]() -> bool {
-    // Returns true when the caller should abort the whole walk.
+  // Opens a node at the next depth on the live state.
+  Node& push() {
+    if (depth == path.size()) path.emplace_back();  // first visit this deep
+    Node& node = path[depth++];
+    run.checkpoint(node.ckpt);
+    node.enabled = run.scheduler().runnable();
+    return node;
+  }
+
+  // Prefix sharing: rewind the single live Run to the branch point at
+  // local depth d instead of replaying the whole schedule from step 0.
+  void rewind(const Node& node, int d) {
+    if (live_depth == d) return;
+    out.res.steps_rebuilt += run.restore(node.ckpt);
+    ++out.res.restores;
+    out.res.steps_replayed += static_cast<std::uint64_t>(base + d);
+    live_depth = d;
+  }
+
+  // The step p just took: its footprint, and whether it recorded an event
+  // past `ev_before` that orders it (a decide or a publish).
+  Step observe(Pid p, std::size_t ev_before) {
+    Step s{p, run.world().lastFootprint(), false};
+    const auto& events = run.world().trace().events();
+    for (std::size_t i = ev_before; i < events.size(); ++i) {
+      s.visible = s.visible || events[i].kind == EventKind::kDecide ||
+                  events[i].kind == EventKind::kPublish;
+    }
+    return s;
+  }
+
+  // The live state, reached by a step from local depth d.
+  Leaf leaf(int d) {
+    Scheduler& sched = run.scheduler();
+    if (sched.allCorrectDone() || sched.runnable().empty()) return Leaf::kFinal;
+    return base + d + 1 >= cfg.max_depth ? Leaf::kCut : Leaf::kInterior;
+  }
+
+  // A frontier job for the live state: its step stack; the strategy adds
+  // its own part.
+  CapturedJob& capture() {
+    CapturedJob& job = out.jobs.emplace_back();
+    job.steps = steps;
+    return job;
+  }
+
+  // Records the live terminal state's outcome. Returns true when the
+  // property failed and the whole walk must stop.
+  bool harvest() {
+    ExploreResult& res = out.res;
     const std::vector<Event>& events = run.world().trace().events();
     const std::uint64_t sig = outcomeSig(events, n);
     ++res.schedules_explored;
@@ -268,22 +268,64 @@ WalkOut walk(const WalkSpec& spec) {
     if (it == res.outcomes.end() || it->first != sig) {
       it = res.outcomes.emplace_hint(it, sig, harvestOutcome(events, n, sig));
     }
-    bool violated = false;
-    if (cfg.property && res.verdict == ExploreVerdict::kVerified) {
-      const std::string v = cfg.property(it->second);
-      if (!v.empty()) {
-        violated = true;
-        res.verdict = ExploreVerdict::kViolation;
-        res.violation = v;
-        res.counterexample.reserve(steps.size());
-        for (const StepX& s : steps) res.counterexample.push_back(s.pid);
-      }
-    }
-    return violated;
-  };
+    if (!cfg.property) return false;
+    std::string v = cfg.property(it->second);
+    if (v.empty()) return false;
+    res.verdict = ExploreVerdict::kViolation;
+    res.violation = std::move(v);
+    for (const Step& s : steps) res.counterexample.push_back(s.pid);
+    return true;
+  }
 
-  const auto seedDpor = [&](Node& node) {
-    if (capture) {
+  const ExploreConfig& cfg;
+  const int n;
+  const int base;  // captured prefix length: global depth of path[0]
+  const bool audit;
+  Run run;
+  WalkOut out;
+  std::vector<Node> path;
+  std::size_t depth = 0;
+  std::vector<Step> steps;
+  int live_depth = 0;  // LOCAL depth the live Run currently corresponds to
+};
+
+// kDpor: Flanagan–Godefroid dynamic backtracking with sleep sets.
+// Happens-before is kept flat: row i (n ints) of `rows_` is the vector
+// clock of steps[i], inclusive of it; last_[p] is the index of p's latest
+// step on the stack, or -1, and prev_ holds what last_ held before each
+// step above the captured prefix (prefix steps are never popped).
+class Dpor {
+ public:
+  Dpor(StateSpace& ss, const WalkSpec& spec, const CapturedJob& job,
+       int capture_at)
+      : ss_(ss),
+        un_(static_cast<std::size_t>(ss.n)),
+        tau_(spec.tau),
+        eager_(capture_at != kNoCapture),
+        rows_(job.clock_rows),
+        last_(un_, -1),
+        zeros_(un_, 0) {
+    for (std::size_t i = 0; i < job.steps.size(); ++i) {
+      last_[static_cast<std::size_t>(job.steps[i].pid)] = static_cast<int>(i);
+    }
+  }
+
+  Pid pick(Node& node) {
+    for (;;) {
+      const std::uint64_t avail = node.to_explore.bits() & ~node.done.bits();
+      if (avail == 0) return -1;
+      const Pid cand = static_cast<Pid>(std::countr_zero(avail));
+      if (!asleep(node, cand)) return cand;
+      // Covered by a subtree explored from an ancestor: prune.
+      node.done.insert(cand);
+      ++ss_.out.res.sleep_set_skips;
+    }
+  }
+
+  // Seeds a node entered from `parent` (null for the root) by the top step.
+  void open(Node& node, const Node* parent) {
+    if (parent != nullptr) carry(parent->sleep, node.sleep);
+    if (eager_) {
       // Eager: schedule every non-slept enabled transition up front, so
       // later backtrack additions targeting this node are no-ops and the
       // captured job set is closed under the race rule.
@@ -291,328 +333,334 @@ WalkOut walk(const WalkSpec& spec) {
       return;
     }
     for (const Pid q : node.enabled) {
-      if (!inSleep(node.sleep, q)) {
+      if (!asleep(node, q)) {
         node.to_explore.insert(q);  // lazy: one transition per node
         break;
       }
     }
-  };
-
-  // Initial node. A run can be terminal before its first step only in
-  // degenerate configurations (no processes).
-  {
-    Node& root = path.emplace_back();
-    run.checkpoint(root.ckpt);
-    root.enabled = run.scheduler().runnable();
-    if (spec.job != nullptr) root.sleep = spec.job->sleep;
-    if (!dpor) {
-      root.to_explore = root.enabled;
-      if (use_memo) {
-        live_digest = fullStateDigest(run, n, /*audit_table=*/false);
-        root.digest = live_digest;
-      }
-    } else {
-      seedDpor(root);
-    }
-    if (run.scheduler().allCorrectDone() || root.enabled.empty()) {
-      harvestTerminal();
-      return out;
-    }
-    depth = 1;
   }
 
-  // Writes p's clock before its next step: its latest step's row, or 0s.
-  const auto preClock = [&](Pid p, int* out) {
-    const int lp = last[static_cast<std::size_t>(p)];
-    for (std::size_t q = 0; q < un; ++q) {
-      out[q] = lp < 0 ? 0 : clock_rows[static_cast<std::size_t>(lp) * un + q];
-    }
-  };
-  const auto popStep = [&] {
-    const StepX& in = steps.back();
-    if (dpor) {
-      last[static_cast<std::size_t>(in.pid)] = in.prev_step;
-      clock_rows.resize(clock_rows.size() - un);
-    }
-    steps.pop_back();
-  };
+  bool execute(Node& /*from*/, int /*d*/, Pid p) {
+    ss_.run.scheduler().step(p);
+    return true;
+  }
 
-  while (depth > 0) {
-    Node& cur = path[depth - 1];
-    const int d = static_cast<int>(depth) - 1;
+  // Classifies the new step and folds it into happens-before, adding every
+  // backtrack point it races with; returns it as recorded.
+  Step record(Step s) {
+    const std::size_t row = ss_.steps.size() * un_;
+    rows_.resize(row + un_);
+    int* clock = &rows_[row];
+    const bool query = s.fp.cls == OpClass::kFdQuery && tau_ != kNeverCrashes;
+    // Refined FD-independence: certify the query inside the detector's
+    // post-stabilization epoch when its CAUSAL PAST alone already spans
+    // stabilizationTime() steps. Every step advances the clock by one and
+    // the query is answered at the pre-advance clock, so a step's global
+    // time equals its 0-based schedule position, which in EVERY
+    // linearization of the trace class is >= the size of the step's causal
+    // past. The past is computed under the TENTATIVE stable classification
+    // (epoch 0) — using the coarse relation here would inflate the past
+    // with steps a stable query does not depend on and certify queries the
+    // refined relation then reorders. A certified query keeps that fold; an
+    // unstable one depends on every step, so its fold is redone (the races
+    // the first pass added are a subset of the second's).
+    if (query) s.fp.fd_epoch = 0;
+    fold(s, clock);
+    if (query) {
+      long long past_steps = 0;
+      for (std::size_t q = 0; q < un_; ++q) past_steps += clock[q];
+      if (past_steps < tau_) {
+        s.fp.fd_epoch = kFdEpochUnstable;
+        fold(s, clock);
+      }
+    }
+    const auto up = static_cast<std::size_t>(s.pid);
+    clock[up] += 1;
+    prev_.push_back(last_[up]);
+    last_[up] = static_cast<int>(ss_.steps.size());
+    return s;
+  }
 
-    // Pick the next candidate transition at this node.
-    Pid p = -1;
-    for (;;) {
-      const std::uint64_t avail = cur.to_explore.bits() & ~cur.done.bits();
-      if (avail == 0) break;
-      const Pid cand = static_cast<Pid>(std::countr_zero(avail));
-      if (dpor && inSleep(cur.sleep, cand)) {
-        // Covered by a subtree explored from an ancestor: prune.
-        cur.done.insert(cand);
-        ++res.sleep_set_skips;
+  void capture(CapturedJob& job, const Node& from) {
+    job.clock_rows = rows_;
+    carry(from.sleep, job.sleep);
+  }
+
+  bool admit() { return true; }
+
+  // Retires the top step, explored from `from`, into from's sleep set.
+  void pop(Node& from, const Step& s) {
+    from.sleep.push_back(s);
+    last_[static_cast<std::size_t>(s.pid)] = prev_.back();
+    prev_.pop_back();
+    rows_.resize(rows_.size() - un_);
+  }
+
+  void exhausted(const Node& /*node*/) {}
+  void finish() {}
+
+ private:
+  static bool asleep(const Node& node, Pid p) {
+    return std::any_of(node.sleep.begin(), node.sleep.end(),
+                       [p](const Step& se) { return se.pid == p; });
+  }
+
+  // Wakes the sleepers dependent with the top step; the rest remain
+  // covered by the subtrees explored from the ancestors.
+  void carry(const std::vector<Step>& sleep, std::vector<Step>& into) const {
+    const Step& in = ss_.steps.back();
+    for (const Step& se : sleep) {
+      if (!dependent(se, in)) into.push_back(se);
+    }
+  }
+
+  // Sets `clock` to s.pid's clock before step s (its latest step's row, or
+  // 0s) joined with the row of every earlier step dependent with s. Each
+  // such step that does not happen before s's transition is a genuine race:
+  // the pre-state of that step schedules s.pid too.
+  void fold(const Step& s, int* clock) {
+    const int lp = last_[static_cast<std::size_t>(s.pid)];
+    const int* pre =
+        lp < 0 ? zeros_.data() : &rows_[static_cast<std::size_t>(lp) * un_];
+    std::copy(pre, pre + un_, clock);
+    const std::vector<Step>& steps = ss_.steps;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const Step& si = steps[i];
+      if (si.pid == s.pid) continue;  // program order is already in pre
+      if (!dependent(si, s)) continue;
+      const int* ci = &rows_[i * un_];
+      for (std::size_t q = 0; q < un_; ++q) {
+        clock[q] = std::max(clock[q], ci[q]);
+      }
+      const auto sq = static_cast<std::size_t>(si.pid);
+      if (pre[sq] >= ci[sq]) {
+        continue;  // si happens-before the transition: order is forced
+      }
+      if (i < static_cast<std::size_t>(ss_.base)) {
+        // Prefix node: the coordinator seeded it with its FULL enabled
+        // set, so the addition is a no-op by construction.
         continue;
       }
-      p = cand;
-      break;
-    }
-
-    if (p < 0) {
-      // Node exhausted: memoize (kDag), pop.
-      if (use_memo) memo.insert(cur.digest);
-      if (d > 0) {
-        Node& parent = path[static_cast<std::size_t>(d) - 1];
-        const StepX& in = steps.back();
-        if (dpor) parent.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
-        popStep();
+      Node& nj = ss_.path[i - static_cast<std::size_t>(ss_.base)];
+      if (nj.enabled.contains(s.pid)) {
+        nj.to_explore.insert(s.pid);
+      } else {
+        // s.pid was not enabled there: conservatively schedule everything.
+        nj.to_explore = nj.to_explore.unionWith(nj.enabled);
       }
+    }
+  }
+
+  StateSpace& ss_;
+  const std::size_t un_;
+  const Time tau_;
+  const bool eager_;
+  std::vector<int> rows_;
+  std::vector<int> last_;
+  std::vector<int> prev_;
+  const std::vector<int> zeros_;  // the clock before a process's first step
+};
+
+// kDag: every enabled transition from every state, with the memo of fully
+// explored states keyed by the incremental digest (none in phase 1, whose
+// subtrees are captured, not explored, so a node popped there was never
+// fully explored, as a memo entry claims).
+class Dag {
+ public:
+  Dag(StateSpace& ss, const WalkSpec& /*spec*/, const CapturedJob& /*job*/,
+      int capture_at)
+      : ss_(ss), use_memo_(ss.cfg.memoize && capture_at == kNoCapture) {
+    if (use_memo_) live_ = fullStateDigest(ss.run, ss.n, /*audit_table=*/false);
+  }
+
+  static Pid pick(const Node& node) {
+    const std::uint64_t avail = node.to_explore.bits() & ~node.done.bits();
+    return avail == 0 ? -1 : static_cast<Pid>(std::countr_zero(avail));
+  }
+
+  void open(Node& node, const Node* /*parent*/) {
+    node.digest = live_;
+    node.to_explore = node.enabled;
+  }
+
+  // Steps p from `from` (at local depth d). Returns false when the memo
+  // answered the step's subtree and the live state is `from` again.
+  bool execute(Node& from, int d, Pid p) {
+    Run& run = ss_.run;
+    Scheduler& sched = run.scheduler();
+    live_ = from.digest;  // the live state is `from`'s, rewound or not
+    const std::uint64_t pre = use_memo_ ? stepLocalComponent(run, p) : 0;
+    if (!use_memo_ || !sched.ctx(p).pending.has_value()) {
+      // kDag without the memo, and a process's first step, which runs its
+      // prologue and so cannot be probed: one call.
+      sched.step(p);
+      if (use_memo_) live_ ^= pre ^ stepLocalComponent(run, p);
+      return true;
+    }
+    // Probe the memo before p's frame moves: once its parked op has run on
+    // the world, the successor's key is known — clock + 1, the new table,
+    // and p's {steps + 1, resultDigest + this result}.
+    sched.execute(p);
+    const std::uint64_t table = run.world().objectsConst().xorContentsDigest();
+    const std::uint64_t next_proc = procComponent(
+        p, sched.ctx(p).steps + 1,
+        mixDigest(sched.resultDigest(p), run.world().lastResultSignature()));
+    const std::uint64_t next_clock = clockComponent(run.world().now() + 1);
+    const std::uint64_t probe = live_ ^ pre ^ next_clock ^ table ^ next_proc;
+    if (ss_.audit) {
+      // The table and every other process re-hashed from scratch; the
+      // clock and p swapped for their successor components.
+      const std::uint64_t full =
+          fullStateDigest(run, ss_.n, /*audit_table=*/true) ^
+          clockComponent(run.world().now()) ^ next_clock ^
+          procComponent(run, p) ^ next_proc;
+      if (probe != full) {
+        throw SimAbort(
+            "explore: incremental probe digest diverged from full recompute");
+      }
+    }
+    if (!memo_.contains(probe)) {
+      sched.resume(p);
+      // The resume may name new objects, so the table's part is re-read.
+      live_ = probe ^ table ^ run.world().objectsConst().xorContentsDigest();
+      return true;
+    }
+    ++ss_.out.res.memo_hits;
+    if (!ss_.audit) {
+      // Only the world moved: p's log head and steps did not, so the
+      // rollback is the world's alone and every frame is kept.
+      run.world().restore(from.ckpt.world);
+      return false;
+    }
+    // Audited: confirm the hit with the real resume. The resumed state
+    // must be a memoized interior state, as the probe claimed.
+    sched.resume(p);
+    if (ss_.leaf(d) != Leaf::kInterior ||
+        !memo_.contains(fullStateDigest(run, ss_.n, /*audit_table=*/true))) {
+      throw SimAbort("explore: a memo probe hit that the resumed step refutes");
+    }
+    run.restore(from.ckpt);  // a probe rollback, not a counted rewind
+    return false;
+  }
+
+  static Step record(Step s) { return s; }
+  void capture(CapturedJob& /*job*/, const Node& /*from*/) {}
+
+  // Whether the live interior state needs a node: false when the memo
+  // already answers its subtree.
+  bool admit() {
+    if (!use_memo_) return true;
+    if (ss_.audit &&
+        live_ != fullStateDigest(ss_.run, ss_.n, /*audit_table=*/true)) {
+      throw SimAbort(
+          "explore: incremental state digest diverged from full recompute");
+    }
+    if (!memo_.contains(live_)) return true;
+    ++ss_.out.res.memo_hits;
+    return false;
+  }
+
+  void pop(Node& /*from*/, const Step& /*s*/) {}
+
+  void exhausted(const Node& node) {
+    if (use_memo_) memo_.insert(node.digest);
+  }
+
+  void finish() {
+    if (use_memo_) ss_.out.res.states_memoized = memo_.size();
+  }
+
+ private:
+  StateSpace& ss_;
+  const bool use_memo_;
+  std::uint64_t live_ = 0;  // digest of the live state (0 without the memo)
+  // The digests of states whose subtree is fully explored. A hit's
+  // outcomes are already in res.outcomes, found earlier in this walk, so
+  // the memo keeps no outcome sets. Frontier workers each hold a private
+  // memo so every counter is a pure function of the job, never of worker
+  // scheduling. A flat digest table (sim/digest_set.h): only
+  // contains/insert/size, never iterated, so its order cannot leak into
+  // any result.
+  DigestSet memo_;
+};
+
+template <class Strategy>
+WalkOut dfs(const WalkSpec& spec, const CapturedJob& job, int capture_at) {
+  StateSpace ss(spec, job);
+  Strategy strategy(ss, spec, job, capture_at);
+  ExploreResult& res = ss.out.res;
+
+  Node& root = ss.push();
+  root.sleep = job.sleep;
+  strategy.open(root, nullptr);
+  // A run can be terminal before its first step only in degenerate
+  // configurations (no processes).
+  if (ss.run.scheduler().allCorrectDone() || root.enabled.empty()) {
+    ss.harvest();
+    return std::move(ss.out);
+  }
+
+  const auto popStep = [&](Node& from) {
+    strategy.pop(from, ss.steps.back());
+    ss.steps.pop_back();
+  };
+  while (ss.depth > 0) {
+    Node& cur = ss.path[ss.depth - 1];
+    const int d = static_cast<int>(ss.depth) - 1;
+    const Pid p = strategy.pick(cur);
+    if (p < 0) {
+      strategy.exhausted(cur);
+      if (d > 0) popStep(ss.path[static_cast<std::size_t>(d) - 1]);
       cur.clear();
-      --depth;
+      --ss.depth;
       continue;
     }
 
     cur.done.insert(p);
-    if (live_depth != d) {
-      // Prefix sharing: rewind the single live Run to this branch point
-      // instead of replaying the whole schedule from step 0.
-      res.steps_rebuilt += run.restore(cur.ckpt);
-      ++res.restores;
-      res.steps_replayed += static_cast<std::uint64_t>(base + d);
-      live_depth = d;
-      live_digest = cur.digest;
-    }
-
-    res.max_depth_seen = std::max(res.max_depth_seen, base + d + 1);
-    const std::size_t ev_before = run.world().trace().events().size();
-    Scheduler& sched = run.scheduler();
-    const std::uint64_t dig_pre = use_memo ? stepLocalComponent(run, p) : 0;
-    if (use_memo && sched.ctx(p).pending.has_value()) {
-      // Probe the memo before p's frame moves: once its parked op has run
-      // on the world, the successor's key is known — clock + 1, the new
-      // table, and p's {steps + 1, resultDigest + this result}.
-      sched.execute(p);
-      const std::uint64_t table =
-          run.world().objectsConst().xorContentsDigest();
-      const std::uint64_t next_proc = procComponent(
-          p, sched.ctx(p).steps + 1,
-          mixDigest(sched.resultDigest(p), run.world().lastResultSignature()));
-      const std::uint64_t next_clock = clockComponent(run.world().now() + 1);
-      const std::uint64_t probe =
-          live_digest ^ dig_pre ^ next_clock ^ table ^ next_proc;
-      if (audit) {
-        // The table and every other process re-hashed from scratch; the
-        // clock and p swapped for their successor components.
-        const std::uint64_t full =
-            fullStateDigest(run, n, /*audit_table=*/true) ^
-            clockComponent(run.world().now()) ^ next_clock ^
-            procComponent(run, p) ^ next_proc;
-        if (probe != full) {
-          throw SimAbort(
-              "explore: incremental probe digest diverged from full "
-              "recompute");
-        }
-      }
-      if (memo.contains(probe)) {
-        ++res.memo_hits;
-        if (!audit) {
-          // Only the world moved: p's log head and steps did not, so the
-          // rollback is the world's alone and every frame is kept.
-          run.world().restore(cur.ckpt.world);
-          continue;
-        }
-        // Audited: confirm the hit with the real resume. The resumed state
-        // must be a memoized interior state, as the probe claimed.
-        sched.resume(p);
-        const bool terminal = sched.allCorrectDone() ||
-                              sched.runnable().empty() ||
-                              base + d + 1 >= cfg.max_depth;
-        if (terminal ||
-            !memo.contains(fullStateDigest(run, n, /*audit_table=*/true))) {
-          throw SimAbort(
-              "explore: a memo probe hit that the resumed step refutes");
-        }
-        run.restore(cur.ckpt);  // a probe rollback, not a counted rewind
-        continue;
-      }
-      sched.resume(p);
-      // The resume may name new objects, so the table's part is re-read.
-      live_digest =
-          probe ^ table ^ run.world().objectsConst().xorContentsDigest();
-    } else {
-      // kDag without the memo, kDpor, and a process's first step, which
-      // runs its prologue and so cannot be probed: one call.
-      sched.step(p);
-      if (use_memo) live_digest ^= dig_pre ^ stepLocalComponent(run, p);
-    }
+    ss.rewind(cur, d);
+    res.max_depth_seen = std::max(res.max_depth_seen, ss.base + d + 1);
+    const std::size_t ev_before = ss.run.world().trace().events().size();
+    if (!strategy.execute(cur, d, p)) continue;
     ++res.steps_executed;
-    live_depth = d + 1;
+    ss.live_depth = d + 1;
+    ss.steps.push_back(strategy.record(ss.observe(p, ev_before)));
 
-    OpFootprint fp = run.world().lastFootprint();
-    bool visible = false;
-    {
-      const auto& events = run.world().trace().events();
-      for (std::size_t i = ev_before; i < events.size(); ++i) {
-        if (events[i].kind == EventKind::kDecide ||
-            events[i].kind == EventKind::kPublish) {
-          visible = true;
-        }
-      }
-    }
-
-    if (fp.cls == OpClass::kFdQuery && spec.fdctx.enabled) {
-      // Refined FD-independence: certify the query inside the detector's
-      // post-stabilization epoch when its CAUSAL PAST alone already
-      // spans stabilizationTime() steps. Every step advances the clock
-      // by one and the query is answered at the pre-advance clock, so a
-      // step's global time equals its 0-based schedule position, which
-      // in EVERY linearization of the trace class is >= the size of the
-      // step's causal past. The past is computed under the TENTATIVE
-      // stable classification (epoch 0) — using the coarse relation here
-      // would inflate the past with steps a stable query does not depend
-      // on and certify queries the refined relation then reorders.
-      assert(dpor);  // the clock rows exist only in kDpor
-      fp.fd_epoch = 0;
-      preClock(p, past.data());
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        const StepX& si = steps[i];
-        if (si.pid == p) continue;  // program order is already in `past`
-        if (!dependent(si.fp, si.visible, fp, visible)) continue;
-        const int* ci = &clock_rows[i * un];
-        for (std::size_t q = 0; q < un; ++q) past[q] = std::max(past[q], ci[q]);
-      }
-      long long past_steps = 0;
-      for (const int c : past) past_steps += c;
-      if (past_steps < spec.fdctx.tau) fp.fd_epoch = kFdEpochUnstable;
-    }
-
-    StepX st;
-    st.pid = p;
-    st.fp = fp;
-    st.visible = visible;
-    if (dpor) {
-      // Vector-clock happens-before pass over the executed prefix, plus
-      // Flanagan–Godefroid dynamic backtracking: for every earlier step
-      // dependent with this one but not ordered before it by the prefix's
-      // happens-before relation, the reversal is a genuine race — make
-      // the pre-state of that step schedule this process too. The new
-      // step's row starts as p's clock before it (pre), and the rows of
-      // the steps p depends on are folded in.
-      const std::size_t row = steps.size() * un;
-      clock_rows.resize(row + un);
-      int* now_clock = &clock_rows[row];
-      preClock(p, now_clock);
-      const int lp = last[static_cast<std::size_t>(p)];
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        const StepX& si = steps[i];
-        if (si.pid == p) continue;  // program order is already in pre
-        if (!dependent(si.fp, si.visible, fp, visible)) continue;
-        const int* ci = &clock_rows[i * un];
-        for (std::size_t q = 0; q < un; ++q) {
-          now_clock[q] = std::max(now_clock[q], ci[q]);
-        }
-        const auto sq = static_cast<std::size_t>(si.pid);
-        const int pre_seen =
-            lp < 0 ? 0 : clock_rows[static_cast<std::size_t>(lp) * un + sq];
-        if (pre_seen >= ci[sq]) {
-          continue;  // si happens-before p's transition: order is forced
-        }
-        if (i < static_cast<std::size_t>(base)) {
-          continue;  // prefix node: eagerly seeded, the addition is a no-op
-        }
-        Node& nj = path[i - static_cast<std::size_t>(base)];
-        if (nj.enabled.contains(p)) {
-          nj.to_explore.insert(p);
-        } else {
-          // p was not enabled there: conservatively schedule everything.
-          nj.to_explore = nj.to_explore.unionWith(nj.enabled);
-        }
-      }
-      now_clock[static_cast<std::size_t>(p)] += 1;
-      st.prev_step = lp;
-      last[static_cast<std::size_t>(p)] = static_cast<int>(steps.size());
-    }
-    steps.push_back(st);
-
-    const bool all_done = run.scheduler().allCorrectDone();
-    const bool blocked = !all_done && run.scheduler().runnable().empty();
-    const bool too_deep =
-        !all_done && !blocked && base + d + 1 >= cfg.max_depth;
-    if (all_done || blocked || too_deep) {
-      bool abort_search = false;
-      if (too_deep) {
-        res.complete = false;  // this branch was cut, not verified
-      } else {
-        abort_search = harvestTerminal();
-      }
-      const StepX& in = steps.back();
-      if (dpor) cur.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
-      popStep();
-      if (abort_search) return out;
-      if (res.schedules_explored >= cfg.max_schedules) {
+    const Leaf leaf = ss.leaf(d);
+    if (leaf != Leaf::kInterior) {
+      const bool violated = leaf == Leaf::kFinal && ss.harvest();
+      if (leaf == Leaf::kCut) res.complete = false;  // cut, not verified
+      popStep(cur);
+      if (violated) return std::move(ss.out);
+      if (res.schedules_explored >= ss.cfg.max_schedules) {
         res.complete = false;
-        return out;
+        return std::move(ss.out);
       }
       continue;  // live state is past cur; next execute will restore
     }
-
-    // Interior state at the frontier: capture a subtree job instead of
-    // recursing, and account the subtree as explored (sleep entry at the
-    // parent) — phase 2 explores it for real, in job-creation order.
-    if (capture && d + 1 >= spec.capture_depth) {
-      CapturedJob job;
-      job.steps = steps;
-      job.clock_rows = clock_rows;
-      const StepX& in = steps.back();
-      if (dpor) {
-        for (const SleepEnt& se : cur.sleep) {
-          if (!dependent(se.fp, se.visible, in.fp, in.visible)) {
-            job.sleep.push_back(se);
-          }
-        }
-        cur.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
-      }
-      out.jobs.push_back(std::move(job));
-      popStep();
+    if (d + 1 >= capture_at) {
+      // Frontier: capture a subtree job instead of recursing, and account
+      // the subtree as explored — phase 2 explores it for real, in
+      // job-creation order.
+      strategy.capture(ss.capture(), cur);
+      popStep(cur);
       continue;
     }
-
-    // Interior state: answer from the memo (kDag) or push a child node.
-    std::uint64_t digest = 0;
-    if (use_memo) {
-      digest = live_digest;
-      if (audit && digest != fullStateDigest(run, n, /*audit_table=*/true)) {
-        throw SimAbort(
-            "explore: incremental state digest diverged from full recompute");
-      }
-      if (memo.contains(digest)) {
-        ++res.memo_hits;
-        popStep();
-        continue;
-      }
+    if (!strategy.admit()) {
+      popStep(cur);
+      continue;
     }
-    if (depth == path.size()) path.emplace_back();  // first visit this deep
-    Node& parent = path[depth - 1];  // the emplace may have moved `cur`
-    Node& child = path[depth++];
-    run.checkpoint(child.ckpt);
-    child.enabled = run.scheduler().runnable();
-    child.digest = digest;
-    if (dpor) {
-      const StepX& in = steps.back();
-      for (const SleepEnt& se : parent.sleep) {
-        // Wake sleepers dependent with the step just taken; the rest
-        // remain covered by the subtrees explored from the ancestors.
-        if (!dependent(se.fp, se.visible, in.fp, in.visible)) {
-          child.sleep.push_back(se);
-        }
-      }
-      seedDpor(child);
-    } else {
-      child.to_explore = child.enabled;
-    }
+    Node& child = ss.push();  // may move `cur`
+    strategy.open(child, &ss.path[ss.depth - 2]);
   }
+  strategy.finish();
+  return std::move(ss.out);
+}
 
-  if (use_memo) res.states_memoized = memo.size();
-  return out;
+WalkOut search(const WalkSpec& spec, const CapturedJob& job = {},
+               int capture_at = kNoCapture) {
+  return spec.cfg->mode == ExploreMode::kDpor
+             ? dfs<Dpor>(spec, job, capture_at)
+             : dfs<Dag>(spec, job, capture_at);
 }
 
 // ---- Persistent exploration certificates ----------------------------------
@@ -755,7 +803,7 @@ std::uint64_t certJobKey(std::uint64_t config_key, std::size_t job_index,
   std::uint64_t h = mixDigest(config_key, 0x6A09E667F3BCC909ULL);
   h = mixDigest(h, job_index + 1);
   h = mixDigest(h, job.steps.size());
-  for (const StepX& s : job.steps) {
+  for (const Step& s : job.steps) {
     h = mixDigest(h, static_cast<std::uint64_t>(s.pid) + 1);
   }
   if (h == 0) h = 1;
@@ -764,10 +812,8 @@ std::uint64_t certJobKey(std::uint64_t config_key, std::size_t job_index,
 
 // ---- The parallel frontier ------------------------------------------------
 
-ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
-                              const std::vector<Value>& proposals,
-                              const FdEpochCtx& fdctx,
-                              std::uint64_t cert_key) {
+ExploreResult exploreFrontier(const WalkSpec& spec, std::uint64_t cert_key) {
+  const ExploreConfig& cfg = *spec.cfg;
   const int n = std::max(2, cfg.run.n_plus_1);
   // Job-count target of the auto frontier depth. Deliberately NEVER a
   // function of cfg.jobs: the job set must be identical at every worker
@@ -789,15 +835,9 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     }
   }
   F = std::max(1, std::min(F, cfg.max_depth - 1));
-  WalkSpec spec;
-  spec.cfg = &cfg;
-  spec.algo = &algo;
-  spec.proposals = &proposals;
-  spec.fdctx = fdctx;
   WalkOut ph1;
   for (;;) {
-    spec.capture_depth = F;
-    ph1 = walk(spec);
+    ph1 = search(spec, CapturedJob{}, F);
     if (cfg.frontier_depth > 0) break;  // explicit depth: no deepening
     if (!ph1.res.complete) break;       // phase-1 budget cut
     if (ph1.res.verdict == ExploreVerdict::kViolation) break;
@@ -836,13 +876,7 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     std::optional<ExploreResult> out;
     if (jkey != 0) out = loadCert(*cfg.certificates, jkey);
     if (!out.has_value()) {
-      WalkSpec ws;
-      ws.cfg = &cfg;
-      ws.algo = &algo;
-      ws.proposals = &proposals;
-      ws.fdctx = fdctx;
-      ws.job = &jobs[j];
-      out = std::move(walk(ws).res);
+      out = std::move(search(spec, jobs[j]).res);
       if (jkey != 0) {
         saveCert(*cfg.certificates, jkey, *out);
         out->cert_saves = 1;
@@ -861,21 +895,19 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
   res.steal_ops =
       runPool(jobs.size(), workers, /*steal=*/true, body).steal_ops;
 
-  // Deterministic merge, in job-index (= DFS) order. Only jobs up to the
-  // LOWEST violating index are merged: a speculatively-completed higher
-  // job must not leak into any counter, or jobs=N would differ from
-  // jobs=1.
-  std::size_t cutoff = jobs.size();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (slots[j].has_value() &&
-        slots[j]->verdict == ExploreVerdict::kViolation) {
-      cutoff = j + 1;
-      break;
-    }
-  }
-  for (std::size_t j = 0; j < cutoff; ++j) {
-    assert(slots[j].has_value());
-    ExploreResult& jr = *slots[j];
+  // Deterministic merge, in job-index (= DFS) order, up to the LOWEST
+  // violating index (every slot up to it is filled): a speculatively
+  // completed higher job must not leak into any counter, or jobs=N would
+  // differ from jobs=1. The load profile list-schedules the merged jobs'
+  // step costs (job-index order, least-loaded worker first) instead of
+  // sampling the racy actual placement, so stepMakespan() is bit-stable
+  // across runs and steal timing. Job costs are each slot's steps_executed
+  // (prefix replay included), which certificates preserve — warm runs
+  // report the same profile the cold run earned.
+  res.worker_steps.assign(static_cast<std::size_t>(workers), 0);
+  for (std::optional<ExploreResult>& slot : slots) {
+    assert(slot.has_value());
+    ExploreResult& jr = *slot;
     for (const auto counter : kSearchCounters) res.*counter += jr.*counter;
     res.max_depth_seen = std::max(res.max_depth_seen, jr.max_depth_seen);
     res.complete = res.complete && jr.complete;
@@ -884,27 +916,16 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     for (auto& [sig, o] : jr.outcomes) {
       res.outcomes.try_emplace(sig, std::move(o));
     }
-  }
-  // Deterministic load profile: list-schedule the merged jobs' step costs
-  // (job-index order, least-loaded worker first) instead of sampling the
-  // racy actual placement, so stepMakespan() is bit-stable across runs
-  // and steal timing. Job costs are each slot's steps_executed (prefix
-  // replay included), which certificates preserve — warm runs report the
-  // same profile the cold run earned.
-  res.worker_steps.assign(static_cast<std::size_t>(workers), 0);
-  for (std::size_t j = 0; j < cutoff; ++j) {
-    auto it = std::min_element(res.worker_steps.begin(),
-                               res.worker_steps.end());
-    *it += static_cast<long long>(slots[j]->steps_executed);
-  }
-  // The lowest violating job, if any, is the last one merged. Phase 1
-  // found no violation (else no job ran), so this is the first violation
-  // in DFS order.
-  if (ExploreResult& jr = *slots[cutoff - 1];
-      jr.verdict == ExploreVerdict::kViolation) {
-    res.verdict = ExploreVerdict::kViolation;
-    res.violation = std::move(jr.violation);
-    res.counterexample = std::move(jr.counterexample);
+    *std::min_element(res.worker_steps.begin(), res.worker_steps.end()) +=
+        static_cast<long long>(jr.steps_executed);
+    if (jr.verdict == ExploreVerdict::kViolation) {
+      // Phase 1 found no violation (else no job ran), so this is the first
+      // violation in DFS order.
+      res.verdict = ExploreVerdict::kViolation;
+      res.violation = std::move(jr.violation);
+      res.counterexample = std::move(jr.counterexample);
+      break;
+    }
   }
   return res;
 }
@@ -937,33 +958,20 @@ std::string ExploreResult::counterexampleString() const {
 
 ExploreResult explore(const ExploreConfig& cfg, const AlgoFn& algo,
                       const std::vector<Value>& proposals) {
-  const int n = cfg.run.n_plus_1;
   const bool dpor = cfg.mode == ExploreMode::kDpor;
-
-  if (dpor) {
-    // Commutation of adjacent independent steps assumes swapping them
-    // changes neither step's behavior. A time-triggered crash breaks
-    // that: the swap moves a step across a crash time, changing which
-    // processes are enabled. kDag has no such assumption.
-    const FailurePattern fp =
-        cfg.run.fp.has_value() ? *cfg.run.fp : FailurePattern::failureFree(n);
-    for (Pid p = 0; p < n; ++p) {
-      if (fp.crashTime(p) != kNeverCrashes) {
-        throw SimAbort(
-            "explore: kDpor requires a failure-free pattern (crashes break "
-            "step commutation); use ExploreMode::kDag for this pattern");
-      }
-    }
+  // Commutation of adjacent independent steps assumes swapping them
+  // changes neither step's behavior. A time-triggered crash breaks that:
+  // the swap moves a step across a crash time, changing which processes
+  // are enabled. kDag has no such assumption.
+  if (dpor && cfg.run.fp.has_value() && !cfg.run.fp->faulty().empty()) {
+    throw SimAbort(
+        "explore: kDpor requires a failure-free pattern (crashes break "
+        "step commutation); use ExploreMode::kDag for this pattern");
   }
 
-  FdEpochCtx fdctx;
-  if (dpor && cfg.run.fd) {
-    const Time tau = cfg.run.fd->stabilizationTime();
-    if (cfg.run.fd->keyDigest() != fd::kOpaqueFdDigest &&
-        tau != kNeverCrashes) {
-      fdctx.enabled = true;
-      fdctx.tau = tau;
-    }
+  WalkSpec spec{&cfg, &algo, &proposals};
+  if (dpor && cfg.run.fd && cfg.run.fd->keyDigest() != fd::kOpaqueFdDigest) {
+    spec.tau = cfg.run.fd->stabilizationTime();
   }
 
   const std::uint64_t cert_key = certConfigKey(cfg, proposals);
@@ -973,17 +981,8 @@ ExploreResult explore(const ExploreConfig& cfg, const AlgoFn& algo,
     }
   }
 
-  ExploreResult res;
-  if (cfg.jobs <= 0) {
-    WalkSpec spec;
-    spec.cfg = &cfg;
-    spec.algo = &algo;
-    spec.proposals = &proposals;
-    spec.fdctx = fdctx;
-    res = std::move(walk(spec).res);
-  } else {
-    res = exploreFrontier(cfg, algo, proposals, fdctx, cert_key);
-  }
+  ExploreResult res = cfg.jobs <= 0 ? std::move(search(spec).res)
+                                    : exploreFrontier(spec, cert_key);
 
   // Only COMPLETE searches become whole-config certificates: a budget-cut
   // result is a partial answer whose per-job records (frontier mode)

@@ -2,8 +2,8 @@
 //
 // The paper's theorems quantify over ALL schedules; seeded runs sample that
 // space. explore() walks it systematically for bounded protocols, turning
-// "no violation in N seeded runs" into "verified over every schedule". Two
-// modes share one engine:
+// "no violation in N seeded runs" into "verified over every schedule". One
+// DFS over the run's state space serves two modes, as two strategies:
 //
 //   kDpor  Dynamic partial-order reduction (Flanagan–Godefroid) with sleep
 //          sets: explores at least one representative per Mazurkiewicz
@@ -47,7 +47,7 @@
 //
 // The frontier engine splits the search into a bounded SERIAL prefix
 // expansion plus independent subtree jobs distributed over a per-worker
-// work-stealing pool (sim/steal_pool.h). Phase 1 runs the DFS
+// work-stealing pool (sim/steal_pool.h). Phase 1 runs the same DFS
 // with EAGER candidate seeding above the frontier depth F (every enabled,
 // non-slept transition is scheduled up front, so race-driven backtrack
 // additions targeting prefix nodes are no-ops and the job set is closed);

@@ -95,16 +95,19 @@ RunResult Run::finish(Time steps_taken) {
   res.steps = steps_taken;
   res.all_correct_done = sched_->allCorrectDone();
   // Close the audit window first: the end-of-run FD-axiom conditions run
-  // inside endAuditObservation, so the collect-mode report below includes
+  // inside endAuditObservation, so the collect-mode line below counts
   // them (in kThrow mode they raise StepAuditError instead).
   world_->endAuditObservation();
   // Collect-mode audits surface their findings even if nobody inspects
   // the result: a silent model violation is exactly what the auditor
-  // exists to prevent. (kThrow already surfaced them as StepAuditError;
-  // chaos negative-control runs would otherwise spam stderr.)
+  // exists to prevent. One line per run — the count and the first
+  // message; the full report stays on rr.audit()->report(). (kThrow
+  // already surfaced them as StepAuditError.)
   if (const StepAuditor* a = world_->auditor();
       a != nullptr && a->mode() == AuditMode::kCollect && !a->clean()) {
-    std::fprintf(stderr, "%s\n", a->report().c_str());
+    std::fprintf(stderr, "step audit: %zu violation(s), first: %s\n",
+                 a->violations().size(),
+                 a->violations().front().message.c_str());
   }
   for (const auto& e : world_->trace().events()) {
     if (e.kind == EventKind::kDecide) res.decisions[e.pid] = e.value.asInt();

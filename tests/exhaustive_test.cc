@@ -13,7 +13,6 @@
 // for the reduction-factor bar).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <set>
 #include <vector>
 
@@ -39,29 +38,6 @@ Coro<Unit> oneShot(Env& env, int k, Value v) {
   env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
   env.decide(p.value);
   co_return Unit{};
-}
-
-// Enumerate all distinct permutations of the multiset with `per` copies
-// of each pid in [0, n), invoking fn on each.
-void forEachSchedule(int n, int per,
-                     const std::function<void(const std::vector<Pid>&)>& fn) {
-  std::vector<int> remaining(static_cast<std::size_t>(n), per);
-  std::vector<Pid> seq;
-  const std::function<void()> rec = [&] {
-    if (static_cast<int>(seq.size()) == n * per) {
-      fn(seq);
-      return;
-    }
-    for (Pid p = 0; p < n; ++p) {
-      if (remaining[static_cast<std::size_t>(p)] == 0) continue;
-      --remaining[static_cast<std::size_t>(p)];
-      seq.push_back(p);
-      rec();
-      seq.pop_back();
-      ++remaining[static_cast<std::size_t>(p)];
-    }
-  };
-  rec();
 }
 
 struct Outcome {
@@ -124,7 +100,7 @@ std::set<Outcome> explorerOutcomeSet(const ExploreResult& res, int n) {
 TEST(Exhaustive, CommitAdoptTwoProcessesAllSchedules) {
   int schedules = 0;
   std::set<Outcome> brute;
-  forEachSchedule(2, 4, [&](const std::vector<Pid>& seq) {
+  test::forEachInterleaving({4, 4}, [&](const std::vector<Pid>& seq) {
     ++schedules;
     const Outcome out = runSchedule(2, 1, seq, {100, 101});
     for (int p = 0; p < 2; ++p) {
@@ -160,7 +136,7 @@ TEST(Exhaustive, CommitAdoptTwoProcessesAllSchedules) {
 // again by the explorer over its (complete) outcome set.
 TEST(Exhaustive, CommitAdoptConvergenceAllSchedules) {
   std::set<Outcome> brute;
-  forEachSchedule(2, 4, [&](const std::vector<Pid>& seq) {
+  test::forEachInterleaving({4, 4}, [&](const std::vector<Pid>& seq) {
     const Outcome out = runSchedule(2, 1, seq, {100, 100});
     EXPECT_TRUE(out.committed[0]);
     EXPECT_TRUE(out.committed[1]);

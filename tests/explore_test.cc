@@ -191,28 +191,7 @@ ExploreResult exploreConverge(int n, int k, const std::vector<Value>& props,
                  [k](Env& e, Value v) { return oneShot(e, k, v); }, props);
 }
 
-// ---- Brute-force oracle (the pre-explorer enumerator, kept verbatim) -----
-
-void forEachSchedule(int n, int per,
-                     const std::function<void(const std::vector<Pid>&)>& fn) {
-  std::vector<int> remaining(static_cast<std::size_t>(n), per);
-  std::vector<Pid> seq;
-  const std::function<void()> rec = [&] {
-    if (static_cast<int>(seq.size()) == n * per) {
-      fn(seq);
-      return;
-    }
-    for (Pid p = 0; p < n; ++p) {
-      if (remaining[static_cast<std::size_t>(p)] == 0) continue;
-      --remaining[static_cast<std::size_t>(p)];
-      seq.push_back(p);
-      rec();
-      seq.pop_back();
-      ++remaining[static_cast<std::size_t>(p)];
-    }
-  };
-  rec();
-}
+// ---- Brute-force oracle (test::forEachInterleaving, test_util.h) --------
 
 Picks runSchedule(int n, int k, const std::vector<Pid>& seq,
                   const std::vector<Value>& props) {
@@ -238,7 +217,7 @@ TEST(Explore, TwoProcOutcomeSetEqualsBruteForceExactly) {
   const std::vector<Value> props = {100, 101};
   std::set<Picks> brute;
   int schedules = 0;
-  forEachSchedule(2, 4, [&](const std::vector<Pid>& seq) {
+  test::forEachInterleaving({4, 4}, [&](const std::vector<Pid>& seq) {
     ++schedules;
     brute.insert(runSchedule(2, 1, seq, props));
   });

@@ -7,6 +7,9 @@
 // perturbs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "test_util.h"
 #include "wfd.h"
 
@@ -93,6 +96,25 @@ TEST(StepAudit, MultiOpFires) {
   // must be flagged as operation #2, never as unrouted (it did go through
   // World::execute).
   EXPECT_FALSE(rr.audit()->sawRule(AuditRule::kUnroutedAccess));
+}
+
+TEST(StepAudit, ViolatingCollectRunWritesOneStderrLine) {
+  // Collect mode reports a violating run on stderr in one line: the count
+  // and the first message. The full report, trails included, stays on
+  // the auditor.
+  testing::internal::CaptureStderr();
+  const auto rr = sim::runTask(
+      collectCfg(2), [](Env& e, Value) { return rogueTwoOpsPerStep(e); },
+      zeros(2));
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_NE(rr.audit(), nullptr);
+  ASSERT_FALSE(rr.audit()->clean());
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_EQ(err.rfind("step audit: ", 0), 0u) << err;
+  EXPECT_NE(err.find(rr.audit()->violations().front().message),
+            std::string::npos)
+      << err;
+  EXPECT_NE(rr.audit()->report().find("op trail"), std::string::npos);
 }
 
 TEST(StepAudit, UnroutedAccessFires) {
