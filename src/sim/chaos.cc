@@ -156,10 +156,6 @@ RunConfig ChaosEngine::arm(RunConfig cfg) const {
 
 void ChaosEngine::plan(World& world) {
   planned_ = true;
-  if (wantsScanOverride()) {
-    world.setScanOverride(
-        [this](Pid p, ObjId obj) { return overrideScan(p, obj); });
-  }
   const int n = world.nProcs();
   std::size_t idx = 0;
   for (const CrashInjection& c : cfg_.crashes) {
@@ -242,26 +238,15 @@ void ChaosEngine::captureScans(World& world, const Scheduler& sched) {
         serve = pit->second;
       }
     }
-    if (world.auditor() != nullptr) {
-      world.auditor()->captureScanRequest(p, s->obj, view);
-    }
-    scan_prev_[key] = std::move(view);
-    scan_pending_[key] = std::move(serve);
+    scan_prev_[key] = view;
+    world.serveScan(p, s->obj, std::move(serve), std::move(view));
   }
-}
-
-std::optional<SlotArray> ChaosEngine::overrideScan(Pid p, ObjId obj) {
-  const auto it = scan_pending_.find({p, obj});
-  if (it == scan_pending_.end()) return std::nullopt;
-  SlotArray v = std::move(it->second);
-  scan_pending_.erase(it);
-  return v;
 }
 
 void ChaosEngine::beforeStep(World& world, const Scheduler& sched) {
   if (!planned_) plan(world);
   const Time now = world.now();
-  if (wantsScanOverride()) captureScans(world, sched);
+  if (wantsStaleScans()) captureScans(world, sched);
 
   for (TimedCrash& c : timed_) {
     if (!c.fired && c.at <= now) {

@@ -158,13 +158,10 @@ struct ChaosConfig {
   }
 };
 
-// Perturbs the one run it observes (Scheduler::run, driveWatched). Not
-// copyable: that run's world may hold the engine's address.
+// Perturbs the one run it observes (Scheduler::run, driveWatched).
 class ChaosEngine final : public StepObserver {
  public:
   explicit ChaosEngine(ChaosConfig cfg) : cfg_(std::move(cfg)) {}
-  ChaosEngine(const ChaosEngine&) = delete;
-  ChaosEngine& operator=(const ChaosEngine&) = delete;
 
   // `cfg` with its detector glitch-wrapped and auditing on: the online
   // axiom checker is the detection instrument. An unset cfg.audit becomes
@@ -172,11 +169,10 @@ class ChaosEngine final : public StepObserver {
   // kCollect) is respected and checked after the run.
   [[nodiscard]] RunConfig arm(RunConfig cfg) const;
 
-  // Crash triggers and pending-scan view captures. The scheduler is
-  // consulted (read only) for each process's pending operation, so a scan
-  // override can be decided — and its request-time view captured — before
-  // the scan's owning step runs. The first call routes the world's scan
-  // results through the engine if stale snapshots are configured.
+  // Crash triggers and pending-scan decisions. The scheduler is consulted
+  // (read only) for each process's pending operation, so a stale view can
+  // be decided — and the request-time view captured — before the scan's
+  // owning step runs; the world serves it (World::serveScan).
   void beforeStep(World& world, const Scheduler& sched) override;
 
   // Schedule-bias injectors: filter the runnable set. Falls back to the
@@ -204,13 +200,10 @@ class ChaosEngine final : public StepObserver {
   // the glitched history against the inner detector's own claim.
   [[nodiscard]] fd::FdPtr wrapFd(fd::FdPtr inner, const FailurePattern& fp,
                                  int n_plus_1) const;
-  [[nodiscard]] bool wantsScanOverride() const {
+  [[nodiscard]] bool wantsStaleScans() const {
     return cfg_.stale_snapshot.has_value() &&
            cfg_.stale_snapshot->permille > 0;
   }
-  // The view to serve for p's executing scan of `obj`; nullopt = live
-  // memory. Consumes the decision made in beforeStep.
-  [[nodiscard]] std::optional<SlotArray> overrideScan(Pid p, ObjId obj);
 
   void plan(World& world);  // lazy: needs n+1 from the world
   bool tryCrash(World& world, Pid victim);
@@ -227,11 +220,9 @@ class ChaosEngine final : public StepObserver {
   // Stale-snapshot state. `scan_decided_` remembers which pending scan
   // (keyed by the owner's step count at request time) was already
   // decided, so one request is decided exactly once however many
-  // beforeStep calls see it pending. `scan_pending_` holds views to
-  // serve; `scan_prev_` the per-(pid, obj) previously captured view for
-  // the illegal-past control.
+  // beforeStep calls see it pending; `scan_prev_` holds the per-(pid, obj)
+  // previously captured view for the illegal-past control.
   std::map<std::pair<Pid, ObjId>, Time> scan_decided_;
-  std::map<std::pair<Pid, ObjId>, SlotArray> scan_pending_;
   std::map<std::pair<Pid, ObjId>, SlotArray> scan_prev_;
 };
 

@@ -597,7 +597,7 @@ WalkOut dfs(const WalkSpec& spec, const CapturedJob& job, int capture_at) {
   // configurations (no processes).
   if (ss.run.scheduler().allCorrectDone() || root.enabled.empty()) {
     ss.harvest();
-    return std::move(ss.out);
+    ss.depth = 0;
   }
 
   const auto popStep = [&](Node& from) {
@@ -630,10 +630,10 @@ WalkOut dfs(const WalkSpec& spec, const CapturedJob& job, int capture_at) {
       const bool violated = leaf == Leaf::kFinal && ss.harvest();
       if (leaf == Leaf::kCut) res.complete = false;  // cut, not verified
       popStep(cur);
-      if (violated) return std::move(ss.out);
+      if (violated) break;
       if (res.schedules_explored >= ss.cfg.max_schedules) {
         res.complete = false;
-        return std::move(ss.out);
+        break;
       }
       continue;  // live state is past cur; next execute will restore
     }
@@ -652,6 +652,7 @@ WalkOut dfs(const WalkSpec& spec, const CapturedJob& job, int capture_at) {
     Node& child = ss.push();  // may move `cur`
     strategy.open(child, &ss.path[ss.depth - 2]);
   }
+  // The one exit: a finished, cut or violating walk reports its counters.
   strategy.finish();
   return std::move(ss.out);
 }
@@ -672,10 +673,12 @@ WalkOut search(const WalkSpec& spec, const CapturedJob& job = {},
 // cold miss, never a wrong hit. A schema bump changes the tag AND the key
 // salt, so records of an older schema are never even looked up.
 
-// Schema v4: this byte record, with kDag counters of the walk that probes
-// its memo before resuming a frame (v3 records hold the older counts).
-constexpr std::uint32_t kCertTag = 0x34435857u;  // "WXC4"
-constexpr std::uint64_t kCertSchemaSalt = 0x5E2A7C91D04B3F18ULL;
+// Schema v5: this byte record, whose kDag states_memoized is reported by
+// every walk, also one cut by max_schedules or stopped by a violation (v4
+// records hold 0 there; v3 records the counts of the resume-then-probe
+// walk).
+constexpr std::uint32_t kCertTag = 0x35435857u;  // "WXC5"
+constexpr std::uint64_t kCertSchemaSalt = 0x91C4E3A75B20D6F7ULL;
 
 // The eight search counters, in record order; the frontier merge sums the
 // same list.

@@ -63,91 +63,7 @@ void Scheduler::add(Pid p, Coro<Unit> coro) {
   slot->ctx.pid = p;
   slot->coro = std::move(coro);
   slots_[static_cast<std::size_t>(p)] = std::move(slot);
-  // Fold the newcomer into the cached liveness state.
   undone_.insert(p);
-  if (world_->pattern().isCorrect(p)) ++correct_undone_;
-  const Time ct = world_->pattern().crashTime(p);
-  if (ct > world_->now()) {
-    runnable_.insert(p);
-    if (ct < next_crash_) next_crash_ = ct;
-  }
-}
-
-// ---- Cached liveness ------------------------------------------------------
-
-ProcSet Scheduler::runnableScan() const {
-  ProcSet s;
-  const Time now = world_->now();
-  for (const auto& slot : slots_) {
-    if (!slot) continue;
-    const Pid p = slot->ctx.pid;
-    if (slot->ctx.done) continue;
-    if (world_->pattern().crashTime(p) <= now) continue;  // p in F(now)
-    s.insert(p);
-  }
-  return s;
-}
-
-int Scheduler::correctUndoneScan() const {
-  int n = 0;
-  for (const auto& slot : slots_) {
-    if (!slot) continue;
-    if (world_->pattern().isCorrect(slot->ctx.pid) && !slot->ctx.done) ++n;
-  }
-  return n;
-}
-
-void Scheduler::syncLiveness() const {
-  if (world_->patternVersion() != fp_version_seen_) {
-    rebuildLiveness();  // chaos injected a crash: the pattern changed
-  } else if (world_->now() >= next_crash_) {
-    sweepCrashes();  // the clock reached a pre-scheduled crash time
-  }
-  if (world_->auditor() != nullptr) auditCrossCheck();
-}
-
-void Scheduler::rebuildLiveness() const {
-  fp_version_seen_ = world_->patternVersion();
-  const Time now = world_->now();
-  runnable_ = ProcSet{};
-  correct_undone_ = 0;
-  next_crash_ = kNeverCrashes;
-  for (const Pid p : undone_) {
-    if (world_->pattern().isCorrect(p)) ++correct_undone_;
-    const Time ct = world_->pattern().crashTime(p);
-    if (ct > now) {
-      runnable_.insert(p);
-      if (ct < next_crash_) next_crash_ = ct;
-    }
-  }
-}
-
-void Scheduler::sweepCrashes() const {
-  const Time now = world_->now();
-  Time next = kNeverCrashes;
-  // The iterator snapshots the mask, so erasing mid-loop is safe.
-  for (const Pid p : runnable_) {
-    const Time ct = world_->pattern().crashTime(p);
-    if (ct <= now) {
-      runnable_.erase(p);  // p is in F(now) from here on
-    } else if (ct < next) {
-      next = ct;
-    }
-  }
-  next_crash_ = next;
-}
-
-void Scheduler::auditCrossCheck() const {
-  // Audit mode re-derives liveness with the pre-refactor scans every sync;
-  // any divergence is an internal invariant failure, reported through the
-  // same diagnosable channel as other model violations.
-  if (runnable_ != runnableScan()) {
-    throw SimAbort("scheduler audit: cached runnable set diverged from scan");
-  }
-  if (correct_undone_ != correctUndoneScan()) {
-    throw SimAbort(
-        "scheduler audit: cached correct-undone count diverged from scan");
-  }
 }
 
 void reportOpRequest(const ProcCtx& c, const Op& op) {
@@ -178,7 +94,7 @@ void Scheduler::executeSlot(Slot& slot, Pid p) {
     audit->onStepBegin(p);
   }
   assert(!slot.ctx.done);
-  assert(world_->pattern().crashTime(p) > world_->now());
+  assert(!world_->crashed().contains(p));
 
   if (!slot.started) {
     // Fold the prologue (initial local computation up to the first
@@ -215,10 +131,7 @@ void Scheduler::resumeSlot(Slot& slot, Pid p) {
 
   if (slot.coro.done()) {
     slot.ctx.done = true;
-    // Retire p from the cached liveness state.
     undone_.erase(p);
-    runnable_.erase(p);
-    if (world_->pattern().isCorrect(p)) --correct_undone_;
     slot.coro.rethrowIfFailed();
   }
 }
@@ -357,9 +270,6 @@ std::uint64_t Scheduler::restore(
     if (!pc.done) undone_.insert(p);
   }
   rng_ = ck.rng;
-  // Contract: the caller restored the world first, so the rebuild sees
-  // the checkpointed clock and failure pattern.
-  rebuildLiveness();
   return rebuilt;
 }
 
@@ -367,22 +277,18 @@ Time Scheduler::run(SchedulePolicy& policy, Time max_steps,
                     StepObserver* observer) {
   Time taken = 0;
   for (;;) {
-    // Without an observer one sync covers both checks and the policy call
-    // below; runnable() and allCorrectDone() are not re-entered per step.
-    syncLiveness();
-    if (correct_undone_ == 0) break;
+    if (allCorrectDone()) break;
     if (taken >= max_steps) break;
-    if (observer != nullptr) {
-      observer->beforeStep(*world_, *this);
-      syncLiveness();  // beforeStep may have crashed a process
-    }
-    if (runnable_.empty()) break;  // every live process finished
+    // beforeStep may crash a process: read the runnable set after it.
+    if (observer != nullptr) observer->beforeStep(*world_, *this);
+    const ProcSet runnable = this->runnable();
+    if (runnable.empty()) break;  // every live process finished
     const Pid p =
         observer == nullptr
-            ? policy.next(runnable_, *world_, rng_)
-            : policy.next(observer->filter(runnable_, *world_, *this),
+            ? policy.next(runnable, *world_, rng_)
+            : policy.next(observer->filter(runnable, *world_, *this),
                           *world_, rng_);
-    assert(runnable_.contains(p) && "policy chose a non-runnable process");
+    assert(runnable.contains(p) && "policy chose a non-runnable process");
     step(p);
     ++taken;
     if (observer != nullptr && observer->afterStep(*world_, *this)) break;

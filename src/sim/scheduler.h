@@ -92,13 +92,13 @@ class FnPolicy : public SchedulePolicy {
 class Scheduler;
 
 // Hooks into Scheduler::run, whose iteration is: correct-done check,
-// budget check, beforeStep, liveness re-sync, empty-runnable check,
-// filter, policy pick, step, afterStep. The chaos engine (sim/chaos.h)
-// uses the first two; the watchdog (sim/watchdog.h) the third.
+// budget check, beforeStep, empty-runnable check, filter, policy pick,
+// step, afterStep. The chaos engine (sim/chaos.h) uses the first two; the
+// watchdog (sim/watchdog.h) the third.
 class StepObserver {
  public:
   virtual ~StepObserver() = default;
-  // May inject crashes: run() re-syncs liveness afterwards.
+  // May inject crashes: run() reads the runnable set after it.
   virtual void beforeStep(World& /*world*/, const Scheduler& /*sched*/) {}
   // The set the policy picks from: a nonempty subset of `runnable`.
   [[nodiscard]] virtual ProcSet filter(const ProcSet& runnable,
@@ -119,22 +119,15 @@ class Scheduler {
   // Register process p's automaton. Must be called once per pid before run.
   void add(Pid p, Coro<Unit> coro);
 
-  // Processes allowed to take a step now: not finished, not crashed.
-  //
-  // Liveness is maintained incrementally — updated on add(), on a process
-  // finishing in step(), and (lazily) when the clock reaches the next
-  // scheduled crash or a chaos injection bumps World::patternVersion().
-  // The pre-existing full-slot scans survive as *Scan() and, whenever a
-  // step auditor is attached (WFD_AUDIT), every sync cross-checks the
-  // cached state against them.
+  // Processes allowed to take a step now: not finished, not in F(now).
+  // The world keeps F(now) and correct(F) (World::crashed, ::correct);
+  // the scheduler keeps the unfinished set, so both reads are two masks.
   [[nodiscard]] ProcSet runnable() const {
-    syncLiveness();
-    return runnable_;
+    return undone_.minus(world_->crashed());
   }
 
   [[nodiscard]] bool allCorrectDone() const {
-    syncLiveness();
-    return correct_undone_ == 0;
+    return undone_.intersect(world_->correct()).empty();
   }
 
   // One atomic step of p. p must be runnable. step(p) is execute(p) then
@@ -258,19 +251,6 @@ class Scheduler {
     bool started = false;
   };
 
-  // Bring the cached liveness state up to date with the world clock and
-  // failure pattern. Cheap (two compares) unless a crash time was crossed
-  // or the pattern itself changed.
-  void syncLiveness() const;
-  void rebuildLiveness() const;  // full recompute after a pattern mutation
-  void sweepCrashes() const;     // the clock reached next_crash_
-  void auditCrossCheck() const;  // cached state vs. the reference scans
-
-  // Reference implementations: the pre-refactor O(n) full-slot scans.
-  // Only used by rebuildLiveness() and the audit-mode cross-check.
-  [[nodiscard]] ProcSet runnableScan() const;
-  [[nodiscard]] int correctUndoneScan() const;
-
   Slot& slotOf(Pid p) {
     assert(static_cast<std::size_t>(p) < slots_.size() &&
            slots_[static_cast<std::size_t>(p)]);
@@ -299,17 +279,8 @@ class Scheduler {
   bool log_results_ = false;
   std::vector<ResultLog> result_log_;
 
-  // Cached liveness, maintained by add()/step() and the lazy syncs above.
-  // Mutable because runnable()/allCorrectDone() are conceptually const:
-  // the cache is an implementation detail invisible to callers, and each
-  // Scheduler is confined to one thread (a batch shard owns its runs).
-  mutable ProcSet runnable_;         // undone_ minus crashed-by-now
-  mutable int correct_undone_ = 0;   // |undone_ ∩ correct(F)|
-  mutable Time next_crash_ = kNeverCrashes;  // min crash time in runnable_
-  mutable std::uint64_t fp_version_seen_ = 0;
-
   // restoreSlot's program-order view of a log, kept to reuse its
-  // capacity. Last, so the per-step fields above keep their offsets.
+  // capacity.
   std::vector<const OpResult*> replay_;
 };
 

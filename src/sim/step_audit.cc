@@ -282,22 +282,15 @@ void StepAuditor::finalizeFdAxioms() {
   }
 }
 
-void StepAuditor::captureScanRequest(Pid p, ObjId obj, SlotArray view) {
-  scan_captures_[{p, obj}] = std::move(view);
-}
-
-void StepAuditor::onScanResult(Pid p, ObjId obj, const SlotArray& view) {
-  const auto it = scan_captures_.find({p, obj});
-  if (it == scan_captures_.end()) return;  // no injection: nothing to judge
-  const SlotArray captured = std::move(it->second);
-  scan_captures_.erase(it);
+void StepAuditor::onScanResult(Pid p, ObjId obj, const SlotArray& view,
+                               const SlotArray& requested) {
   // Legal linearization points for an atomic scan: anywhere between
   // invocation and response. The served view must therefore match the
   // memory at SOME instant in that window; the chaos injector only ever
   // serves the two endpoints, so checking both is exact for it — and any
   // older view is a real-time-order violation whenever updates intervened.
   if (view == world_->objectsConst().peekSlots(obj)) return;  // response time
-  if (view == captured) return;                               // request time
+  if (view == requested) return;                              // request time
   flag(AuditRule::kStaleScan, p,
        "scan of obj#" + std::to_string(obj) +
            " returned a view that is neither the current memory nor the "

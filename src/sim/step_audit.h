@@ -27,10 +27,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/object_table.h"
@@ -100,18 +98,14 @@ class StepAuditor final {
   // stabilizationTime(); the stable-value rule in finalizeFdAxioms).
   // In kThrow mode an illegal answer never enters the run.
   void onFdAnswer(Pid p, const ProcSet& answer);
-  // World::execute, after a snapshot scan produced its view (possibly
-  // replaced by a chaos scan override) and before it reaches the
-  // algorithm: a legal view is the CURRENT memory or the memory at the
-  // scan's own invocation (any older view would order the scan before an
-  // update that preceded its invocation — not linearizable). Only checks
-  // when a request-time capture exists (sim/chaos.h records one per
-  // overridden scan via captureScanRequest), so normal runs pay nothing.
-  void onScanResult(Pid p, ObjId obj, const SlotArray& view);
-  // Chaos wiring: remember the view `obj` held when p's pending scan was
-  // requested, keyed by (p, obj). Overwritten per scan; consumed by
-  // onScanResult.
-  void captureScanRequest(Pid p, ObjId obj, SlotArray view);
+  // World::execute, after a scan served a view chosen by chaos
+  // (World::serveScan) and before it reaches the algorithm: a legal view
+  // is the CURRENT memory or `requested`, the memory at the scan's own
+  // invocation (any older view would order the scan before an update
+  // that preceded its invocation — not linearizable). Scans chaos did not
+  // serve are not judged, so normal runs pay nothing.
+  void onScanResult(Pid p, ObjId obj, const SlotArray& view,
+                    const SlotArray& requested);
   // End-of-run axiom conditions that need the final failure pattern
   // (Upsilon: stable value != correct(F); Omega^k: stable leaders contain
   // a correct process). Idempotent; called by World::endAuditObservation.
@@ -162,10 +156,6 @@ class StepAuditor final {
   bool post_stab_seen_ = false;
   ProcSet post_stab_value_;
   bool fd_finalized_ = false;
-
-  // Request-time scan views captured by the chaos engine for overridden
-  // scans; keyed (pid, obj). Empty unless stale-snapshot injection is on.
-  std::map<std::pair<Pid, ObjId>, SlotArray> scan_captures_;
 
   Time steps_audited_ = 0;
   Time ops_audited_ = 0;

@@ -1,6 +1,8 @@
 #include "sim/world.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace wfd::sim {
 
@@ -19,11 +21,15 @@ OpResult World::execute(Pid p, const Op& op) {
     objects_.update(u->obj, u->slot, u->val);
   } else if (const auto* s = std::get_if<OpSnapScan>(&op)) {
     res.snapshot = objects_.scan(s->obj);
-    if (scan_override_) {
-      if (auto v = scan_override_(p, s->obj)) res.snapshot = std::move(*v);
-      // Judge the served view (replaced or not) online, before the
-      // algorithm sees it — mirrors onFdAnswer for FD outputs.
-      if (audit_) audit_->onScanResult(p, s->obj, res.snapshot);
+    const auto pi = static_cast<std::size_t>(p);
+    if (!served_.empty() && served_[pi].obj == s->obj) {
+      ServedScan served = std::exchange(served_[pi], {});
+      res.snapshot = std::move(served.serve);
+      // Judge the served view online, before the algorithm sees it —
+      // mirrors onFdAnswer for FD outputs.
+      if (audit_) {
+        audit_->onScanResult(p, s->obj, res.snapshot, served.requested);
+      }
     }
   } else if (std::holds_alternative<OpFdQuery>(op)) {
     if (fd_ == nullptr) {
@@ -47,16 +53,39 @@ OpResult World::execute(Pid p, const Op& op) {
   return res;
 }
 
+void World::crossCrashTime() {
+  crashed_ = fp_->crashedBy(now_);
+  next_crash_ = kNeverCrashes;
+  for (const Pid p : crashed_.complement(n_plus_1_)) {
+    next_crash_ = std::min(next_crash_, fp_->crashTime(p));
+  }
+}
+
+void World::auditLiveness() const {
+  if (crashed_ != fp_->crashedBy(now_) || correct_ != fp_->correct()) {
+    throw SimAbort("world audit: F(now) or correct(F) diverged from the "
+                   "failure pattern at t=" + std::to_string(now_));
+  }
+}
+
 void World::injectCrash(Pid p) {
   // Snapshots share the old pattern: install a mutated copy.
   auto next = std::make_shared<FailurePattern>(*fp_);
   next->injectCrash(p, now_);
   fp_ = std::move(next);
-  ++fp_version_;  // invalidate cached scheduler liveness
+  crashed_.insert(p);
+  correct_.erase(p);
+  if (audit_) auditLiveness();
   // Injection is part of the run's (chaos) configuration: record it so
   // replays of the same seeds hash identically and diagnosable traces
   // show where the adversary struck.
   trace_.record(now_, p, EventKind::kNote, "chaos.crash", RegVal());
+}
+
+void World::serveScan(Pid p, ObjId obj, SlotArray serve, SlotArray requested) {
+  if (served_.empty()) served_.resize(static_cast<std::size_t>(n_plus_1_));
+  served_[static_cast<std::size_t>(p)] = {obj, std::move(serve),
+                                          std::move(requested)};
 }
 
 void World::enableAudit(AuditMode mode) {
@@ -66,7 +95,9 @@ void World::enableAudit(AuditMode mode) {
 
 void World::snapshot(Snapshot& s) const {
   s.now = now_;
-  s.fp_version = fp_version_;
+  s.crashed = crashed_;
+  s.correct = correct_;
+  s.next_crash = next_crash_;
   s.fp = fp_;
   s.published = published_;
   objects_.snapshot(s.objects);
@@ -79,7 +110,9 @@ void World::restore(const Snapshot& s) {
     throw SimAbort("World::restore: snapshot was never taken");
   }
   now_ = s.now;
-  fp_version_ = s.fp_version;
+  crashed_ = s.crashed;
+  correct_ = s.correct;
+  next_crash_ = s.next_crash;
   fp_ = s.fp;
   published_ = s.published;
   objects_.restore(s.objects);
@@ -88,7 +121,10 @@ void World::restore(const Snapshot& s) {
   // step/execute pairing) that is meaningless after time moves backwards;
   // re-attach a fresh one of the same mode. Audits never alter behavior,
   // so restored and never-checkpointed runs stay trace-identical.
-  if (audit_) enableAudit(audit_->mode());
+  if (audit_) {
+    enableAudit(audit_->mode());
+    auditLiveness();
+  }
 }
 
 void World::setPublished(Pid p, RegVal v) {

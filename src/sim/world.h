@@ -7,11 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fd/failure_detector.h"
 #include "sim/failure_pattern.h"
@@ -45,7 +44,10 @@ class World {
       : n_plus_1_(n_plus_1),
         fp_(std::make_shared<const FailurePattern>(std::move(fp))),
         fd_(std::move(fd)),
-        flavor_(flavor) {}
+        flavor_(flavor),
+        correct_(fp_->correct()) {
+    crossCrashTime();
+  }
 
   [[nodiscard]] int nProcs() const { return n_plus_1_; }
   // A reference that injectCrash leaves dangling: re-read it after.
@@ -54,28 +56,28 @@ class World {
   [[nodiscard]] SnapshotFlavor snapshotFlavor() const { return flavor_; }
 
   [[nodiscard]] Time now() const { return now_; }
-  void advanceClock() { ++now_; }
+  void advanceClock() {
+    if (++now_ >= next_crash_) crossCrashTime();
+  }
 
-  // Bumped by injectCrash. The scheduler caches liveness (runnable set,
-  // correct-undone count) keyed on this counter, so a mid-run pattern
-  // mutation invalidates the cache without the scheduler re-scanning the
-  // pattern every step.
-  [[nodiscard]] std::uint64_t patternVersion() const { return fp_version_; }
+  // F(now) and correct(F): the one home of run condition (1), read by the
+  // scheduler on every step. Written only where they change: the clock
+  // reaching a crash time, injectCrash, and restore.
+  [[nodiscard]] ProcSet crashed() const { return crashed_; }
+  [[nodiscard]] ProcSet correct() const { return correct_; }
 
-  // Chaos crash injection (sim/chaos.h): crash p at the current time.
-  // The scheduler's runnable() consults the mutated pattern, so p takes
-  // no further steps — exactly run condition (1). Outside the chaos
-  // engine this is off-limits (tools/model_lint.py bans it): a run's
-  // failure pattern is otherwise part of its immutable configuration.
+  // Chaos crash injection (sim/chaos.h): crash p at the current time, so
+  // p takes no further steps — exactly run condition (1). Outside the
+  // chaos engine this is off-limits (tools/model_lint.py bans it): a
+  // run's failure pattern is otherwise part of its immutable
+  // configuration.
   void injectCrash(Pid p);
 
-  // Chaos stale-snapshot injection (sim/chaos.h): when installed, each
-  // snapshot scan may have its result replaced by the override's view
-  // (std::nullopt = serve the live memory). Every overridden-world scan
-  // result is then reported to the auditor's onScanResult, which judges
-  // it against the linearizability window. Normal runs never install one.
-  using ScanOverride = std::function<std::optional<SlotArray>(Pid, ObjId)>;
-  void setScanOverride(ScanOverride f) { scan_override_ = std::move(f); }
+  // Chaos stale-snapshot injection (sim/chaos.h): p's next scan of `obj`
+  // returns `serve` instead of the live memory, and the auditor judges it
+  // against the live memory and `requested`, the view at the scan's
+  // invocation (StepAuditor::onScanResult). Also chaos-only (model_lint).
+  void serveScan(Pid p, ObjId obj, SlotArray serve, SlotArray requested);
 
   ObjectTable& objects() { return objects_; }
   [[nodiscard]] const ObjectTable& objectsConst() const { return objects_; }
@@ -98,14 +100,14 @@ class World {
 
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   // A Snapshot captures every mutable field of the world: clock, failure
-  // pattern (chaos may have mutated it), object table, trace, published
-  // FD-output emulations. It copies none of their contents: tuple
-  // payloads and snapshot cells (ObjectTable::Snapshot), the published
-  // outputs (a SlotArray), the immutable pattern (injectCrash installs a
-  // new one) and the trace's event vector (copy-on-write, see Trace) are
-  // shared, and restore() shares them back. The FD itself is NOT
-  // captured: histories are stateless functions of (seed, p, t), per
-  // common/rng.h.
+  // pattern (chaos may have mutated it) with F(now) and correct(F), object
+  // table, trace, published FD-output emulations. It copies none of their
+  // contents: tuple payloads and snapshot cells (ObjectTable::Snapshot),
+  // the published outputs (a SlotArray), the immutable pattern
+  // (injectCrash installs a new one) and the trace's event vector
+  // (copy-on-write, see Trace) are shared, and restore() shares them back.
+  // The FD itself is NOT captured: histories are stateless functions of
+  // (seed, p, t), per common/rng.h.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -123,7 +125,8 @@ class World {
    private:
     friend class World;
     Time now = 0;
-    std::uint64_t fp_version = 0;
+    ProcSet crashed, correct;
+    Time next_crash = kNeverCrashes;
     std::shared_ptr<const FailurePattern> fp;  // null: never taken
     SlotArray published;
     ObjectTable::Snapshot objects;
@@ -162,18 +165,31 @@ class World {
   void setPublished(Pid p, RegVal v);
 
  private:
+  // A scan view chaos decided to serve (serveScan); obj -1: none.
+  struct ServedScan {
+    ObjId obj = -1;
+    SlotArray serve, requested;
+  };
+
+  // F(now) from the pattern, and the next crash time after now.
+  void crossCrashTime();
+  // Audit: crashed_/correct_ against the pattern, after a partial write.
+  void auditLiveness() const;
+
   int n_plus_1_;
   std::shared_ptr<const FailurePattern> fp_;
   fd::FdPtr fd_;
   SnapshotFlavor flavor_;
   Time now_ = 0;
-  std::uint64_t fp_version_ = 0;
+  ProcSet crashed_;
+  ProcSet correct_;
+  Time next_crash_ = kNeverCrashes;  // min crash time outside crashed_
   OpFootprint last_footprint_;
   std::uint64_t last_result_sig_ = 0;
   ObjectTable objects_;
   Trace trace_;
   std::unique_ptr<StepAuditor> audit_;
-  ScanOverride scan_override_;
+  std::vector<ServedScan> served_;  // per pid; empty until chaos serves one
   SlotArray published_ = SlotArray(static_cast<std::size_t>(n_plus_1_));
 };
 

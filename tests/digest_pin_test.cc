@@ -148,8 +148,8 @@ TEST(DigestPins, FrontierCertificateKeys) {
   ASSERT_TRUE(r.verified());
   ASSERT_GT(r.frontier_jobs, 1u);
   ASSERT_EQ(store.saved.size(), r.frontier_jobs + 1);  // jobs, then config
-  EXPECT_EQ(store.saved.back(), 0xC92A04C43FE8518CULL);  // whole-config key
-  EXPECT_EQ(store.saved.front(), 0xB73720026F25BB74ULL);  // job 0's key
+  EXPECT_EQ(store.saved.back(), 0x092BA0E81C6538ECULL);  // whole-config key
+  EXPECT_EQ(store.saved.front(), 0x21A48ABCD0E57FC9ULL);  // job 0's key
 }
 
 }  // namespace

@@ -452,9 +452,10 @@ TEST(Certificates, DamagedRecordsColdMissAndStayBitIdentical) {
   }
 }
 
-// kDag records of the previous schema (tag "WXC3") carry counters that
-// the probe-before-resume walk no longer produces. Whatever key such a
-// record sits under, it cold-misses and the search runs again.
+// Records of the previous schema (tag "WXC4") carry a states_memoized
+// of 0 for kDag walks that stopped early, which the walk no longer
+// reports. Whatever key such a record sits under, it cold-misses and the
+// search runs again.
 TEST(Certificates, PreviousSchemaRecordsColdMiss) {
   SKIP_IF_AUDIT_LATCH();
   ExploreConfig cfg = convergeCfg(3, 2, ExploreMode::kDag, 2);
@@ -466,10 +467,10 @@ TEST(Certificates, PreviousSchemaRecordsColdMiss) {
   ASSERT_GT(store.records.size(), 1u);
   EXPECT_TRUE(exploreConverge(cfg, 2, 3).from_cache);  // intact: a hit
   for (auto& [key, bytes] : store.records) {
-    // The u32 tag is little-endian: "WXC4" on disk, and "WXC3" before.
+    // The u32 tag is little-endian: "WXC5" on disk, and "WXC4" before.
     ASSERT_GE(bytes.size(), 4u);
-    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "WXC4");
-    bytes[3] = '3';
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 4), "WXC5");
+    bytes[3] = '4';
   }
   const ExploreResult r = exploreConverge(cfg, 2, 3);
   EXPECT_FALSE(r.from_cache);

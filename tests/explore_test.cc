@@ -481,6 +481,30 @@ TEST(Explore, ScheduleBudgetCutsSearchIncomplete) {
   EXPECT_LE(res.schedules_explored, 3u);
 }
 
+// A kDag walk that stops early, cut by the schedule budget or stopped by
+// a violation, still reports the states it memoized before it stopped.
+TEST(Explore, StoppedDagWalksReportTheirMemo) {
+  const std::vector<Value> props = {100, 101, 102};
+  ExploreConfig cut = convergeConfig(3, 2, props, ExploreMode::kDag);
+  cut.max_schedules = 40;
+  const ExploreResult c = explore(
+      cut, [](Env& e, Value v) { return oneShot(e, 2, v); }, props);
+  EXPECT_FALSE(c.complete);
+  ASSERT_GT(c.memo_hits, 0u);
+  EXPECT_GT(c.states_memoized, 0u);
+
+  // A property that fails on the 40th terminal state it is shown.
+  ExploreConfig late = convergeConfig(3, 2, props, ExploreMode::kDag);
+  late.property = [seen = 0](const ExploreOutcome&) mutable -> std::string {
+    return ++seen == 40 ? "the 40th outcome" : "";
+  };
+  const ExploreResult v = explore(
+      late, [](Env& e, Value v) { return oneShot(e, 2, v); }, props);
+  ASSERT_EQ(v.verdict, ExploreVerdict::kViolation);
+  ASSERT_GT(v.memo_hits, 0u);
+  EXPECT_GT(v.states_memoized, 0u);
+}
+
 TEST(Explore, DepthBudgetCutsSearchIncomplete) {
   const std::vector<Value> props = {100, 101};
   ExploreConfig cfg = convergeConfig(2, 1, props, ExploreMode::kDpor);

@@ -18,10 +18,12 @@ guarantees:
                      state must flow through Env's atomic-step awaitables
                      (the step auditor enforces this dynamically; the lint
                      catches it before the code ever runs)
-  fp-mutation        injectCrash(...) outside src/sim: the failure pattern
-                     is environment state; only the simulator (and its
-                     chaos engine, which enforces the legality contract in
-                     docs/CHAOS.md) may mutate F mid-run
+  fp-mutation        injectCrash(...) or serveScan(...) outside src/sim:
+                     the failure pattern and the views scans return are
+                     environment state; only the simulator (and its chaos
+                     engine, which enforces the legality contract in
+                     docs/CHAOS.md) may crash a process or serve a stale
+                     view mid-run
   global-mutable     non-const namespace-scope state in src/ (including
                      src/sim): the batch runner (sim/batch.h) executes
                      runs on concurrent worker threads, and the
@@ -293,11 +295,12 @@ RULES = [
     ),
     (
         "fp-mutation",
-        re.compile(r"\binjectCrash\s*\("),
-        "the failure pattern is environment state: only src/sim (the "
-        "scheduler and the chaos engine, which enforces the legality "
-        "contract in docs/CHAOS.md) may crash processes mid-run; "
-        "workloads describe crashes up front via FailurePattern factories",
+        re.compile(r"\b(?:injectCrash|serveScan)\s*\("),
+        "the failure pattern and the views scans return are environment "
+        "state: only src/sim (the scheduler and the chaos engine, which "
+        "enforces the legality contract in docs/CHAOS.md) may crash "
+        "processes or serve stale views mid-run; workloads describe "
+        "crashes up front via FailurePattern factories",
     ),
     (
         "global-mutable",
@@ -784,6 +787,22 @@ def self_test() -> int:
             failures += 1
         else:
             print(f"self-test ok: step-drive finds {want} call(s) on {what}")
+    # fp-mutation covers a served scan view as it covers a crash, outside
+    # src/sim only.
+    served = "void rogue(World& w) { w.serveScan(0, 1, {}, {}); }\n"
+    for rel, fires in (
+        ("src/core/kconverge.cc", True),
+        ("bench/bench_chaos.cc", True),
+        ("src/sim/chaos.cc", False),
+    ):
+        found = {r for (_p, _l, r, _s) in scan_text(served, rel, rules_for(rel))}
+        if ("fp-mutation" in found) != fires:
+            verb = "did not fire" if fires else "fired"
+            print(f"self-test FAIL: fp-mutation {verb} on serveScan( in {rel}")
+            failures += 1
+        else:
+            verb = "fires" if fires else "stays silent"
+            print(f"self-test ok: fp-mutation {verb} on serveScan( in {rel}")
     # text-codec binds src/sim only, and the byte codec itself is clean.
     codec = VIOLATING_SNIPPETS["text-codec"]
     codec_cc = repo / "src/sim/codec.cc"
