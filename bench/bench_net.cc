@@ -23,12 +23,15 @@
 //     of scripted ones — plus bit-identical same-seed replay.
 //
 // `--json out.json` records runs, failures, wall time and steps/s per
-// section (CI archives BENCH_net.json per push). --quick is the CI
+// section, plus the substrate grid's summed NetCounters (CI archives
+// BENCH_net.json per push and holds its counters to
+// bench/BENCH_net.baseline.json). --quick is the CI
 // smoke; full depth is the nightly soak quoted in EXPERIMENTS.md E19.
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -110,6 +113,7 @@ struct SectionStats {
   int failures = 0;
   long long steps = 0;
   double wall_s = 0;
+  sim::net::NetCounters net;  // summed over the substrate grid's executions
 };
 
 // ---- section A: substrate determinism + envelope grid --------------------
@@ -129,6 +133,14 @@ SectionStats substrateGrid(int seeds_per_cell) {
           const auto a = sim::net::simulateHeartbeats(fp, cfg);
           const auto b = sim::net::simulateHeartbeats(fp, cfg);
           ++s.runs;
+          const sim::net::NetCounters& c = a->counters;
+          s.net.sent += c.sent;
+          s.net.delivered += c.delivered;
+          s.net.dropped += c.dropped;
+          s.net.partition_dropped += c.partition_dropped;
+          s.net.to_crashed += c.to_crashed;
+          s.net.timers_fired += c.timers_fired;
+          s.net.output_switches += c.output_switches;
           if (a->counters.trace_hash != b->counters.trace_hash) {
             ++s.failures;
             std::printf("FAIL: %s gst=%lld delta=%lld seed=%llu diverged\n",
@@ -402,13 +414,24 @@ int main(int argc, char** argv) {
     json.note("mode", quick ? "quick" : "full");
     json.metric("wall_s", wall_s);
     const auto section = [&json](const char* name, const SectionStats& s) {
-      json.row(name, {{"runs", static_cast<double>(s.runs)},
-                      {"failures", static_cast<double>(s.failures)},
-                      {"steps", static_cast<double>(s.steps)},
-                      {"wall_s", s.wall_s},
-                      {"steps_per_s",
-                       s.wall_s > 0 ? static_cast<double>(s.steps) / s.wall_s
-                                    : 0}});
+      const auto n = [](auto v) { return static_cast<double>(v); };
+      std::vector<std::pair<std::string, double>> fields = {
+          {"runs", n(s.runs)},
+          {"failures", n(s.failures)},
+          {"steps", n(s.steps)},
+          {"wall_s", s.wall_s},
+          {"steps_per_s", s.wall_s > 0 ? n(s.steps) / s.wall_s : 0}};
+      if (s.net.sent > 0) {
+        fields.insert(fields.end(),
+                      {{"sent", n(s.net.sent)},
+                       {"delivered", n(s.net.delivered)},
+                       {"dropped", n(s.net.dropped)},
+                       {"partition_dropped", n(s.net.partition_dropped)},
+                       {"to_crashed", n(s.net.to_crashed)},
+                       {"timers_fired", n(s.net.timers_fired)},
+                       {"output_switches", n(s.net.output_switches)}});
+      }
+      json.row(name, std::move(fields));
     };
     section("substrate_grid", sub);
     section("certify", cert);

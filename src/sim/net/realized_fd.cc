@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/net/heartbeat.h"
 #include "sim/world.h"  // SimAbort
 
 namespace wfd::sim::net {
@@ -55,52 +54,6 @@ Time computeStab(const NetHistory& h, RealizedLens lens, const ProcSet& V) {
 }
 
 }  // namespace
-
-ProcSet NetHistory::suspectedAt(Pid p, Time t) const {
-  const auto& sw = switches.at(static_cast<std::size_t>(p));
-  if (sw.empty()) return {};
-  const Time tc = std::min(t, horizon);
-  // Last switch with at <= tc.
-  auto it = std::upper_bound(
-      sw.begin(), sw.end(), tc,
-      [](Time v, const OutputSwitch& s) { return v < s.at; });
-  if (it == sw.begin()) return {};  // before the first record
-  return std::prev(it)->out;
-}
-
-NetHistoryPtr simulateHeartbeats(const FailurePattern& fp,
-                                 const NetConfig& cfg) {
-  NetWorld world(fp, cfg);
-  std::vector<std::unique_ptr<NetProcess>> procs;
-  procs.reserve(static_cast<std::size_t>(fp.nProcs()));
-  for (Pid p = 0; p < fp.nProcs(); ++p) {
-    procs.push_back(std::make_unique<HeartbeatProcess>(fp.nProcs(), cfg.hb));
-  }
-  world.run(std::move(procs));
-
-  auto h = std::make_shared<NetHistory>(fp.nProcs(), fp, cfg);
-  h->horizon = cfg.resolvedHorizon(fp);
-  h->switches = world.outputs();
-  h->counters = world.counters();
-  h->digest = fd::digestPattern(cfg.digest(), fp);
-
-  // The substrate's convergence guarantee, checked: every correct
-  // process's suspicions must equal faulty(F) at the horizon. The lenses
-  // and their computed stabilization times all build on this.
-  const ProcSet faulty = fp.faulty();
-  for (Pid p = 0; p < fp.nProcs(); ++p) {
-    if (!fp.isCorrect(p)) continue;
-    const ProcSet final_out = h->suspectedAt(p, h->horizon);
-    if (final_out != faulty) {
-      throw SimAbort(
-          "net heartbeat history did not converge: p" + std::to_string(p + 1) +
-          " suspects " + final_out.toString() + " at the horizon t=" +
-          std::to_string(h->horizon) + " but faulty(F) = " +
-          faulty.toString() + " (raise NetConfig::horizon)");
-    }
-  }
-  return h;
-}
 
 RealizedFd::RealizedFd(NetHistoryPtr history, RealizedLens lens, int f)
     : history_(std::move(history)), lens_(lens), f_(f) {

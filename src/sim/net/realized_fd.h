@@ -1,14 +1,13 @@
 // Realized failure detectors: heartbeat executions as FD histories.
 //
 // A scripted detector (fd/upsilon.h, fd/omega.h, fd/perfect.h) *asserts*
-// a history; a realized detector *earns* one: simulateHeartbeats runs
-// the increasing-timeout protocol (net/heartbeat.h) over the faulty
-// message substrate (net/net_world.h) and records, per process, the
-// full piecewise-constant suspicion history. RealizedFd then serves
-// query(p, t) by binary search over the recorded switch points — a pure
-// function of (p, t), exactly what the FailureDetector contract and the
-// step auditor's monotonicity rule require — through one of three
-// lenses over the same execution:
+// a history; a realized detector *earns* one: simulateHeartbeats
+// (net/heartbeat.h) runs the increasing-timeout protocol over faulty
+// links and records, per process, the full piecewise-constant suspicion
+// history. RealizedFd then serves query(p, t) by binary search over the
+// recorded switch points — a pure function of (p, t), exactly what the
+// FailureDetector contract and the step auditor's monotonicity rule
+// require — through one of three lenses over the same execution:
 //
 //   kEventuallyPerfect  H(p,t) = suspected_p(t)            (◊P)
 //   kOmega              H(p,t) = { min not-suspected }     (Omega)
@@ -31,35 +30,9 @@
 #include <memory>
 
 #include "fd/failure_detector.h"
-#include "sim/net/net_world.h"
+#include "sim/net/heartbeat.h"
 
 namespace wfd::sim::net {
-
-// One complete simulated heartbeat execution, shared by every lens cut
-// from it (immutable after construction; safe across threads).
-struct NetHistory {
-  int n_plus_1 = 0;
-  FailurePattern fp;
-  NetConfig cfg;
-  Time horizon = 0;
-  std::vector<std::vector<OutputSwitch>> switches;  // per pid, time-sorted
-  NetCounters counters;
-  std::uint64_t digest = 0;  // pins (cfg, fp)
-
-  // suspected_p(min(t, horizon)): binary search over p's switch list.
-  [[nodiscard]] ProcSet suspectedAt(Pid p, Time t) const;
-
-  NetHistory(int n, FailurePattern pattern, const NetConfig& config)
-      : n_plus_1(n), fp(std::move(pattern)), cfg(config) {}
-};
-
-using NetHistoryPtr = std::shared_ptr<const NetHistory>;
-
-// Run the heartbeat protocol over the configured substrate and record
-// the execution. Throws SimAbort if any correct process's final
-// suspicion set differs from faulty(fp) at the horizon.
-[[nodiscard]] NetHistoryPtr simulateHeartbeats(const FailurePattern& fp,
-                                               const NetConfig& cfg);
 
 enum class RealizedLens { kEventuallyPerfect, kOmega, kUpsilon };
 

@@ -235,19 +235,6 @@ std::uint64_t ObjectTable::xorContentsDigestFull() const {
   return h;
 }
 
-std::uint64_t ObjectTable::contentsDigest() const {
-  std::uint64_t h = 0x6A09E667F3BCC909ULL;
-  for (const Object& obj : objects_) {
-    h = mixDigest(h, static_cast<std::uint64_t>(obj.kind) + 1);
-    h = mixDigest(h, obj.reg.hash64());
-    h = mixDigest(h, obj.slots.size());
-    for (const RegVal& v : obj.slots) h = mixDigest(h, v.hash64());
-    h = mixDigest(h, obj.proposers.bits());
-    h = mixDigest(h, static_cast<std::uint64_t>(obj.ports));
-  }
-  return h;
-}
-
 ObjectTable::Kind ObjectTable::kindOf(ObjId id) const {
   assert(knows(id));
   return objects_[static_cast<std::size_t>(id)].kind;

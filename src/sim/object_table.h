@@ -175,23 +175,20 @@ class ObjectTable {
   // ancestor, to a sibling branch, or into a fresh table.
   void restore(const Snapshot& s);
 
-  // Stable structural digest of the table's entire contents, in creation
-  // (ObjId) order. Free and unobserved — the explorer's state-memoization
-  // key must not count as shared-memory traffic. Unlike the trace op
-  // digest this depends only on the STATE, not on the op order that
-  // produced it, so schedules converging to the same memory agree on it.
-  [[nodiscard]] std::uint64_t contentsDigest() const;
-
-  // Order-insensitive XOR-of-components digest of the same contents,
-  // FLUSHED ON READ: a mutating access (write/update/propose) or an
-  // object creation only marks the object stale; reading the digest
-  // re-hashes each object that went stale since the last read, once,
-  // and swaps its new component in. So a run that never reads the digest
-  // never hashes an object, and the explorer, which reads it after every
-  // step, pays one component per touched object instead of the O(table)
-  // re-hash contentsDigest() pays. Same state-key semantics: depends only
-  // on the contents, never on the op order. The flush writes mutable
-  // cache fields, so concurrent readers of one table must synchronize.
+  // Order-insensitive XOR-of-components digest of the table's entire
+  // contents, each object's component salted by its ObjId. Free and
+  // unobserved — the explorer's state-memoization key must not count as
+  // shared-memory traffic. Unlike the trace op digest this depends only
+  // on the STATE, never on the op order that produced it, so schedules
+  // converging to the same memory agree on it. FLUSHED ON READ: a
+  // mutating access (write/update/propose) or an object creation only
+  // marks the object stale; reading the digest re-hashes each object that
+  // went stale since the last read, once, and swaps its new component in.
+  // So a run that never reads the digest never hashes an object, and the
+  // explorer, which reads it after every step, pays one component per
+  // touched object instead of an O(table) re-hash. The flush writes
+  // mutable cache fields, so concurrent readers of one table must
+  // synchronize.
   [[nodiscard]] std::uint64_t xorContentsDigest() const {
     flushDigest();
     return xdigest_;

@@ -27,7 +27,7 @@ enum class Protocol {
 // Where the failure detector history comes from.
 enum class DetectorSource {
   kConstructed,  // fd/upsilon.h + fd/omega.h constructed histories
-  kRealizedNet,  // heartbeat-realized lenses over NetWorld (sim/net)
+  kRealizedNet,  // heartbeat-realized lenses (sim/net)
 };
 
 // Seeded test-only defects for the negative-control suite: the service's

@@ -47,7 +47,7 @@ class Watch final : public StepObserver {
       if (e.kind != EventKind::kDecide || wd_.safety_k <= 0) continue;
       if (decided_.contains(e.pid)) {
         return flag(RunVerdict::kSafetyViolation,
-                    "process p" + std::to_string(e.pid) + " decided twice");
+                    "process p" + std::to_string(e.pid + 1) + " decided twice");
       }
       decided_.insert(e.pid);
       distinct_.insert(e.value.asInt());

@@ -142,7 +142,24 @@ TEST(Chaos, DoubleDecideIsFlaggedAsSafetyViolation) {
       runChaosTask(cfg, ChaosConfig{}, WatchdogConfig{100'000, 0, 2}, algo,
                    test::distinctProposals(n_plus_1));
   ASSERT_EQ(rep.verdict, RunVerdict::kSafetyViolation) << rep.detail;
-  EXPECT_NE(rep.detail.find("decided twice"), std::string::npos);
+  // The watchdog alone keeps the plain runner's schedule, so the plain
+  // trace names the first process whose second decision lands; the
+  // detail uses the paper's 1-based name for it.
+  const auto plain =
+      sim::runTask(cfg, algo, test::distinctProposals(n_plus_1));
+  std::set<Pid> decided;
+  Pid twice = -1;
+  for (const auto& e : plain.trace().ofKind(sim::EventKind::kDecide)) {
+    if (!decided.insert(e.pid).second) {
+      twice = e.pid;
+      break;
+    }
+  }
+  ASSERT_GE(twice, 0);
+  EXPECT_NE(rep.detail.find("process p" + std::to_string(twice + 1) +
+                            " decided twice"),
+            std::string::npos)
+      << rep.detail;
 }
 
 // ---- kAxiomViolation: every illegal glitch is a detected negative

@@ -537,7 +537,7 @@ Restored restoreAndFinish(const sim::BatchCell& cell,
   Restored r;
   r.rebuilt = run.restore(ck);
   r.now = run.world().now();
-  r.contents = run.world().objectsConst().contentsDigest();
+  r.contents = run.world().objectsConst().xorContentsDigestFull();
   r.trace_at_restore = run.world().trace().hash64();
   for (Pid p = 0; p < cell.cfg.n_plus_1; ++p) {
     r.proc_steps.push_back(run.scheduler().ctx(p).steps);

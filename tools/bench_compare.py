@@ -21,6 +21,8 @@ Usage:
                    --candidate BENCH_service.json
   bench_compare.py --baseline bench/BENCH_batch.baseline.json \
                    --candidate BENCH_batch.json
+  bench_compare.py --baseline bench/BENCH_net.baseline.json \
+                   --candidate BENCH_net.json
   bench_compare.py --self-test
 
 Exit status: 0 = within bounds, 1 = regression or mismatch, 2 = usage.
@@ -32,8 +34,9 @@ per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
 mismatch including steps_rebuilt, bench_core's steps, the service
-counters and bench_batch's counters and static worker rows, the
-ungated stealing worker rows, a baseline row
+counters, bench_batch's counters and static worker rows, bench_net's
+section runs/failures/steps and substrate NetCounters, the ungated
+stealing worker rows, a baseline row
 missing from a same-mode candidate, the rate-ratio
 boundary on every rate metric, the differing---jobs step_makespan and
 differing-mode steps exclusions) and exits 0 only if the gate's own
@@ -67,6 +70,15 @@ ROW_EXACT = [
     "replacements",
     "retries",
     "streams",
+    "runs",
+    "failures",
+    "sent",
+    "delivered",
+    "dropped",
+    "partition_dropped",
+    "to_crashed",
+    "timers_fired",
+    "output_switches",
 ]
 
 # Deterministic top-level metrics: exact match required when present in
@@ -101,11 +113,11 @@ TOP_EXACT = [
     "failures",
 ]
 
-# Rows never compared: bench_batch's stealing-side worker rows, whose
-# placement (and so each worker's steps) depends on thread timing. Its
-# static-sharding rows are a pure function of (cells, jobs) and stay
-# gated.
-ROW_UNGATED_PREFIXES = ("steal_worker_",)
+# Rows never compared: the stealing-side worker rows of bench_batch and
+# of bench_net's certification batch, whose placement (and so each
+# worker's steps) depends on thread timing. bench_batch's static-sharding
+# rows are a pure function of (cells, jobs) and stay gated.
+ROW_UNGATED_PREFIXES = ("steal_worker_", "certify_batch_worker_")
 
 # Throughput metrics: candidate must be >= min_ratio * baseline.
 RATE_METRICS = [
@@ -334,6 +346,53 @@ def self_test():
     del cand["rows"][1]
     f, _ = compare(batch, cand, 0.8)
     expect("batch stealing row absent from the candidate passes", not f)
+
+    # 2a''. bench_net: each section's runs, failures and steps and the
+    #       substrate grid's summed NetCounters are exact; wall times and
+    #       the certification batch's worker rows are not.
+    net = {
+        "bench": "bench_net",
+        "jobs": 1,
+        "mode": "quick",
+        "rows": [
+            {
+                "name": "substrate_grid",
+                "runs": 54,
+                "failures": 0,
+                "steps": 0,
+                "wall_s": 0.05,
+                "sent": 200000,
+                "delivered": 150000,
+                "dropped": 900,
+                "partition_dropped": 1200,
+                "to_crashed": 300,
+                "timers_fired": 70000,
+                "output_switches": 1500,
+            },
+            {"name": "certify", "runs": 108, "failures": 0, "steps": 90000},
+            {"name": "certify_batch_worker_0", "executed": 108,
+             "steps": 90000},
+        ],
+    }
+    for key in ("runs", "failures", "steps", "sent", "delivered", "dropped",
+                "partition_dropped", "to_crashed", "timers_fired",
+                "output_switches"):
+        cand = copy.deepcopy(net)
+        cand["rows"][0][key] += 1
+        f, _ = compare(net, cand, 0.8)
+        expect(f"net substrate_grid {key} drift fails", len(f) == 1)
+    cand = copy.deepcopy(net)
+    cand["rows"][1]["runs"] += 1
+    f, _ = compare(net, cand, 0.8)
+    expect("net certify runs drift fails", len(f) == 1)
+    cand = copy.deepcopy(net)
+    cand["jobs"] = 4
+    cand["rows"][0]["wall_s"] = 5.0
+    cand["rows"][2]["steps"] = 30000
+    cand["rows"].append({"name": "certify_batch_worker_1", "executed": 70,
+                         "steps": 60000})
+    f, _ = compare(net, cand, 0.8)
+    expect("net wall times and batch worker rows are not compared", not f)
 
     # 2b. A baseline row the candidate dropped fails within one mode;
     #     across modes only the shared rows are compared. Extra candidate

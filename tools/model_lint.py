@@ -276,7 +276,7 @@ RULES = [
         # model-lint-allow annotation.
         re.compile(r"std::chrono::(?:system_clock|steady_clock|high_resolution_clock)"),
         "wall-clock types are banned in the library: all time must come "
-        "from the simulated clock (World::now(), NetWorld ticks); "
+        "from the simulated clock (World::now(), heartbeat ticks); "
         "host-side measurement code must annotate with model-lint-allow",
         ALL_SRC_DIRS,
     ),
