@@ -413,15 +413,19 @@ int main(int argc, char** argv) {
     bench::JsonWriter json("bench_net", jobs);
     json.note("mode", quick ? "quick" : "full");
     json.metric("wall_s", wall_s);
+    // The substrate grid simulates heartbeats, not steps: its row carries
+    // the summed NetCounters where the other rows carry steps.
     const auto section = [&json](const char* name, const SectionStats& s) {
       const auto n = [](auto v) { return static_cast<double>(v); };
       std::vector<std::pair<std::string, double>> fields = {
           {"runs", n(s.runs)},
           {"failures", n(s.failures)},
-          {"steps", n(s.steps)},
-          {"wall_s", s.wall_s},
-          {"steps_per_s", s.wall_s > 0 ? n(s.steps) / s.wall_s : 0}};
-      if (s.net.sent > 0) {
+          {"wall_s", s.wall_s}};
+      if (s.net.sent == 0) {
+        const double rate = s.wall_s > 0 ? n(s.steps) / s.wall_s : 0;
+        fields.insert(fields.end(),
+                      {{"steps", n(s.steps)}, {"steps_per_s", rate}});
+      } else {
         fields.insert(fields.end(),
                       {{"sent", n(s.net.sent)},
                        {"delivered", n(s.net.delivered)},

@@ -1,6 +1,5 @@
 #include "core/extraction.h"
 
-#include <cassert>
 #include <vector>
 
 namespace wfd::core {
@@ -36,7 +35,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
   // Round state (reset whenever a value != d is reported).
   bool have_candidate = false;
   ProcSet d;                       // the candidate stable value of D
-  PhiResult phi_d;                 // (S, w) = phi_D(d)
+  const PhiResult* phi_d = nullptr;  // (S, w) = phi_D(d)
   bool output_is_s = false;        // line 19/20 reached
   int batches_done = 0;
   std::vector<std::int64_t> last_ts(static_cast<std::size_t>(n_plus_1), -1);
@@ -47,8 +46,11 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
   auto startRound = [&](const ProcSet& new_d) {
     have_candidate = true;
     d = new_d;
-    phi_d = phi->map(d);
-    assert(!phi_d.correct_sigma.empty());
+    phi_d = phi->find(d);
+    if (phi_d == nullptr) {
+      throw sim::SimAbort("fig3: phi_D designates nothing for " +
+                          d.toString());
+    }
     output_is_s = false;
     batches_done = 0;
     std::fill(fresh.begin(), fresh.end(), 0);
@@ -91,7 +93,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
     }
     if (restarted || output_is_s) continue;
 
-    if (phi_d.correct_sigma == pi_all) {
+    if (phi_d->correct_sigma == pi_all) {
       // S = Pi: the output is already Pi; block in line 21 (i.e. keep
       // heartbeating until a different value shows up).
       continue;
@@ -111,12 +113,12 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
       std::fill(fresh.begin(), fresh.end(), 0);
     }
 
-    if (batches_done >= phi_d.w) {
+    if (batches_done >= phi_d->w) {
       // Observed w(sigma) batches myself: record it for the others
       // (line 19) and adopt S (line 20).
       co_await env.write(idOf(obs_ids, "fig3.Obs", env.me()), RegVal(d));
       output_is_s = true;
-      env.publishIfChanged(RegVal(phi_d.correct_sigma));
+      env.publishIfChanged(RegVal(phi_d->correct_sigma));
       continue;
     }
 
@@ -126,7 +128,7 @@ Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi) {
           (co_await env.read(idOf(obs_ids, "fig3.Obs", j))).scalar;
       if (obs == RegVal(d)) {
         output_is_s = true;
-        env.publishIfChanged(RegVal(phi_d.correct_sigma));
+        env.publishIfChanged(RegVal(phi_d->correct_sigma));
         break;
       }
     }

@@ -19,8 +19,8 @@
 // run with correct(F) = correct(sigma) an f-resilient sample of D,
 // contradicting phi_D's defining property — so S != correct(F).
 //
-// The non-constructive step of the paper (the existence of phi_D) is the
-// PhiMap argument; see core/phi_maps.h for the shipped instances.
+// The non-constructive step of the paper (the existence of phi_D) is a
+// finite search here: core/phi_maps.h derives phi_D from D's axioms.
 #pragma once
 
 #include "core/phi_maps.h"
@@ -34,7 +34,8 @@ using sim::Unit;
 
 // The reduction automaton. Publishes the emulated Upsilon^f output via
 // env.publish(); runs forever. Requires the source detector D installed
-// in the world and phi to be a correct phi_D for it.
+// in the world and phi to be a correct phi_D for it; throws SimAbort if D
+// stabilizes on a value phi designates nothing for.
 Coro<Unit> extractUpsilonF(Env& env, PhiPtr phi);
 
 }  // namespace wfd::core

@@ -1,75 +1,46 @@
 #include "core/phi_maps.h"
 
+#include <algorithm>
+#include <cassert>
+
+#include "fd/axioms.h"
+
 namespace wfd::core {
 
-namespace {
-
-class FnPhi final : public PhiMap {
- public:
-  FnPhi(std::string name, std::function<PhiResult(const ProcSet&)> fn)
-      : name_(std::move(name)), fn_(std::move(fn)) {}
-  PhiResult map(const ProcSet& d) const override { return fn_(d); }
-  [[nodiscard]] std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-  std::function<PhiResult(const ProcSet&)> fn_;
-};
-
-}  // namespace
+PhiPtr derivePhi(const Legal& legal, int n_plus_1, int f, int w) {
+  assert(n_plus_1 >= 1 && n_plus_1 <= 16 && "a 2^(n+1)-row table");
+  const std::uint64_t values = std::uint64_t{1} << n_plus_1;
+  // The candidate correct sets in search order.
+  std::vector<ProcSet> order;
+  for (std::uint64_t bits = 1; bits < values; ++bits) {
+    order.push_back(ProcSet::fromBits(bits));
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const ProcSet& a, const ProcSet& b) {
+                     return a.size() > b.size();
+                   });
+  std::vector<PhiResult> rows(values);
+  for (std::uint64_t bits = 0; bits < values; ++bits) {
+    const ProcSet d = ProcSet::fromBits(bits);
+    for (const ProcSet& r : order) {
+      if (r.size() < n_plus_1 - f) break;  // no admissible R is left
+      if (!isFResilientSample(legal, n_plus_1, f, {d, r})) {
+        rows[bits] = {r, w};
+        break;
+      }
+    }
+  }
+  return std::make_shared<const Phi>(std::move(rows));
+}
 
 PhiPtr phiOmegaK(int n_plus_1) {
-  return std::make_shared<FnPhi>(
-      "phi[Omega^k]", [n_plus_1](const ProcSet& d) {
-        // A history where d is output forever while every member of d is
-        // faulty violates Omega^k. If d = Pi (only possible when k = n+1)
-        // no process set is left; fall back to excluding p1's solo run,
-        // which Omega^{n+1} = "output Pi" cannot contradict — but
-        // Omega^{n+1} is trivial and never reaches this map in practice.
-        ProcSet s = d.complement(n_plus_1);
-        if (s.empty()) s = ProcSet::singleton(0);
-        return PhiResult{s, 0};
-      });
-}
-
-PhiPtr phiUpsilonSelf() {
-  return std::make_shared<FnPhi>("phi[Upsilon^f]", [](const ProcSet& d) {
-    // Upsilon^f never stabilizes on the correct set itself, so a run with
-    // correct(F) = d observing d forever is not a sample.
-    return PhiResult{d, 0};
-  });
-}
-
-PhiPtr phiAntiOmega() {
-  return std::make_shared<FnPhi>("phi[anti-Omega]", [](const ProcSet& d) {
-    return PhiResult{d, 0};
-  });
-}
-
-PhiPtr phiEventuallyPerfect(int n_plus_1, int f) {
-  return std::make_shared<FnPhi>(
-      "phi[<>P]", [n_plus_1, f](const ProcSet& d) {
-        if (d.empty()) {
-          ProcSet s = ProcSet::full(n_plus_1);
-          s.erase(n_plus_1 - 1);
-          return PhiResult{s, 0};
-        }
-        ProcSet s = d;
-        for (Pid p = 0; p < n_plus_1 && s.size() < n_plus_1 - f; ++p) {
-          s.insert(p);
-        }
-        return PhiResult{s, 0};
-      });
-}
-
-PhiPtr phiWithInflatedW(PhiPtr base, int w) {
-  return std::make_shared<FnPhi>(
-      base->name() + "+w" + std::to_string(w),
-      [base, w](const ProcSet& d) {
-        PhiResult r = base->map(d);
-        r.w = w;
-        return r;
-      });
+  // Omega^k's stable-value rule does not read k.
+  const fd::AxiomSpec omega{fd::AxiomSpec::Family::kOmegaK, 0};
+  return derivePhi(
+      [omega, n_plus_1](const ProcSet& d, const ProcSet& r) {
+        return fd::stableViolation(omega, n_plus_1, d, r).empty();
+      },
+      n_plus_1, n_plus_1 - 1, 0);
 }
 
 }  // namespace wfd::core

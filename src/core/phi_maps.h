@@ -1,23 +1,25 @@
-// The map phi_D of Corollary 9.
+// The map phi_D of Corollary 9, derived from D's axioms.
 //
 // For an f-non-trivial failure detector D, phi_D carries each output
 // value d to (correct(sigma), w(sigma)) for some sequence sigma in
 // (Pi x {d})* that is NOT an f-resilient sample of D: a run in which the
 // processes of correct(sigma) run forever observing d (after the
 // processes outside it take w(sigma) "batches" of steps) is incompatible
-// with D's axioms. The paper's proof of Theorem 10 is non-constructive —
-// it only needs phi_D to *exist*. For each concrete detector this library
-// ships, the map is easy to construct, and every instance documents which
-// axiom of D the designated sigma violates. Tests verify that reasoning
-// by checking the axiom directly.
+// with D's axioms. The paper's proof of Theorem 10 only needs phi_D to
+// *exist*; for a finite Pi that existence proof is a finite search over
+// correct sets, and derivePhi runs it: for every d it designates the first
+// admissible R (|R| descending, then ascending bit pattern) under which
+// the constant-d sigma is not a sample (core/samples.h). By Lemma 7 a
+// non-sample stays one with a larger w, so w is a free argument; w > 0
+// only delays extraction and exercises Fig. 3's batch machinery.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "common/proc_set.h"
 #include "common/types.h"
+#include "core/samples.h"
 
 namespace wfd::core {
 
@@ -26,43 +28,36 @@ struct PhiResult {
   int w = 0;              // w(sigma): batches of steps of Pi-correct(sigma)
 };
 
-class PhiMap {
+// phi_D as an immutable table indexed by d's bit pattern, built once and
+// shared read-only (Fig. 3 looks up a row per round; batch workers share
+// one table).
+class Phi {
  public:
-  virtual ~PhiMap() = default;
-  virtual PhiResult map(const ProcSet& d) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
+  explicit Phi(std::vector<PhiResult> rows) : rows_(std::move(rows)) {}
+
+  // The designation for d, or nullptr when every admissible correct set
+  // allows d as a stable value (no constant-d sigma is a non-sample) or d
+  // lies outside the Pi the table was derived for.
+  [[nodiscard]] const PhiResult* find(const ProcSet& d) const {
+    if (d.bits() >= rows_.size()) return nullptr;
+    const PhiResult& r = rows_[d.bits()];
+    return r.correct_sigma.empty() ? nullptr : &r;
+  }
+
+ private:
+  std::vector<PhiResult> rows_;
 };
 
-using PhiPtr = std::shared_ptr<const PhiMap>;
+using PhiPtr = std::shared_ptr<const Phi>;
 
-// phi for Omega^k in E_f (k <= f): sigma = the processes of Pi - d running
-// forever while d never contains a correct process — violating Omega^k's
-// "eventually contains a correct process". (correct(sigma) = Pi - d,
-// w = 0.) With k = 1 this is phi_Omega.
+// Corollary 9 as a search: phi_D(d) = (R, w) for the first R in the order
+// above with |R| >= n+1-f and !legal(d, R).
+PhiPtr derivePhi(const Legal& legal, int n_plus_1, int f, int w);
+
+// phi for Omega^k in E_f (k <= f), derived from Omega's k-free
+// stable-value rule (d contains a correct process) at f = n: Pi - d for
+// every d != Pi. d = Pi gets no designation; no Omega^k with k <= n
+// outputs it. With k = 1 this is phi_Omega.
 PhiPtr phiOmegaK(int n_plus_1);
-
-// phi for Upsilon^f itself: sigma = the processes of d running forever —
-// if correct(F) = d, Upsilon^f may not stabilize on d. (correct(sigma) =
-// d, w = 0.) Feeding Upsilon^f through Fig. 3 with this map must
-// reproduce Upsilon^f's own output — the identity sanity check.
-PhiPtr phiUpsilonSelf();
-
-// phi for stable anti-Omega (singleton output {q}): sigma = {q} running
-// solo — if correct(F) = {q}, a correct process would forever be output,
-// violating anti-Omega. (correct(sigma) = {q} = d, w = 0.)
-PhiPtr phiAntiOmega();
-
-// phi for <>P (output = suspected set) in E_f: if d is non-empty, a run
-// whose correct set CONTAINS d cannot suspect d forever (eventual strong
-// accuracy); pad d up to n+1-f with low ids. If d is empty, a run with a
-// faulty process cannot output "no suspects" forever (strong
-// completeness): designate correct(sigma) = Pi minus its largest id.
-PhiPtr phiEventuallyPerfect(int n_plus_1, int f);
-
-// Wrap any phi with an inflated w > 0. Valid by Lemma 7: if the w = 0
-// sigma is not a sample, no supersequence with the same correct set is
-// either, so a larger w only delays extraction. Exercises Fig. 3's
-// batch-observation machinery.
-PhiPtr phiWithInflatedW(PhiPtr base, int w);
 
 }  // namespace wfd::core

@@ -1,4 +1,4 @@
-// f-resilient samples (paper Sect. 6.3), decidable for shipped detectors.
+// f-resilient samples (paper Sect. 6.3), decidable for stable detectors.
 //
 // A sequence sigma in (Pi x {d})^inf is an f-resilient sample of D if
 // |correct(sigma)| >= n+1-f and there is a failure pattern F in E_f with
@@ -9,54 +9,43 @@
 // under that binding.)
 //
 // For a *constant-value* sigma — the only shape Fig. 3 needs (Lemma 8
-// produces sigma in (Pi x {d})^inf) — sample-ness is decidable per
-// concrete detector family, because prefixes are unconstrained for every
-// shipped detector (their axioms are purely eventual, except P whose
-// prefix constraints are always satisfiable by choosing crash times) and
-// the eventual constraint reduces to a set predicate — for the axiom
-// families, d passing fd/axioms.h's range and stable-value rules with
-// correct(F) = R:
+// produces sigma in (Pi x {d})^inf) — sample-ness reduces to one relation
+// legal(d, R): may d be the permanent value when correct(F) = R? Prefixes
+// are unconstrained (a legal history is in-range noise, then a legal
+// stable value; P's prefix constraints are satisfiable by choosing crash
+// times). For an axiom family, legal(d, R) is fd/axioms.h's range rule on
+// d plus its stable-value rule against R (axiomLegal):
 //
-//   Omega^k:  |d| = k  and  d intersects R       (eventual leader set
-//                                                  contains a correct)
-//   Upsilon^f:|d| >= n+1-f, d != R, d nonempty   (never the correct set)
-//   stable anti-Omega: |d| = 1 and d != R
-//   <>P / P:  d = Pi - R                         (eventually exactly the
-//                                                  faulty set)
-//   Dummy(c): d = c                              (trivially; for d = c
-//                                                  EVERY sigma is a
-//                                                  sample — the detector
-//                                                  carries no failure
-//                                                  information, so no
-//                                                  phi map can exist)
+//   Omega^k:   |d| = k  and  d intersects R
+//   Upsilon^f: |d| >= n+1-f  and  d != R
+//   <>P / P:   d = Pi - R
 //
-// where R = correct(sigma). Tests use these to verify every shipped
-// phi_D rigorously: phi_D(d) = (S, w) must make the constant-d sigma
-// with correct(sigma) = S a NON-sample.
+// A detector is f-non-trivial iff no value it may output is legal under
+// every admissible R; for the dummy detector (legal(d, R) iff d = c)
+// every sigma with d = c is a sample, so no phi_D exists.
 #pragma once
+
+#include <functional>
 
 #include "common/proc_set.h"
 #include "common/types.h"
+#include "fd/failure_detector.h"
 
 namespace wfd::core {
 
-enum class DetectorFamily {
-  kOmegaK,
-  kUpsilonF,
-  kAntiOmegaStable,
-  kEventuallyPerfect,
-  kPerfect,
-  kDummy,
-};
+// legal(d, R): d may be D's permanent output when correct(F) = R.
+using Legal = std::function<bool(const ProcSet& d, const ProcSet& r)>;
+
+// fd/axioms.h's range and stable-value rules of `spec` as a relation.
+Legal axiomLegal(const fd::AxiomSpec& spec, int n_plus_1);
 
 struct ConstantSigma {
   ProcSet d;          // the constant detector value
   ProcSet recurring;  // correct(sigma)
 };
 
-// `param` is k for Omega^k, the constant's bits for Dummy, unused
-// otherwise (pass 0). f is the environment's resilience.
-bool isFResilientSample(DetectorFamily family, int n_plus_1, int f,
-                        std::uint64_t param, const ConstantSigma& sigma);
+// f is the environment's resilience.
+bool isFResilientSample(const Legal& legal, int n_plus_1, int f,
+                        const ConstantSigma& sigma);
 
 }  // namespace wfd::core

@@ -286,6 +286,20 @@ NetHistoryPtr simulateHeartbeats(const FailurePattern& fp,
   // The substrate's convergence guarantee, checked: every correct
   // process's suspicions must equal faulty(F) at the horizon. The lenses
   // and their computed stabilization times all build on this.
+  // Post-GST heartbeats from one peer can arrive period + delta - 1 ticks
+  // apart; a timeout below that which never grows keeps suspecting correct
+  // peers forever, and then no horizon helps.
+  const HeartbeatConfig& hb = cfg.hb;
+  const Time gap =
+      std::max<Time>(hb.period, 1) + std::max<Time>(cfg.env.delta, 1) - 1;
+  const std::string remedy =
+      hb.timeout_increment <= 0 && std::max<Time>(hb.initial_timeout, 1) < gap
+          ? "timeout_increment " + std::to_string(hb.timeout_increment) +
+                " never raises initial_timeout " +
+                std::to_string(hb.initial_timeout) +
+                " to period + delta - 1 = " + std::to_string(gap) +
+                ", so false suspicions never stop"
+          : "raise NetConfig::horizon";
   const ProcSet faulty = fp.faulty();
   for (Pid p = 0; p < fp.nProcs(); ++p) {
     if (!fp.isCorrect(p)) continue;
@@ -295,7 +309,7 @@ NetHistoryPtr simulateHeartbeats(const FailurePattern& fp,
           "net heartbeat history did not converge: p" + std::to_string(p + 1) +
           " suspects " + final_out.toString() + " at the horizon t=" +
           std::to_string(h->horizon) + " but faulty(F) = " +
-          faulty.toString() + " (raise NetConfig::horizon)");
+          faulty.toString() + " (" + remedy + ")");
     }
   }
   return h;

@@ -68,23 +68,10 @@ bool onlineLegal(const fd::AxiomSpec& spec, ProcSet d,
 
 bool sampleLegal(const fd::AxiomSpec& spec, int n_plus_1, ProcSet d,
                  ProcSet r) {
-  const core::ConstantSigma sigma{d, r};
-  switch (spec.family) {
-    case Family::kUpsilonF:
-      return core::isFResilientSample(core::DetectorFamily::kUpsilonF,
-                                      n_plus_1, spec.param, 0, sigma);
-    case Family::kOmegaK:
-      return core::isFResilientSample(
-          core::DetectorFamily::kOmegaK, n_plus_1, n_plus_1 - 1,
-          static_cast<std::uint64_t>(spec.param), sigma);
-    case Family::kEventuallyPerfect:
-      return core::isFResilientSample(core::DetectorFamily::kEventuallyPerfect,
-                                      n_plus_1, n_plus_1 - 1, 0, sigma);
-    case Family::kNone:
-      break;
-  }
-  ADD_FAILURE() << "no sample family for kNone";
-  return false;
+  // Upsilon^f's environment is E_f; the other families are judged in E_n.
+  const int f = spec.family == Family::kUpsilonF ? spec.param : n_plus_1 - 1;
+  return core::isFResilientSample(core::axiomLegal(spec, n_plus_1), n_plus_1,
+                                  f, {d, r});
 }
 
 std::string describe(const fd::AxiomSpec& spec, ProcSet d, ProcSet r) {

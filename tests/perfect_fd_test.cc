@@ -8,8 +8,6 @@
 namespace wfd {
 namespace {
 
-using core::ConstantSigma;
-using core::DetectorFamily;
 using core::isFResilientSample;
 using sim::Env;
 using sim::FailurePattern;
@@ -85,7 +83,8 @@ TEST(Extraction, FromEventuallyPerfect) {
     cfg.fd = fd::makeEventuallyPerfect(fp, 90, seed);
     cfg.seed = seed;
     cfg.max_steps = 60'000;
-    const auto phi = core::phiEventuallyPerfect(n_plus_1, f);
+    const auto phi = core::derivePhi(
+        core::axiomLegal(cfg.fd->axioms(), n_plus_1), n_plus_1, f, 0);
     const auto rr = sim::runTask(
         cfg, [phi](Env& e, Value) { return core::extractUpsilonF(e, phi); },
         std::vector<Value>(static_cast<std::size_t>(n_plus_1), 0));
@@ -99,69 +98,80 @@ TEST(Extraction, FromEventuallyPerfect) {
 
 TEST(Samples, OmegaKControls) {
   const int n = 5, f = 4;
+  const auto omega2 = core::axiomLegal({Family::kOmegaK, 2}, n);
   // A 2-set intersecting the recurring set: a legitimate sample.
-  EXPECT_TRUE(isFResilientSample(DetectorFamily::kOmegaK, n, f, 2,
-                                 {ProcSet{0, 1}, ProcSet{1, 2, 3}}));
+  EXPECT_TRUE(
+      isFResilientSample(omega2, n, f, {ProcSet{0, 1}, ProcSet{1, 2, 3}}));
   // Disjoint from the recurring set: not a sample (phi's designation).
-  EXPECT_FALSE(isFResilientSample(DetectorFamily::kOmegaK, n, f, 2,
-                                  {ProcSet{0, 1}, ProcSet{2, 3, 4}}));
+  EXPECT_FALSE(
+      isFResilientSample(omega2, n, f, {ProcSet{0, 1}, ProcSet{2, 3, 4}}));
   // Wrong cardinality for Omega^2.
-  EXPECT_FALSE(isFResilientSample(DetectorFamily::kOmegaK, n, f, 2,
-                                  {ProcSet{0}, ProcSet{0, 1}}));
+  EXPECT_FALSE(isFResilientSample(omega2, n, f, {ProcSet{0}, ProcSet{0, 1}}));
   // Too few recurring processes for the environment.
-  EXPECT_FALSE(isFResilientSample(DetectorFamily::kOmegaK, n, 2, 2,
-                                  {ProcSet{0, 1}, ProcSet{1}}));
+  EXPECT_FALSE(isFResilientSample(omega2, n, 2, {ProcSet{0, 1}, ProcSet{1}}));
 }
 
 TEST(Samples, EveryShippedPhiDesignatesANonSample) {
   const int n_plus_1 = 5;
   const auto all = ProcSet::full(n_plus_1);
+  const auto derived = [n_plus_1](const fd::AxiomSpec& spec, int f) {
+    return core::derivePhi(core::axiomLegal(spec, n_plus_1), n_plus_1, f, 0);
+  };
   // phi[Omega^k] across k and all k-sized outputs d.
   for (int k = 1; k <= 4; ++k) {
     const int f = k;
-    const auto phi = core::phiOmegaK(n_plus_1);
-    for (std::uint64_t bits = 1; bits < (1u << n_plus_1); ++bits) {
-      const ProcSet d = ProcSet::fromBits(bits);
-      if (d.size() != k) continue;
-      const auto r = phi->map(d);
-      EXPECT_FALSE(isFResilientSample(
-          DetectorFamily::kOmegaK, n_plus_1, f, static_cast<std::uint64_t>(k),
-          {d, r.correct_sigma}))
-          << "k=" << k << " d=" << d.toString();
-      EXPECT_GE(r.correct_sigma.size(), n_plus_1 - f);
+    const fd::AxiomSpec spec{Family::kOmegaK, k};
+    const auto legal = core::axiomLegal(spec, n_plus_1);
+    for (const auto& phi : {core::phiOmegaK(n_plus_1), derived(spec, f)}) {
+      for (std::uint64_t bits = 1; bits < (1u << n_plus_1); ++bits) {
+        const ProcSet d = ProcSet::fromBits(bits);
+        if (d.size() != k) continue;
+        const auto* r = phi->find(d);
+        ASSERT_NE(r, nullptr) << "k=" << k << " d=" << d.toString();
+        EXPECT_FALSE(
+            isFResilientSample(legal, n_plus_1, f, {d, r->correct_sigma}))
+            << "k=" << k << " d=" << d.toString();
+        EXPECT_GE(r->correct_sigma.size(), n_plus_1 - f);
+      }
     }
   }
   // phi[Upsilon^f].
   for (int f = 1; f <= 4; ++f) {
-    const auto phi = core::phiUpsilonSelf();
+    const fd::AxiomSpec spec{Family::kUpsilonF, f};
+    const auto phi = derived(spec, f);
     for (std::uint64_t bits = 1; bits < (1u << n_plus_1); ++bits) {
       const ProcSet d = ProcSet::fromBits(bits);
       if (d.size() < n_plus_1 - f) continue;
-      const auto r = phi->map(d);
-      EXPECT_FALSE(isFResilientSample(DetectorFamily::kUpsilonF, n_plus_1, f,
-                                      0, {d, r.correct_sigma}))
+      const auto* r = phi->find(d);
+      ASSERT_NE(r, nullptr);
+      EXPECT_FALSE(isFResilientSample(core::axiomLegal(spec, n_plus_1),
+                                      n_plus_1, f, {d, r->correct_sigma}))
           << "f=" << f << " d=" << d.toString();
     }
   }
   // phi[anti-Omega] over singletons.
+  const auto anti =
+      fd::makeAntiOmega(FailurePattern::failureFree(n_plus_1), 10, 1);
+  const auto anti_phi = derived(anti->axioms(), n_plus_1 - 1);
   for (Pid p = 0; p < n_plus_1; ++p) {
-    const auto r = core::phiAntiOmega()->map(ProcSet::singleton(p));
-    EXPECT_FALSE(isFResilientSample(DetectorFamily::kAntiOmegaStable,
-                                    n_plus_1, n_plus_1 - 1, 0,
-                                    {ProcSet::singleton(p), r.correct_sigma}));
+    const auto* r = anti_phi->find(ProcSet::singleton(p));
+    ASSERT_NE(r, nullptr);
+    EXPECT_FALSE(isFResilientSample(core::axiomLegal(anti->axioms(), n_plus_1),
+                                    n_plus_1, n_plus_1 - 1,
+                                    {ProcSet::singleton(p), r->correct_sigma}));
   }
-  // phi[<>P] over every suspicion set d (including empty).
+  // phi[<>P] over every suspicion set d (including empty and Pi).
   for (int f = 1; f <= 4; ++f) {
-    const auto phi = core::phiEventuallyPerfect(n_plus_1, f);
-    for (std::uint64_t bits = 0; bits < (1u << n_plus_1); ++bits) {
+    const fd::AxiomSpec spec{Family::kEventuallyPerfect, 0};
+    const auto phi = derived(spec, f);
+    for (std::uint64_t bits = 0; bits <= all.bits(); ++bits) {
       const ProcSet d = ProcSet::fromBits(bits);
-      if (d == all) continue;  // <>P never stabilizes on "all suspected"
-                               // (some process is correct) — unreachable d
-      const auto r = phi->map(d);
-      EXPECT_FALSE(isFResilientSample(DetectorFamily::kEventuallyPerfect,
-                                      n_plus_1, f, 0, {d, r.correct_sigma}))
+      const auto* r = phi->find(d);
+      ASSERT_NE(r, nullptr);
+      EXPECT_FALSE(isFResilientSample(core::axiomLegal(spec, n_plus_1),
+                                      n_plus_1, f, {d, r->correct_sigma}))
           << "f=" << f << " d=" << d.toString();
-      EXPECT_GE(r.correct_sigma.size(), n_plus_1 - f);
+      EXPECT_GE(r->correct_sigma.size(), n_plus_1 - f);
     }
   }
 }
@@ -169,14 +179,18 @@ TEST(Samples, EveryShippedPhiDesignatesANonSample) {
 TEST(Samples, DummyHasNoPhi) {
   // For the dummy detector, the constant d = c makes EVERY sigma a
   // sample — precisely why no phi map (and no Fig. 3 extraction) can
-  // exist for a trivial detector.
+  // exist for a trivial detector: the derivation designates nothing for c.
   const int n_plus_1 = 4;
   const ProcSet c{1, 2};
+  const core::Legal dummy = [c](const ProcSet& d, const ProcSet&) {
+    return d == c;
+  };
   for (std::uint64_t bits = 1; bits < (1u << n_plus_1); ++bits) {
     const ProcSet r = ProcSet::fromBits(bits);
-    EXPECT_TRUE(isFResilientSample(DetectorFamily::kDummy, n_plus_1,
-                                   n_plus_1 - 1, c.bits(), {c, r}));
+    EXPECT_TRUE(isFResilientSample(dummy, n_plus_1, n_plus_1 - 1, {c, r}));
   }
+  const auto phi = core::derivePhi(dummy, n_plus_1, n_plus_1 - 1, 0);
+  EXPECT_EQ(phi->find(c), nullptr);
 }
 
 }  // namespace

@@ -156,8 +156,8 @@ TEST(Soak, ExtractionCrossProduct) {
     cfg.max_steps = stab * 4 + 80'000;
     cfg.fd = use_dp ? fd::makeEventuallyPerfect(fp, stab, seed)
                     : fd::makeOmega(fp, stab, seed);
-    const auto phi = use_dp ? core::phiEventuallyPerfect(n_plus_1, f)
-                            : core::phiOmegaK(n_plus_1);
+    const auto phi = core::derivePhi(
+        core::axiomLegal(cfg.fd->axioms(), n_plus_1), n_plus_1, f, 0);
     const auto rr = sim::runTask(
         cfg, [phi](Env& e, Value) { return core::extractUpsilonF(e, phi); },
         std::vector<Value>(static_cast<std::size_t>(n_plus_1), 0));

@@ -347,9 +347,10 @@ def self_test():
     f, _ = compare(batch, cand, 0.8)
     expect("batch stealing row absent from the candidate passes", not f)
 
-    # 2a''. bench_net: each section's runs, failures and steps and the
-    #       substrate grid's summed NetCounters are exact; wall times and
-    #       the certification batch's worker rows are not.
+    # 2a''. bench_net: each section's runs and failures, the shared-memory
+    #       sections' steps and the substrate grid's summed NetCounters are
+    #       exact; wall times and the certification batch's worker rows
+    #       are not.
     net = {
         "bench": "bench_net",
         "jobs": 1,
@@ -359,7 +360,6 @@ def self_test():
                 "name": "substrate_grid",
                 "runs": 54,
                 "failures": 0,
-                "steps": 0,
                 "wall_s": 0.05,
                 "sent": 200000,
                 "delivered": 150000,
@@ -374,17 +374,18 @@ def self_test():
              "steps": 90000},
         ],
     }
-    for key in ("runs", "failures", "steps", "sent", "delivered", "dropped",
+    for key in ("runs", "failures", "sent", "delivered", "dropped",
                 "partition_dropped", "to_crashed", "timers_fired",
                 "output_switches"):
         cand = copy.deepcopy(net)
         cand["rows"][0][key] += 1
         f, _ = compare(net, cand, 0.8)
         expect(f"net substrate_grid {key} drift fails", len(f) == 1)
-    cand = copy.deepcopy(net)
-    cand["rows"][1]["runs"] += 1
-    f, _ = compare(net, cand, 0.8)
-    expect("net certify runs drift fails", len(f) == 1)
+    for key in ("runs", "steps"):
+        cand = copy.deepcopy(net)
+        cand["rows"][1][key] += 1
+        f, _ = compare(net, cand, 0.8)
+        expect(f"net certify {key} drift fails", len(f) == 1)
     cand = copy.deepcopy(net)
     cand["jobs"] = 4
     cand["rows"][0]["wall_s"] = 5.0
