@@ -1,9 +1,13 @@
 #include "core/checkers.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <array>
 
 #include "fd/axioms.h"
+
+// Every checker reads the run's events in place and keeps its per-process
+// state in fixed arrays: a passing run is checked without touching the
+// heap (tests/alloc_test.cc), and only a violation builds a string.
 
 namespace wfd::core {
 
@@ -16,21 +20,32 @@ EmulationReport harvestPublished(const RunResult& rr) {
   const auto& fp = rr.world->pattern();
   const ProcSet correct = fp.correct();
   const int n_plus_1 = fp.nProcs();
-  const auto finals = rr.trace().publishedAt(rr.world->now(), n_plus_1);
+  const Time now = rr.world->now();
 
-  const Pid w = correct.min();
-  const RegVal& fv = finals[static_cast<std::size_t>(w)];
-  rep.stabilized = !fv.isBottom();
-  for (Pid p : correct.members()) {
-    if (finals[static_cast<std::size_t>(p)] != fv) {
-      rep.stabilized = false;
-      rep.violation = "correct processes disagree: p" + std::to_string(p + 1) +
-                      " has " + finals[static_cast<std::size_t>(p)].toString() +
-                      ", p" + std::to_string(w + 1) + " has " + fv.toString();
+  // The last kPublish value per process at or before now (⊥ if none), as
+  // Trace::publishedAt reads it, and the last change at a correct process.
+  const RegVal bottom;
+  std::array<const RegVal*, kMaxProcs> finals;
+  finals.fill(&bottom);
+  for (const sim::Event& e : rr.trace().events()) {
+    if (e.kind != sim::EventKind::kPublish) continue;
+    if (correct.contains(e.pid)) rep.last_change = e.time;
+    if (e.time <= now && e.pid >= 0 && e.pid < n_plus_1) {
+      finals[static_cast<std::size_t>(e.pid)] = &e.value;
     }
   }
-  for (const auto& e : rr.trace().ofKind(sim::EventKind::kPublish)) {
-    if (correct.contains(e.pid)) rep.last_change = e.time;
+
+  const Pid w = correct.min();
+  const RegVal& fv = *finals[static_cast<std::size_t>(w)];
+  rep.stabilized = !fv.isBottom();
+  for (const Pid p : correct) {
+    const RegVal& pv = *finals[static_cast<std::size_t>(p)];
+    if (pv != fv) {
+      rep.stabilized = false;
+      rep.violation = "correct processes disagree: p" + std::to_string(p + 1) +
+                      " has " + pv.toString() + ", p" +
+                      std::to_string(w + 1) + " has " + fv.toString();
+    }
   }
   if (rep.stabilized && fv.isSet()) rep.stable_value = fv.asSet();
   return rep;
@@ -64,7 +79,7 @@ AgreementReport checkKSetAgreement(const RunResult& rr, int k,
 
   // Termination: every correct process decided.
   rep.termination = true;
-  for (Pid p : fp.correct().members()) {
+  for (const Pid p : fp.correct()) {
     if (!rr.decisions.contains(p)) {
       rep.termination = false;
       rep.violation = "correct p" + std::to_string(p + 1) + " never decided";
@@ -72,16 +87,18 @@ AgreementReport checkKSetAgreement(const RunResult& rr, int k,
   }
 
   // Validity + decide-once from the raw decide events.
-  const std::set<Value> allowed(proposals.begin(), proposals.end());
   rep.validity = true;
   rep.decide_once = true;
-  std::map<Pid, int> decide_count;
-  for (const auto& e : rr.trace().ofKind(sim::EventKind::kDecide)) {
-    if (++decide_count[e.pid] > 1) {
+  ProcSet decided;
+  for (const sim::Event& e : rr.trace().events()) {
+    if (e.kind != sim::EventKind::kDecide) continue;
+    if (decided.contains(e.pid)) {
       rep.decide_once = false;
       rep.violation = "p" + std::to_string(e.pid + 1) + " decided twice";
     }
-    if (!allowed.contains(e.value.asInt())) {
+    decided.insert(e.pid);
+    if (std::find(proposals.begin(), proposals.end(), e.value.asInt()) ==
+        proposals.end()) {
       rep.validity = false;
       rep.violation = "decided value " + e.value.toString() + " not proposed";
     }

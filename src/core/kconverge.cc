@@ -1,5 +1,6 @@
 #include "core/kconverge.h"
 
+#include <array>
 #include <cassert>
 
 namespace wfd::core {
@@ -8,10 +9,15 @@ namespace {
 
 using mem::SnapshotHandle;
 
-// B-entry layout: (committed-tag, value, U-set as tuple of ints). Two
-// allocations; a plain function, so the braced list stays out of the
-// coroutine frame.
-RegVal makeEntry(bool tag_c, Value v, const std::vector<Value>& u) {
+// The B entry of a process with input v that scanned `sa` in phase 1:
+// (committed-tag, v, U as a tuple of ints), where U is the set of inputs
+// in `sa` and the tag is |U| <= k. Two tuples; a plain function, so U's
+// buffer sits on the stack, out of the coroutine frame and off the heap.
+RegVal makeEntry(std::span<const RegVal> sa, int k, Value v) {
+  assert(sa.size() <= static_cast<std::size_t>(kMaxProcs));
+  std::array<Value, kMaxProcs> buf;
+  const std::span<const Value> u = mem::distinctValuesInto(sa, buf);
+  const bool tag_c = static_cast<int>(u.size()) <= k;
   return RegVal::tuple({RegVal(tag_c), RegVal(v), RegVal::tuple(u)});
 }
 
@@ -34,11 +40,11 @@ Coro<Pick> kConverge(Env& env, ObjKey key, int k, Value v) {
   // Phase 1: publish the input, observe the input set so far.
   co_await mem::snapshotUpdate(env, a, env.me(), RegVal(v));
   const SlotArray sa = co_await mem::snapshotScan(env, a);
-  const std::vector<Value> u = mem::distinctValues(sa);
+  const RegVal entry = makeEntry(sa, k, v);
 
   // Phase 2: publish the tagged entry, observe everyone's tags.
-  const bool tag_c = static_cast<int>(u.size()) <= k;
-  co_await mem::snapshotUpdate(env, b, env.me(), makeEntry(tag_c, v, u));
+  const bool tag_c = entry.asTuple()[0].asBool();
+  co_await mem::snapshotUpdate(env, b, env.me(), entry);
   const SlotArray sb = co_await mem::snapshotScan(env, b);
 
   bool all_c = true;

@@ -1,8 +1,7 @@
 #include "core/omega_k_set_agreement.h"
 
-#include <algorithm>
+#include <array>
 #include <cassert>
-#include <vector>
 
 #include "core/kconverge.h"
 
@@ -14,8 +13,11 @@ Coro<Value> omegaKSetAgreementInstance(Env& env, int k, int instance,
   const sim::ObjId d_reg = env.reg(sim::ObjKey{"omk.D", instance});
   // The current round's Ann[r+1][q] ids, cleared when the round starts and
   // each resolved once, at its first reference (which keeps the ObjId
-  // creation order of resolving on every read).
-  std::vector<sim::ObjId> ann(static_cast<std::size_t>(env.nProcs()), -1);
+  // creation order of resolving on every read). A fixed array in the
+  // frame, so an instance allocates nothing for it.
+  assert(env.nProcs() <= kMaxProcs);
+  std::array<sim::ObjId, kMaxProcs> ann;
+  ann.fill(-1);
   const auto annId = [&](int round, Pid q) {
     sim::ObjId& id = ann[static_cast<std::size_t>(q)];
     if (id < 0) id = env.reg(sim::ObjKey{"omk.Ann", round, q, instance});
@@ -42,7 +44,7 @@ Coro<Value> omegaKSetAgreementInstance(Env& env, int k, int instance,
     // announcement would leak pre-elimination values back in and break
     // agreement — caught by the randomized soak tests.)
     const ProcSet leaders = (co_await env.queryFd()).scalar.asSet();
-    std::fill(ann.begin(), ann.end(), -1);
+    ann.fill(-1);
     if (leaders.contains(env.me())) {
       co_await env.write(annId(r + 1, env.me()), RegVal(v));
     }

@@ -103,6 +103,10 @@ SnapAwait<SlotArray, std::vector<RegVal>> snapshotScan(
 int nonBottomCount(std::span<const RegVal> slots);
 // The int cells' values, ascending, each once (⊥ and non-int cells skipped).
 std::vector<Value> distinctValues(std::span<const RegVal> slots);
+// The same, written to the front of `buf` (at least slots.size() long)
+// without allocating; returns that prefix.
+std::span<const Value> distinctValuesInto(std::span<const RegVal> slots,
+                                          std::span<Value> buf);
 Value minValue(std::span<const RegVal> slots);  // kBottomValue if empty
 
 }  // namespace wfd::mem

@@ -131,14 +131,22 @@ int nonBottomCount(std::span<const RegVal> slots) {
 }
 
 std::vector<Value> distinctValues(std::span<const RegVal> slots) {
-  std::vector<Value> out;
-  out.reserve(slots.size());
-  for (const auto& v : slots) {
-    if (v.isInt()) out.push_back(v.asInt());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::vector<Value> out(slots.size());
+  out.resize(distinctValuesInto(slots, out).size());
   return out;
+}
+
+std::span<const Value> distinctValuesInto(std::span<const RegVal> slots,
+                                          std::span<Value> buf) {
+  assert(buf.size() >= slots.size());
+  std::size_t n = 0;
+  for (const auto& v : slots) {
+    if (v.isInt()) buf[n++] = v.asInt();
+  }
+  const auto first = buf.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(n);
+  std::sort(first, last);
+  return {first, std::unique(first, last)};
 }
 
 Value minValue(std::span<const RegVal> slots) {

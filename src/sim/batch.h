@@ -85,7 +85,7 @@ struct CellResult {
   bool all_correct_done = false;
   Time steps = 0;
   int distinct_decisions = 0;
-  std::map<Pid, Value> decisions;
+  Decisions decisions;
   std::uint64_t trace_hash = 0;
   // Post-hook outputs (checker verdicts, per-cell metrics).
   bool check_ok = true;

@@ -87,6 +87,10 @@ void ObjectTable::erase(std::uint64_t hash, ObjId id) {
 
 ObjId ObjectTable::create(const Probe& at, const ObjKey& key, Object obj) {
   const ObjId id = static_cast<ObjId>(objects_.size());
+  if (id == 0) {
+    objects_.reserve(kInitialObjects);
+    dirty_.reserve(kInitialObjects);
+  }
   obj.key = key;
   enter(at.hash, id);
   objects_.push_back(std::move(obj));

@@ -264,7 +264,14 @@ class ObjectTable {
   // would pass 3/4 load. It holds one entry per object, so
   // objects_.size() counts its entries. restore() removes names with
   // backward-shift deletion, so no tombstone ever lengthens a chain.
-  static constexpr std::size_t kMinIndex = 16;
+  //
+  // A table's first object reserves room for kInitialObjects objects and
+  // dirty ids, and the index starts at kMinIndex slots, which hold as
+  // many names under 3/4 load: a Fig. 1/2 run's table (3-16 objects in
+  // nearly every run) fills in one allocation each.
+  static constexpr std::size_t kInitialObjects = 16;
+  static constexpr std::size_t kMinIndex = 32;
+  static_assert(kInitialObjects * 4 <= kMinIndex * 3);
   std::vector<IndexSlot> index_;
   std::size_t mask_ = 0;
   std::vector<Object> objects_;

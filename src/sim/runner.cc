@@ -32,12 +32,19 @@ std::optional<AuditMode> envAuditMode() {
 }  // namespace
 
 int RunResult::distinctDecisions() const {
-  std::vector<Value> vals;
-  vals.reserve(decisions.size());
-  for (const auto& [p, v] : decisions) vals.push_back(v);
-  std::sort(vals.begin(), vals.end());
-  return static_cast<int>(std::unique(vals.begin(), vals.end()) -
-                          vals.begin());
+  // Count each value at its first entry; quadratic in at most kMaxProcs
+  // entries, and allocation-free.
+  int distinct = 0;
+  for (auto it = decisions.begin(); it != decisions.end(); ++it) {
+    const Value v = it->second;
+    if (std::none_of(decisions.begin(), it,
+                     [v](const Decisions::value_type& d) {
+                       return d.second == v;
+                     })) {
+      ++distinct;
+    }
+  }
+  return distinct;
 }
 
 Run::Run(const RunConfig& cfg, const AlgoFn& algo,
@@ -61,7 +68,8 @@ Run::Run(const RunConfig& cfg, const AlgoFn& algo,
                                    cfg.flavor);
   const std::optional<AuditMode> audit = resolvedAuditMode(cfg.audit);
   if (audit.has_value()) world_->enableAudit(*audit);
-  sched_ = std::make_unique<Scheduler>(world_.get(), cfg.seed ^ 0x5EED);
+  sched_.emplace(world_.get(), cfg.seed ^ 0x5EED);
+  envs_.reserve(static_cast<std::size_t>(cfg.n_plus_1));
   for (Pid p = 0; p < cfg.n_plus_1; ++p) {
     envs_.emplace_back(world_.get(), p);
     sched_->add(p, algo(envs_.back(), proposals[static_cast<std::size_t>(p)]));
@@ -109,6 +117,7 @@ RunResult Run::finish(Time steps_taken) {
                  a->violations().size(),
                  a->violations().front().message.c_str());
   }
+  res.decisions.reserve(static_cast<std::size_t>(world_->nProcs()));
   for (const auto& e : world_->trace().events()) {
     if (e.kind == EventKind::kDecide) res.decisions[e.pid] = e.value.asInt();
   }
@@ -135,9 +144,13 @@ std::unique_ptr<SchedulePolicy> makePolicy(PolicyKind kind) {
 RunResult runTask(const RunConfig& cfg, const AlgoFn& algo,
                   const std::vector<Value>& proposals) {
   Run run(cfg, algo, proposals);
-  const std::unique_ptr<SchedulePolicy> policy = makePolicy(cfg.policy);
-  const Time taken = run.scheduler().run(*policy, cfg.max_steps);
-  return run.finish(taken);
+  // makePolicy's choice, on the stack.
+  RandomPolicy random;
+  RoundRobinPolicy round_robin;
+  SchedulePolicy& policy = cfg.policy == PolicyKind::kRoundRobin
+                               ? static_cast<SchedulePolicy&>(round_robin)
+                               : random;
+  return run.finish(run.scheduler().run(policy, cfg.max_steps));
 }
 
 }  // namespace wfd::sim

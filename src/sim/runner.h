@@ -3,13 +3,17 @@
 // Bundles world + per-process Env storage + scheduler with the right
 // lifetimes (coroutine frames hold Env&, so envs must outlive the
 // scheduler's coroutines), and harvests decisions from the trace.
+//
+// A run's heap use is fixed at setup (docs/PERF.md, "Per-run allocation
+// budget"): every per-process array is sized once for the known n+1, and
+// a step allocates nothing of its own.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -37,10 +41,59 @@ struct RunConfig {
 // to completion. Algorithms that take no input ignore the Value.
 using AlgoFn = std::function<Coro<Unit>(Env&, Value)>;
 
+// The last decision of each process that decided, in pid order: a flat
+// sorted array with the face of a std::map<Pid, Value>, so a run's
+// harvest costs one allocation instead of a tree node per decision.
+class Decisions {
+ public:
+  using value_type = std::pair<Pid, Value>;
+  using iterator = std::vector<value_type>::const_iterator;
+  using const_iterator = iterator;
+
+  void reserve(std::size_t n) { items_.reserve(n); }
+  // p's decision, inserted as 0 when p has none (std::map::operator[]).
+  Value& operator[](Pid p) { return findOrInsert(p, 0); }
+  // Inserts only when p has no decision yet (std::map::emplace).
+  void emplace(Pid p, Value v) { findOrInsert(p, v); }
+  [[nodiscard]] bool contains(Pid p) const { return holds(rank(p), p); }
+  // p's decision; throws std::out_of_range when p has none (std::map::at).
+  [[nodiscard]] const Value& at(Pid p) const {
+    const std::size_t i = rank(p);
+    if (!holds(i, p)) throw std::out_of_range("Decisions::at: no decision");
+    return items_[i].second;
+  }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] iterator begin() const { return items_.begin(); }
+  [[nodiscard]] iterator end() const { return items_.end(); }
+  friend bool operator==(const Decisions&, const Decisions&) = default;
+
+ private:
+  // The number of entries with a smaller pid: p's place. A linear scan,
+  // since a run has at most kMaxProcs entries.
+  [[nodiscard]] std::size_t rank(Pid p) const {
+    std::size_t i = 0;
+    while (i < items_.size() && items_[i].first < p) ++i;
+    return i;
+  }
+  [[nodiscard]] bool holds(std::size_t i, Pid p) const {
+    return i < items_.size() && items_[i].first == p;
+  }
+  Value& findOrInsert(Pid p, Value v) {
+    const std::size_t i = rank(p);
+    if (!holds(i, p)) {
+      items_.insert(items_.begin() + static_cast<std::ptrdiff_t>(i), {p, v});
+    }
+    return items_[i].second;
+  }
+
+  std::vector<value_type> items_;
+};
+
 struct RunResult {
   bool all_correct_done = false;
   Time steps = 0;
-  std::map<Pid, Value> decisions;     // kDecide events, last per process
+  Decisions decisions;                // kDecide events, last per process
   std::unique_ptr<World> world;       // retains trace + final memory state
 
   [[nodiscard]] const Trace& trace() const { return world->trace(); }
@@ -112,8 +165,8 @@ class Run {
 
  private:
   std::unique_ptr<World> world_;
-  std::deque<Env> envs_;
-  std::unique_ptr<Scheduler> sched_;
+  std::vector<Env> envs_;          // reserved once: frames hold Env&
+  std::optional<Scheduler> sched_;
   AlgoFn algo_;                    // kept for checkpoint restore
   std::vector<Value> proposals_;   // ditto
 };

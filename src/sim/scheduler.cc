@@ -56,13 +56,9 @@ Pid ScriptedPolicy::next(const ProcSet& runnable, const World& world,
 }
 
 void Scheduler::add(Pid p, Coro<Unit> coro) {
-  if (static_cast<std::size_t>(p) >= slots_.size()) {
-    slots_.resize(static_cast<std::size_t>(p) + 1);
-  }
-  auto slot = std::make_unique<Slot>();
-  slot->ctx.pid = p;
-  slot->coro = std::move(coro);
-  slots_[static_cast<std::size_t>(p)] = std::move(slot);
+  Slot& slot = slotOf(p);
+  slot.ctx.pid = p;
+  slot.coro = std::move(coro);
   undone_.insert(p);
 }
 
@@ -181,11 +177,7 @@ void Scheduler::checkpoint(Checkpoint& ck) const {
   ck.procs.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     ProcCheckpoint& pc = ck.procs[i];
-    if (!slots_[i]) {
-      pc = ProcCheckpoint{};
-      continue;
-    }
-    const Slot& slot = *slots_[i];
+    const Slot& slot = slots_[i];
     pc.started = slot.started;
     pc.done = slot.ctx.done;
     pc.steps = slot.ctx.steps;
@@ -194,9 +186,7 @@ void Scheduler::checkpoint(Checkpoint& ck) const {
 }
 
 void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
-  std::unique_ptr<Slot>& owned = slots_[static_cast<std::size_t>(p)];
-  if (!owned) owned = std::make_unique<Slot>();
-  Slot* const slot = owned.get();
+  Slot* const slot = &slotOf(p);
   // Reset to a fresh slot's state. Assigning the coroutine frees the old
   // frame first; clearing the context drops the references its parked op
   // and result held.
@@ -253,15 +243,15 @@ std::uint64_t Scheduler::restore(
   for (std::size_t i = 0; i < ck.procs.size(); ++i) {
     const Pid p = static_cast<Pid>(i);
     const ProcCheckpoint& pc = ck.procs[i];
-    Slot* const live = slots_[i].get();
+    const Slot& live = slots_[i];
     // Pointer identity of the log heads is exact: a live node is never
     // freed while a head refers to it, so equal heads are the same
     // stream, and the frame is a function of the results it consumed
     // (every ObjId it holds was resolved in that shared history).
-    const bool unchanged = live != nullptr && result_log_[i] == pc.results &&
-                           live->started == pc.started &&
-                           live->ctx.done == pc.done &&
-                           live->ctx.steps == pc.steps;
+    const bool unchanged = result_log_[i] == pc.results &&
+                           live.started == pc.started &&
+                           live.ctx.done == pc.done &&
+                           live.ctx.steps == pc.steps;
     if (!unchanged) {
       restoreSlot(p, make_coro(p), pc);
       result_log_[i] = pc.results;

@@ -114,7 +114,11 @@ class StepObserver {
 
 class Scheduler {
  public:
-  Scheduler(World* world, std::uint64_t seed) : world_(world), rng_(seed) {}
+  // One slot per process of the world, allocated here once.
+  Scheduler(World* world, std::uint64_t seed)
+      : world_(world),
+        rng_(seed),
+        slots_(static_cast<std::size_t>(world->nProcs())) {}
 
   // Register process p's automaton. Must be called once per pid before run.
   void add(Pid p, Coro<Unit> coro);
@@ -220,7 +224,7 @@ class Scheduler {
   // capacity.
   void checkpoint(Checkpoint& ck) const;
 
-  // Bring every process slot to its state in `ck`. A live slot whose log
+  // Bring every process slot to its state in `ck`. A slot whose log
   // head is the checkpoint's pointer, with equal steps/started/done, is
   // KEPT: a frame is a function of the results it consumed, so it already
   // is the frame a rebuild would produce (a slot executed but not resumed
@@ -237,7 +241,7 @@ class Scheduler {
 
   [[nodiscard]] const ProcCtx& ctx(Pid p) const {
     // Cold inspection path (checkers, tests); bounds-checked on purpose.
-    return slots_.at(static_cast<std::size_t>(p))->ctx;  // model-lint-allow: cold inspection accessor
+    return slots_.at(static_cast<std::size_t>(p)).ctx;  // model-lint-allow: cold inspection accessor
   }
 
   // The run's policy RNG (seeded from RunConfig::seed), for drivers that
@@ -252,9 +256,8 @@ class Scheduler {
   };
 
   Slot& slotOf(Pid p) {
-    assert(static_cast<std::size_t>(p) < slots_.size() &&
-           slots_[static_cast<std::size_t>(p)]);
-    return *slots_[static_cast<std::size_t>(p)];
+    assert(p >= 0 && static_cast<std::size_t>(p) < slots_.size());
+    return slots_[static_cast<std::size_t>(p)];
   }
 
   // The bodies of execute(p) and resume(p), forced inline so step(p)
@@ -267,12 +270,12 @@ class Scheduler {
   static void runUntilBlockedOrDone(Slot& slot);
 
   // Rebuild one slot from its checkpoint via local replay (see restore).
-  // The slot is reused when it exists.
   void restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc);
 
   World* world_;
   Rng rng_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  // Sized once, never resized: a running frame's ProcCtx stays put.
+  std::vector<Slot> slots_;
   ProcSet undone_;  // registered processes whose coroutine has not returned
 
   // Checkpoint support: per-process consumed-result log heads.

@@ -1,11 +1,13 @@
 #include "sim/service/service.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <charconv>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -426,12 +428,16 @@ class ServiceDriver {
       // All applied values for this instance — crashed replicas included:
       // a decide-then-die value is externalized too and must obey the
       // same bound (uniform agreement, like core/checkers.h).
-      std::vector<std::pair<int, Value>> vals;  // (slot, value)
+      // Fixed buffers here and below: a group has at most kMaxProcs
+      // replicas, and an instance allocates nothing to be checked.
+      std::array<std::pair<int, Value>, kMaxProcs> val_buf;
+      std::size_t n_vals = 0;
       for (int slot = 0; slot < cfg_.group; ++slot) {
         const Value v = out.noted[static_cast<std::size_t>(slot)]
                                  [static_cast<std::size_t>(s)];
-        if (v != kBottomValue) vals.emplace_back(slot, v);
+        if (v != kBottomValue) val_buf[n_vals++] = {slot, v};
       }
+      const std::span<std::pair<int, Value>> vals(val_buf.data(), n_vals);
       // Seeded negative-control defect: corrupt the first live replica's
       // applied value at the target instance BEFORE the checks run.
       if (cfg_.bug == ServiceBug::kLogDivergence &&
@@ -448,13 +454,16 @@ class ServiceDriver {
 
       // Log safety: <= k distinct applied values, each actually proposed
       // for this instance.
-      std::vector<Value> distinct;
+      std::array<Value, kMaxProcs> distinct_buf;
+      std::size_t n_distinct = 0;
       for (const auto& sv : vals) {
-        if (std::find(distinct.begin(), distinct.end(), sv.second) ==
-            distinct.end()) {
-          distinct.push_back(sv.second);
+        const auto seen = distinct_buf.begin() +
+                          static_cast<std::ptrdiff_t>(n_distinct);
+        if (std::find(distinct_buf.begin(), seen, sv.second) == seen) {
+          distinct_buf[n_distinct++] = sv.second;
         }
       }
+      const std::span<const Value> distinct(distinct_buf.data(), n_distinct);
       if (static_cast<int>(distinct.size()) > k_bound) {
         st.verdict = ServiceVerdict::kLogDivergence;
         st.detail = "instance " + std::to_string(g) + " committed " +

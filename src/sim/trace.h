@@ -53,6 +53,7 @@ class Trace {
     if (muted_) return;
     if (!events_) {
       events_ = LocalPtr<std::vector<Event>>::make();
+      events_->reserve(kInitialEvents);
     } else if (events_.use_count() > 1) {
       events_ = LocalPtr<std::vector<Event>>::make(*events_);
     }
@@ -134,6 +135,9 @@ class Trace {
   [[nodiscard]] std::string toString() const;
 
  private:
+  // A Fig. 1/2 run records 6-16 events: the first record reserves room
+  // for them all at once.
+  static constexpr std::size_t kInitialEvents = 16;
   LocalPtr<std::vector<Event>> events_;  // null: no events yet
   std::uint64_t op_digest_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   std::uint64_t ops_mixed_ = 0;

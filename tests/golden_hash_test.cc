@@ -82,7 +82,7 @@ struct CellOutcome {
   std::uint64_t outputs_sig = 0;
 };
 
-std::uint64_t decisionsSig(const std::map<Pid, Value>& decisions,
+std::uint64_t decisionsSig(const sim::Decisions& decisions,
                            std::uint64_t h) {
   for (const auto& [p, v] : decisions) {
     h = mix(h, static_cast<std::uint64_t>(p) + 1);

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Compare a bench JSON report against a committed baseline.
 
-Two classes of check:
+Three classes of check:
 
   * deterministic counters (schedule counts, frontier job counts, step
     makespans, gate status) must match the baseline EXACTLY — these are
     bit-stable properties of the search, so any drift is a semantic
     change that needs a deliberate baseline update;
+  * allocation counts (bench_core's per-row `allocs`) are a ceiling: the
+    candidate may make as many global operator new calls as the
+    baseline or fewer, never more, so a saving stays saved until the
+    baseline is refreshed to bank it. Compared between two runs of the
+    same mode only, since bench_core sizes its rows by mode;
   * throughput metrics (schedules per wall-second) must stay within
     --min-ratio of the baseline (default 0.8, i.e. fail on a >20%
     schedule-rate regression). Rates are hardware-sensitive, so only a
@@ -33,7 +38,8 @@ full) are compared only on the rows/metrics present in BOTH, and not on
 per-row `steps` (bench_core sizes its rows by mode).
 
 --self-test runs the gate against built-in fixtures (exact-counter
-mismatch including steps_rebuilt, bench_core's steps, the service
+mismatch including steps_rebuilt, bench_core's steps, its allocs
+ceiling (one more fails, one fewer passes), the service
 counters, bench_batch's counters and static worker rows, bench_net's
 section runs/failures/steps and substrate NetCounters, the ungated
 stealing worker rows, a baseline row
@@ -113,6 +119,10 @@ TOP_EXACT = [
     "failures",
 ]
 
+# Per-row ceilings: the candidate must not exceed the baseline, between
+# two runs of the same mode.
+ROW_CEILING = ["allocs"]
+
 # Rows never compared: the stealing-side worker rows of bench_batch and
 # of bench_net's certification batch, whose placement (and so each
 # worker's steps) depends on thread timing. bench_batch's static-sharding
@@ -183,6 +193,15 @@ def compare(base, cand, min_ratio):
                 failures.append(
                     f"row {name}.{key}: baseline {b[key]} != candidate {c[key]}"
                 )
+        for key in ROW_CEILING if same_mode else []:
+            if key not in b or key not in c:
+                continue
+            checked += 1
+            if c[key] > b[key]:
+                failures.append(
+                    f"row {name}.{key}: candidate {c[key]} exceeds the "
+                    f"baseline ceiling {b[key]}"
+                )
 
     for key in TOP_EXACT:
         if key not in base or key not in cand:
@@ -228,7 +247,8 @@ def self_test():
                 "step_makespan": 420,
                 "verified": 1,
             },
-            {"name": "fig1", "steps": 64197, "seconds": 0.03},
+            {"name": "fig1", "steps": 64197, "seconds": 0.03,
+             "allocs": 34000},
         ],
     }
     failed = []
@@ -270,6 +290,24 @@ def self_test():
     cand["rows"][1]["seconds"] = 0.05
     f, _ = compare(base, cand, 0.8)
     expect("row seconds are not compared", not f)
+
+    # 2'. bench_core's allocs are a ceiling within one mode: one more
+    #     allocation fails, one fewer passes, and across modes (rows sized
+    #     differently) they are not compared.
+    cand = copy.deepcopy(base)
+    cand["rows"][1]["allocs"] = 34001
+    f, _ = compare(base, cand, 0.8)
+    expect("bench_core row allocs above the baseline fail", len(f) == 1)
+    cand["mode"] = "quick"
+    f, _ = compare(base, cand, 0.8)
+    expect("row allocs skipped across differing modes", not f)
+    cand = copy.deepcopy(base)
+    cand["rows"][1]["allocs"] = 33999
+    f, _ = compare(base, cand, 0.8)
+    expect("bench_core row allocs below the baseline pass", not f)
+    del cand["rows"][1]["allocs"]
+    f, _ = compare(base, cand, 0.8)
+    expect("row allocs absent from one report are skipped", not f)
 
     # 2a. bench_service: every deterministic counter is exact, top-level
     #     and per campaign row; its wall time and decision rate are not.

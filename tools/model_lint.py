@@ -50,7 +50,14 @@ guarantees:
                      and raw operator new / operator delete in
                      src/common/reg_val.cc, where every tuple and
                      snapshot cell array is a block: take blocks from
-                     FramePool (common/frame_pool.h)
+                     FramePool (common/frame_pool.h); and, on the per-run
+                     path, Trace::ofKind copies, ProcSet::members() and
+                     std::set / std::map in the run checkers
+                     (src/core/checkers.cc), which check every sim run
+                     and read its events in place, and
+                     mem::distinctValues vectors in k-converge
+                     (src/core/kconverge.cc), which fills a stack
+                     buffer
   nondet-iteration   range-for over a std::unordered_{map,set,...} in ALL
                      of src/ (including src/sim, where merely owning an
                      unordered container is legal, e.g. sim/report_cache):
@@ -141,6 +148,10 @@ EXPLORE_HOT_PATH_FILES = ["src/sim/explore.cc"]
 OBJECT_TABLE_FILES = ["src/sim/object_table.h", "src/sim/object_table.cc"]
 # Cell blocks: a tuple per snapshot update, a cell array per copy.
 CELL_BLOCK_FILES = ["src/common/reg_val.cc"]
+# The per-run path: the checkers judge every sim run, and k-converge
+# builds a distinct-value set on every call.
+CHECKER_FILES = ["src/core/checkers.cc"]
+KCONVERGE_FILES = ["src/core/kconverge.cc"]
 HOT_PATH_WHY = (
     "the per-step hot path is allocation-lean by contract (docs/PERF.md): "
     "in the scheduler/policies select pids with ProcSet::nth/nextAbove/"
@@ -151,7 +162,10 @@ HOT_PATH_WHY = (
     "(the memo is a sim/digest_set.h DigestSet), not in a node-based "
     "std::unordered_set/std::unordered_map, and so is the object table's "
     "key index; CellBlocks come from FramePool (common/frame_pool.h), "
-    "not from raw operator new/delete"
+    "not from raw operator new/delete; the run checkers scan "
+    "trace().events() in place with ProcSet iteration and fixed arrays, "
+    "and k-converge collects its distinct values into a stack buffer "
+    "(mem::distinctValuesInto)"
 )
 ONE_MIX_WHY = (
     "every trace hash, digest and stored key folds one mix round, defined "
@@ -350,6 +364,24 @@ RULES = [
         re.compile(r"\boperator\s+(?:new|delete)\b"),
         HOT_PATH_WHY,
         CELL_BLOCK_FILES,
+    ),
+    (
+        # Same rule, per-run side: an event-vector copy, a pid vector or a
+        # node per element for every checked run.
+        "hot-path-alloc",
+        re.compile(
+            r"\bofKind\s*\(|\.\s*members\s*\("
+            r"|std::(?:set|map|multiset|multimap)\b"
+        ),
+        HOT_PATH_WHY,
+        CHECKER_FILES,
+    ),
+    (
+        # Same rule, k-converge: a value vector per call.
+        "hot-path-alloc",
+        re.compile(r"\bdistinctValues\s*\("),
+        HOT_PATH_WHY,
+        KCONVERGE_FILES,
     ),
     (
         "nondet-iteration",
@@ -678,7 +710,8 @@ def self_test() -> int:
     for rel, fires in (
         ("src/core/kconverge.cc", True),
         ("src/memory/snapshot_afek.cc", True),
-        ("src/core/checkers.cc", False),
+        ("src/core/checkers.cc", True),
+        ("src/core/adversary.cc", False),
         ("src/sim/runner.cc", False),
     ):
         hits = scan_text(ordered, rel, rules_for(rel))
@@ -705,7 +738,28 @@ def self_test() -> int:
         "  return ::new (p) CellBlock(n);\n"
         "}\n"
     )
+    # The per-run half binds the checkers (the event copy and pid vector
+    # the agreement checker once built) and k-converge (its former value
+    # vector); the adversary and the Afek snapshot may keep theirs.
+    event_copy = (
+        "  for (const auto& e : rr.trace().ofKind(sim::EventKind::kDecide)) {\n"
+    )
+    pid_vector = "  for (Pid p : fp.correct().members()) {\n"
+    count_map = "  std::map<Pid, int> decide_count;\n"
+    value_vector = (
+        "  const std::vector<Value> u = mem::distinctValues(sa);\n"
+    )
     cases = [
+        ("src/core/checkers.cc", event_copy, "an ofKind copy", True),
+        ("src/core/adversary.cc", event_copy, "an ofKind copy", False),
+        ("src/core/checkers.cc", pid_vector, "a members() vector", True),
+        ("src/core/extraction.cc", pid_vector, "a members() vector", False),
+        ("src/core/checkers.cc", count_map, "a std::map of counts", True),
+        ("src/core/adversary.cc", count_map, "a std::map of counts", False),
+        ("src/core/kconverge.cc", value_vector, "a distinctValues vector",
+         True),
+        ("src/core/ablations.cc", value_vector, "a distinctValues vector",
+         False),
         ("src/sim/explore.cc", node_memo, "a node-based memo", True),
         ("src/sim/report_cache.h", node_memo, "a node-based memo", False),
         ("src/sim/object_table.h", node_index, "the node-based index", True),
@@ -714,7 +768,8 @@ def self_test() -> int:
         ("src/common/frame_pool.h", heap_cells, "heap cell blocks", False),
     ]
     for rel in ("src/sim/explore.cc", "src/sim/object_table.h",
-                "src/sim/object_table.cc", "src/common/reg_val.cc"):
+                "src/sim/object_table.cc", "src/common/reg_val.cc",
+                "src/core/checkers.cc", "src/core/kconverge.cc"):
         cases.append(
             (rel, (repo / rel).read_text(encoding="utf-8"), "the file", False))
     for rel, text, what, fires in cases:
