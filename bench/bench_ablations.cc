@@ -2,11 +2,9 @@
 // every phase of the constructions is load-bearing. Removing any one of
 // them produces a measurable failure (livelock or agreement violation),
 // under schedules the intact system handles.
-#include <functional>
-#include <set>
-
 #include "bench_util.h"
 #include "core/ablations.h"
+#include "test_util.h"
 
 namespace wfd {
 namespace {
@@ -57,47 +55,21 @@ Coro<Unit> naiveShot(Env& env, Value v) {
   co_return Unit{};
 }
 
-Coro<Unit> realShot(Env& env, Value v) {
-  const Pick p = co_await core::kConverge(env, sim::ObjKey{"e13.conv"}, 1, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  co_return Unit{};
-}
-
-// Exhaustively count C-Agreement violations over all interleavings of
-// two processes, for the naive one-phase converge vs the real one.
+// Exhaustively count C-Agreement violations (core::checkKConverge) over
+// all interleavings of two processes, for the naive one-phase converge vs
+// the real one.
 int countViolations(const sim::AlgoFn& algo, int steps_each) {
+  const std::vector<Value> props = {100, 101};
+  sim::RunConfig cfg;
+  cfg.n_plus_1 = 2;
   int violations = 0;
-  std::vector<int> remaining = {steps_each, steps_each};
-  std::vector<Pid> seq;
-  const std::function<void()> rec = [&] {
-    if (static_cast<int>(seq.size()) == 2 * steps_each) {
-      sim::RunConfig cfg;
-      cfg.n_plus_1 = 2;
-      sim::Run run(cfg, algo, {100, 101});
-      sim::ScriptedPolicy policy(seq,
-                                 std::make_unique<sim::RoundRobinPolicy>());
-      const Time taken = run.scheduler().run(policy, 1000);
-      const auto rr = run.finish(taken);
-      bool any_commit = false;
-      std::set<Value> picked;
-      for (const auto& e : rr.trace().events()) {
-        if (e.kind != sim::EventKind::kNote) continue;
-        any_commit |= (e.label == "commit");
-        picked.insert(e.value.asInt());
-      }
-      if (any_commit && picked.size() > 1) ++violations;
-      return;
-    }
-    for (Pid p = 0; p < 2; ++p) {
-      if (remaining[static_cast<std::size_t>(p)] == 0) continue;
-      --remaining[static_cast<std::size_t>(p)];
-      seq.push_back(p);
-      rec();
-      seq.pop_back();
-      ++remaining[static_cast<std::size_t>(p)];
-    }
-  };
-  rec();
+  test::forEachInterleaving(
+      {steps_each, steps_each}, [&](const std::vector<Pid>& seq) {
+        const sim::RunResult rr = test::runScheduled(cfg, algo, props, seq);
+        if (!core::checkKConverge(rr.trace().events(), 1, props).agreement) {
+          ++violations;
+        }
+      });
   return violations;
 }
 
@@ -111,7 +83,7 @@ void convergeTable() {
   t.addRow({"naive 1-phase converge", "6", bench::fmt(naive),
             naive > 0 ? "broken (as expected)" : "UNEXPECTED"});
   const int real = countViolations(
-      [](Env& e, Value v) { return realShot(e, v); }, 4);
+      [](Env& e, Value v) { return core::kConvergeTask(e, 1, v); }, 4);
   t.addRow({"k-converge (full)", "70", bench::fmt(real),
             real == 0 ? "correct" : "BROKEN"});
   t.print();

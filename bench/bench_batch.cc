@@ -89,12 +89,6 @@ BatchCell heavyCell(std::uint64_t seed, Time budget) {
   return cell;
 }
 
-bool sameResult(const CellResult& x, const CellResult& y) {
-  return x.index == y.index && x.verdict == y.verdict && x.error == y.error &&
-         x.steps == y.steps && x.decisions == y.decisions &&
-         x.trace_hash == y.trace_hash;
-}
-
 }  // namespace
 }  // namespace wfd
 
@@ -135,11 +129,8 @@ int main(int argc, char** argv) {
   const auto truth = serial.run(cells);
 
   auto certify = [&](const std::vector<CellResult>& got, const char* mode) {
-    bool same = got.size() == truth.size();
-    for (std::size_t i = 0; same && i < truth.size(); ++i) {
-      same = sameResult(truth[i], got[i]);
-    }
-    require(same, std::string(mode) + " results differ from the serial pass");
+    require(got == truth,
+            std::string(mode) + " results differ from the serial pass");
   };
 
   auto bestOf = [&](const sim::BatchOptions& opts, const char* mode,

@@ -446,17 +446,10 @@ Measurement traceMixRow(Time ops) {
 }
 
 // `explore-dpor` / `explore-dag`: the serial (jobs = 0) search over the
-// one-shot 2-converge family at n+1 = 3, the shape of bench_explore's
-// dpor-n3 / dag-n3 rows without their property check, run `searches`
-// times so that one repeat lasts long enough to time on a shared host.
-sim::Coro<sim::Unit> convergeOnce(Env& env, Value v) {
-  env.propose(v);
-  const core::Pick p =
-      co_await core::kConverge(env, sim::ObjKey{"x.conv"}, 2, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  env.decide(p.value);
-  co_return sim::Unit{};
-}
+// one-shot 2-converge family (core::kConvergeTask) at n+1 = 3, the shape
+// of bench_explore's dpor-n3 / dag-n3 rows without their property check,
+// run `searches` times so that one repeat lasts long enough to time on a
+// shared host.
 
 Measurement exploreRow(sim::ExploreMode mode, int searches) {
   sim::ExploreConfig cfg;
@@ -466,7 +459,7 @@ Measurement exploreRow(sim::ExploreMode mode, int searches) {
   const WallTimer t;
   for (int i = 0; i < searches; ++i) {
     const sim::ExploreResult r = sim::explore(
-        cfg, [](Env& e, Value v) { return convergeOnce(e, v); },
+        cfg, [](Env& e, Value v) { return core::kConvergeTask(e, 2, v); },
         {100, 101, 102});
     m.steps += static_cast<Time>(r.steps_executed);
   }

@@ -40,11 +40,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <set>
 
 #include "bench_util.h"
 #include "sim/store.h"
+#include "test_util.h"
 
 namespace wfd::bench {
 namespace {
@@ -60,64 +60,16 @@ using sim::ExploreResult;
 using sim::ExploreVerdict;
 using sim::RunConfig;
 using sim::Unit;
+using test::distinctProposals;
 
-Coro<Unit> oneShot(Env& env, int k, Value v) {
-  env.propose(v);
-  const Pick p = co_await kConverge(env, sim::ObjKey{"x.conv"}, k, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  env.decide(p.value);
-  co_return Unit{};
+// The k-converge workload: core::kConvergeTask at every process.
+sim::AlgoFn convergeAlgo(int k) {
+  return [k](Env& e, Value v) { return core::kConvergeTask(e, k, v); };
 }
 
-// The seeded negative control: commit-adopt that wrongly adopts its OWN
-// value on disagreement (same bug as tests/explore_test.cc).
-Coro<Unit> buggyOneShot(Env& env, Value v) {
-  env.propose(v);
-  const mem::SnapshotHandle s =
-      mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
-  co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const SlotArray view = co_await mem::snapshotScan(env, s);
-  const std::vector<Value> u = mem::distinctValues(view);
-  env.note(u.size() <= 1 ? "commit" : "adopt", RegVal(v));
-  env.decide(v);
-  co_return Unit{};
-}
-
-std::vector<Value> distinctProps(int n) {
-  std::vector<Value> v(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = 100 + i;
-  return v;
-}
-
-// Per-process (picked, committed) vector — the schedule-invariant the
-// outcome sets are compared on.
-using PickVec = std::vector<std::pair<Value, bool>>;
-
-PickVec picksOf(const std::vector<sim::Event>& events, int n) {
-  PickVec out(static_cast<std::size_t>(n), {kBottomValue, false});
-  for (const auto& e : events) {
-    if (e.kind != sim::EventKind::kNote) continue;
-    if (e.label != "commit" && e.label != "adopt") continue;
-    out[static_cast<std::size_t>(e.pid)] = {e.value.asInt(),
-                                            e.label == "commit"};
-  }
-  return out;
-}
-
-std::string convergeViolation(const PickVec& px, int k) {
-  bool any_commit = false;
-  std::set<Value> vals;
-  for (const auto& [v, committed] : px) {
-    if (v == kBottomValue) continue;
-    vals.insert(v);
-    any_commit = any_commit || committed;
-  }
-  if (any_commit && static_cast<int>(vals.size()) > k) {
-    return "commit with " + std::to_string(vals.size()) + " > k = " +
-           std::to_string(k) + " distinct picks";
-  }
-  return "";
-}
+// Per-process picks (core::picksOf) — the schedule-invariant the outcome
+// sets are compared on.
+using PickVec = std::vector<Pick>;
 
 // ---- Engines -------------------------------------------------------------
 
@@ -154,46 +106,29 @@ EngineRow rowOf(const ExploreResult& res, double seconds, int n) {
   row.verified = res.verdict == ExploreVerdict::kVerified;
   row.complete = res.complete;
   for (const auto& [sig, o] : res.outcomes) {
-    row.outcomes.insert(picksOf(o.events, n));
+    row.outcomes.insert(core::picksOf(o.events, n));
   }
   return row;
 }
 
 // Brute force: every distinct multiset permutation, one full run each.
 EngineRow bruteForce(int n, int k) {
-  const std::vector<Value> props = distinctProps(n);
+  const std::vector<Value> props = distinctProposals(n);
+  RunConfig cfg;
+  cfg.n_plus_1 = n;
+  const sim::AlgoFn algo = convergeAlgo(k);
   EngineRow row;
   const WallTimer t;
-  std::vector<int> remaining(static_cast<std::size_t>(n), 4);
-  std::vector<Pid> seq;
   bool ok = true;
-  const std::function<void()> rec = [&] {
-    if (static_cast<int>(seq.size()) == n * 4) {
-      RunConfig cfg;
-      cfg.n_plus_1 = n;
-      sim::Run run(cfg, [k](Env& e, Value v) { return oneShot(e, k, v); },
-                   props);
-      sim::ScriptedPolicy policy(seq,
-                                 std::make_unique<sim::RoundRobinPolicy>());
-      const Time taken = run.scheduler().run(policy, 10'000);
-      row.steps_executed += static_cast<std::uint64_t>(taken);
-      const auto rr = run.finish(taken);
-      const PickVec px = picksOf(rr.trace().events(), n);
-      ok = ok && convergeViolation(px, k).empty();
-      row.outcomes.insert(px);
-      ++row.schedules;
-      return;
-    }
-    for (Pid p = 0; p < n; ++p) {
-      if (remaining[static_cast<std::size_t>(p)] == 0) continue;
-      --remaining[static_cast<std::size_t>(p)];
-      seq.push_back(p);
-      rec();
-      seq.pop_back();
-      ++remaining[static_cast<std::size_t>(p)];
-    }
-  };
-  rec();
+  test::forEachInterleaving(
+      std::vector<int>(static_cast<std::size_t>(n), 4),
+      [&](const std::vector<Pid>& seq) {
+        const sim::RunResult rr = test::runScheduled(cfg, algo, props, seq);
+        row.steps_executed += static_cast<std::uint64_t>(rr.steps);
+        ok = ok && core::checkKConverge(rr.trace().events(), k, props).ok();
+        row.outcomes.insert(core::picksOf(rr.trace().events(), n));
+        ++row.schedules;
+      });
   row.seconds = t.seconds();
   row.verified = ok;
   row.complete = true;
@@ -216,12 +151,11 @@ ExploreResult runConverge(int n, int k, ExploreMode mode,
   cfg.max_schedules = o.max_schedules;
   cfg.certificates = o.store;
   cfg.cert_family = o.family;
-  cfg.property = [n, k](const ExploreOutcome& out) {
-    return convergeViolation(picksOf(out.events, n), k);
+  const std::vector<Value> props = distinctProposals(n);
+  cfg.property = [k, props](const ExploreOutcome& out) {
+    return core::checkKConverge(out.events, k, props).violation;
   };
-  return explore(
-      cfg, [k](Env& e, Value v) { return oneShot(e, k, v); },
-      distinctProps(n));
+  return explore(cfg, convergeAlgo(k), props);
 }
 
 // Bounded one-round cut of the Fig. 1 protocol (the
@@ -304,24 +238,7 @@ ExploreResult runFig1(ExploreMode mode, const ExplorerOpts& o = {}) {
   };
   return explore(
       cfg, [](Env& e, Value v) { return fig1Bounded(e, v); },
-      distinctProps(n));
-}
-
-// The jobs=N ≡ jobs=1 contract: every deterministic field must match.
-bool bitIdentical(const ExploreResult& a, const ExploreResult& b) {
-  return a.verdict == b.verdict && a.violation == b.violation &&
-         a.counterexample == b.counterexample &&
-         a.schedules_explored == b.schedules_explored &&
-         a.sleep_set_skips == b.sleep_set_skips &&
-         a.states_memoized == b.states_memoized &&
-         a.memo_hits == b.memo_hits &&
-         a.steps_executed == b.steps_executed &&
-         a.steps_replayed == b.steps_replayed &&
-         a.steps_rebuilt == b.steps_rebuilt && a.restores == b.restores &&
-         a.max_depth_seen == b.max_depth_seen && a.complete == b.complete &&
-         a.frontier_jobs == b.frontier_jobs &&
-         a.frontier_depth == b.frontier_depth &&
-         a.outcomeSigs() == b.outcomeSigs();
+      distinctProposals(n));
 }
 
 }  // namespace
@@ -435,9 +352,9 @@ int main(int argc, char** argv) {
     const ExploreResult dag_f4 =
         timed("dag-n3-f4", 3,
               [&] { return runConverge(3, 2, ExploreMode::kDag, j4); });
-    gate(bitIdentical(dpor_f1, dpor_f4),
+    gate(dpor_f1.sameSearch(dpor_f4),
          "dpor n=3 frontier jobs=4 is bit-identical to jobs=1");
-    gate(bitIdentical(dag_f1, dag_f4),
+    gate(dag_f1.sameSearch(dag_f4),
          "dag n=3 frontier jobs=4 is bit-identical to jobs=1");
     gate(dpor_f4.verified() &&
              dpor_f4.outcomeSigs() == dag_f4.outcomeSigs(),
@@ -446,7 +363,7 @@ int main(int argc, char** argv) {
     // so counts differ by design — the verdict and outcome SET must not.
     std::set<PickVec> f4_outcomes;
     for (const auto& [sig, o] : dpor_f4.outcomes) {
-      f4_outcomes.insert(picksOf(o.events, 3));
+      f4_outcomes.insert(core::picksOf(o.events, 3));
     }
     gate(f4_outcomes == rows["dpor-n3"].outcomes,
          "frontier dpor n=3 outcome set equals the classic engine's");
@@ -592,13 +509,13 @@ int main(int argc, char** argv) {
     ExploreConfig cfg;
     cfg.run.n_plus_1 = 2;
     cfg.mode = ExploreMode::kDpor;
-    cfg.property = [](const ExploreOutcome& o) {
-      return convergeViolation(picksOf(o.events, 2), 1);
+    const std::vector<Value> props = distinctProposals(2);
+    cfg.property = [props](const ExploreOutcome& o) {
+      return core::checkKConverge(o.events, 1, props).violation;
     };
+    const sim::AlgoFn buggy = test::buggyOneShot;
     const WallTimer t;
-    const ExploreResult res =
-        explore(cfg, [](Env& e, Value v) { return buggyOneShot(e, v); },
-                {100, 101});
+    const ExploreResult res = explore(cfg, buggy, props);
     const bool caught = res.verdict == ExploreVerdict::kViolation &&
                         !res.counterexample.empty();
     gate(caught, "seeded agreement bug caught with a counterexample");
@@ -608,16 +525,10 @@ int main(int argc, char** argv) {
     }
     ExploreConfig fcfg = cfg;
     fcfg.jobs = 1;
-    const ExploreResult f1 =
-        explore(fcfg, [](Env& e, Value v) { return buggyOneShot(e, v); },
-                {100, 101});
+    const ExploreResult f1 = explore(fcfg, buggy, props);
     fcfg.jobs = 4;
-    const ExploreResult f4 =
-        explore(fcfg, [](Env& e, Value v) { return buggyOneShot(e, v); },
-                {100, 101});
-    gate(f1.verdict == ExploreVerdict::kViolation &&
-             f1.counterexample == f4.counterexample &&
-             bitIdentical(f1, f4),
+    const ExploreResult f4 = explore(fcfg, buggy, props);
+    gate(f1.verdict == ExploreVerdict::kViolation && f1.sameSearch(f4),
          "frontier catches the seeded bug identically at jobs=1 and jobs=4");
     json.row("bug-hunt-n2",
              {{"schedules_explored",

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "test_util.h"
 
 namespace {
 
@@ -50,6 +51,7 @@ using sim::GlitchKind;
 using sim::RunConfig;
 using sim::RunVerdict;
 using sim::WatchdogConfig;
+using test::distinctProposals;
 using sim::net::NetConfig;
 using sim::net::RealizedFd;
 using sim::net::RealizedLens;
@@ -100,12 +102,6 @@ sim::AlgoFn fdSampler(int queries) {
 
 sim::AlgoFn fig1Algo() {
   return [](Env& e, Value v) { return core::upsilonSetAgreement(e, v); };
-}
-
-std::vector<Value> distinctProposals(int n_plus_1) {
-  std::vector<Value> v(static_cast<std::size_t>(n_plus_1));
-  for (int i = 0; i < n_plus_1; ++i) v[static_cast<std::size_t>(i)] = 100 + i;
-  return v;
 }
 
 struct SectionStats {

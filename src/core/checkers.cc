@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "fd/axioms.h"
 
@@ -70,7 +71,81 @@ EmulationReport judgeEmulated(const RunResult& rr, const fd::AxiomSpec& spec) {
   return rep;
 }
 
+// Each process's last pick, in a fixed array indexed by pid.
+using PickArray = std::array<Pick, kMaxProcs>;
+
+PickArray lastPicks(const std::vector<sim::Event>& events) {
+  PickArray picks{};
+  for (const sim::Event& e : events) {
+    if (e.kind != sim::EventKind::kNote || e.pid < 0 || e.pid >= kMaxProcs) {
+      continue;
+    }
+    const bool commit = e.label == "commit";
+    if (!commit && e.label != "adopt") continue;
+    picks[static_cast<std::size_t>(e.pid)] = Pick{e.value.asInt(), commit};
+  }
+  return picks;
+}
+
+bool proposed(const std::vector<Value>& proposals, Value v) {
+  return std::find(proposals.begin(), proposals.end(), v) != proposals.end();
+}
+
+// Distinct values of `vals[0..n)`, counted in place (n <= kMaxProcs).
+template <typename Range>
+int countDistinct(const Range& vals, std::size_t n) {
+  int distinct = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bool seen = false;
+    for (std::size_t j = 0; j < i && !seen; ++j) seen = vals[j] == vals[i];
+    if (!seen) ++distinct;
+  }
+  return distinct;
+}
+
 }  // namespace
+
+ConvergeReport checkKConverge(const std::vector<sim::Event>& events, int k,
+                              const std::vector<Value>& proposals) {
+  ConvergeReport rep;
+  const PickArray picks = lastPicks(events);
+  std::array<Value, kMaxProcs> picked;
+  std::size_t n = 0;
+  rep.validity = true;
+  for (std::size_t p = 0; p < picks.size(); ++p) {
+    const Pick& pk = picks[p];
+    if (pk.value == kBottomValue) continue;
+    picked[n++] = pk.value;
+    if (pk.committed) ++rep.commits;
+    if (rep.validity && !proposed(proposals, pk.value)) {
+      rep.validity = false;
+      rep.violation = "C-Validity: p" + std::to_string(p + 1) +
+                      " picked non-proposal " + std::to_string(pk.value);
+    }
+  }
+  rep.picks = static_cast<int>(n);
+  rep.distinct = countDistinct(picked, n);
+  rep.agreement = rep.commits == 0 || rep.distinct <= k;
+  if (!rep.agreement && rep.violation.empty()) {
+    rep.violation = "C-Agreement: a commit with " +
+                    std::to_string(rep.distinct) + " > k = " +
+                    std::to_string(k) + " distinct picks";
+  }
+  rep.convergence = rep.commits == rep.picks ||
+                    countDistinct(proposals, proposals.size()) > k;
+  if (!rep.convergence && rep.violation.empty()) {
+    rep.violation = "Convergence: " + std::to_string(rep.picks - rep.commits) +
+                    " adopt(s) with at most k = " + std::to_string(k) +
+                    " distinct proposals";
+  }
+  return rep;
+}
+
+std::vector<Pick> picksOf(const std::vector<sim::Event>& events, int n) {
+  assert(n >= 0 && n <= kMaxProcs);
+  const PickArray picks = lastPicks(events);
+  return {picks.begin(), picks.begin() + n};
+}
 
 AgreementReport checkKSetAgreement(const RunResult& rr, int k,
                                    const std::vector<Value>& proposals) {

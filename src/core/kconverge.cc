@@ -70,4 +70,12 @@ Coro<Pick> kConverge(Env& env, ObjKey key, int k, Value v) {
   co_return Pick{adopt, false};
 }
 
+Coro<Unit> kConvergeTask(Env& env, int k, Value v) {
+  env.propose(v);
+  const Pick p = co_await kConverge(env, ObjKey{"x.conv"}, k, v);
+  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
+  env.decide(p.value);
+  co_return Unit{};
+}
+
 }  // namespace wfd::core

@@ -34,14 +34,23 @@ namespace wfd::core {
 using sim::Coro;
 using sim::Env;
 using sim::ObjKey;
+using sim::Unit;
 
 struct Pick {
   Value value = kBottomValue;
   bool committed = false;
+
+  friend auto operator<=>(const Pick&, const Pick&) = default;
 };
 
 // One invocation of instance `key` with convergence parameter k.
 // Each process must invoke a given instance at most once.
 Coro<Pick> kConverge(Env& env, ObjKey key, int k, Value v);
+
+// The one-shot k-converge task the tests, benches and tools share:
+// propose v, invoke instance "x.conv" once, note the pick as "commit" or
+// "adopt" with its value, and decide it. checkKConverge and picksOf
+// (core/checkers.h) read the notes back.
+Coro<Unit> kConvergeTask(Env& env, int k, Value v);
 
 }  // namespace wfd::core

@@ -95,6 +95,10 @@ struct CellResult {
   [[nodiscard]] bool ok() const {
     return !error && verdict == RunVerdict::kOk && check_ok;
   }
+  // Every field: the one definition of "the same result" that a
+  // differently scheduled worker (jobs=N vs jobs=1, stealing vs static
+  // shards) and a memo or store hit must meet (docs/PARALLEL.md).
+  friend bool operator==(const CellResult&, const CellResult&) = default;
 };
 
 struct BatchOptions {

@@ -681,7 +681,7 @@ constexpr std::uint32_t kCertTag = 0x35435857u;  // "WXC5"
 constexpr std::uint64_t kCertSchemaSalt = 0x91C4E3A75B20D6F7ULL;
 
 // The eight search counters, in record order; the frontier merge sums the
-// same list.
+// same list and ExploreResult::sameSearch compares it.
 constexpr std::uint64_t ExploreResult::*kSearchCounters[] = {
     &ExploreResult::schedules_explored, &ExploreResult::sleep_set_skips,
     &ExploreResult::states_memoized,    &ExploreResult::memo_hits,
@@ -947,6 +947,18 @@ std::set<std::uint64_t> ExploreResult::outcomeSigs() const {
   std::set<std::uint64_t> sigs;
   for (const auto& [sig, o] : outcomes) sigs.insert(sig);
   return sigs;
+}
+
+bool ExploreResult::sameSearch(const ExploreResult& other) const {
+  for (const auto counter : kSearchCounters) {
+    if (this->*counter != other.*counter) return false;
+  }
+  return verdict == other.verdict && violation == other.violation &&
+         counterexample == other.counterexample &&
+         max_depth_seen == other.max_depth_seen && complete == other.complete &&
+         frontier_jobs == other.frontier_jobs &&
+         frontier_depth == other.frontier_depth &&
+         outcomeSigs() == other.outcomeSigs();
 }
 
 std::string ExploreResult::counterexampleString() const {

@@ -210,6 +210,13 @@ struct ExploreResult {
   [[nodiscard]] double stepUtilization() const;
   // The outcome-signature set (works for fresh and cached results alike).
   [[nodiscard]] std::set<std::uint64_t> outcomeSigs() const;
+  // The jobs=N ≡ jobs=1 contract, and what a certificate hit must match:
+  // verdict, violation, counterexample, every search counter,
+  // max_depth_seen, complete, frontier_jobs, frontier_depth and the
+  // outcome-signature set. The scheduling and store fields (jobs_used,
+  // steal_ops, worker_steps, from_cache, cert_job_hits, cert_saves) are
+  // left out.
+  [[nodiscard]] bool sameSearch(const ExploreResult& other) const;
   // "p2 p1 p1 p3 ..." — 1-based, the paper's process naming.
   [[nodiscard]] std::string counterexampleString() const;
 };

@@ -3,8 +3,6 @@
 #include <set>
 #include <string>
 
-#include "sim/chaos.h"
-
 namespace wfd::sim {
 
 const char* runVerdictName(RunVerdict v) {
@@ -22,19 +20,20 @@ namespace {
 
 // The watchdog's per-step checks: an incremental scan of the trace for
 // online safety (distinct decided values, per-process decision counts)
-// and for progress (any new event), around the chaos engine's hooks.
+// and for progress (any new event), around the inner observer's
+// beforeStep and filter hooks.
 class Watch final : public StepObserver {
  public:
-  Watch(const WatchdogConfig& wd, ChaosEngine* chaos, RunReport& rep)
-      : wd_(wd), chaos_(chaos), rep_(rep) {}
+  Watch(const WatchdogConfig& wd, StepObserver* inner, RunReport& rep)
+      : wd_(wd), inner_(inner), rep_(rep) {}
 
   void beforeStep(World& world, const Scheduler& sched) override {
-    if (chaos_ != nullptr) chaos_->beforeStep(world, sched);
+    if (inner_ != nullptr) inner_->beforeStep(world, sched);
   }
 
   [[nodiscard]] ProcSet filter(const ProcSet& runnable, const World& world,
                                const Scheduler& sched) const override {
-    return chaos_ != nullptr ? chaos_->filter(runnable, world, sched)
+    return inner_ != nullptr ? inner_->filter(runnable, world, sched)
                              : runnable;
   }
 
@@ -78,7 +77,7 @@ class Watch final : public StepObserver {
   }
 
   const WatchdogConfig& wd_;
-  ChaosEngine* chaos_;
+  StepObserver* inner_;
   std::set<Value> distinct_;
   ProcSet decided_;
   std::size_t scanned_ = 0;
@@ -89,11 +88,11 @@ class Watch final : public StepObserver {
 }  // namespace
 
 RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
-                         const WatchdogConfig& wd, ChaosEngine* chaos) {
+                         const WatchdogConfig& wd, StepObserver* inner) {
   RunReport rep;
   World& world = run.world();
   Scheduler& sched = run.scheduler();
-  Watch watch(wd, chaos, rep);
+  Watch watch(wd, inner, rep);
   try {
     sched.run(policy, wd.step_budget, &watch);
     if (rep.verdict == RunVerdict::kOk && rep.steps >= wd.step_budget &&
@@ -136,8 +135,8 @@ RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
 }
 
 RunReport driveWatched(Run& run, SchedulePolicy& policy,
-                       const WatchdogConfig& wd, ChaosEngine* chaos) {
-  RunReport rep = driveToVerdict(run, policy, wd, chaos);
+                       const WatchdogConfig& wd, StepObserver* inner) {
+  RunReport rep = driveToVerdict(run, policy, wd, inner);
   rep.result = run.finish(rep.steps);
   return rep;
 }

@@ -33,8 +33,6 @@
 
 namespace wfd::sim {
 
-class ChaosEngine;
-
 enum class RunVerdict {
   kOk,
   kSafetyViolation,
@@ -67,20 +65,22 @@ struct RunReport {
   [[nodiscard]] bool ok() const { return verdict == RunVerdict::kOk; }
 };
 
-// Drive `run` under `policy` — perturbed by `chaos` if non-null — until a
-// verdict is reached, then harvest. Never asserts or aborts on perturbed
+// Drive `run` under `policy` — perturbed by `inner` if non-null (a
+// ChaosEngine: the watchdog calls its beforeStep and filter hooks; its
+// own afterStep decides when the run stops) — until a verdict is reached,
+// then harvest. Never asserts or aborts on perturbed
 // input; audit findings, starvation, and budget overruns all come back as
 // verdicts. (A structurally broken configuration — e.g. querying an FD
 // that was never installed — still throws SimAbort: that is a harness
 // bug, not a run outcome.)
 RunReport driveWatched(Run& run, SchedulePolicy& policy,
-                       const WatchdogConfig& wd, ChaosEngine* chaos);
+                       const WatchdogConfig& wd, StepObserver* inner);
 
 // driveWatched without the harvest: drives `run` from its current state
 // (a fresh run, one stepped by Scheduler::run, or a restored checkpoint)
 // and closes the audit window, leaving `result` empty and the run open.
 // The budget and livelock window count the steps of this call only.
 RunReport driveToVerdict(Run& run, SchedulePolicy& policy,
-                         const WatchdogConfig& wd, ChaosEngine* chaos);
+                         const WatchdogConfig& wd, StepObserver* inner);
 
 }  // namespace wfd::sim

@@ -1,9 +1,6 @@
 // Ablations: each Upsilon axiom and each k-converge phase is load-bearing.
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <set>
-
 #include "core/ablations.h"
 #include "test_util.h"
 
@@ -75,41 +72,21 @@ Coro<Unit> naiveOneShot(Env& env, int k, Value v) {
 // values); the real kConverge has zero violations over its 70 schedules
 // (tests/exhaustive_test.cc).
 TEST(Ablation, NaiveConvergeViolatesCAgreement) {
+  const std::vector<Value> props = {100, 101};
+  sim::RunConfig cfg;
+  cfg.n_plus_1 = 2;
+  const sim::AlgoFn naive = [](Env& e, Value v) {
+    return naiveOneShot(e, 1, v);
+  };
   int violations = 0;
   int schedules = 0;
-  std::vector<int> remaining = {2, 2};
-  std::vector<Pid> seq;
-  const std::function<void()> rec = [&] {
-    if (seq.size() == 4) {
-      ++schedules;
-      sim::RunConfig cfg;
-      cfg.n_plus_1 = 2;
-      sim::Run run(cfg, [](Env& e, Value v) { return naiveOneShot(e, 1, v); },
-                   {100, 101});
-      sim::ScriptedPolicy policy(seq,
-                                 std::make_unique<sim::RoundRobinPolicy>());
-      const Time taken = run.scheduler().run(policy, 1000);
-      const auto rr = run.finish(taken);
-      bool any_commit = false;
-      std::set<Value> picked;
-      for (const auto& e : rr.trace().events()) {
-        if (e.kind != sim::EventKind::kNote) continue;
-        any_commit |= (e.label == "commit");
-        picked.insert(e.value.asInt());
-      }
-      if (any_commit && picked.size() > 1) ++violations;
-      return;
+  test::forEachInterleaving({2, 2}, [&](const std::vector<Pid>& seq) {
+    ++schedules;
+    const sim::RunResult rr = test::runScheduled(cfg, naive, props, seq);
+    if (!core::checkKConverge(rr.trace().events(), 1, props).agreement) {
+      ++violations;
     }
-    for (Pid p = 0; p < 2; ++p) {
-      if (remaining[static_cast<std::size_t>(p)] == 0) continue;
-      --remaining[static_cast<std::size_t>(p)];
-      seq.push_back(p);
-      rec();
-      seq.pop_back();
-      ++remaining[static_cast<std::size_t>(p)];
-    }
-  };
-  rec();
+  });
   EXPECT_EQ(schedules, 6);
   EXPECT_GT(violations, 0)
       << "the naive converge should break on a solo-then-late schedule";

@@ -12,7 +12,9 @@
 //     detector instance.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "test_util.h"
 
@@ -82,6 +84,37 @@ std::vector<BatchCell> mixedCells() {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) cells.push_back(fig3Cell(seed));
   for (std::uint64_t seed = 1; seed <= 6; ++seed) cells.push_back(chaosCell(seed));
   return cells;
+}
+
+// CellResult's operator== is the one definition of "the same result"
+// (docs/PARALLEL.md): every one of its twelve fields counts.
+TEST(CellResultIdentity, EveryFieldBreaksEquality) {
+  CellResult base;
+  base.decisions[0] = 100;
+  base.metrics["x"] = 1.0;
+  const std::vector<std::pair<const char*, std::function<void(CellResult&)>>>
+      fields = {
+          {"index", [](CellResult& r) { r.index = 1; }},
+          {"verdict", [](CellResult& r) { r.verdict = RunVerdict::kLivelock; }},
+          {"detail", [](CellResult& r) { r.detail = "d"; }},
+          {"error", [](CellResult& r) { r.error = true; }},
+          {"all_correct_done",
+           [](CellResult& r) { r.all_correct_done = true; }},
+          {"steps", [](CellResult& r) { r.steps = 5; }},
+          {"distinct_decisions",
+           [](CellResult& r) { r.distinct_decisions = 1; }},
+          {"decisions", [](CellResult& r) { r.decisions[0] = 101; }},
+          {"trace_hash", [](CellResult& r) { r.trace_hash = 9; }},
+          {"check_ok", [](CellResult& r) { r.check_ok = false; }},
+          {"check_detail", [](CellResult& r) { r.check_detail = "c"; }},
+          {"metrics", [](CellResult& r) { r.metrics["x"] = 2.0; }},
+      };
+  ASSERT_TRUE(base == base);
+  for (const auto& [name, apply] : fields) {
+    CellResult other = base;
+    apply(other);
+    EXPECT_FALSE(base == other) << name;
+  }
 }
 
 TEST(Batch, BatchMatchesSerialOverAllWorkloadShapes) {

@@ -59,11 +59,9 @@ TEST(SafeAgreement, DoorwayCrashBlocksResolution) {
   // first step. Scripted: p1 takes exactly 1 step, then others run.
   cfg.fp = FailurePattern::withCrashes(n_plus_1, {{0, 1}});
   cfg.max_steps = 30'000;
-  sim::Run run(cfg, [](Env& e, Value v) { return saWorker(e, v); },
-               test::distinctProposals(n_plus_1));
-  sim::ScriptedPolicy policy({0}, std::make_unique<sim::RoundRobinPolicy>());
-  const Time taken = run.scheduler().run(policy, cfg.max_steps);
-  const auto rr = run.finish(taken);
+  const auto rr = test::runScheduled(
+      cfg, [](Env& e, Value v) { return saWorker(e, v); },
+      test::distinctProposals(n_plus_1), {0});
   // Nobody can decide: p1 sits at level 1 forever.
   EXPECT_FALSE(rr.all_correct_done);
   EXPECT_TRUE(rr.decisions.empty());

@@ -11,7 +11,9 @@ namespace {
 
 using core::checkEmulatedOmega;
 using core::checkEmulatedUpsilonF;
+using core::checkKConverge;
 using core::checkKSetAgreement;
+using core::Pick;
 using sim::Env;
 using sim::EventKind;
 using sim::FailurePattern;
@@ -84,6 +86,61 @@ TEST(AgreementChecker, CrashedProcessesNeedNotDecide) {
                             {decide(1, 0, 100), decide(2, 1, 100)}, 10);
   const auto rep = checkKSetAgreement(rr, 2, {100, 101, 102});
   EXPECT_TRUE(rep.ok()) << rep.violation;
+}
+
+// ---- k-converge checker ----
+
+sim::Event note(Pid p, const char* label, Value v) {
+  return {0, p, EventKind::kNote, label, RegVal(v)};
+}
+
+TEST(KConvergeChecker, FlagsNonProposedPick) {
+  const auto rep = checkKConverge(
+      {note(0, "adopt", 100), note(1, "adopt", 999)}, 2, {100, 101});
+  EXPECT_FALSE(rep.validity);
+  EXPECT_TRUE(rep.agreement);
+  EXPECT_NE(rep.violation.find("C-Validity"), std::string::npos)
+      << rep.violation;
+}
+
+TEST(KConvergeChecker, FlagsCommitWithKPlusOnePicks) {
+  const auto rep = checkKConverge(
+      {note(0, "commit", 100), note(1, "adopt", 101), note(2, "adopt", 102)},
+      2, {100, 101, 102});
+  EXPECT_TRUE(rep.validity);
+  EXPECT_FALSE(rep.agreement);
+  EXPECT_EQ(rep.distinct, 3);
+  EXPECT_NE(rep.violation.find("C-Agreement"), std::string::npos)
+      << rep.violation;
+}
+
+TEST(KConvergeChecker, AcceptsKPlusOneAdoptedPicks) {
+  // Without a commit, C-Agreement bounds nothing.
+  const auto rep = checkKConverge(
+      {note(0, "adopt", 100), note(1, "adopt", 101), note(2, "adopt", 102)},
+      2, {100, 101, 102});
+  EXPECT_TRUE(rep.ok()) << rep.violation;
+  EXPECT_EQ(rep.picks, 3);
+  EXPECT_EQ(rep.commits, 0);
+  EXPECT_EQ(rep.distinct, 3);
+}
+
+TEST(KConvergeChecker, FlagsAdoptWithAtMostKInputs) {
+  const auto rep = checkKConverge(
+      {note(0, "commit", 100), note(1, "adopt", 100)}, 1, {100, 100});
+  EXPECT_TRUE(rep.validity && rep.agreement);
+  EXPECT_FALSE(rep.convergence);
+}
+
+TEST(KConvergeChecker, PicksAreLastPickNotesPerProcess) {
+  const std::vector<sim::Event> events = {
+      note(2, "adopt", 101), note(0, "gladiator", 7),
+      decide(1, 2, 101), note(2, "commit", 100)};
+  EXPECT_EQ(core::picksOf(events, 3),
+            (std::vector<Pick>{Pick{}, Pick{}, Pick{100, true}}));
+  const auto rep = checkKConverge(events, 1, {100, 101, 102});
+  EXPECT_EQ(rep.picks, 1);
+  EXPECT_EQ(rep.commits, 1);
 }
 
 // ---- emulation checkers ----

@@ -14,22 +14,6 @@ using sim::ByteReader;
 using sim::ByteWriter;
 using sim::CellResult;
 
-void expectIdentical(const CellResult& want, const CellResult& got,
-                     const std::string& what) {
-  EXPECT_EQ(want.index, got.index) << what;
-  EXPECT_EQ(want.verdict, got.verdict) << what;
-  EXPECT_EQ(want.detail, got.detail) << what;
-  EXPECT_EQ(want.error, got.error) << what;
-  EXPECT_EQ(want.all_correct_done, got.all_correct_done) << what;
-  EXPECT_EQ(want.steps, got.steps) << what;
-  EXPECT_EQ(want.distinct_decisions, got.distinct_decisions) << what;
-  EXPECT_EQ(want.decisions, got.decisions) << what;
-  EXPECT_EQ(want.trace_hash, got.trace_hash) << what;
-  EXPECT_EQ(want.check_ok, got.check_ok) << what;
-  EXPECT_EQ(want.check_detail, got.check_detail) << what;
-  EXPECT_EQ(want.metrics, got.metrics) << what;
-}
-
 TEST(Wire, CellResultRoundTrip) {
   CellResult r;
   r.index = 12;
@@ -53,7 +37,7 @@ TEST(Wire, CellResultRoundTrip) {
   CellResult got;
   ASSERT_TRUE(decodeCellResult(rd, got));
   EXPECT_TRUE(rd.atEnd());
-  expectIdentical(r, got, "wire round-trip");
+  EXPECT_TRUE(got == r) << "wire round-trip";
 }
 
 TEST(Wire, MalformedBytesAreRejectedNotFabricated) {

@@ -12,7 +12,6 @@
 // are certified stable by the stability-epoch relation and others are not.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -129,28 +128,6 @@ Outcome outcomeOf(const std::vector<sim::Event>& events, int n) {
   return o;
 }
 
-std::set<Outcome> bruteForce(const GridProgram& g, const std::vector<Value>& pv,
-                             int* schedules) {
-  std::vector<int> counts;
-  int total = 0;
-  for (const auto& ops : g.ops) {
-    counts.push_back(static_cast<int>(ops.size()));
-    total += static_cast<int>(ops.size());
-  }
-  std::set<Outcome> out;
-  test::forEachInterleaving(counts, [&](const std::vector<Pid>& seq) {
-    ++*schedules;
-    sim::Run run(runConfig(g), algoOf(g), pv);
-    sim::ScriptedPolicy policy(seq, std::make_unique<sim::RoundRobinPolicy>());
-    const Time taken = run.scheduler().run(policy, 1'000);
-    const sim::RunResult rr = run.finish(taken);
-    EXPECT_TRUE(rr.all_correct_done);
-    EXPECT_EQ(taken, total);  // the schedule fixed every step
-    out.insert(outcomeOf(rr.trace().events(), g.n));
-  });
-  return out;
-}
-
 std::set<Outcome> explored(const GridProgram& g, const std::vector<Value>& pv,
                            ExploreMode mode, bool memoize, int jobs) {
   ExploreConfig cfg;
@@ -175,9 +152,21 @@ int checkGrid(int n, int programs) {
   for (int seed = 1; seed <= programs; ++seed) {
     const GridProgram g = makeProgram(n, static_cast<std::uint64_t>(seed));
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + describe(g));
-    int schedules = 0;
-    const std::set<Outcome> oracle = bruteForce(g, pv, &schedules);
-    EXPECT_GT(schedules, 0);
+    std::vector<int> counts;
+    int total = 0;
+    for (const auto& ops : g.ops) {
+      counts.push_back(static_cast<int>(ops.size()));
+      total += static_cast<int>(ops.size());
+    }
+    std::set<Outcome> oracle;
+    test::forEachInterleaving(counts, [&](const std::vector<Pid>& seq) {
+      const sim::RunResult rr =
+          test::runScheduled(runConfig(g), algoOf(g), pv, seq);
+      EXPECT_TRUE(rr.all_correct_done);
+      EXPECT_EQ(rr.steps, total);  // the schedule fixed every step
+      oracle.insert(outcomeOf(rr.trace().events(), g.n));
+    });
+    EXPECT_FALSE(oracle.empty());
     EXPECT_EQ(explored(g, pv, ExploreMode::kDpor, true, 0), oracle)
         << "classic kDpor";
     EXPECT_EQ(explored(g, pv, ExploreMode::kDpor, true, 1), oracle)

@@ -8,8 +8,6 @@
 // the budget valves, and the footprint commutation table itself.
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,7 +17,6 @@
 namespace wfd {
 namespace {
 
-using core::kConverge;
 using core::Pick;
 using sim::Coro;
 using sim::Env;
@@ -114,100 +111,39 @@ TEST(Footprints, LocalStepsCommuteWithEverythingElse) {
   EXPECT_TRUE(footprintsCommute(fp(OpClass::kNone), fp(OpClass::kWrite, 1)));
 }
 
-// ---- The k-converge workload (same shape as tests/exhaustive_test.cc) ----
+// ---- The k-converge workload (core::kConvergeTask) ------------------------
 
-Coro<Unit> oneShot(Env& env, int k, Value v) {
-  env.propose(v);
-  const Pick p = co_await kConverge(env, sim::ObjKey{"x.conv"}, k, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  env.decide(p.value);
-  co_return Unit{};
+using Picks = std::vector<Pick>;  // per pid: core::picksOf
+
+sim::AlgoFn convergeAlgo(int k) {
+  return [k](Env& e, Value v) { return core::kConvergeTask(e, k, v); };
 }
 
-struct Picks {
-  std::vector<Value> picked;    // per pid; kBottomValue when none
-  std::vector<bool> committed;  // per pid
-  friend bool operator<(const Picks& a, const Picks& b) {
-    if (a.picked != b.picked) return a.picked < b.picked;
-    return a.committed < b.committed;
-  }
-  friend bool operator==(const Picks& a, const Picks& b) {
-    return a.picked == b.picked && a.committed == b.committed;
-  }
-};
-
-Picks picksOf(const std::vector<sim::Event>& events, int n) {
-  Picks out;
-  out.picked.resize(static_cast<std::size_t>(n), kBottomValue);
-  out.committed.resize(static_cast<std::size_t>(n), false);
-  for (const auto& e : events) {
-    if (e.kind != sim::EventKind::kNote) continue;
-    if (e.label != "commit" && e.label != "adopt") continue;
-    out.picked[static_cast<std::size_t>(e.pid)] = e.value.asInt();
-    out.committed[static_cast<std::size_t>(e.pid)] = (e.label == "commit");
-  }
-  return out;
-}
-
-// The k-converge safety contract as an explorer property: C-Validity plus
-// C-Agreement ("any commit forces at most k distinct picks among the
-// processes that picked"). Crashed processes simply have no pick.
-std::function<std::string(const ExploreOutcome&)> convergeProperty(
-    int n, int k, const std::vector<Value>& props) {
-  return [n, k, props](const ExploreOutcome& o) -> std::string {
-    const Picks px = picksOf(o.events, n);
-    bool any_commit = false;
-    std::set<Value> picked;
-    for (int p = 0; p < n; ++p) {
-      const Value v = px.picked[static_cast<std::size_t>(p)];
-      if (v == kBottomValue) continue;
-      bool valid = false;
-      for (const Value q : props) valid = valid || (q == v);
-      if (!valid) return "C-Validity: p" + std::to_string(p + 1) +
-                         " picked non-proposal " + std::to_string(v);
-      picked.insert(v);
-      any_commit = any_commit || px.committed[static_cast<std::size_t>(p)];
-    }
-    if (any_commit && static_cast<int>(picked.size()) > k) {
-      return "C-Agreement: a commit with " + std::to_string(picked.size()) +
-             " > k = " + std::to_string(k) + " distinct picks";
-    }
-    return "";
-  };
-}
-
+// The k-converge safety contract as an explorer property: checkKConverge's
+// C-Validity and C-Agreement ("any commit forces at most k distinct picks
+// among the processes that picked"). Crashed processes simply have no
+// pick.
 ExploreConfig convergeConfig(int n, int k, const std::vector<Value>& props,
                              ExploreMode mode) {
   ExploreConfig cfg;
   cfg.run.n_plus_1 = n;
   cfg.mode = mode;
-  cfg.property = convergeProperty(n, k, props);
+  cfg.property = [k, props](const ExploreOutcome& o) {
+    return core::checkKConverge(o.events, k, props).violation;
+  };
   return cfg;
 }
 
 ExploreResult exploreConverge(int n, int k, const std::vector<Value>& props,
                               ExploreMode mode) {
-  return explore(convergeConfig(n, k, props, mode),
-                 [k](Env& e, Value v) { return oneShot(e, k, v); }, props);
-}
-
-// ---- Brute-force oracle (test::forEachInterleaving, test_util.h) --------
-
-Picks runSchedule(int n, int k, const std::vector<Pid>& seq,
-                  const std::vector<Value>& props) {
-  RunConfig cfg;
-  cfg.n_plus_1 = n;
-  sim::Run run(cfg, [k](Env& e, Value v) { return oneShot(e, k, v); }, props);
-  sim::ScriptedPolicy policy(seq, std::make_unique<sim::RoundRobinPolicy>());
-  const Time taken = run.scheduler().run(policy, 10'000);
-  const auto rr = run.finish(taken);
-  EXPECT_TRUE(rr.all_correct_done);
-  return picksOf(rr.trace().events(), n);
+  return explore(convergeConfig(n, k, props, mode), convergeAlgo(k), props);
 }
 
 std::set<Picks> explorerPickSet(const ExploreResult& res, int n) {
   std::set<Picks> out;
-  for (const auto& [sig, o] : res.outcomes) out.insert(picksOf(o.events, n));
+  for (const auto& [sig, o] : res.outcomes) {
+    out.insert(core::picksOf(o.events, n));
+  }
   return out;
 }
 
@@ -215,11 +151,16 @@ std::set<Picks> explorerPickSet(const ExploreResult& res, int n) {
 
 TEST(Explore, TwoProcOutcomeSetEqualsBruteForceExactly) {
   const std::vector<Value> props = {100, 101};
+  RunConfig cfg;
+  cfg.n_plus_1 = 2;
   std::set<Picks> brute;
   int schedules = 0;
   test::forEachInterleaving({4, 4}, [&](const std::vector<Pid>& seq) {
     ++schedules;
-    brute.insert(runSchedule(2, 1, seq, props));
+    const sim::RunResult rr =
+        test::runScheduled(cfg, convergeAlgo(1), props, seq);
+    EXPECT_TRUE(rr.all_correct_done);
+    brute.insert(core::picksOf(rr.trace().events(), 2));
   });
   ASSERT_EQ(schedules, 70);  // C(8,4)
 
@@ -241,18 +182,12 @@ TEST(Explore, TwoProcSameProposalAlwaysCommits) {
   // exhaustive claim the explorer can actually certify.
   const std::vector<Value> props = {100, 100};
   ExploreConfig cfg = convergeConfig(2, 1, props, ExploreMode::kDpor);
-  cfg.property = [](const ExploreOutcome& o) -> std::string {
-    const Picks px = picksOf(o.events, 2);
-    for (int p = 0; p < 2; ++p) {
-      if (!px.committed[static_cast<std::size_t>(p)] ||
-          px.picked[static_cast<std::size_t>(p)] != 100) {
-        return "p" + std::to_string(p + 1) + " failed to commit 100";
-      }
-    }
-    return "";
+  cfg.property = [props](const ExploreOutcome& o) -> std::string {
+    const core::ConvergeReport rep = core::checkKConverge(o.events, 1, props);
+    if (!rep.ok()) return rep.violation;
+    return rep.commits == 2 ? "" : "a process did not pick";
   };
-  const ExploreResult res =
-      explore(cfg, [](Env& e, Value v) { return oneShot(e, 1, v); }, props);
+  const ExploreResult res = explore(cfg, convergeAlgo(1), props);
   EXPECT_TRUE(res.verified()) << res.violation;
 }
 
@@ -339,57 +274,29 @@ TEST(Explore, OverSixtyFourOutcomesAgreeWithAndWithoutTheMemo) {
 
 // ---- The seeded bug: a broken commit-adopt the explorer must catch -------
 
-// Deliberately wrong commit-adopt: publishes and observes like the real
-// protocol's phase 1, but on disagreement ADOPTS ITS OWN value instead of
-// a value from the observed set. A solo-first schedule lets the early
-// process commit while a later one keeps its own different value.
-Coro<Unit> buggyOneShot(Env& env, Value v) {
-  env.propose(v);
-  const mem::SnapshotHandle s =
-      mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
-  co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const SlotArray view = co_await mem::snapshotScan(env, s);
-  const std::vector<Value> u = mem::distinctValues(view);
-  const bool commit = u.size() <= 1;
-  env.note(commit ? "commit" : "adopt", RegVal(v));  // bug: always own v
-  env.decide(v);
-  co_return Unit{};
-}
-
 TEST(Explore, SeededBugIsCaughtWithReplayableCounterexample) {
   const std::vector<Value> props = {100, 101};
-  ExploreConfig cfg;
-  cfg.run.n_plus_1 = 2;
-  cfg.mode = ExploreMode::kDpor;
-  cfg.property = convergeProperty(2, 1, props);
-  const ExploreResult res = explore(
-      cfg, [](Env& e, Value v) { return buggyOneShot(e, v); }, props);
+  const ExploreConfig cfg = convergeConfig(2, 1, props, ExploreMode::kDpor);
+  const ExploreResult res = explore(cfg, test::buggyOneShot, props);
 
   ASSERT_EQ(res.verdict, ExploreVerdict::kViolation);
   EXPECT_NE(res.violation.find("C-Agreement"), std::string::npos)
       << res.violation;
-  ASSERT_FALSE(res.counterexample.empty());
+  // bench_explore's bug-hunt-n2 row pins the same length.
+  EXPECT_EQ(res.counterexample.size(), 4u);
   EXPECT_FALSE(res.counterexampleString().empty());
 
   // The counterexample must REPLAY: the same pid sequence through a
   // scripted policy reproduces the violation.
-  RunConfig rcfg;
-  rcfg.n_plus_1 = 2;
-  sim::Run run(rcfg, [](Env& e, Value v) { return buggyOneShot(e, v); },
-               props);
-  sim::ScriptedPolicy policy(res.counterexample,
-                             std::make_unique<sim::RoundRobinPolicy>());
-  const Time taken = run.scheduler().run(policy, 10'000);
-  const auto rr = run.finish(taken);
-  const Picks px = picksOf(rr.trace().events(), 2);
-  EXPECT_TRUE(px.committed[0] || px.committed[1]);
-  EXPECT_NE(px.picked[0], px.picked[1]);
+  const sim::RunResult rr = test::runScheduled(
+      cfg.run, test::buggyOneShot, props, res.counterexample);
+  EXPECT_FALSE(core::checkKConverge(rr.trace().events(), 1, props).agreement);
 
   // The honest protocol has no such schedule — and the DAG oracle agrees
   // the bug is real.
-  const ExploreResult dag = explore(
-      convergeConfig(2, 1, props, ExploreMode::kDag),
-      [](Env& e, Value v) { return buggyOneShot(e, v); }, props);
+  const ExploreResult dag =
+      explore(convergeConfig(2, 1, props, ExploreMode::kDag),
+              test::buggyOneShot, props);
   EXPECT_EQ(dag.verdict, ExploreVerdict::kViolation);
 }
 
@@ -475,7 +382,7 @@ TEST(Explore, ScheduleBudgetCutsSearchIncomplete) {
   ExploreConfig cfg = convergeConfig(3, 2, props, ExploreMode::kDpor);
   cfg.max_schedules = 3;
   const ExploreResult res = explore(
-      cfg, [](Env& e, Value v) { return oneShot(e, 2, v); }, props);
+      cfg, convergeAlgo(2), props);
   EXPECT_FALSE(res.complete);
   EXPECT_FALSE(res.verified());
   EXPECT_LE(res.schedules_explored, 3u);
@@ -488,7 +395,7 @@ TEST(Explore, StoppedDagWalksReportTheirMemo) {
   ExploreConfig cut = convergeConfig(3, 2, props, ExploreMode::kDag);
   cut.max_schedules = 40;
   const ExploreResult c = explore(
-      cut, [](Env& e, Value v) { return oneShot(e, 2, v); }, props);
+      cut, convergeAlgo(2), props);
   EXPECT_FALSE(c.complete);
   ASSERT_GT(c.memo_hits, 0u);
   EXPECT_GT(c.states_memoized, 0u);
@@ -499,7 +406,7 @@ TEST(Explore, StoppedDagWalksReportTheirMemo) {
     return ++seen == 40 ? "the 40th outcome" : "";
   };
   const ExploreResult v = explore(
-      late, [](Env& e, Value v) { return oneShot(e, 2, v); }, props);
+      late, convergeAlgo(2), props);
   ASSERT_EQ(v.verdict, ExploreVerdict::kViolation);
   ASSERT_GT(v.memo_hits, 0u);
   EXPECT_GT(v.states_memoized, 0u);
@@ -510,14 +417,14 @@ TEST(Explore, DepthBudgetCutsSearchIncomplete) {
   ExploreConfig cfg = convergeConfig(2, 1, props, ExploreMode::kDpor);
   cfg.max_depth = 3;  // the workload needs 8 steps
   const ExploreResult res = explore(
-      cfg, [](Env& e, Value v) { return oneShot(e, 1, v); }, props);
+      cfg, convergeAlgo(1), props);
   EXPECT_FALSE(res.complete);
 }
 
 TEST(Explore, DporRefusesCrashPatterns) {
   ExploreConfig cfg = convergeConfig(2, 1, {100, 101}, ExploreMode::kDpor);
   cfg.run.fp = sim::FailurePattern::withCrashes(2, {{1, 3}});
-  EXPECT_THROW(explore(cfg, [](Env& e, Value v) { return oneShot(e, 1, v); },
+  EXPECT_THROW(explore(cfg, convergeAlgo(1),
                        {100, 101}),
                sim::SimAbort);
 }
@@ -530,7 +437,7 @@ TEST(Explore, DagExploresCrashPatterns) {
   ExploreConfig cfg = convergeConfig(2, 1, props, ExploreMode::kDag);
   cfg.run.fp = sim::FailurePattern::withCrashes(2, {{1, 3}});
   const ExploreResult res = explore(
-      cfg, [](Env& e, Value v) { return oneShot(e, 1, v); }, props);
+      cfg, convergeAlgo(1), props);
   EXPECT_TRUE(res.verified()) << res.violation;
   EXPECT_GT(res.schedules_explored, 0u);
 }

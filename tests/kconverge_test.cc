@@ -3,38 +3,22 @@
 // system sizes, k, snapshot flavors, seeds and crash patterns.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "test_util.h"
 
 namespace wfd {
 namespace {
 
-using core::kConverge;
-using core::Pick;
-using sim::Coro;
-using sim::Env;
+using core::ConvergeReport;
 using sim::FailurePattern;
 using sim::RunConfig;
 using sim::RunResult;
 using sim::SnapshotFlavor;
-using sim::Unit;
 
-// Each process performs one kConverge and reports (value, committed) by
-// deciding value and noting commitment.
-Coro<Unit> oneShot(Env& env, int k, Value v) {
-  env.propose(v);
-  const Pick p = co_await kConverge(env, sim::ObjKey{"t.conv"}, k, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  env.decide(p.value);
-  co_return Unit{};
-}
-
+// Each process runs core::kConvergeTask once: it decides its pick and
+// notes whether it committed, and checkKConverge reads the notes back.
 struct Outcome {
-  std::set<Value> picked;
-  bool any_committed = false;
-  bool all_committed = true;
   RunResult run;
+  ConvergeReport rep;
 };
 
 Outcome runOnce(int n_plus_1, int k, const std::vector<Value>& props,
@@ -47,13 +31,9 @@ Outcome runOnce(int n_plus_1, int k, const std::vector<Value>& props,
   if (fp) cfg.fp = fp;
   Outcome out;
   out.run = sim::runTask(
-      cfg, [k](Env& e, Value v) { return oneShot(e, k, v); }, props);
-  for (const auto& e : out.run.trace().events()) {
-    if (e.kind != sim::EventKind::kNote) continue;
-    if (e.label == "commit") out.any_committed = true;
-    if (e.label == "adopt") out.all_committed = false;
-  }
-  for (const auto& [p, v] : out.run.decisions) out.picked.insert(v);
+      cfg, [k](sim::Env& e, Value v) { return core::kConvergeTask(e, k, v); },
+      props);
+  out.rep = core::checkKConverge(out.run.trace().events(), k, props);
   return out;
 }
 
@@ -68,18 +48,13 @@ class KConvergeSweep : public ::testing::TestWithParam<Params> {};
 TEST_P(KConvergeSweep, PropertiesHoldAcrossSeeds) {
   const auto [n_plus_1, k, flavor] = GetParam();
   const auto props = test::distinctProposals(n_plus_1);
-  const std::set<Value> allowed(props.begin(), props.end());
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const Outcome out = runOnce(n_plus_1, k, props, flavor, seed);
     // C-Termination.
     ASSERT_TRUE(out.run.all_correct_done) << "seed " << seed;
-    ASSERT_EQ(out.run.decisions.size(), static_cast<std::size_t>(n_plus_1));
-    // C-Validity.
-    for (Value v : out.picked) EXPECT_TRUE(allowed.contains(v)) << v;
-    // C-Agreement: a commit caps the picked set at k.
-    if (out.any_committed) {
-      EXPECT_LE(static_cast<int>(out.picked.size()), k) << "seed " << seed;
-    }
+    ASSERT_EQ(out.rep.picks, n_plus_1);
+    // C-Validity, C-Agreement (a commit caps the picked set at k).
+    EXPECT_TRUE(out.rep.ok()) << "seed " << seed << ": " << out.rep.violation;
   }
 }
 
@@ -91,25 +66,22 @@ TEST_P(KConvergeSweep, ConvergenceWithFewInputs) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const Outcome out = runOnce(n_plus_1, k, props, flavor, seed);
     ASSERT_TRUE(out.run.all_correct_done);
-    EXPECT_TRUE(out.all_committed) << "seed " << seed;
-    EXPECT_LE(static_cast<int>(out.picked.size()), k);
+    EXPECT_TRUE(out.rep.convergence) << "seed " << seed;
+    EXPECT_EQ(out.rep.commits, n_plus_1) << "seed " << seed;
+    EXPECT_LE(out.rep.distinct, k);
   }
 }
 
 TEST_P(KConvergeSweep, PropertiesHoldUnderCrashes) {
   const auto [n_plus_1, k, flavor] = GetParam();
   const auto props = test::distinctProposals(n_plus_1);
-  const std::set<Value> allowed(props.begin(), props.end());
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const auto fp =
         FailurePattern::random(n_plus_1, n_plus_1 - 1, 60, seed * 7 + 1);
     const Outcome out = runOnce(n_plus_1, k, props, flavor, seed, fp);
     // Wait-freedom: correct processes pick no matter who crashes.
     ASSERT_TRUE(out.run.all_correct_done) << "seed " << seed;
-    for (Value v : out.picked) EXPECT_TRUE(allowed.contains(v));
-    if (out.any_committed) {
-      EXPECT_LE(static_cast<int>(out.picked.size()), k);
-    }
+    EXPECT_TRUE(out.rep.ok()) << "seed " << seed << ": " << out.rep.violation;
   }
 }
 
@@ -140,9 +112,9 @@ TEST(KConverge, ZeroConvergeNeverCommits) {
   const Outcome out =
       runOnce(3, 0, props, SnapshotFlavor::kNative, 1);
   ASSERT_TRUE(out.run.all_correct_done);
-  EXPECT_FALSE(out.any_committed);
+  EXPECT_EQ(out.rep.commits, 0);
   // Everyone keeps its own value.
-  EXPECT_EQ(out.picked.size(), 3u);
+  EXPECT_EQ(out.rep.distinct, 3);
 }
 
 TEST(KConverge, FullWidthAlwaysCommits) {
@@ -150,7 +122,7 @@ TEST(KConverge, FullWidthAlwaysCommits) {
   const auto props = test::distinctProposals(4);
   const Outcome out = runOnce(4, 4, props, SnapshotFlavor::kNative, 3);
   ASSERT_TRUE(out.run.all_correct_done);
-  EXPECT_TRUE(out.all_committed);
+  EXPECT_EQ(out.rep.commits, 4);
 }
 
 TEST(KConverge, SoloParticipantCommitsWithKOne) {
@@ -159,8 +131,9 @@ TEST(KConverge, SoloParticipantCommitsWithKOne) {
   const Outcome out = runOnce(4, 1, test::distinctProposals(4),
                               SnapshotFlavor::kNative, 5, fp);
   ASSERT_TRUE(out.run.all_correct_done);
-  EXPECT_TRUE(out.any_committed);
-  EXPECT_EQ(out.picked, std::set<Value>{103});
+  EXPECT_EQ(out.rep.picks, 1);
+  EXPECT_EQ(out.rep.commits, 1);
+  EXPECT_EQ(out.run.decisions.at(3), 103);
 }
 
 }  // namespace

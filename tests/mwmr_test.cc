@@ -79,19 +79,15 @@ TEST(Mwmr, QuiescentReadSeesLastWrite) {
   const int n_plus_1 = 3;
   RunConfig cfg;
   cfg.n_plus_1 = n_plus_1;
-  sim::Run run(
+  // Writer solo (10 writes x (n+1 reads + 1 write) steps), then the rest.
+  const std::vector<Pid> prefix(10 * (n_plus_1 + 1) + 5, 0);
+  const auto rr = test::runScheduled(
       cfg,
       [](Env& e, Value) -> Coro<Unit> {
         if (e.me() == 0) return writerProc(e, 10);
         return readerProc(e, 1);
       },
-      {0, 0, 0});
-  // Writer solo (10 writes x (n+1 reads + 1 write) steps), then the rest.
-  std::vector<Pid> prefix(10 * (n_plus_1 + 1) + 5, 0);
-  sim::ScriptedPolicy policy(std::move(prefix),
-                             std::make_unique<sim::RoundRobinPolicy>());
-  const Time taken = run.scheduler().run(policy, 100'000);
-  const auto rr = run.finish(taken);
+      {0, 0, 0}, prefix);
   ASSERT_TRUE(rr.all_correct_done);
   int reads = 0;
   for (const auto& e : rr.trace().events()) {

@@ -76,22 +76,6 @@ CellResult sampleResult(std::uint64_t seed) {
   return r;
 }
 
-void expectIdentical(const CellResult& want, const CellResult& got,
-                     const std::string& what) {
-  EXPECT_EQ(want.index, got.index) << what;
-  EXPECT_EQ(want.verdict, got.verdict) << what;
-  EXPECT_EQ(want.detail, got.detail) << what;
-  EXPECT_EQ(want.error, got.error) << what;
-  EXPECT_EQ(want.all_correct_done, got.all_correct_done) << what;
-  EXPECT_EQ(want.steps, got.steps) << what;
-  EXPECT_EQ(want.distinct_decisions, got.distinct_decisions) << what;
-  EXPECT_EQ(want.decisions, got.decisions) << what;
-  EXPECT_EQ(want.trace_hash, got.trace_hash) << what;
-  EXPECT_EQ(want.check_ok, got.check_ok) << what;
-  EXPECT_EQ(want.check_detail, got.check_detail) << what;
-  EXPECT_EQ(want.metrics, got.metrics) << what;
-}
-
 TEST(PersistentStore, RoundTripsRawPayloads) {
   const std::string dir = freshDir("roundtrip");
   PersistentStore store(StoreOptions{dir, "v1"});
@@ -125,7 +109,7 @@ TEST(PersistentStore, RoundTripsEveryField) {
     // field as stored.
     const auto got = warm->lookup(1000 + seed, 7);
     ASSERT_TRUE(got.has_value()) << "seed " << seed;
-    expectIdentical(sampleResult(seed), *got, "seed " + std::to_string(seed));
+    EXPECT_TRUE(*got == sampleResult(seed)) << "seed " << seed;
   }
   EXPECT_EQ(warm->diskHits(), 6u);
   EXPECT_FALSE(warm->lookup(999, 0).has_value());
@@ -381,7 +365,7 @@ TEST(MakeMemo, HonorsCapacityAndCacheDir) {
   EXPECT_EQ(got->index, 9u);
   CellResult want = r;
   want.index = 9;
-  expectIdentical(want, *got, "memo-backed lookup");
+  EXPECT_TRUE(*got == want) << "memo-backed lookup";
 }
 
 TEST(MakeMemo, UndecodablePayloadIsADiskMiss) {
@@ -407,7 +391,7 @@ TEST(MakeMemo, UndecodablePayloadIsADiskMiss) {
   EXPECT_EQ(memo->diskMisses(), 3u);
   const auto got = memo->lookup(4, 7);
   ASSERT_TRUE(got.has_value());
-  expectIdentical(sampleResult(2), *got, "decodable payload");
+  EXPECT_TRUE(*got == sampleResult(2)) << "decodable payload";
   EXPECT_EQ(memo->diskHits(), 1u);
 }
 

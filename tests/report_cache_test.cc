@@ -146,23 +146,6 @@ std::size_t cacheableCount(const std::vector<BatchCell>& cells) {
   return n;
 }
 
-// Byte-identical means EVERY field, post-hook outputs included.
-void expectIdentical(const CellResult& want, const CellResult& got,
-                     const std::string& what) {
-  EXPECT_EQ(want.index, got.index) << what;
-  EXPECT_EQ(want.verdict, got.verdict) << what;
-  EXPECT_EQ(want.detail, got.detail) << what;
-  EXPECT_EQ(want.error, got.error) << what;
-  EXPECT_EQ(want.all_correct_done, got.all_correct_done) << what;
-  EXPECT_EQ(want.steps, got.steps) << what;
-  EXPECT_EQ(want.distinct_decisions, got.distinct_decisions) << what;
-  EXPECT_EQ(want.decisions, got.decisions) << what;
-  EXPECT_EQ(want.trace_hash, got.trace_hash) << what;
-  EXPECT_EQ(want.check_ok, got.check_ok) << what;
-  EXPECT_EQ(want.check_detail, got.check_detail) << what;
-  EXPECT_EQ(want.metrics, got.metrics) << what;
-}
-
 TEST(ReportCache, WarmHitIsByteIdenticalAcrossAllGoldenFamilies) {
   const auto cells = familyGrid();
   const std::size_t cacheable = cacheableCount(cells);
@@ -186,8 +169,8 @@ TEST(ReportCache, WarmHitIsByteIdenticalAcrossAllGoldenFamilies) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const std::string what =
         std::string(cells[i].memo_family) + " cell " + std::to_string(i);
-    expectIdentical(truth[i], cold[i], "cold vs truth: " + what);
-    expectIdentical(truth[i], warm[i], "warm vs truth: " + what);
+    EXPECT_TRUE(cold[i] == truth[i]) << "cold vs truth: " << what;
+    EXPECT_TRUE(warm[i] == truth[i]) << "warm vs truth: " << what;
   }
   EXPECT_EQ(cache.hits(), warm_stats.memo_hits);
 }
@@ -295,8 +278,8 @@ TEST(ReportCache, SharedAcrossAJobs4PoolWithoutRaces) {
   EXPECT_EQ(warm_stats.memo_hits, cacheable);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const std::string what = "pooled cell " + std::to_string(i);
-    expectIdentical(truth[i], cold[i], "cold: " + what);
-    expectIdentical(truth[i], warm[i], "warm: " + what);
+    EXPECT_TRUE(cold[i] == truth[i]) << "cold: " << what;
+    EXPECT_TRUE(warm[i] == truth[i]) << "warm: " << what;
   }
 }
 

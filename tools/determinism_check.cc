@@ -10,7 +10,7 @@
 // Unseeded randomness, unordered-container iteration feeding the
 // schedule, or uninitialized reads all surface here as a hash mismatch.
 //
-// Two additional properties ride along:
+// Five additional properties ride along:
 //   * non-interference: the step auditor (collect mode) must not change
 //     the trace hash, and must report zero violations on every legal
 //     algorithm;
@@ -29,7 +29,11 @@
 //     serial result byte for byte, field for field — then the same
 //     double pass through the persistent store (sim/store.h), where a
 //     fresh makeMemo handle over the cold pass's directory must answer
-//     every key-eligible cell from disk.
+//     every key-eligible cell from disk. "The same result" is
+//     CellResult's operator==, every field;
+//   * frontier equivalence (--explore, its own pass): the parallel
+//     explorer at --jobs N must match jobs=1 by ExploreResult::sameSearch
+//     on every golden exploration family.
 #include <unistd.h>
 
 #include <cstdio>
@@ -41,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "test_util.h"
 #include "wfd.h"
 
 namespace {
@@ -290,26 +295,6 @@ std::vector<sim::BatchCell> batchCells() {
   return cells;
 }
 
-// Every observable field must match: a ReportCache hit or a differently
-// scheduled worker must be indistinguishable from the serial run.
-bool sameResult(const sim::CellResult& x, const sim::CellResult& y) {
-  return x.index == y.index && x.verdict == y.verdict && x.detail == y.detail &&
-         x.error == y.error && x.all_correct_done == y.all_correct_done &&
-         x.steps == y.steps && x.distinct_decisions == y.distinct_decisions &&
-         x.decisions == y.decisions && x.trace_hash == y.trace_hash &&
-         x.check_ok == y.check_ok && x.check_detail == y.check_detail &&
-         x.metrics == y.metrics;
-}
-
-bool allSame(const std::vector<sim::CellResult>& x,
-             const std::vector<sim::CellResult>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (!sameResult(x[i], y[i])) return false;
-  }
-  return true;
-}
-
 void batchWorkloads(int jobs, bool steal, bool memo) {
   std::printf("Batch engine (serial vs %d workers, %s%s):\n", jobs,
               steal ? "stealing" : "static shards", memo ? ", memo" : "");
@@ -343,7 +328,7 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
   // The OTHER scheduler mode must be equally invisible: where a cell runs
   // never changes what it computes.
   const sim::BatchRunner other(sim::BatchOptions{jobs, !steal});
-  check(allSame(a, other.run(cells)),
+  check(a == other.run(cells),
         std::string(!steal ? "stealing" : "static sharding") +
             " matches the serial pass field for field");
 
@@ -363,8 +348,8 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
     sim::BatchStats warm_stats;
     const auto cold = memo_pool.run(cells, &cold_stats);
     const auto warm = memo_pool.run(cells, &warm_stats);
-    check(allSame(a, cold), "memo cold pass matches serial field for field");
-    check(allSame(a, warm), "memo warm pass (cache hits) byte-identical");
+    check(a == cold, "memo cold pass matches serial field for field");
+    check(a == warm, "memo warm pass (cache hits) byte-identical");
     check(warm_stats.memo_hits == cacheable,
           "warm pass answered every eligible cell from the memo (" +
               std::to_string(warm_stats.memo_hits) + "/" +
@@ -393,9 +378,9 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
     const auto reread =
         sim::BatchRunner(sim::BatchOptions{jobs, steal, warm_memo.get()})
             .run(cells, &disk_stats);
-    check(allSame(a, stored),
+    check(a == stored,
           "persistent-store cold pass matches serial field for field");
-    check(allSame(a, reread),
+    check(a == reread,
           "persistent-store warm pass (fresh handle) byte-identical");
     check(cold_disk_hits == 0, "cold pass loads 0 cells from disk");
     check(disk_stats.memo_hits == cacheable && warm_memo->diskMisses() == 0,
@@ -422,27 +407,6 @@ void batchWorkloads(int jobs, bool steal, bool memo) {
 // not change the verdict or the outcome-signature set. Runs EXCLUSIVELY
 // under --explore (its own ctest entry).
 
-sim::Coro<sim::Unit> exploreOneShot(Env& env, int k, Value v) {
-  env.propose(v);
-  const core::Pick p =
-      co_await core::kConverge(env, sim::ObjKey{"x.conv"}, k, v);
-  env.note(p.committed ? "commit" : "adopt", RegVal(p.value));
-  env.decide(p.value);
-  co_return sim::Unit{};
-}
-
-sim::Coro<sim::Unit> exploreBuggy(Env& env, Value v) {
-  env.propose(v);
-  const mem::SnapshotHandle s =
-      mem::makeSnapshot(env, sim::ObjKey{"x.bug"}, env.nProcs());
-  co_await mem::snapshotUpdate(env, s, env.me(), RegVal(v));
-  const SlotArray view = co_await mem::snapshotScan(env, s);
-  env.note(mem::distinctValues(view).size() <= 1 ? "commit" : "adopt",
-           RegVal(v));
-  env.decide(v);
-  co_return sim::Unit{};
-}
-
 sim::Coro<sim::Unit> exploreFdBearing(Env& env, Value v) {
   env.propose(v);
   const sim::OpResult a = co_await env.queryFd();
@@ -457,42 +421,8 @@ sim::Coro<sim::Unit> exploreFdBearing(Env& env, Value v) {
   co_return sim::Unit{};
 }
 
-std::string exploreConvergeViolation(const sim::ExploreOutcome& o, int k) {
-  bool any_commit = false;
-  std::set<Value> picked;
-  for (const auto& e : o.events) {
-    if (e.kind != sim::EventKind::kNote) continue;
-    if (e.label != "commit" && e.label != "adopt") continue;
-    picked.insert(e.value.asInt());
-    any_commit = any_commit || (e.label == "commit");
-  }
-  if (any_commit && static_cast<int>(picked.size()) > k) {
-    return "commit with " + std::to_string(picked.size()) +
-           " > k distinct picks";
-  }
-  return "";
-}
-
-bool exploreIdentical(const sim::ExploreResult& a,
-                      const sim::ExploreResult& b) {
-  return a.verdict == b.verdict && a.violation == b.violation &&
-         a.counterexample == b.counterexample &&
-         a.schedules_explored == b.schedules_explored &&
-         a.sleep_set_skips == b.sleep_set_skips &&
-         a.states_memoized == b.states_memoized &&
-         a.memo_hits == b.memo_hits && a.steps_executed == b.steps_executed &&
-         a.steps_replayed == b.steps_replayed &&
-         a.steps_rebuilt == b.steps_rebuilt && a.restores == b.restores &&
-         a.max_depth_seen == b.max_depth_seen && a.complete == b.complete &&
-         a.frontier_jobs == b.frontier_jobs &&
-         a.frontier_depth == b.frontier_depth &&
-         a.outcomeSigs() == b.outcomeSigs();
-}
-
 void exploreWorkloads(int jobs) {
   std::printf("Explore frontier (jobs=1 vs jobs=%d, every counter):\n", jobs);
-  std::vector<Value> props2 = {100, 101};
-  std::vector<Value> props3 = {100, 101, 102};
 
   struct Family {
     std::string name;
@@ -510,11 +440,11 @@ void exploreWorkloads(int jobs) {
       f.cfg.run.n_plus_1 = n;
       f.cfg.mode = mode;
       const int k = n - 1;
-      f.cfg.property = [k](const sim::ExploreOutcome& o) {
-        return exploreConvergeViolation(o, k);
+      f.props = test::distinctProposals(n);
+      f.cfg.property = [k, props = f.props](const sim::ExploreOutcome& o) {
+        return core::checkKConverge(o.events, k, props).violation;
       };
-      f.algo = [k](Env& e, Value v) { return exploreOneShot(e, k, v); };
-      f.props = n == 2 ? props2 : props3;
+      f.algo = [k](Env& e, Value v) { return core::kConvergeTask(e, k, v); };
       families.push_back(std::move(f));
     }
   }
@@ -529,7 +459,7 @@ void exploreWorkloads(int jobs) {
     f.cfg.mode = sim::ExploreMode::kDpor;
     f.cfg.property = [](const sim::ExploreOutcome&) { return std::string(); };
     f.algo = [](Env& e, Value v) { return exploreFdBearing(e, v); };
-    f.props = props2;
+    f.props = test::distinctProposals(2);
     families.push_back(std::move(f));
   }
   {
@@ -537,11 +467,11 @@ void exploreWorkloads(int jobs) {
     f.name = "seeded-bug-n2-dpor";
     f.cfg.run.n_plus_1 = 2;
     f.cfg.mode = sim::ExploreMode::kDpor;
-    f.cfg.property = [](const sim::ExploreOutcome& o) {
-      return exploreConvergeViolation(o, 1);
+    f.props = test::distinctProposals(2);
+    f.cfg.property = [props = f.props](const sim::ExploreOutcome& o) {
+      return core::checkKConverge(o.events, 1, props).violation;
     };
-    f.algo = [](Env& e, Value v) { return exploreBuggy(e, v); };
-    f.props = props2;
+    f.algo = test::buggyOneShot;
     f.expect_violation = true;
     families.push_back(std::move(f));
   }
@@ -551,7 +481,7 @@ void exploreWorkloads(int jobs) {
     const sim::ExploreResult one = explore(f.cfg, f.algo, f.props);
     f.cfg.jobs = jobs;
     const sim::ExploreResult many = explore(f.cfg, f.algo, f.props);
-    check(exploreIdentical(one, many),
+    check(one.sameSearch(many),
           f.name + ": jobs=" + std::to_string(jobs) +
               " bit-identical to jobs=1");
     if (f.expect_violation) {

@@ -115,7 +115,10 @@ guarantees:
 The harness-facing trees bench/ and examples/ are linted too: their runs
 feed EXPERIMENTS.md rows and documentation, so the same determinism rules
 bind (wall-clock timing benches annotate the measurement lines with
-`model-lint-allow`).
+`model-lint-allow`). So do the determinism rules above (libc-rand,
+random-device, the three wall-clock rules, unordered-iter and
+nondet-iteration) in tests/test_util.h, the one file of tests/ that the
+benches and tools/determinism_check compile too.
 
 Run as a ctest test (tools.model_lint). `--self-test` proves every rule
 fires on a violating snippet and stays silent on clean code.
@@ -176,6 +179,10 @@ ONE_MIX_WHY = (
 # unordered container (legal in src/sim), ITERATING one is nondeterministic
 # everywhere.
 ALL_SRC_DIRS = ["src"]
+# The harness helpers the tests, benches and tools/determinism_check all
+# compile: the determinism rules bind this one file of tests/ too, since a
+# bench row or a determinism verdict runs through it.
+SHARED_HARNESS_FILES = ["tests/test_util.h"]
 # The IPC rule binds the library AND the harness trees, with no exemption.
 IPC_DIRS = ["src", "bench", "examples"]
 # The step-drive rule binds src/ minus the loop itself and the explorer,
@@ -259,17 +266,20 @@ RULES = [
         re.compile(r"(?<![\w:.>])(?:rand|srand|rand_r|random|srandom)\s*\("),
         "libc RNG is process-global and unseeded per run; use common/rng.h "
         "(seeded xoshiro) or hashedUniform",
+        LINTED_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "random-device",
         re.compile(r"std::random_device"),
         "std::random_device is a nondeterministic entropy source; runs must "
         "be pure functions of their seed",
+        LINTED_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "wall-clock-time",
         re.compile(r"\b(?:time|clock|gettimeofday|clock_gettime)\s*\(\s*(?:NULL|nullptr|0|&|\))"),
         "ambient wall-clock state; simulated logical time is World::now()",
+        LINTED_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "chrono-clock-now",
@@ -277,6 +287,7 @@ RULES = [
             r"std::chrono::\w*clock::now|\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now"
         ),
         "ambient wall-clock state; simulated logical time is World::now()",
+        LINTED_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "wall-clock-type",
@@ -292,13 +303,14 @@ RULES = [
         "wall-clock types are banned in the library: all time must come "
         "from the simulated clock (World::now(), heartbeat ticks); "
         "host-side measurement code must annotate with model-lint-allow",
-        ALL_SRC_DIRS,
+        ALL_SRC_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "unordered-iter",
         re.compile(r"std::unordered_(?:map|set|multimap|multiset)"),
         "iteration order of unordered containers is address/seed dependent "
         "and can leak nondeterminism into traces; use std::map/std::set",
+        LINTED_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "direct-world",
@@ -391,7 +403,7 @@ RULES = [
         "keep an ordered side index of the keys (sim/report_cache.h "
         "pairs its unordered map with an explicit LRU list for exactly "
         "this reason)",
-        ALL_SRC_DIRS,
+        ALL_SRC_DIRS + SHARED_HARNESS_FILES,
     ),
     (
         "ipc-primitive",
@@ -945,6 +957,30 @@ def self_test() -> int:
         else:
             verb = "fires" if fires else "stays silent"
             print(f"self-test ok: one-mix {verb} on {what} in {rel}")
+    # The determinism rules bind tests/test_util.h, which the benches and
+    # tools/determinism_check compile, and no other file of tests/; the
+    # file as it stands is clean.
+    shared = "tests/test_util.h"
+    for rule in ("libc-rand", "random-device", "wall-clock-time",
+                 "chrono-clock-now", "wall-clock-type", "unordered-iter",
+                 "nondet-iteration"):
+        snippet = VIOLATING_SNIPPETS[rule]
+        for rel, fires in ((shared, True), ("tests/explore_test.cc", False)):
+            found = {r for (_p, _l, r, _s) in
+                     scan_text(snippet, rel, rules_for(rel))}
+            if (rule in found) != fires:
+                verb = "did not fire" if fires else "fired"
+                print(f"self-test FAIL: {rule} {verb} in {rel}")
+                failures += 1
+            else:
+                verb = "fires" if fires else "stays silent"
+                print(f"self-test ok: {rule} {verb} in {rel}")
+    if scan_text((repo / shared).read_text(encoding="utf-8"), shared,
+                 rules_for(shared)):
+        print(f"self-test FAIL: {shared} as it stands has findings")
+        failures += 1
+    else:
+        print(f"self-test ok: {shared} as it stands is clean")
     # The clean snippet is algorithm code, so it is held to the rules that
     # bind an algorithm file (its std::map is legal there).
     clean = scan_text(CLEAN_SNIPPET, "<clean>", rules_for("src/core/algo.cc"))
